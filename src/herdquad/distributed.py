@@ -26,7 +26,7 @@ import numpy as np
 
 from .kernels import CandidatePool, Kernel
 from .selectors import Method, RunTrace, run_greedy
-from .state import QuadratureState
+from .state import QuadratureState, check_kernel
 from .targets import TargetEmbedding
 
 
@@ -174,8 +174,10 @@ def run_distributed(
     or random method raises ``ValueError``.  A fixed (seed, s) reproduces
     the result bit for bit regardless of worker scheduling, because results
     are collected by worker index and the aggregator pool is sorted by id.
+    ``KernelMismatch`` is raised when ``kernel`` is not ``target.kernel``.
     """
     method = Method(method)
+    check_kernel(target, kernel)
     if method not in (Method.WKH, Method.SBQ):
         raise ValueError("distributed runs support WKH and SBQ only")
     if executor not in ("serial", "thread", "process"):

@@ -141,6 +141,7 @@ class PrecomputedKernel(Kernel):
     addressed by the point ``[i]``.  ``index_pool`` builds the matching
     candidate pool.  The matrix must be symmetric; the unit-diagonal check
     can be disabled to construct deliberately non-standardized fixtures.
+    Two instances are equal when their matrices are.
     """
 
     matrix: np.ndarray
@@ -158,6 +159,11 @@ class PrecomputedKernel(Kernel):
                 "similarity matrix diagonal must equal 1 "
                 "(pass require_unit_diag=False for non-standardized fixtures)"
             )
+
+    def __eq__(self, other):
+        if not isinstance(other, PrecomputedKernel):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
 
     def _indices(self, X: np.ndarray) -> np.ndarray:
         if X.shape[1] != 1:

@@ -11,9 +11,19 @@ Four methods share one driver:
                  optimally reweighted, the trace reports the plain
                  uniform-weight estimate a baseline comparison plots.
 
+WKH and SBQ read one pair of pool-wide arrays, the residual correlations
+r and the Schur complements s, and ``selection_scores`` turns them into
+scores: r for WKH, r^2 / s for SBQ, with every candidate whose s falls
+below ``TAU_DEP`` masked out in bulk rather than tried and rejected.  In
+``run_greedy`` the pair comes from ``PoolScores``, which folds each
+accepted atom into the whole pool in O(n (i + d)) for n candidates in d
+dimensions at step i; ``wkh_select`` and ``sbq_select`` recompute it from
+scratch for one step.
+
 Selection is deterministic: ties go to the lowest pool id unless the
 random tie policy is requested, and a fixed (method, pool, target, kernel,
-k, seed) tuple always reproduces the same id sequence.
+k, seed) tuple always reproduces the same id sequence.  The kernel must be
+the target's own (``KernelMismatch`` otherwise).
 """
 
 from __future__ import annotations
@@ -31,7 +41,15 @@ from .kernels import (
     StandardizationError,
     check_standardized,
 )
-from .state import TAU_DEP, NearDependentAtom, QuadratureState, new_state
+from .state import (
+    TAU_DEP,
+    NearDependentAtom,
+    PoolScores,
+    QuadratureState,
+    check_kernel,
+    new_state,
+    sbq_gains,
+)
 from .targets import TargetEmbedding
 
 G_STOP = 1e-14
@@ -103,14 +121,37 @@ def _pick(scores: np.ndarray, candidate_rows: np.ndarray, ids: np.ndarray,
     raise ValueError(f"unknown tie policy {tie_break!r}")
 
 
-def wkh_select(state: QuadratureState, pool: CandidatePool, excluded_ids=()) -> int:
-    """Pool id with the largest residual correlation z(x) - k_x^T w."""
+def selection_scores(method: Method, resid: np.ndarray, schur: np.ndarray):
+    """Greedy scores and the mask of independent candidates.
+
+    WKH scores the residual correlation r, SBQ the one-step drop r^2 / s.
+    A candidate whose Schur complement s is below ``TAU_DEP`` would make the
+    Cholesky factor singular, so the mask leaves it out of either rule.
+    """
+    scores = sbq_gains(resid, schur) if method is Method.SBQ else resid
+    return scores, schur >= TAU_DEP
+
+
+def _select(method: Method, state: QuadratureState, pool: CandidatePool, excluded_ids) -> int:
     mask = ~np.isin(pool.ids, np.asarray(list(excluded_ids), dtype=int))
-    rows = np.flatnonzero(mask)
-    if rows.size == 0:
+    if not mask.any():
         raise EmptyPool("no candidates left")
-    scores = state.residual_correlations(pool.points)
+    scores, independent = selection_scores(
+        method, state.residual_correlations(pool.points), state.schur_complements(pool.points))
+    rows = np.flatnonzero(mask & independent)
+    if rows.size == 0:
+        raise AllDependent("every candidate is numerically dependent")
     return int(pool.ids[_pick(scores, rows, pool.ids, "lowest_id", None)])
+
+
+def wkh_select(state: QuadratureState, pool: CandidatePool, excluded_ids=()) -> int:
+    """Pool id with the largest residual correlation z(x) - k_x^T w.
+
+    Candidates whose Schur complement falls below the dependence threshold
+    are not eligible; if no candidate is eligible ``AllDependent`` is
+    raised.
+    """
+    return _select(Method.WKH, state, pool, excluded_ids)
 
 
 def sbq_select(state: QuadratureState, pool: CandidatePool, excluded_ids=()) -> int:
@@ -120,14 +161,7 @@ def sbq_select(state: QuadratureState, pool: CandidatePool, excluded_ids=()) -> 
     are not eligible; if no candidate is eligible ``AllDependent`` is
     raised.
     """
-    mask = ~np.isin(pool.ids, np.asarray(list(excluded_ids), dtype=int))
-    if not mask.any():
-        raise EmptyPool("no candidates left")
-    delta, schur = state.variance_reductions(pool.points, return_schur=True)
-    rows = np.flatnonzero(mask & (schur >= TAU_DEP))
-    if rows.size == 0:
-        raise AllDependent("every candidate is numerically dependent")
-    return int(pool.ids[_pick(delta, rows, pool.ids, "lowest_id", None)])
+    return _select(Method.SBQ, state, pool, excluded_ids)
 
 
 class UniformAccumulator:
@@ -218,9 +252,11 @@ def run_greedy(
     reports the plain sample-average estimate rather than the reweighted
     one) single steps can raise it.  Early-stop reasons: ``objective_floor``
     once mmd_sq <= g_stop (WKH/SBQ), ``all_dependent`` when no independent
-    candidate remains, and ``pool_exhausted``.
+    candidate remains, and ``pool_exhausted``.  ``KernelMismatch`` is
+    raised when ``kernel`` is not ``target.kernel``.
     """
     method = Method(method)
+    check_kernel(target, kernel)
     if k < 1:
         raise ValueError("k must be at least 1")
     if len(pool) == 0:
@@ -237,6 +273,7 @@ def run_greedy(
 
     if method in (Method.WKH, Method.SBQ):
         state = new_state(target, kernel)
+        core = PoolScores(state, pool.points, z_all, capacity=k)
         used = np.zeros(len(pool), dtype=bool)
         for it in range(1, k + 1):
             if state.mmd_sq <= g_stop:
@@ -245,29 +282,29 @@ def run_greedy(
             if used.all():
                 trace.stop_reason = "pool_exhausted"
                 break
-            if method is Method.SBQ:
-                scores, schur = state.variance_reductions(pool.points, embeds=z_all, return_schur=True)
-                eligible = ~used & (schur >= TAU_DEP)
-            else:
-                scores = state.residual_correlations(pool.points, embeds=z_all)
-                eligible = ~used
-            placed = False
-            while eligible.any():
-                row = _pick(scores, np.flatnonzero(eligible), pool.ids, tie_break, rng)
+            row = None
+            while row is None:
+                scores, eligible = selection_scores(method, core.resid, core.schur)
+                rows = np.flatnonzero(eligible & ~used)
+                if rows.size == 0:
+                    break
+                row = _pick(scores, rows, pool.ids, tie_break, rng)
+                prev = state.mmd_sq
                 try:
-                    prev = state.mmd_sq
-                    state.add_atom(pool.points[row], pool.ids[row])
-                except NearDependentAtom:
-                    eligible[row] = False
-                    continue
-                used[row] = True
-                trace.rows.append(TraceRow(it, int(pool.ids[row]), state.mmd_sq,
-                                           prev - state.mmd_sq, float(scores[row]), elapsed_ms()))
-                placed = True
-                break
-            if not placed:
+                    state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row])
+                except NearDependentAtom as err:
+                    # add_atom's own Schur complement outranks the pool-wide
+                    # one; recording it masks the row from now on.
+                    core.schur[row] = err.schur
+                    row = None
+            if row is None:
                 trace.stop_reason = "all_dependent"
                 break
+            score = float(scores[row])  # read first: WKH's scores are core.resid
+            core.extend(row)
+            used[row] = True
+            trace.rows.append(TraceRow(it, int(pool.ids[row]), state.mmd_sq,
+                                       prev - state.mmd_sq, score, elapsed_ms()))
         return state, trace
 
     if method is Method.KH_UNIFORM:

@@ -83,6 +83,9 @@ class GaussianMixtureTarget(TargetEmbedding):
         w = np.asarray(self.weights, dtype=float)
         m = np.asarray(self.means, dtype=float)
         S = np.asarray(self.covs, dtype=float)
+        for name, arr in (("weights", w), ("means", m), ("covs", S)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"mixture {name} must be finite (found NaN or inf)")
         if m.ndim != 2:
             raise ValueError("means must form a (components, dim) array")
         k, d = m.shape

@@ -10,8 +10,9 @@ from herdquad.distributed import (
     write_iterates_csv,
     write_shard_csv,
 )
-from herdquad.kernels import CandidatePool
+from herdquad.kernels import CandidatePool, RBFKernel
 from herdquad.selectors import Method, run_greedy
+from herdquad.state import KernelMismatch
 from tests.conftest import random_mixture
 
 
@@ -85,6 +86,12 @@ def test_rejects_uniform_and_random_methods():
             run_distributed(method, pool, target, kern, k=4, s=2, seed=0)
     with pytest.raises(ValueError):
         run_distributed(Method.WKH, pool, target, kern, k=4, s=2, seed=0, executor="mpi")
+
+
+def test_rejects_another_kernel():
+    pool, target, _ = make_problem(seed=6)
+    with pytest.raises(KernelMismatch):
+        run_distributed(Method.SBQ, pool, target, RBFKernel(0.3), 5, 2, seed=0)
 
 
 def test_shard_csv_round_trip(tmp_path):

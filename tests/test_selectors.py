@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,8 @@ from herdquad.selectors import (
     sbq_select,
     wkh_select,
 )
-from herdquad.state import NearDependentAtom, new_state
-from herdquad.targets import DiscreteTarget
+from herdquad.state import KernelMismatch, NearDependentAtom, QuadratureState, new_state
+from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
 from tests.conftest import random_mixture
 
 
@@ -283,3 +285,89 @@ def test_trace_score_column_records_winning_score():
     z = target.mean_embed_many(pool.points)
     _, trace = run_greedy(Method.WKH, pool, target, kern, 1, seed=0)
     assert trace.rows[0].score == pytest.approx(float(z.max()), rel=1e-13)
+
+
+def saturating_problem(seed=5):
+    """3-component 2-d mixture, wide kernel, pool drawn from the target.
+
+    WKH and SBQ bring g to round-off level; at the default seed both stop
+    with every remaining candidate numerically dependent on the atoms.
+    """
+    rng = np.random.default_rng(seed)
+    kern = RBFKernel(3.0)
+    target = GaussianMixtureTarget(
+        rng.dirichlet(np.ones(3)), rng.uniform(-2.0, 2.0, size=(3, 2)),
+        np.stack([np.diag(rng.uniform(0.1, 0.6, size=2)) for _ in range(3)]), kern)
+    pool = CandidatePool.from_points(target.sample(400, rng))
+    return pool, target, kern
+
+
+# Picks of the from-scratch selector that rescored the whole pool every
+# step, made while g > 1e-11; later picks may follow round-off.
+PINNED_IDS = {
+    "WKH": [389, 231, 44, 347, 80, 19, 107, 261, 79, 175, 23, 34, 206, 238, 334, 186, 86, 49,
+            221, 364, 183, 101, 258, 113, 174, 77, 228, 259, 99, 362, 339, 61, 343, 56, 27, 2],
+    "SBQ": [389, 231, 75, 80, 49, 334, 19, 353, 17, 243, 34, 328, 77, 43, 226, 388, 361, 347,
+            56, 204, 372, 103, 109, 398, 186, 29, 44, 31, 245, 178, 364, 301, 6, 343, 220, 116,
+            107, 258, 130, 174],
+}
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_chosen_ids_match_the_from_scratch_selector(method):
+    pool, target, kern = saturating_problem()
+    _, trace = run_greedy(method, pool, target, kern, 60)
+    assert trace.stop_reason == "all_dependent"
+    pinned = PINNED_IDS[method]
+    assert trace.chosen_ids[:len(pinned)] == pinned
+    assert trace.mmd_values[len(pinned) - 2] > 1e-11
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+@pytest.mark.parametrize("seed", [0, 20])
+def test_saturating_trace_never_rises_nor_goes_negative(method, seed):
+    # Computed as c - z'w, g rose by 1.1e-16 (WKH, seed 20) and 1.9e-15
+    # (SBQ, seed 0) on these instances; c - ||alpha||^2 cannot rise.
+    pool, target, kern = saturating_problem(seed)
+    _, trace = run_greedy(method, pool, target, kern, 60)
+    g = trace.mmd_values
+    assert g[-1] < 1e-11
+    assert np.all(np.diff(g) <= 0)
+    assert g.min() >= -1e-12
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_dependent_candidates_are_masked_not_retried(method):
+    pool, target, kern = saturating_problem()
+    calls = []
+    original = QuadratureState.add_atom
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[1])
+        return original(self, *args, **kwargs)
+
+    with mock.patch.object(QuadratureState, "add_atom", counting):
+        _, trace = run_greedy(method, pool, target, kern, 60)
+    assert calls == trace.chosen_ids
+
+
+def test_run_greedy_rejects_another_kernel():
+    # Without the kernel check this SBQ run returned a final g of -0.1036.
+    pts = np.random.default_rng(0).normal(size=(50, 2))
+    pool = CandidatePool.from_points(pts)
+    target = DiscreteTarget.uniform(pts, RBFKernel(1.0))
+    for method in Method:
+        with pytest.raises(KernelMismatch):
+            run_greedy(method, pool, target, RBFKernel(0.3), 20)
+    state, _ = run_greedy("SBQ", pool, target, RBFKernel(1.0), 20)
+    assert state.mmd_sq >= -1e-12
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_budget_above_pool_size_exhausts_the_pool(method):
+    kern = RBFKernel(1.0)
+    pool = CandidatePool.from_points(np.array([[0.0], [1.0]]))
+    target = DiscreteTarget.uniform(np.array([[5.0]]), kern)
+    state, trace = run_greedy(method, pool, target, kern, 5)
+    assert trace.stop_reason == "pool_exhausted"
+    assert sorted(trace.chosen_ids) == [0, 1] and state.size == 2

@@ -1,10 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herdquad.kernels import PrecomputedKernel, RBFKernel
-from herdquad.state import TAU_DEP, DuplicateAtom, NearDependentAtom, new_state
+from herdquad.kernels import CandidatePool, PrecomputedKernel, RBFKernel
+from herdquad.selectors import run_greedy
+from herdquad.state import (
+    TAU_DEP,
+    DuplicateAtom,
+    KernelMismatch,
+    NearDependentAtom,
+    PoolScores,
+    new_state,
+)
 from herdquad.targets import DiscreteTarget
 from tests.conftest import random_mixture
 
@@ -185,3 +195,64 @@ def test_weights_minimize_the_quadratic(seed):
         u = state.weights + rng.normal(size=state.size, scale=0.3)
         value = state.self_energy - 2.0 * u @ state.embeds + u @ state.gram @ u
         assert value >= state.mmd_sq - 1e-10
+
+
+def test_new_state_rejects_another_kernel():
+    target = DiscreteTarget.uniform(np.array([[0.0], [2.0]]), RBFKernel(1.0))
+    new_state(target, RBFKernel(1.0))  # equal, not identical: accepted
+    with pytest.raises(KernelMismatch):
+        new_state(target, RBFKernel(0.3))
+
+
+def test_precomputed_kernels_compare_by_matrix():
+    M = np.array([[1.0, 0.2], [0.2, 1.0]])
+    kern = PrecomputedKernel(M)
+    target = DiscreteTarget.uniform(kern.index_pool().points, kern)
+    new_state(target, PrecomputedKernel(M.copy()))
+    with pytest.raises(KernelMismatch):
+        new_state(target, PrecomputedKernel(np.eye(2)))
+
+
+def test_mmd_sq_is_self_energy_minus_projected_embeddings(rng):
+    target = random_mixture(rng)
+    state = new_state(target, target.kernel)
+    for i, x in enumerate(rng.normal(size=(5, 2))):
+        state.add_atom(x, i)
+    np.testing.assert_allclose(state.chol @ state.alpha, state.embeds, atol=1e-12)
+    assert state.mmd_sq == pytest.approx(state.self_energy - state.alpha @ state.alpha, abs=1e-15)
+
+
+def test_pool_scores_need_an_empty_state(rng):
+    target = random_mixture(rng)
+    state = new_state(target, target.kernel)
+    pts = rng.normal(size=(4, 2))
+    state.add_atom(pts[0], 0)
+    with pytest.raises(ValueError):
+        PoolScores(state, pts, target.mean_embed_many(pts), capacity=3)
+
+
+class _CheckedScores(PoolScores):
+    """PoolScores that compares itself with the from-scratch routes after every atom."""
+
+    steps = 0
+
+    def extend(self, row):
+        super().extend(row)
+        np.testing.assert_allclose(self.resid, self.state.residual_correlations(self.points),
+                                   rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(self.schur, self.state.schur_complements(self.points),
+                                   rtol=0.0, atol=1e-10)
+        _CheckedScores.steps += 1
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 10_000), method=st.sampled_from(["WKH", "SBQ"]))
+def test_pool_scores_match_from_scratch_recomputation(seed, method):
+    """Incremental r and s agree with the dense routes at every step of a run."""
+    rng = np.random.default_rng(seed)
+    target = random_mixture(rng, components=2)
+    pool = CandidatePool.from_points(target.sample(60, rng))
+    _CheckedScores.steps = 0
+    with mock.patch("herdquad.selectors.PoolScores", _CheckedScores):
+        _, trace = run_greedy(method, pool, target, target.kernel, 25)
+    assert _CheckedScores.steps == len(trace.rows)

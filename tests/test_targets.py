@@ -83,6 +83,16 @@ def test_mixture_rejects_inconsistent_shapes():
         )
 
 
+@pytest.mark.parametrize("field", ["weights", "means", "covs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mixture_rejects_non_finite_parameters(field, bad):
+    params = dict(weights=np.array([0.5, 0.5]), means=np.zeros((2, 2)),
+                  covs=np.stack([np.eye(2), np.eye(2)]))
+    params[field].flat[0] = bad
+    with pytest.raises(ValueError, match=f"mixture {field} must be finite"):
+        GaussianMixtureTarget(kernel=RBFKernel(1.0), **params)
+
+
 def test_mixture_mean_embed_many_matches_scalar(rng):
     target = random_mixture(rng)
     X = rng.normal(size=(6, 2))
