@@ -25,7 +25,6 @@ from .kernels import (
     PrecomputedKernel,
     RBFKernel,
     check_standardized,
-    gram_row,
 )
 from .selectors import (
     Method,
@@ -81,7 +80,6 @@ __all__ = [
     "fisher_embed",
     "fisher_embed_many",
     "fit_rate",
-    "gram_row",
     "kh_uniform_step",
     "mc_mean_embed",
     "mc_self_energy",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .kernels import CandidatePool, Kernel, NormalizedFeatureKernel
 from .selectors import Method, RunTrace, run_greedy
-from .state import TAU_DEP, QuadratureState
+from .state import TAU_DEP, QuadratureState, check_kernel
 from .targets import DiscreteTarget, TargetEmbedding
 
 G_FLOOR = 1e-13
@@ -120,7 +120,9 @@ def brute_force_best_subset(pool: CandidatePool, target: TargetEmbedding,
 
     Guards the budget with C(n, r) <= 10^6.  Ties keep the first subset in
     lexicographic id order, which makes the oracle deterministic.
+    ``KernelMismatch`` is raised when ``kernel`` is not ``target.kernel``.
     """
+    check_kernel(target, kernel)
     n = len(pool)
     if r < 1:
         raise ValueError("subset size must be at least 1")
@@ -182,6 +184,7 @@ def check_approx_guarantee(pool: CandidatePool, target: TargetEmbedding,
     asserts  g_k <= (1 - epsilon) * g_oracle + epsilon * c + 1e-8.  The
     spectrum over the union of greedy and oracle atoms is reported next to
     the selected-atom one since the analysis constants live on supersets.
+    ``KernelMismatch`` is raised when ``kernel`` is not ``target.kernel``.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")

@@ -7,17 +7,15 @@ the solution (among the s workers and the aggregator) with the smallest
 squared MMD, ties going to the lowest index.  By construction the winner
 is never worse than the best worker.
 
-Workers default to an in-process thread pool.  A process pool is available
-for shared-nothing execution; combined with ``spill_dir`` the shards and
-the returned iterates travel through CSV files (see ``write_shard_csv`` /
-``write_iterates_csv`` for the exact columns), which exercises the same
-contract as a larger-than-memory deployment.
+Every shard is an in-memory ``CandidatePool``.  Workers run serially, on
+a thread pool (the default) or on a process pool; all three return the
+same result bit for bit.  On the mixture_d8_distributed benchmark inputs
+(two workers, one BLAS thread, two cores) the four ``run_distributed``
+calls took 0.98 s serially, 0.98 s on threads and 0.79 s on processes.
 """
 
 from __future__ import annotations
 
-import csv
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +24,7 @@ import numpy as np
 
 from .kernels import CandidatePool, Kernel
 from .selectors import Method, RunTrace, run_greedy
-from .state import QuadratureState, check_kernel
+from .state import check_kernel
 from .targets import TargetEmbedding
 
 
@@ -98,60 +96,14 @@ class DistributedResult:
         return np.array([s.mmd_sq for s in self.solutions])
 
 
-def write_shard_csv(path, pool: CandidatePool) -> None:
-    """Shard spill format: header id,x0,...,x{d-1}; one row per point."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"x{j}" for j in range(pool.dim)])
-        for pid, pt in zip(pool.ids, pool.points):
-            writer.writerow([int(pid)] + [repr(float(v)) for v in pt])
-
-
-def read_shard_csv(path) -> CandidatePool:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 1
-        ids, pts = [], []
-        for row in reader:
-            ids.append(int(row[0]))
-            pts.append([float(v) for v in row[1:]])
-    return CandidatePool(points=np.asarray(pts, dtype=float).reshape(len(ids), dim),
-                         ids=np.asarray(ids, dtype=int))
-
-
-def write_iterates_csv(path, ids, weights) -> None:
-    """Iterate spill format: header id,weight; one row per selected atom."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "weight"])
-        for pid, w in zip(ids, weights):
-            writer.writerow([int(pid), repr(float(w))])
-
-
-def read_iterates_csv(path) -> tuple[list[int], np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        ids, ws = [], []
-        for row in reader:
-            ids.append(int(row[0]))
-            ws.append(float(row[1]))
-    return ids, np.asarray(ws)
-
-
 def _worker_seeds(seed: int, s: int) -> list[int]:
     children = np.random.SeedSequence(seed).spawn(s + 1)
     return [int(c.generate_state(1)[0]) for c in children]
 
 
 def _run_shard(args):
-    method, shard, target, kernel, k, wseed, spill = args
-    if spill is not None:
-        shard = read_shard_csv(spill[0])
+    method, shard, target, kernel, k, wseed = args
     state, trace = run_greedy(method, shard, target, kernel, k, seed=wseed)
-    if spill is not None:
-        write_iterates_csv(spill[1], state.atom_ids, state.weights)
     return list(state.atom_ids), np.asarray(state.weights), float(state.mmd_sq), trace
 
 
@@ -166,7 +118,6 @@ def run_distributed(
     *,
     executor: str = "thread",
     max_workers: int | None = None,
-    spill_dir=None,
 ) -> DistributedResult:
     """Partition the pool over ``s`` workers, select everywhere, keep the best.
 
@@ -189,15 +140,7 @@ def run_distributed(
     seeds = _worker_seeds(seed, s)
     t_partition = time.perf_counter()
 
-    spills = [None] * s
-    if spill_dir is not None:
-        os.makedirs(spill_dir, exist_ok=True)
-        for w, shard in enumerate(shards):
-            shard_path = os.path.join(spill_dir, f"shard_{w}.csv")
-            write_shard_csv(shard_path, shard)
-            spills[w] = (shard_path, os.path.join(spill_dir, f"iterates_{w}.csv"))
-
-    jobs = [(method, shards[w], target, kernel, k, seeds[w], spills[w]) for w in range(s)]
+    jobs = [(method, shards[w], target, kernel, k, seeds[w]) for w in range(s)]
     if executor == "serial":
         outcomes = [_run_shard(job) for job in jobs]
     else:
@@ -209,20 +152,15 @@ def run_distributed(
     solutions, traces = [], []
     union_ids: set[int] = set()
     for w, (ids, weights, mmd_sq, trace) in enumerate(outcomes):
-        if spills[w] is not None:
-            ids, weights = read_iterates_csv(spills[w][1])
-        solutions.append(Solution(label=f"worker-{w}", ids=list(ids),
-                                  weights=np.asarray(weights), mmd_sq=mmd_sq))
+        solutions.append(Solution(label=f"worker-{w}", ids=ids, weights=weights, mmd_sq=mmd_sq))
         traces.append(trace)
         union_ids.update(int(i) for i in ids)
 
     if union_ids:
-        agg_pool = pool.subset(sorted(union_ids))
-        agg_state, agg_trace = run_greedy(method, agg_pool, target, kernel, k, seed=seeds[s])
-        solutions.append(Solution(label="aggregator", ids=list(agg_state.atom_ids),
-                                  weights=np.asarray(agg_state.weights),
-                                  mmd_sq=float(agg_state.mmd_sq)))
-        traces.append(agg_trace)
+        ids, weights, mmd_sq, trace = _run_shard(
+            (method, pool.subset(sorted(union_ids)), target, kernel, k, seeds[s]))
+        solutions.append(Solution(label="aggregator", ids=ids, weights=weights, mmd_sq=mmd_sq))
+        traces.append(trace)
     else:
         # Every worker came back empty-handed; the aggregator has nothing to
         # refine and contributes the empty solution.

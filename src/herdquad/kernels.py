@@ -252,14 +252,6 @@ class CandidatePool:
         return self.points[rows[0]]
 
 
-def gram_row(kernel: Kernel, x, points) -> np.ndarray:
-    """Row vector k(x, p) for every point p; empty input gives an empty row."""
-    P = as_point_matrix(points) if np.asarray(points).size else np.zeros((0, np.asarray(x).size))
-    if P.shape[0] == 0:
-        return np.zeros(0)
-    return kernel.gram(as_point_matrix(x), P)[0]
-
-
 def check_standardized(kernel: Kernel, pool: CandidatePool, tol: float = STANDARDIZATION_TOL) -> bool:
     """True when max_i |k(x_i, x_i) - 1| <= tol over the pool."""
     if not tol > 0:

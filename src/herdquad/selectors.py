@@ -5,8 +5,8 @@ Four methods share one driver:
 * ``WKH``        greedy selection by residual correlation, optimal weights.
 * ``SBQ``        greedy selection by one-step variance reduction, optimal
                  weights; per-iteration it dominates WKH by construction.
-* ``KH_UNIFORM`` classic herding with uniform weights; the driver draws
-                 fresh points by default, repeats behind a flag.
+* ``KH_UNIFORM`` classic herding with uniform weights; the driver never
+                 picks a point twice (``kh_uniform_step`` allows repeats).
 * ``MC_RANDOM``  uniform draws without replacement; the returned state is
                  optimally reweighted, the trace reports the plain
                  uniform-weight estimate a baseline comparison plots.
@@ -20,10 +20,11 @@ accepted atom into the whole pool in O(n (i + d)) for n candidates in d
 dimensions at step i; ``wkh_select`` and ``sbq_select`` recompute it from
 scratch for one step.
 
-Selection is deterministic: ties go to the lowest pool id unless the
-random tie policy is requested, and a fixed (method, pool, target, kernel,
-k, seed) tuple always reproduces the same id sequence.  The kernel must be
-the target's own (``KernelMismatch`` otherwise).
+Selection is deterministic: ties always go to the lowest pool id, and a
+fixed (method, pool, target, kernel, k, seed) tuple always reproduces the
+same id sequence; the seed only drives MC_RANDOM's draws.  The kernel must
+be the target's own (``KernelMismatch`` otherwise) and standardized on the
+pool (``StandardizationError`` otherwise).
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (
-    STANDARDIZATION_TOL,
-    CandidatePool,
-    Kernel,
-    StandardizationError,
-    check_standardized,
-)
+from .kernels import CandidatePool, Kernel, StandardizationError, check_standardized
 from .state import (
     TAU_DEP,
     NearDependentAtom,
@@ -104,21 +99,11 @@ class RunTrace:
         return self.rows[-1].mmd_sq if self.rows else float("nan")
 
 
-def _pick(scores: np.ndarray, candidate_rows: np.ndarray, ids: np.ndarray,
-          tie_break: str, rng: np.random.Generator | None) -> int:
-    """Row index of the best-scoring candidate; ties per the policy."""
+def _pick(scores: np.ndarray, candidate_rows: np.ndarray, ids: np.ndarray) -> int:
+    """Row index of the best-scoring candidate; ties go to the lowest id."""
     vals = scores[candidate_rows]
-    best = vals.max()
-    ties = candidate_rows[vals == best]
-    if ties.size == 1:
-        return int(ties[0])
-    if tie_break == "lowest_id":
-        return int(ties[np.argmin(ids[ties])])
-    if tie_break == "random":
-        if rng is None:
-            raise ValueError("random tie-breaking needs a generator")
-        return int(rng.choice(ties))
-    raise ValueError(f"unknown tie policy {tie_break!r}")
+    ties = candidate_rows[vals == vals.max()]
+    return int(ties[np.argmin(ids[ties])])
 
 
 def selection_scores(method: Method, resid: np.ndarray, schur: np.ndarray):
@@ -141,7 +126,7 @@ def _select(method: Method, state: QuadratureState, pool: CandidatePool, exclude
     rows = np.flatnonzero(mask & independent)
     if rows.size == 0:
         raise AllDependent("every candidate is numerically dependent")
-    return int(pool.ids[_pick(scores, rows, pool.ids, "lowest_id", None)])
+    return int(pool.ids[_pick(scores, rows, pool.ids)])
 
 
 def wkh_select(state: QuadratureState, pool: CandidatePool, excluded_ids=()) -> int:
@@ -225,22 +210,11 @@ def kh_uniform_step(acc: UniformAccumulator, pool: CandidatePool, excluded_ids=(
     else:
         ksum = np.zeros(len(pool))
     scores = z - ksum / (acc.size + 1)
-    return int(pool.ids[_pick(scores, rows, pool.ids, "lowest_id", None)])
+    return int(pool.ids[_pick(scores, rows, pool.ids)])
 
 
-def run_greedy(
-    method,
-    pool: CandidatePool,
-    target: TargetEmbedding,
-    kernel: Kernel,
-    k: int,
-    seed: int = 0,
-    *,
-    tie_break: str = "lowest_id",
-    kh_with_replacement: bool = False,
-    g_stop: float = G_STOP,
-    check_standardization: bool = True,
-):
+def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Kernel, k: int,
+               seed: int = 0):
     """Run ``k`` selection iterations of the given method over the pool.
 
     Returns ``(result, trace)`` where ``result`` is a ``QuadratureState``
@@ -251,7 +225,7 @@ def run_greedy(
     under uniform weights (KH_UNIFORM, and the MC_RANDOM trace, which
     reports the plain sample-average estimate rather than the reweighted
     one) single steps can raise it.  Early-stop reasons: ``objective_floor``
-    once mmd_sq <= g_stop (WKH/SBQ), ``all_dependent`` when no independent
+    once mmd_sq <= ``G_STOP`` (WKH/SBQ), ``all_dependent`` when no independent
     candidate remains, and ``pool_exhausted``.  ``KernelMismatch`` is
     raised when ``kernel`` is not ``target.kernel``.
     """
@@ -261,9 +235,8 @@ def run_greedy(
         raise ValueError("k must be at least 1")
     if len(pool) == 0:
         raise EmptyPool("empty candidate pool")
-    if check_standardization and not check_standardized(kernel, pool, STANDARDIZATION_TOL):
+    if not check_standardized(kernel, pool):
         raise StandardizationError("kernel is not standardized on this pool")
-    rng = np.random.default_rng(seed)
     trace = RunTrace(method=method.value, seed=seed)
     t0 = time.perf_counter()
     z_all = target.mean_embed_many(pool.points)
@@ -276,7 +249,7 @@ def run_greedy(
         core = PoolScores(state, pool.points, z_all, capacity=k)
         used = np.zeros(len(pool), dtype=bool)
         for it in range(1, k + 1):
-            if state.mmd_sq <= g_stop:
+            if state.mmd_sq <= G_STOP:
                 trace.stop_reason = "objective_floor"
                 break
             if used.all():
@@ -288,7 +261,7 @@ def run_greedy(
                 rows = np.flatnonzero(eligible & ~used)
                 if rows.size == 0:
                     break
-                row = _pick(scores, rows, pool.ids, tie_break, rng)
+                row = _pick(scores, rows, pool.ids)
                 prev = state.mmd_sq
                 try:
                     state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row])
@@ -312,12 +285,12 @@ def run_greedy(
         ksum = np.zeros(len(pool))
         used = np.zeros(len(pool), dtype=bool)
         for it in range(1, k + 1):
-            candidate_rows = np.arange(len(pool)) if kh_with_replacement else np.flatnonzero(~used)
+            candidate_rows = np.flatnonzero(~used)
             if candidate_rows.size == 0:
                 trace.stop_reason = "pool_exhausted"
                 break
             scores = z_all - ksum / (acc.size + 1)
-            row = _pick(scores, candidate_rows, pool.ids, tie_break, rng)
+            row = _pick(scores, candidate_rows, pool.ids)
             prev = acc.mmd_sq
             acc.add(pool.points[row], pool.ids[row])
             used[row] = True
@@ -334,7 +307,7 @@ def run_greedy(
     # Monte Carlo baseline.
     state = new_state(target, kernel)
     acc = UniformAccumulator(target, kernel)
-    order = rng.permutation(len(pool))
+    order = np.random.default_rng(seed).permutation(len(pool))
     for it, row in enumerate(order[:k], start=1):
         prev = acc.mmd_sq
         score = state.residual_correlations(

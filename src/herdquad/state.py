@@ -8,11 +8,13 @@ embedding and the weighted atom embedding:
     mmd_sq = c - z^T K^{-1} z = c - ||alpha||^2
 
 with z the mean embedding at the atoms and c the target self-energy.
-Adding an atom extends L and alpha by one row (cost O(i^2)) and subtracts
+Adding an atom extends L and alpha by one row (cost O(i^2)), subtracts
 the new alpha_i^2 from mmd_sq, so the objective never rises, not even by
-round-off.  An atom whose Schur complement falls below
-``TAU_DEP`` would make the factor numerically singular and is rejected
-instead of jittered.
+round-off, and solves w = L^{-T} alpha by one back-substitution with no
+refinement sweeps.  K itself is not stored: ``gram`` recomputes it from
+the kernel, so audits of the weights do not trust a cached copy.  An atom
+whose Schur complement falls below ``TAU_DEP`` would make the factor
+numerically singular and is rejected instead of jittered.
 
 ``PoolScores`` carries the same factorization over a whole candidate pool
 of n points: Y = L^{-1} K(atoms, pool), the Schur complements
@@ -68,22 +70,6 @@ def sbq_gains(resid: np.ndarray, schur: np.ndarray) -> np.ndarray:
     return np.where(schur >= TAU_DEP, resid**2 / np.maximum(schur, TAU_DEP), 0.0)
 
 
-def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    t = solve_triangular(chol, rhs, lower=True)
-    return solve_triangular(chol.T, t, lower=False)
-
-
-def _solve_weights(chol: np.ndarray, gram: np.ndarray, rhs: np.ndarray,
-                   alpha: np.ndarray) -> np.ndarray:
-    # Two refinement sweeps keep the residual z - K w near machine precision
-    # even when an accepted atom sits just above the dependence threshold.
-    w = solve_triangular(chol.T, alpha, lower=False)
-    for _ in range(2):
-        r = rhs - gram @ w
-        w = w + _chol_solve(chol, r)
-    return w
-
-
 class QuadratureState:
     """Mutable selection state for one (target, kernel) pair."""
 
@@ -95,7 +81,6 @@ class QuadratureState:
         self.atom_ids: list[int] = []
         self.atoms = np.zeros((0, 0))
         self.chol = np.zeros((0, 0))
-        self.gram = np.zeros((0, 0))
         self.embeds = np.zeros(0)
         self.alpha = np.zeros(0)
         self.weights = np.zeros(0)
@@ -105,6 +90,11 @@ class QuadratureState:
     def size(self) -> int:
         return len(self.atom_ids)
 
+    @property
+    def gram(self) -> np.ndarray:
+        """K = k(atoms, atoms), recomputed from the kernel on every read."""
+        return self.kernel.gram(self.atoms, self.atoms) if self.size else np.zeros((0, 0))
+
     def copy(self) -> "QuadratureState":
         out = object.__new__(QuadratureState)
         out.target = self.target
@@ -113,7 +103,6 @@ class QuadratureState:
         out.atom_ids = list(self.atom_ids)
         out.atoms = self.atoms.copy()
         out.chol = self.chol.copy()
-        out.gram = self.gram.copy()
         out.embeds = self.embeds.copy()
         out.alpha = self.alpha.copy()
         out.weights = self.weights.copy()
@@ -135,7 +124,6 @@ class QuadratureState:
         i = self.size
         kxx = float(self.kernel(x, x))
         if i == 0:
-            kx = np.zeros(0)
             lrow = np.zeros(0)
             schur = kxx
         else:
@@ -150,25 +138,15 @@ class QuadratureState:
         chol[i, :i] = lrow
         chol[i, i] = np.sqrt(schur)
 
-        gram = np.empty((i + 1, i + 1))
-        gram[:i, :i] = self.gram
-        gram[i, :i] = kx
-        gram[:i, i] = kx
-        gram[i, i] = kxx
-
         z = self.target.mean_embed(x) if embed is None else float(embed)
         a = float((z - lrow @ self.alpha) / chol[i, i])
-        embeds = np.append(self.embeds, z)
-        alpha = np.append(self.alpha, a)
-        weights = _solve_weights(chol, gram, embeds, alpha)
 
         self.atoms = x.reshape(1, -1) if i == 0 else np.vstack([self.atoms, x])
         self.atom_ids.append(pool_id)
         self.chol = chol
-        self.gram = gram
-        self.embeds = embeds
-        self.alpha = alpha
-        self.weights = weights
+        self.embeds = np.append(self.embeds, z)
+        self.alpha = np.append(self.alpha, a)
+        self.weights = solve_triangular(chol.T, self.alpha, lower=False)
         self.mmd_sq -= a * a
 
     def residual_correlations(self, X, embeds=None) -> np.ndarray:
@@ -182,9 +160,6 @@ class QuadratureState:
         if self.size == 0:
             return z.copy()
         return z - self.kernel.gram(X, self.atoms) @ self.weights
-
-    def residual_correlation(self, x) -> float:
-        return float(self.residual_correlations(as_point_matrix(x))[0])
 
     def schur_complements(self, X) -> np.ndarray:
         """k(x, x) - k_x^T K^{-1} k_x per point, from scratch; 1 means fully novel."""
@@ -204,9 +179,6 @@ class QuadratureState:
         report a zero reduction by convention.
         """
         return sbq_gains(self.residual_correlations(X), self.schur_complements(X))
-
-    def posterior_variance_reduction(self, x) -> float:
-        return float(self.variance_reductions(as_point_matrix(x))[0])
 
 
 class PoolScores:

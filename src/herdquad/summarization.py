@@ -138,8 +138,8 @@ def fisher_embed(model: LogisticModel, x, y) -> np.ndarray:
     return g / norm
 
 
-def fisher_embed_many(model: LogisticModel, X, y, normalize: bool = True):
-    """Embeddings for a batch; returns (embeddings, kept_row_indices).
+def fisher_embed_many(model: LogisticModel, X, y):
+    """Unit-normalized embeddings for a batch; returns (embeddings, kept_row_indices).
 
     Degenerate (zero-gradient) rows are dropped and counted in the log.
     """
@@ -151,10 +151,7 @@ def fisher_embed_many(model: LogisticModel, X, y, normalize: bool = True):
     dropped = Xd.shape[0] - kept.size
     if dropped:
         log.info("dropped %d degenerate embeddings", dropped)
-    E = G[kept]
-    if normalize:
-        E = E / norms[kept][:, None]
-    return E, kept
+    return G[kept] / norms[kept][:, None], kept
 
 
 def finite_difference_grad(theta, X, y, lam: float, h: float = 1e-5,
@@ -214,8 +211,7 @@ def _draw_baseline_rows(rng, train_rows, labels, size: int) -> np.ndarray:
 
 
 def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int = 0,
-              weighted_retrain: bool = False, normalize_embeddings: bool = True,
-              executor: str = "thread") -> SummarizeReport:
+              weighted_retrain: bool = False) -> SummarizeReport:
     """Select ``k`` training examples whose score embeddings match validation.
 
     The selection pool holds the training examples' embeddings under the
@@ -236,8 +232,8 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
         raise ValueError(f"k must lie in [1, {Xtr.shape[0]}]")
 
     full_model = train_logistic(Xtr, ytr, lam=lam)
-    E_tr, kept_tr = fisher_embed_many(full_model, Xtr, ytr, normalize=normalize_embeddings)
-    E_val, _ = fisher_embed_many(full_model, Xval, yval, normalize=normalize_embeddings)
+    E_tr, kept_tr = fisher_embed_many(full_model, Xtr, ytr)
+    E_val, _ = fisher_embed_many(full_model, Xval, yval)
     n_degenerate = Xtr.shape[0] - kept_tr.size
     if kept_tr.size < k:
         raise ValueError(f"only {kept_tr.size} nondegenerate training embeddings for k={k}")
@@ -252,7 +248,7 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
         final_mmd_sq = trace.final_mmd_sq if trace.rows else result.mmd_sq
         solution_weights = dict(zip(result.atom_ids, result.weights)) if hasattr(result, "weights") else {}
     else:
-        dist = run_distributed(method, pool, target, kernel, k, s, seed, executor=executor)
+        dist = run_distributed(method, pool, target, kernel, k, s, seed)
         selected_pool_ids = list(dist.winner.ids)
         final_mmd_sq = dist.winner.mmd_sq
         trace = dist.traces[dist.winner_index]
@@ -283,7 +279,6 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
         test_nll=float(test_nll), random_nll=float(random_nll), full_nll=float(full_nll),
         n_degenerate=int(n_degenerate),
         metadata={
-            "normalize_embeddings": normalize_embeddings,
             "weighted_retrain": weighted_retrain,
             "labels": "observed",
             "bias_in_embedding": True,

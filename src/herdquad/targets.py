@@ -154,6 +154,9 @@ class DiscreteTarget(TargetEmbedding):
     def __post_init__(self):
         pts = as_point_matrix(self.support)
         q = np.asarray(self.probs, dtype=float)
+        for name, arr in (("support", pts), ("probs", q)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"discrete {name} must be finite (found NaN or inf)")
         if q.ndim != 1 or q.shape[0] != pts.shape[0]:
             raise ValueError("need one probability per support point")
         if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-12:

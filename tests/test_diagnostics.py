@@ -16,7 +16,7 @@ from herdquad.diagnostics import (
 )
 from herdquad.kernels import CandidatePool, PrecomputedKernel, RBFKernel
 from herdquad.selectors import Method, run_greedy
-from herdquad.state import new_state
+from herdquad.state import KernelMismatch, new_state
 from herdquad.targets import DiscreteTarget
 from tests.conftest import random_mixture
 
@@ -107,6 +107,18 @@ def test_check_approx_guarantee_holds_on_small_instance():
         assert entry["M_hat"] >= entry["m_hat"]
         assert entry["k_used"] >= 1
     assert report["oracle"]["subsets_examined"] == 12 + 66
+
+
+def test_oracles_reject_another_kernel():
+    # Scoring this target under a narrower kernel drove the oracle's g negative.
+    pts = np.linspace(-2.0, 2.0, 8).reshape(-1, 1)
+    pool = CandidatePool.from_points(pts)
+    target = DiscreteTarget.uniform(pts, RBFKernel(1.0))
+    with pytest.raises(KernelMismatch):
+        brute_force_best_subset(pool, target, RBFKernel(0.3), r=3)
+    with pytest.raises(KernelMismatch):
+        check_approx_guarantee(pool, target, RBFKernel(0.3), r=3, epsilon=0.5)
+    assert brute_force_best_subset(pool, target, RBFKernel(1.0), r=3).mmd_sq >= -1e-12
 
 
 def test_check_approx_guarantee_validates_epsilon():

@@ -4,11 +4,7 @@ import pytest
 from herdquad.distributed import (
     PoolTooSmall,
     partition,
-    read_iterates_csv,
-    read_shard_csv,
     run_distributed,
-    write_iterates_csv,
-    write_shard_csv,
 )
 from herdquad.kernels import CandidatePool, RBFKernel
 from herdquad.selectors import Method, run_greedy
@@ -94,42 +90,18 @@ def test_rejects_another_kernel():
         run_distributed(Method.SBQ, pool, target, RBFKernel(0.3), 5, 2, seed=0)
 
 
-def test_shard_csv_round_trip(tmp_path):
-    pool, _, _ = make_problem(seed=9, n=12, dim=3)
-    path = tmp_path / "shard.csv"
-    write_shard_csv(path, pool)
-    back = read_shard_csv(path)
-    np.testing.assert_array_equal(back.ids, pool.ids)
-    np.testing.assert_array_equal(back.points, pool.points)  # repr() is lossless
-
-
-def test_iterates_csv_round_trip(tmp_path):
-    path = tmp_path / "iterates.csv"
-    ids = [3, 1, 4]
-    weights = np.array([0.25, -0.125, 1.0 / 3.0])
-    write_iterates_csv(path, ids, weights)
-    back_ids, back_w = read_iterates_csv(path)
-    assert back_ids == ids
-    np.testing.assert_array_equal(back_w, weights)
-
-
-def test_executors_agree_bit_for_bit(tmp_path):
+def test_executors_agree_bit_for_bit():
     pool, target, kern = make_problem(seed=10)
     kwargs = dict(k=5, s=3, seed=13)
     serial = run_distributed(Method.WKH, pool, target, kern, **kwargs, executor="serial")
     threaded = run_distributed(Method.WKH, pool, target, kern, **kwargs, executor="thread")
-    spilled = run_distributed(
-        Method.WKH, pool, target, kern, **kwargs,
-        executor="process", spill_dir=tmp_path / "spill",
-    )
-    for other in (threaded, spilled):
+    processes = run_distributed(Method.WKH, pool, target, kern, **kwargs, executor="process")
+    for other in (threaded, processes):
         assert other.winner_index == serial.winner_index
         for a, b in zip(serial.solutions, other.solutions):
             assert a.ids == b.ids
             np.testing.assert_array_equal(a.weights, b.weights)
             assert a.mmd_sq == b.mmd_sq
-    assert (tmp_path / "spill" / "shard_0.csv").exists()
-    assert (tmp_path / "spill" / "iterates_2.csv").exists()
 
 
 def test_distributed_reproducible_across_calls():

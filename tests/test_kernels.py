@@ -12,7 +12,6 @@ from herdquad.kernels import (
     RBFKernel,
     ZeroNormFeature,
     check_standardized,
-    gram_row,
 )
 
 
@@ -40,13 +39,13 @@ def test_rbf_dimension_mismatch(rbf_unit):
 def test_gram_row_matches_full_gram(rbf_unit, rng):
     pts = rng.normal(size=(7, 3))
     x = rng.normal(size=3)
-    row = gram_row(rbf_unit, x, pts)
-    full = rbf_unit.gram(x.reshape(1, -1), pts)[0]
+    row = rbf_unit.gram(x, pts)[0]
+    full = rbf_unit.gram(np.vstack([x, pts]), pts)[0]
     np.testing.assert_allclose(row, full, rtol=0, atol=0)
 
 
 def test_gram_row_empty_subset(rbf_unit):
-    assert gram_row(rbf_unit, np.array([1.0, 2.0]), np.zeros((0, 2))).shape == (0,)
+    assert rbf_unit.gram(np.array([1.0, 2.0]), np.zeros((0, 2)))[0].shape == (0,)
 
 
 points_strategy = hnp.arrays(

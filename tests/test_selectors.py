@@ -166,7 +166,6 @@ def test_run_greedy_requires_standardized_kernel():
     target = DiscreteTarget.uniform(pool.points, kern)
     with pytest.raises(StandardizationError):
         run_greedy(Method.WKH, pool, target, kern, 1)
-    run_greedy(Method.WKH, pool, target, kern, 1, check_standardization=False)
 
 
 @settings(max_examples=30)
@@ -261,23 +260,6 @@ def test_kh_uniform_without_replacement_is_default():
     pool, target, kern = singleton_problem()
     _, trace = run_greedy(Method.KH_UNIFORM, pool, target, kern, 3, seed=0)
     assert len(set(trace.chosen_ids)) == len(trace.chosen_ids)
-    _, trace_rep = run_greedy(
-        Method.KH_UNIFORM, pool, target, kern, 3, seed=0, kh_with_replacement=True
-    )
-    assert trace_rep.chosen_ids == [1, 1, 1]
-
-
-def test_random_tie_break_policy_is_seeded():
-    kern = PrecomputedKernel(np.eye(4))
-    pool = kern.index_pool()
-    target = DiscreteTarget.uniform(pool.points, kern)
-    picks = set()
-    for seed in range(8):
-        _, trace = run_greedy(Method.WKH, pool, target, kern, 1, seed=seed, tie_break="random")
-        picks.add(trace.chosen_ids[0])
-        _, again = run_greedy(Method.WKH, pool, target, kern, 1, seed=seed, tie_break="random")
-        assert trace.chosen_ids == again.chosen_ids
-    assert len(picks) > 1
 
 
 def test_trace_score_column_records_winning_score():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herdquad.diagnostics import orthogonality_residual
 from herdquad.kernels import CandidatePool, PrecomputedKernel, RBFKernel
 from herdquad.selectors import run_greedy
 from herdquad.state import (
@@ -105,7 +106,7 @@ def test_copy_is_independent(rng):
 
 def test_residual_correlation_empty_state_equals_embedding(std_normal_target, rbf_unit):
     state = new_state(std_normal_target, rbf_unit)
-    assert state.residual_correlation(np.array([0.0])) == pytest.approx(0.7071067811865475, abs=1e-14)
+    assert state.residual_correlations(np.array([0.0]))[0] == pytest.approx(0.7071067811865475, abs=1e-14)
 
 
 def test_residual_correlation_vanishes_on_selected_atoms(rng):
@@ -115,7 +116,7 @@ def test_residual_correlation_vanishes_on_selected_atoms(rng):
     for i in range(4):
         state.add_atom(pts[i], i)
         for atom in state.atoms:
-            assert abs(state.residual_correlation(atom)) <= 1e-8
+            assert abs(state.residual_correlations(atom)[0]) <= 1e-8
 
 
 def test_variance_reduction_matches_refactorization_oracle(rng):
@@ -129,7 +130,7 @@ def test_variance_reduction_matches_refactorization_oracle(rng):
         probe = state.copy()
         probe.add_atom(pts[j], j)
         drop = state.mmd_sq - probe.mmd_sq
-        assert state.posterior_variance_reduction(pts[j]) == pytest.approx(drop, abs=1e-8)
+        assert state.variance_reductions(pts[j])[0] == pytest.approx(drop, abs=1e-8)
 
 
 def test_variance_reduction_zero_for_dependent_candidates(rng):
@@ -137,7 +138,7 @@ def test_variance_reduction_zero_for_dependent_candidates(rng):
     state = new_state(target, target.kernel)
     x = rng.normal(size=2)
     state.add_atom(x, 0)
-    assert state.posterior_variance_reduction(x) == 0.0
+    assert state.variance_reductions(x)[0] == 0.0
 
 
 def test_empty_state_variance_reduction_is_embedding_squared(std_normal_target, rbf_unit, rng):
@@ -195,6 +196,20 @@ def test_weights_minimize_the_quadratic(seed):
         u = state.weights + rng.normal(size=state.size, scale=0.3)
         value = state.self_energy - 2.0 * u @ state.embeds + u @ state.gram @ u
         assert value >= state.mmd_sq - 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_weights_stay_optimal_at_the_dependence_threshold(seed):
+    """Near-duplicate pairs accepted with Schur complements in [TAU_DEP, 10 TAU_DEP]."""
+    target = random_mixture(np.random.default_rng(seed), components=2, dim=1)
+    state = new_state(target, target.kernel)
+    d = 2e-5  # 1 - exp(-d^2) = 4e-10 for the first pair
+    for i, x in enumerate([0.0, d, 1.5, 1.5 + d, -1.5, -1.5 + d]):
+        state.add_atom(np.array([x]), i)
+        if i % 2:
+            assert TAU_DEP <= state.chol[-1, -1] ** 2 <= 10 * TAU_DEP
+    assert orthogonality_residual(state) <= 1e-8
+    np.testing.assert_array_equal(state.gram, target.kernel.gram(state.atoms, state.atoms))
 
 
 def test_new_state_rejects_another_kernel():

@@ -63,6 +63,16 @@ def test_discrete_rejects_bad_probs():
         DiscreteTarget(support=np.zeros((2, 1)), probs=np.array([0.7, 0.7]), kernel=RBFKernel(1.0))
 
 
+@pytest.mark.parametrize("field, support, probs", [
+    ("probs", np.zeros((2, 1)), np.array([np.nan, np.nan])),
+    ("support", np.array([[np.inf]]), np.array([1.0])),
+    ("support", np.array([[0.0], [np.nan]]), np.array([0.5, 0.5])),
+])
+def test_discrete_rejects_non_finite_fields(field, support, probs):
+    with pytest.raises(ValueError, match=f"discrete {field} must be finite"):
+        DiscreteTarget(support=support, probs=probs, kernel=RBFKernel(1.0))
+
+
 def test_mixture_requires_rbf():
     with pytest.raises(UnsupportedKernel):
         GaussianMixtureTarget(
