@@ -78,7 +78,8 @@ class RBFKernel(Kernel):
         if X.shape[0] == 0 or Y.shape[0] == 0:
             return np.zeros((X.shape[0], Y.shape[0]))
         sq = cdist(X, Y, "sqeuclidean")
-        return np.exp(-sq / (2.0 * self.bandwidth**2))
+        np.divide(sq, -2.0 * self.bandwidth**2, out=sq)  # in place: the same bits as -sq / (2 h^2)
+        return np.exp(sq, out=sq)
 
     def pairwise(self, X, Y) -> np.ndarray:
         X, Y = as_point_matrix(X), as_point_matrix(Y)

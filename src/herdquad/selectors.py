@@ -18,7 +18,10 @@ below ``TAU_DEP`` masked out in bulk rather than tried and rejected.  In
 ``run_greedy`` the pair comes from ``PoolScores``, which folds each
 accepted atom into the whole pool in O(n (i + d)) for n candidates in d
 dimensions at step i; ``wkh_select`` and ``sbq_select`` recompute it from
-scratch for one step.
+scratch for one step.  Each step of ``run_greedy`` makes one kernel call,
+the chosen point's row k(x, pool), and hands it to both the state and the
+pool; the baselines likewise reuse the pool's embeddings and one kernel
+row per pick instead of evaluating the target point by point.
 
 Selection is deterministic: ties always go to the lowest pool id, and a
 fixed (method, pool, target, kernel, k, seed) tuple always reproduces the
@@ -183,15 +186,19 @@ class UniformAccumulator:
     def atoms_matrix(self) -> np.ndarray:
         return np.vstack(self.atoms)
 
-    def add(self, x, pool_id: int) -> None:
+    def add(self, x, pool_id: int, embed: float | None = None,
+            k_atoms: np.ndarray | None = None, k_self: float | None = None) -> None:
+        """Append ``x``; ``embed``, ``k_atoms`` and ``k_self`` as in ``QuadratureState.add_atom``."""
         x = np.asarray(x, dtype=float).ravel()
         cross = 0.0
         if self.size:
-            cross = float(np.sum(self.kernel.gram(x.reshape(1, -1), self.atoms_matrix())[0]))
-        self._pair_sum += 2.0 * cross + float(self.kernel(x, x))
+            if k_atoms is None:
+                k_atoms = self.kernel.gram(x.reshape(1, -1), self.atoms_matrix())[0]
+            cross = float(np.sum(k_atoms))
+        self._pair_sum += 2.0 * cross + float(self.kernel(x, x) if k_self is None else k_self)
         self.atom_ids.append(int(pool_id))
         self.atoms.append(x)
-        self.embeds.append(self.target.mean_embed(x))
+        self.embeds.append(self.target.mean_embed(x) if embed is None else float(embed))
 
 
 def kh_uniform_step(acc: UniformAccumulator, pool: CandidatePool, excluded_ids=()) -> int:
@@ -248,6 +255,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
         state = new_state(target, kernel)
         core = PoolScores(state, pool.points, z_all, capacity=k)
         used = np.zeros(len(pool), dtype=bool)
+        atom_rows = np.empty(min(k, len(pool)), dtype=int)
         for it in range(1, k + 1):
             if state.mmd_sq <= G_STOP:
                 trace.stop_reason = "objective_floor"
@@ -263,8 +271,10 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
                     break
                 row = _pick(scores, rows, pool.ids)
                 prev = state.mmd_sq
+                k_row = kernel.gram(pool.points[row:row + 1], pool.points)[0]
                 try:
-                    state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row])
+                    state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row],
+                                   k_atoms=k_row[atom_rows[:state.size]], k_self=k_row[row])
                 except NearDependentAtom as err:
                     # add_atom's own Schur complement outranks the pool-wide
                     # one; recording it masks the row from now on.
@@ -274,7 +284,8 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
                 trace.stop_reason = "all_dependent"
                 break
             score = float(scores[row])  # read first: WKH's scores are core.resid
-            core.extend(row)
+            core.extend(row, k_row)
+            atom_rows[state.size - 1] = row
             used[row] = True
             trace.rows.append(TraceRow(it, int(pool.ids[row]), state.mmd_sq,
                                        prev - state.mmd_sq, score, elapsed_ms()))
@@ -284,6 +295,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
         acc = UniformAccumulator(target, kernel)
         ksum = np.zeros(len(pool))
         used = np.zeros(len(pool), dtype=bool)
+        chosen_rows = []
         for it in range(1, k + 1):
             candidate_rows = np.flatnonzero(~used)
             if candidate_rows.size == 0:
@@ -292,9 +304,12 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
             scores = z_all - ksum / (acc.size + 1)
             row = _pick(scores, candidate_rows, pool.ids)
             prev = acc.mmd_sq
-            acc.add(pool.points[row], pool.ids[row])
+            k_row = kernel.gram(pool.points[row].reshape(1, -1), pool.points)[0]
+            acc.add(pool.points[row], pool.ids[row], embed=z_all[row],
+                    k_atoms=k_row[chosen_rows], k_self=k_row[row])
+            chosen_rows.append(row)
             used[row] = True
-            ksum += kernel.gram(pool.points[row].reshape(1, -1), pool.points)[0]
+            ksum += k_row
             trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq,
                                        prev - acc.mmd_sq, float(scores[row]), elapsed_ms()))
         return acc, trace
@@ -308,15 +323,21 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     state = new_state(target, kernel)
     acc = UniformAccumulator(target, kernel)
     order = np.random.default_rng(seed).permutation(len(pool))
+    accepted = np.zeros(min(k, len(pool)), dtype=bool)  # per draw: taken by the state
     for it, row in enumerate(order[:k], start=1):
         prev = acc.mmd_sq
-        score = state.residual_correlations(
-            pool.points[row].reshape(1, -1), embeds=z_all[row].reshape(1))[0]
+        # one kernel row against every draw so far, this one last
+        k_row = kernel.gram(pool.points[row].reshape(1, -1), pool.points[order[:it]])[0]
+        k_atoms = k_row[:it - 1][accepted[:it - 1]]
+        score = z_all[row] - k_atoms @ state.weights
         try:
-            state.add_atom(pool.points[row], pool.ids[row])
+            state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row],
+                           k_atoms=k_atoms, k_self=k_row[-1])
+            accepted[it - 1] = True
         except NearDependentAtom:
             pass
-        acc.add(pool.points[row], pool.ids[row])
+        acc.add(pool.points[row], pool.ids[row], embed=z_all[row],
+                k_atoms=k_row[:-1], k_self=k_row[-1])
         trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq,
                                    prev - acc.mmd_sq, float(score), elapsed_ms()))
     if len(order) < k:

@@ -8,13 +8,17 @@ embedding and the weighted atom embedding:
     mmd_sq = c - z^T K^{-1} z = c - ||alpha||^2
 
 with z the mean embedding at the atoms and c the target self-energy.
-Adding an atom extends L and alpha by one row (cost O(i^2)), subtracts
-the new alpha_i^2 from mmd_sq, so the objective never rises, not even by
-round-off, and solves w = L^{-T} alpha by one back-substitution with no
-refinement sweeps.  K itself is not stored: ``gram`` recomputes it from
-the kernel, so audits of the weights do not trust a cached copy.  An atom
-whose Schur complement falls below ``TAU_DEP`` would make the factor
-numerically singular and is rejected instead of jittered.
+Adding an atom extends L and alpha by one row with one O(i^2) forward
+solve and subtracts the new alpha_i^2 from mmd_sq, so the objective never
+rises, not even by round-off.  The caller may pass the atom's kernel
+entries k(atoms, x) and k(x, x); ``run_greedy`` takes them from the pool's
+kernel row of the chosen point, so a greedy step makes one kernel call in
+all.  The weights are solved from L and alpha by one back-substitution on
+their first read after a change, not after every atom.  K itself is not
+stored: ``gram`` recomputes it from the kernel, so audits of the weights
+do not trust a cached copy.  An atom whose Schur complement falls below
+``TAU_DEP`` would make the factor numerically singular and is rejected
+instead of jittered.
 
 ``PoolScores`` carries the same factorization over a whole candidate pool
 of n points: Y = L^{-1} K(atoms, pool), the Schur complements
@@ -25,12 +29,20 @@ rebuilding an i x n Gram block.  Y holds at most min(k, n) rows, k n 8
 bytes for k atoms: 16 MB at n = 20 000 and k = 100.  Candidates with
 s < ``TAU_DEP`` are masked in bulk by the selection scores rather than
 tried and rejected one at a time.
+
+The state keeps its own forward solve for L rather than reading L from
+the pool's Y: a row of Y comes out of a product whose length is the pool's
+length, and BLAS rounds such products differently at different lengths.
+Kernel entries are computed pair by pair, so the state's L, alpha and
+mmd_sq depend only on the atoms and their order, not on the pool they
+were picked from; a distributed aggregator that re-picks a worker's atoms
+reproduces the worker's objective bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .kernels import Kernel, as_point_matrix
 from .targets import TargetEmbedding
@@ -83,12 +95,27 @@ class QuadratureState:
         self.chol = np.zeros((0, 0))
         self.embeds = np.zeros(0)
         self.alpha = np.zeros(0)
-        self.weights = np.zeros(0)
+        self._weights: np.ndarray | None = None
         self.mmd_sq = self.self_energy
 
     @property
     def size(self) -> int:
         return len(self.atom_ids)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """w = L^{-T} alpha, solved on the first read after the atoms change.
+
+        Assigning sets the weights the audits read until the next atom.
+        """
+        if self._weights is None:
+            self._weights = (solve_triangular(self.chol.T, self.alpha, lower=False)
+                             if self.size else np.zeros(0))
+        return self._weights
+
+    @weights.setter
+    def weights(self, value) -> None:
+        self._weights = value
 
     @property
     def gram(self) -> np.ndarray:
@@ -105,15 +132,19 @@ class QuadratureState:
         out.chol = self.chol.copy()
         out.embeds = self.embeds.copy()
         out.alpha = self.alpha.copy()
-        out.weights = self.weights.copy()
+        out._weights = None if self._weights is None else self._weights.copy()
         out.mmd_sq = self.mmd_sq
         return out
 
-    def add_atom(self, x, pool_id: int, embed: float | None = None) -> None:
-        """Select point ``x`` (pool id ``pool_id``) and refresh weights.
+    def add_atom(self, x, pool_id: int, embed: float | None = None,
+                 k_atoms: np.ndarray | None = None, k_self: float | None = None) -> None:
+        """Select point ``x`` (pool id ``pool_id``).
 
-        ``embed`` may carry the precomputed mean-embedding value z(x).
-        Raises ``DuplicateAtom`` for an already-selected id and
+        ``embed`` may carry the precomputed mean-embedding value z(x),
+        ``k_atoms`` the kernel entries k(atom_j, x) in atom order and
+        ``k_self`` the self-similarity k(x, x); given all three, the call
+        evaluates neither the target nor the kernel.  Raises
+        ``DuplicateAtom`` for an already-selected id and
         ``NearDependentAtom`` when the Schur complement drops below
         ``TAU_DEP``; the state is unchanged in both cases.
         """
@@ -122,13 +153,15 @@ class QuadratureState:
             raise DuplicateAtom(f"pool id {pool_id} already selected")
         x = np.asarray(x, dtype=float).ravel()
         i = self.size
-        kxx = float(self.kernel(x, x))
+        kxx = float(self.kernel(x, x) if k_self is None else k_self)
         if i == 0:
             lrow = np.zeros(0)
             schur = kxx
         else:
-            kx = self.kernel.gram(self.atoms, x.reshape(1, -1))[:, 0]
-            lrow = solve_triangular(self.chol, kx, lower=True)
+            kx = self.kernel.gram(self.atoms, x.reshape(1, -1))[:, 0] if k_atoms is None else k_atoms
+            # solve_triangular's own LAPACK call, without its per-call checks:
+            # L^T is Fortran-ordered, so L lrow = kx is solved in place of a copy
+            lrow = lapack.dtrtrs(self.chol.T, kx, lower=0, trans=1)[0]
             schur = kxx - float(lrow @ lrow)
         if schur < TAU_DEP:
             raise NearDependentAtom(pool_id, schur)
@@ -146,7 +179,7 @@ class QuadratureState:
         self.chol = chol
         self.embeds = np.append(self.embeds, z)
         self.alpha = np.append(self.alpha, a)
-        self.weights = solve_triangular(chol.T, self.alpha, lower=False)
+        self._weights = None
         self.mmd_sq -= a * a
 
     def residual_correlations(self, X, embeds=None) -> np.ndarray:
@@ -184,8 +217,9 @@ class QuadratureState:
 class PoolScores:
     """Residual correlations and Schur complements of a pool, kept in step with a state.
 
-    Starts from an empty ``state``; call ``extend(row)`` right after each
-    accepted ``state.add_atom(points[row], ...)``.  ``resid`` and ``schur``
+    Starts from an empty ``state``; call ``extend(row, k_row)`` right after
+    each accepted ``state.add_atom(points[row], ...)``, with ``k_row`` the
+    kernel row k(points[row], points).  ``resid`` and ``schur``
     then equal ``state.residual_correlations(points)`` and
     ``state.schur_complements(points)`` up to round-off, at O(n (i + d))
     per atom instead of O(n i (i + d)).  ``capacity`` bounds the number of
@@ -203,12 +237,11 @@ class PoolScores:
         self.schur = np.array(state.kernel.self_similarities(self.points), dtype=float)
         self.resid = np.array(embeds, dtype=float)
 
-    def extend(self, row: int) -> None:
+    def extend(self, row: int, k_row: np.ndarray) -> None:
         """Fold the state's newest atom, pool row ``row``, into every candidate."""
         st = self.state
         i = st.size - 1
         lrow = st.chol[i]
-        k_row = st.kernel.gram(self.points[row:row + 1], self.points)[0]
         y = (k_row - lrow[:i] @ self.proj[:i]) / lrow[i]
         self.proj[i] = y
         self.schur -= y * y

@@ -22,6 +22,8 @@ from scipy.linalg import cholesky, solve_triangular
 
 from .kernels import Kernel, RBFKernel, as_point_matrix
 
+EMBED_CHUNK_BYTES = 1 << 19  # one (J, rows, d) float block of mean_embed_many
+
 
 class UnsupportedKernel(TypeError):
     """The target's closed form does not exist for this kernel family."""
@@ -50,9 +52,10 @@ class TargetEmbedding:
 
 
 def _spd_cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of one matrix or of a stack of them."""
     try:
-        return cholesky(mat, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own type
+        return cholesky(mat, lower=True) if mat.ndim == 2 else np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
         raise ValueError(f"{what} is not symmetric positive definite") from exc
 
 
@@ -69,7 +72,11 @@ class GaussianMixtureTarget(TargetEmbedding):
                       exp(-(m_j - m_l)^T (S_j + S_l + sigma^2 I)^{-1} (m_j - m_l) / 2)
 
     Determinant factors are evaluated in log space through Cholesky factors
-    of the widened covariances, so no explicit inverses are formed.
+    L_j of the widened covariances.  ``mean_embed_many`` whitens every
+    component at once with the inverse factors L_j^{-1}, which are formed
+    once per target, in chunks of points whose (J, rows, d) intermediates
+    stay near ``EMBED_CHUNK_BYTES``; ``self_energy`` factors all J^2 pair
+    covariances in one batched Cholesky and solves them in one call.
     """
 
     weights: np.ndarray
@@ -99,11 +106,15 @@ class GaussianMixtureTarget(TargetEmbedding):
         sigma2 = self.kernel.bandwidth**2
         eye = np.eye(d)
         self._cov_chols = [_spd_cholesky(S[j], f"covariance {j}") for j in range(k)]
-        self._conv_chols = [_spd_cholesky(S[j] + sigma2 * eye, f"widened covariance {j}") for j in range(k)]
+        conv_chols = [_spd_cholesky(S[j] + sigma2 * eye, f"widened covariance {j}") for j in range(k)]
         log_sigma_d = d * np.log(self.kernel.bandwidth)
-        self._amps = np.array(
-            [np.exp(log_sigma_d - np.sum(np.log(np.diag(L)))) for L in self._conv_chols]
+        amps = np.array(
+            [np.exp(log_sigma_d - np.sum(np.log(np.diag(L)))) for L in conv_chols]
         )
+        self._coefs = (w * amps)[:, None]
+        # rows u = (x - m_j) L_j^{-T}, so ||u||^2 is the quadratic form of z(x)
+        self._whiten_t = np.stack([solve_triangular(L, eye, lower=True).T for L in conv_chols])
+        self._chunk_rows = max(1, EMBED_CHUNK_BYTES // (8 * k * d))
         self._self_energy: float | None = None
 
     @property
@@ -114,26 +125,27 @@ class GaussianMixtureTarget(TargetEmbedding):
         X = as_point_matrix(X)
         if X.shape[1] != self.dim:
             raise ValueError(f"dimension mismatch: points have {X.shape[1]}, target has {self.dim}")
-        out = np.zeros(X.shape[0])
-        for pi_j, m_j, L_j, a_j in zip(self.weights, self.means, self._conv_chols, self._amps):
-            Y = solve_triangular(L_j, (X - m_j).T, lower=True)
-            q = np.einsum("dn,dn->n", Y, Y)
-            out += pi_j * a_j * np.exp(-0.5 * q)
+        out = np.empty(X.shape[0])
+        step = self._chunk_rows
+        for s in range(0, X.shape[0], step):
+            u = (X[None, s:s + step] - self.means[:, None]) @ self._whiten_t
+            q = np.einsum("jnd,jnd->jn", u, u)
+            # summed over components in order, row by row, so a point's value
+            # does not depend on the other rows of the batch
+            out[s:s + step] = (self._coefs * np.exp(-0.5 * q)).sum(axis=0)
         return out
 
     def self_energy(self) -> float:
         if self._self_energy is None:
             sigma = self.kernel.bandwidth
             d = self.dim
-            eye = np.eye(d)
-            total = 0.0
-            for j in range(len(self.weights)):
-                for l in range(len(self.weights)):
-                    L = _spd_cholesky(self.covs[j] + self.covs[l] + sigma**2 * eye, "pair covariance")
-                    amp = np.exp(d * np.log(sigma) - np.sum(np.log(np.diag(L))))
-                    y = solve_triangular(L, self.means[j] - self.means[l], lower=True)
-                    total += self.weights[j] * self.weights[l] * amp * np.exp(-0.5 * float(y @ y))
-            self._self_energy = float(total)
+            S, m = self.covs, self.means
+            L = _spd_cholesky(S[:, None] + S[None, :] + sigma**2 * np.eye(d), "pair covariance")
+            log_det = np.log(np.diagonal(L, axis1=2, axis2=3)).sum(axis=2)
+            y = np.linalg.solve(L, (m[:, None] - m[None, :])[..., None])[..., 0]
+            amp = np.exp(d * np.log(sigma) - log_det)
+            terms = amp * np.exp(-0.5 * np.einsum("jld,jld->jl", y, y))
+            self._self_energy = float(self.weights @ terms @ self.weights)
         return self._self_energy
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

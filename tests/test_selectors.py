@@ -18,7 +18,7 @@ from herdquad.selectors import (
     wkh_select,
 )
 from herdquad.state import KernelMismatch, NearDependentAtom, QuadratureState, new_state
-from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
+from herdquad.targets import DiscreteTarget, GaussianMixtureTarget, TargetEmbedding
 from tests.conftest import random_mixture
 
 
@@ -353,3 +353,41 @@ def test_budget_above_pool_size_exhausts_the_pool(method):
     state, trace = run_greedy(method, pool, target, kern, 5)
     assert trace.stop_reason == "pool_exhausted"
     assert sorted(trace.chosen_ids) == [0, 1] and state.size == 2
+
+
+def counted(owner, name):
+    """mock that passes calls on to ``owner.name`` and counts them."""
+    return mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+@pytest.mark.parametrize("reject_at", [None, 3])
+def test_one_kernel_row_per_pick_and_no_point_embeddings(method, reject_at):
+    """WKH/SBQ: one gram call per add_atom call, accepted or rejected."""
+    pool, target, kern = saturating_problem()
+    original = QuadratureState.add_atom
+    picks = []
+
+    def add_atom(self, *args, **kwargs):
+        picks.append(args[1])
+        if len(picks) == reject_at:  # as if the state's own Schur complement fell short
+            raise NearDependentAtom(args[1], 0.0)
+        return original(self, *args, **kwargs)
+
+    with counted(RBFKernel, "gram") as gram, counted(TargetEmbedding, "mean_embed") as embed, \
+            mock.patch.object(QuadratureState, "add_atom", add_atom):
+        _, trace = run_greedy(method, pool, target, kern, 60)
+    rejected = 0 if reject_at is None else 1
+    assert len(picks) == len(trace.rows) + rejected
+    assert gram.call_count == len(picks)
+    assert embed.call_count == 0
+
+
+@pytest.mark.parametrize("method", ["KH_UNIFORM", "MC_RANDOM"])
+def test_baselines_take_one_kernel_row_per_draw(method):
+    pool, target, kern = mixture_problem(seed=4, n=40)
+    with counted(RBFKernel, "gram") as gram, counted(TargetEmbedding, "mean_embed") as embed:
+        _, trace = run_greedy(method, pool, target, kern, 25, seed=3)
+    assert len(trace.rows) == 25
+    assert gram.call_count == 25
+    assert embed.call_count == 0

@@ -16,7 +16,7 @@ from herdquad.state import (
     PoolScores,
     new_state,
 )
-from herdquad.targets import DiscreteTarget
+from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
 from tests.conftest import random_mixture
 
 
@@ -251,8 +251,8 @@ class _CheckedScores(PoolScores):
 
     steps = 0
 
-    def extend(self, row):
-        super().extend(row)
+    def extend(self, row, k_row):
+        super().extend(row, k_row)
         np.testing.assert_allclose(self.resid, self.state.residual_correlations(self.points),
                                    rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(self.schur, self.state.schur_complements(self.points),
@@ -271,3 +271,42 @@ def test_pool_scores_match_from_scratch_recomputation(seed, method):
     with mock.patch("herdquad.selectors.PoolScores", _CheckedScores):
         _, trace = run_greedy(method, pool, target, target.kernel, 25)
     assert _CheckedScores.steps == len(trace.rows)
+
+
+def test_add_atom_with_kernel_entries_makes_no_kernel_call(rng):
+    target = random_mixture(rng)
+    kern = target.kernel
+    pts = rng.normal(size=(5, 2))
+    z = target.mean_embed_many(pts)
+    K = kern.gram(pts, pts)
+    plain, fed = new_state(target, kern), new_state(target, kern)
+    for i in range(5):
+        plain.add_atom(pts[i], i)
+    with mock.patch.object(RBFKernel, "gram", side_effect=AssertionError("kernel call")), \
+            mock.patch.object(GaussianMixtureTarget, "mean_embed_many",
+                              side_effect=AssertionError("target call")):
+        for i in range(5):
+            fed.add_atom(pts[i], i, embed=z[i], k_atoms=K[i, :i], k_self=K[i, i])
+    np.testing.assert_array_equal(fed.chol, plain.chol)
+    np.testing.assert_array_equal(fed.alpha, plain.alpha)
+    assert fed.mmd_sq == plain.mmd_sq
+
+
+def test_weights_are_solved_on_read_and_reset_by_add_atom(rng):
+    target = random_mixture(rng)
+    state = new_state(target, target.kernel)
+    pts = rng.normal(size=(3, 2))
+    state.add_atom(pts[0], 0)
+    state.add_atom(pts[1], 1)
+    w = state.weights
+    assert state.weights is w  # cached until the atoms change
+    np.testing.assert_allclose(state.gram @ w, state.embeds, atol=1e-12)
+    clone = state.copy()
+    assert clone.weights is not w
+    np.testing.assert_array_equal(clone.weights, w)
+    state.weights = w + 1.0  # audits may overwrite them
+    np.testing.assert_array_equal(state.weights, w + 1.0)
+    np.testing.assert_array_equal(clone.weights, w)
+    state.add_atom(pts[2], 2)
+    assert state.weights.size == 3
+    np.testing.assert_allclose(state.gram @ state.weights, state.embeds, atol=1e-12)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
 from herdquad.kernels import NormalizedFeatureKernel, RBFKernel
 from herdquad.targets import (
+    EMBED_CHUNK_BYTES,
     DiscreteTarget,
     GaussianMixtureTarget,
     MonteCarloTarget,
@@ -176,3 +178,71 @@ def test_base_target_cannot_sample():
 
     with pytest.raises(SamplerUnavailable):
         Bare().sample(3, np.random.default_rng(0))
+
+
+def full_cov_mixture(seed, dim, components=4):
+    """Mixture with dense, non-diagonal covariances and a random bandwidth."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(components, dim, dim)) * 0.5
+    covs = A @ A.transpose(0, 2, 1) + 0.05 * np.eye(dim)
+    return GaussianMixtureTarget(rng.dirichlet(np.ones(components)),
+                                 rng.uniform(-3.0, 3.0, size=(components, dim)), covs,
+                                 RBFKernel(float(rng.uniform(0.5, 2.0)) * np.sqrt(dim)))
+
+
+def per_component_embedding(target, X):
+    """z(X) one component at a time, by forward substitution."""
+    sigma2 = target.kernel.bandwidth**2
+    d = target.dim
+    out = np.zeros(X.shape[0])
+    for pi_j, m_j, S_j in zip(target.weights, target.means, target.covs):
+        L = cholesky(S_j + sigma2 * np.eye(d), lower=True)
+        amp = np.exp(d * np.log(target.kernel.bandwidth) - np.sum(np.log(np.diag(L))))
+        Y = solve_triangular(L, (X - m_j).T, lower=True)
+        out += pi_j * amp * np.exp(-0.5 * np.einsum("dn,dn->n", Y, Y))
+    return out
+
+
+def pairwise_self_energy(target):
+    """c as a double loop over component pairs, one Cholesky per pair."""
+    sigma = target.kernel.bandwidth
+    d = target.dim
+    total = 0.0
+    for w_j, m_j, S_j in zip(target.weights, target.means, target.covs):
+        for w_l, m_l, S_l in zip(target.weights, target.means, target.covs):
+            L = cholesky(S_j + S_l + sigma**2 * np.eye(d), lower=True)
+            amp = np.exp(d * np.log(sigma) - np.sum(np.log(np.diag(L))))
+            y = solve_triangular(L, m_j - m_l, lower=True)
+            total += w_j * w_l * amp * np.exp(-0.5 * float(y @ y))
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_stacked_embedding_matches_the_per_component_formula(dim):
+    target = full_cov_mixture(dim, dim)
+    chunk = EMBED_CHUNK_BYTES // (8 * len(target.weights) * dim)
+    rng = np.random.default_rng(100 + dim)
+    for n in (1, chunk, chunk + 1, 20_000):
+        X = target.sample(n, rng) + rng.normal(size=(n, dim))
+        np.testing.assert_allclose(target.mean_embed_many(X), per_component_embedding(target, X),
+                                   rtol=1e-13, atol=0.0)
+    batch = target.mean_embed_many(X[:50])
+    singles = np.array([target.mean_embed(x) for x in X[:50]])
+    np.testing.assert_allclose(singles, batch, rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        target.mean_embed_many(np.zeros((3, dim + 1)))
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_stacked_self_energy_matches_the_pair_loop(dim):
+    for seed in range(3):
+        target = full_cov_mixture(seed, dim, components=6)
+        assert target.self_energy() == pytest.approx(pairwise_self_energy(target), rel=1e-14, abs=0.0)
+
+
+def test_self_energy_names_a_non_spd_pair_covariance():
+    target = full_cov_mixture(0, 2)
+    # S_j + S_l + sigma^2 I = -sigma^2 I for every pair
+    target.covs = np.stack([-target.kernel.bandwidth**2 * np.eye(2)] * len(target.weights))
+    with pytest.raises(ValueError, match="pair covariance is not symmetric positive definite"):
+        target.self_energy()
