@@ -186,19 +186,13 @@ class UniformAccumulator:
     def atoms_matrix(self) -> np.ndarray:
         return np.vstack(self.atoms)
 
-    def add(self, x, pool_id: int, embed: float | None = None,
-            k_atoms: np.ndarray | None = None, k_self: float | None = None) -> None:
-        """Append ``x``; ``embed``, ``k_atoms`` and ``k_self`` as in ``QuadratureState.add_atom``."""
-        x = np.asarray(x, dtype=float).ravel()
-        cross = 0.0
-        if self.size:
-            if k_atoms is None:
-                k_atoms = self.kernel.gram(x.reshape(1, -1), self.atoms_matrix())[0]
-            cross = float(np.sum(k_atoms))
-        self._pair_sum += 2.0 * cross + float(self.kernel(x, x) if k_self is None else k_self)
+    def add(self, x, pool_id: int, embed: float, k_atoms: np.ndarray, k_self: float) -> None:
+        """Append ``x`` with its embedding z(x), its kernel entries k(x, x_i)
+        at the atoms so far, in atom order, and k(x, x)."""
+        self._pair_sum += 2.0 * float(np.sum(k_atoms)) + float(k_self)
         self.atom_ids.append(int(pool_id))
-        self.atoms.append(x)
-        self.embeds.append(self.target.mean_embed(x) if embed is None else float(embed))
+        self.atoms.append(np.asarray(x, dtype=float).ravel())
+        self.embeds.append(float(embed))
 
 
 def kh_uniform_step(acc: UniformAccumulator, pool: CandidatePool, excluded_ids=()) -> int:

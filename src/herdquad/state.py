@@ -33,10 +33,14 @@ tried and rejected one at a time.
 The state keeps its own forward solve for L rather than reading L from
 the pool's Y: a row of Y comes out of a product whose length is the pool's
 length, and BLAS rounds such products differently at different lengths.
-Kernel entries are computed pair by pair, so the state's L, alpha and
-mmd_sq depend only on the atoms and their order, not on the pool they
-were picked from; a distributed aggregator that re-picks a worker's atoms
-reproduces the worker's objective bit for bit.
+``RBFKernel`` computes its entries pair by pair and the Gaussian mixture
+embeds a point alike in any batch of two rows or more, so under them the
+state's L, alpha and mmd_sq depend only on the atoms and their order, not
+on the pool they were picked from; a distributed aggregator that re-picks
+a worker's atoms reproduces the worker's objective bit for bit.  This does
+not hold for ``NormalizedFeatureKernel`` with a ``DiscreteTarget``: its
+Gram entries and the discrete embedding are BLAS products that round with
+the pool's length.
 """
 
 from __future__ import annotations
@@ -144,9 +148,10 @@ class QuadratureState:
         ``k_atoms`` the kernel entries k(atom_j, x) in atom order and
         ``k_self`` the self-similarity k(x, x); given all three, the call
         evaluates neither the target nor the kernel.  Raises
-        ``DuplicateAtom`` for an already-selected id and
+        ``DuplicateAtom`` for an already-selected id,
         ``NearDependentAtom`` when the Schur complement drops below
-        ``TAU_DEP``; the state is unchanged in both cases.
+        ``TAU_DEP`` and ``ValueError`` when it is not finite (a NaN or inf
+        kernel entry); the state is unchanged in all three cases.
         """
         pool_id = int(pool_id)
         if pool_id in self.atom_ids:
@@ -158,11 +163,20 @@ class QuadratureState:
             lrow = np.zeros(0)
             schur = kxx
         else:
-            kx = self.kernel.gram(self.atoms, x.reshape(1, -1))[:, 0] if k_atoms is None else k_atoms
-            # solve_triangular's own LAPACK call, without its per-call checks:
-            # L^T is Fortran-ordered, so L lrow = kx is solved in place of a copy
+            if k_atoms is None:
+                kx = self.kernel.gram(self.atoms, x.reshape(1, -1))[:, 0]
+            else:
+                kx = np.asarray(k_atoms, dtype=float)
+                if kx.shape != (i,):
+                    raise ValueError(f"need {i} kernel entries at the atoms, got shape {kx.shape}")
+            # solve_triangular's own LAPACK call without its argument handling,
+            # which costs about 14 us a call, five times the solve at i = 60.
+            # L^T is Fortran-ordered, so L lrow = kx is solved in place of a
+            # copy; a non-finite entry of kx fails the finiteness gate below.
             lrow = lapack.dtrtrs(self.chol.T, kx, lower=0, trans=1)[0]
             schur = kxx - float(lrow @ lrow)
+        if not np.isfinite(schur):
+            raise ValueError(f"pool id {pool_id}: kernel entries give a non-finite Schur complement")
         if schur < TAU_DEP:
             raise NearDependentAtom(pool_id, schur)
 

@@ -52,10 +52,9 @@ class TargetEmbedding:
 
 
 def _spd_cholesky(mat: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor of one matrix or of a stack of them."""
     try:
-        return cholesky(mat, lower=True) if mat.ndim == 2 else np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
+        return cholesky(mat, lower=True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own type
         raise ValueError(f"{what} is not symmetric positive definite") from exc
 
 
@@ -75,8 +74,8 @@ class GaussianMixtureTarget(TargetEmbedding):
     L_j of the widened covariances.  ``mean_embed_many`` whitens every
     component at once with the inverse factors L_j^{-1}, which are formed
     once per target, in chunks of points whose (J, rows, d) intermediates
-    stay near ``EMBED_CHUNK_BYTES``; ``self_energy`` factors all J^2 pair
-    covariances in one batched Cholesky and solves them in one call.
+    stay near ``EMBED_CHUNK_BYTES``; ``self_energy`` factors the J pair
+    covariances S_j + S_l + sigma^2 I of each j in one batched Cholesky.
     """
 
     weights: np.ndarray
@@ -140,11 +139,18 @@ class GaussianMixtureTarget(TargetEmbedding):
             sigma = self.kernel.bandwidth
             d = self.dim
             S, m = self.covs, self.means
-            L = _spd_cholesky(S[:, None] + S[None, :] + sigma**2 * np.eye(d), "pair covariance")
-            log_det = np.log(np.diagonal(L, axis1=2, axis2=3)).sum(axis=2)
-            y = np.linalg.solve(L, (m[:, None] - m[None, :])[..., None])[..., 0]
-            amp = np.exp(d * np.log(sigma) - log_det)
-            terms = amp * np.exp(-0.5 * np.einsum("jld,jld->jl", y, y))
+            widen = sigma**2 * np.eye(d)
+            terms = np.empty((len(m), len(m)))
+            # one batched factorization per row j of pairs: O(J d^2) memory
+            for j in range(len(m)):
+                try:
+                    L = np.linalg.cholesky(S[j] + S + widen)
+                except np.linalg.LinAlgError as exc:
+                    raise ValueError("pair covariance is not symmetric positive definite") from exc
+                log_det = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+                y = np.linalg.solve(L, (m[j] - m)[..., None])[..., 0]
+                amp = np.exp(d * np.log(sigma) - log_det)
+                terms[j] = amp * np.exp(-0.5 * np.einsum("ld,ld->l", y, y))
             self._self_energy = float(self.weights @ terms @ self.weights)
         return self._self_energy
 

@@ -6,9 +6,10 @@ from herdquad.distributed import (
     partition,
     run_distributed,
 )
-from herdquad.kernels import CandidatePool, RBFKernel
+from herdquad.kernels import CandidatePool, NormalizedFeatureKernel, RBFKernel
 from herdquad.selectors import Method, run_greedy
 from herdquad.state import KernelMismatch
+from herdquad.targets import DiscreteTarget
 from tests.conftest import random_mixture
 
 
@@ -148,3 +149,18 @@ def test_trace_does_not_depend_on_the_pool_length(method):
             assert a.mmd_sq == b.mmd_sq, seed
             agreeing += 1
     assert agreeing >= 250  # of 300 steps; the prefixes are not vacuous
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_lone_worker_under_the_feature_kernel_agrees_to_round_off(method):
+    # NormalizedFeatureKernel's Gram entries and DiscreteTarget's embedding
+    # are BLAS products that round with the pool's length, so here the
+    # aggregator matches the worker only to round-off, not bit for bit.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        target = DiscreteTarget.uniform(rng.normal(size=(60, 33)), NormalizedFeatureKernel())
+        pool = CandidatePool.from_points(rng.normal(size=(80, 33)))
+        res = run_distributed(method, pool, target, target.kernel, k=6, s=1, seed=seed)
+        worker, aggregator = res.solutions
+        assert sorted(aggregator.ids) == sorted(worker.ids), seed
+        assert abs(aggregator.mmd_sq - worker.mmd_sq) <= 1e-14, seed

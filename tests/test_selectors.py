@@ -129,7 +129,9 @@ def test_kh_uniform_repeats_singleton_and_objective_stays_zero():
     for _ in range(4):
         chosen = kh_uniform_step(acc, pool)
         assert chosen == 1
-        acc.add(pool.point_by_id(chosen), chosen)
+        x = pool.point_by_id(chosen).reshape(1, -1)
+        k_atoms = kern.gram(x, acc.atoms_matrix())[0] if acc.size else np.zeros(0)
+        acc.add(x, chosen, target.mean_embed(x), k_atoms, kern(x, x))
         assert abs(acc.mmd_sq) <= 1e-14
 
 

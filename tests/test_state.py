@@ -292,6 +292,40 @@ def test_add_atom_with_kernel_entries_makes_no_kernel_call(rng):
     assert fed.mmd_sq == plain.mmd_sq
 
 
+@pytest.mark.parametrize("bad", ["k_atoms", "k_self"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_add_atom_rejects_non_finite_kernel_entries(rng, bad, value):
+    target = random_mixture(rng)
+    kern = target.kernel
+    pts = rng.normal(size=(3, 2))
+    K = kern.gram(pts, pts)
+    state = new_state(target, kern)
+    state.add_atom(pts[0], 0)
+    state.add_atom(pts[1], 1)
+    before = state.copy()
+    entries = {"k_atoms": K[2, :2].copy(), "k_self": K[2, 2]}
+    if bad == "k_atoms":
+        entries["k_atoms"][1] = value
+    else:
+        entries["k_self"] = value
+    with pytest.raises(ValueError, match="non-finite Schur complement"):
+        state.add_atom(pts[2], 2, **entries)
+    assert state.atom_ids == [0, 1]
+    np.testing.assert_array_equal(state.chol, before.chol)
+    assert state.mmd_sq == before.mmd_sq
+
+
+def test_add_atom_checks_the_length_of_its_kernel_entries(rng):
+    target = random_mixture(rng)
+    pts = rng.normal(size=(3, 2))
+    state = new_state(target, target.kernel)
+    state.add_atom(pts[0], 0)
+    state.add_atom(pts[1], 1)
+    with pytest.raises(ValueError, match="need 2 kernel entries"):
+        state.add_atom(pts[2], 2, k_atoms=np.ones(1), k_self=1.0)
+    assert state.size == 2
+
+
 def test_weights_are_solved_on_read_and_reset_by_add_atom(rng):
     target = random_mixture(rng)
     state = new_state(target, target.kernel)
