@@ -30,7 +30,6 @@ from .selectors import (
     Method,
     RunTrace,
     UniformAccumulator,
-    kh_uniform_step,
     run_greedy,
     sbq_select,
     wkh_select,
@@ -80,7 +79,6 @@ __all__ = [
     "fisher_embed",
     "fisher_embed_many",
     "fit_rate",
-    "kh_uniform_step",
     "mc_mean_embed",
     "mc_self_energy",
     "new_state",

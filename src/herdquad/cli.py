@@ -55,6 +55,7 @@ from .targets import DiscreteTarget, GaussianMixtureTarget
 SCHEMA_VERSION = 1
 TRACE_COLUMNS = ["method", "s", "seed", "iteration", "chosen_id", "g", "elapsed_ms"]
 SUMMARIZE_COLUMNS = ["method", "s", "k", "seed", "g_final", "test_nll"]
+G_ROUNDOFF = 1e-12
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -113,11 +114,22 @@ def sample_mixture_params(rng: np.random.Generator, components: int, dim: int,
     return weights, means, covs
 
 
+def reported_g(g: float, method: str, iteration: int) -> float:
+    """g as an artifact reports it: round-off in [-G_ROUNDOFF, 0) reads as 0.
+
+    A squared MMD below -G_ROUNDOFF is a fault, not round-off, and raises
+    ``ValueError`` naming the method and the iteration.
+    """
+    if not g >= -G_ROUNDOFF:
+        raise ValueError(f"{method} iteration {iteration}: g = {g!r} is negative beyond round-off")
+    return max(g, 0.0)
+
+
 def trace_rows_for_csv(method: str, s: int, seed: int, trace: RunTrace,
                        timing: bool) -> list[list]:
     rows = []
     for r in trace.rows:
-        g = max(r.mmd_sq, 0.0)  # clamp tiny negative round-off in reports only
+        g = reported_g(r.mmd_sq, method, r.iteration)
         ms = r.elapsed_ms if timing else 0.0
         rows.append([method, s, seed, r.iteration, r.chosen_id, fmt(g), fmt(ms)])
     return rows
@@ -250,7 +262,8 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
     n_train = int(np.sum(data.split == "train"))
     for method, s, k, seed in tasks:
         rep = results[(method, s, k, seed)]
-        rows.append([method, s, k, seed, fmt(max(rep.final_mmd_sq, 0.0)), fmt(rep.test_nll)])
+        g_final = reported_g(rep.final_mmd_sq, method, len(rep.trace.rows))
+        rows.append([method, s, k, seed, fmt(g_final), fmt(rep.test_nll)])
         rows.append(["RANDOM", 1, k, seed, "", fmt(rep.random_nll)])
         trace_rows[k].extend(trace_rows_for_csv(method, s, seed, rep.trace, cfg.timing))
         records.append({"method": method, "s": s, "k": k, "seed": seed,

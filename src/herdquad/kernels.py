@@ -5,6 +5,17 @@ That keeps the squared-MMD objective of the selection algorithms inside
 [0, 1] and makes the Schur-complement independence test used by the
 quadrature state meaningful.  ``check_standardized`` verifies the property
 on a concrete pool.
+
+Each kernel splits into a per-point part and a cross product.
+``prepare(X)`` does the per-point work once per batch: the RBF kernel
+keeps the points as they are, the feature kernel maps and normalizes them
+to unit features, and the precomputed kernel checks and converts its
+index points.  ``cross(A, B)`` is the Gram matrix between two prepared
+batches (cdist and exp, ``A @ B.T``, or ``matrix[np.ix_(A, B)]``) and
+``diagonal(A)`` is k(x, x) at each prepared point.  ``gram(X, Y)`` equals
+``cross(prepare(X), prepare(Y))``.  A caller that needs many kernel rows
+of one pool, like ``run_greedy``, prepares the pool once and takes each
+row from a slice of it, bit for bit equal to the ``gram`` row.
 """
 
 from __future__ import annotations
@@ -44,10 +55,22 @@ def _check_same_dim(X: np.ndarray, Y: np.ndarray) -> None:
 class Kernel:
     """Base class for standardized kernels.
 
-    Subclasses implement the vectorized ``gram`` (cross Gram matrix),
-    ``pairwise`` (elementwise similarity of two equal-length batches) and
-    ``self_similarities`` (the diagonal k(x, x) per point).
+    Subclasses implement ``cross`` (the Gram matrix of two prepared
+    batches), ``gram`` (the cross Gram matrix of two raw batches,
+    ``cross(prepare(X), prepare(Y))``) and ``pairwise`` (elementwise
+    similarity of two equal-length batches).  By default ``prepare`` (the
+    per-point part of a batch) only coerces the points to a matrix and
+    ``diagonal`` (k(x, x) per prepared point) is 1.
     """
+
+    def prepare(self, X) -> np.ndarray:
+        return as_point_matrix(X)
+
+    def cross(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def diagonal(self, A: np.ndarray) -> np.ndarray:
+        return np.ones(A.shape[0])
 
     def gram(self, X, Y) -> np.ndarray:
         raise NotImplementedError
@@ -56,7 +79,7 @@ class Kernel:
         raise NotImplementedError
 
     def self_similarities(self, X) -> np.ndarray:
-        return self.pairwise(X, X)
+        return self.diagonal(self.prepare(X))
 
     def __call__(self, x, y) -> float:
         return float(self.gram(as_point_matrix(x), as_point_matrix(y))[0, 0])
@@ -72,14 +95,16 @@ class RBFKernel(Kernel):
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError(f"bandwidth must be a positive finite number, got {self.bandwidth}")
 
-    def gram(self, X, Y) -> np.ndarray:
-        X, Y = as_point_matrix(X), as_point_matrix(Y)
-        _check_same_dim(X, Y)
-        if X.shape[0] == 0 or Y.shape[0] == 0:
-            return np.zeros((X.shape[0], Y.shape[0]))
-        sq = cdist(X, Y, "sqeuclidean")
+    def cross(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        _check_same_dim(A, B)
+        if A.shape[0] == 0 or B.shape[0] == 0:
+            return np.zeros((A.shape[0], B.shape[0]))
+        sq = cdist(A, B, "sqeuclidean")
         np.divide(sq, -2.0 * self.bandwidth**2, out=sq)  # in place: the same bits as -sq / (2 h^2)
         return np.exp(sq, out=sq)
+
+    def gram(self, X, Y) -> np.ndarray:
+        return self.cross(self.prepare(X), self.prepare(Y))
 
     def pairwise(self, X, Y) -> np.ndarray:
         X, Y = as_point_matrix(X), as_point_matrix(Y)
@@ -89,23 +114,24 @@ class RBFKernel(Kernel):
         sq = np.sum((X - Y) ** 2, axis=1)
         return np.exp(-sq / (2.0 * self.bandwidth**2))
 
-    def self_similarities(self, X) -> np.ndarray:
-        return np.ones(as_point_matrix(X).shape[0])
-
 
 @dataclass(frozen=True)
 class NormalizedFeatureKernel(Kernel):
     """Cosine similarity of an explicit finite-dimensional feature map.
 
     ``feature_map`` maps an (n, d) batch of points to an (n, m) batch of
-    features; ``None`` means the identity map.  Features are scaled to unit
-    length before the inner product, so the diagonal is 1 by construction.
-    A zero-norm feature raises ``ZeroNormFeature``.
+    features; ``None`` means the identity map.  ``prepare`` scales the
+    features to unit length, so the cross product is ``A @ B.T`` and the
+    diagonal is 1 by construction.  A zero-norm feature raises
+    ``ZeroNormFeature``.
     """
 
     feature_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def _unit_features(self, X: np.ndarray) -> np.ndarray:
+    def prepare(self, X) -> np.ndarray:
+        X = as_point_matrix(X)
+        if X.shape[0] == 0:
+            return X
         F = X if self.feature_map is None else np.asarray(self.feature_map(X), dtype=float)
         if F.ndim != 2 or F.shape[0] != X.shape[0]:
             raise ValueError("feature map must return one feature row per input point")
@@ -114,24 +140,21 @@ class NormalizedFeatureKernel(Kernel):
             raise ZeroNormFeature("zero-norm feature vector: cosine similarity undefined")
         return F / norms[:, None]
 
+    def cross(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        if A.shape[0] == 0 or B.shape[0] == 0:
+            return np.zeros((A.shape[0], B.shape[0]))
+        _check_same_dim(A, B)
+        return A @ B.T
+
     def gram(self, X, Y) -> np.ndarray:
-        X, Y = as_point_matrix(X), as_point_matrix(Y)
-        _check_same_dim(X, Y)
-        if X.shape[0] == 0 or Y.shape[0] == 0:
-            return np.zeros((X.shape[0], Y.shape[0]))
-        return self._unit_features(X) @ self._unit_features(Y).T
+        return self.cross(self.prepare(X), self.prepare(Y))
 
     def pairwise(self, X, Y) -> np.ndarray:
         X, Y = as_point_matrix(X), as_point_matrix(Y)
         _check_same_dim(X, Y)
         if X.shape[0] != Y.shape[0]:
             raise ValueError("pairwise needs equal-length batches")
-        return np.sum(self._unit_features(X) * self._unit_features(Y), axis=1)
-
-    def self_similarities(self, X) -> np.ndarray:
-        X = as_point_matrix(X)
-        self._unit_features(X)  # surfaces zero-norm features
-        return np.ones(X.shape[0])
+        return np.sum(self.prepare(X) * self.prepare(Y), axis=1)
 
 
 @dataclass(frozen=True)
@@ -166,7 +189,9 @@ class PrecomputedKernel(Kernel):
             return NotImplemented
         return np.array_equal(self.matrix, other.matrix)
 
-    def _indices(self, X: np.ndarray) -> np.ndarray:
+    def prepare(self, X) -> np.ndarray:
+        """The integer matrix indices of a batch of index points."""
+        X = as_point_matrix(X)
         if X.shape[1] != 1:
             raise ValueError("precomputed kernels take 1-d index points")
         idx = np.rint(X[:, 0]).astype(int)
@@ -177,20 +202,20 @@ class PrecomputedKernel(Kernel):
             raise IndexError(f"index point out of range for a {n} x {n} matrix")
         return idx
 
+    def cross(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return self.matrix[np.ix_(A, B)]
+
+    def diagonal(self, A: np.ndarray) -> np.ndarray:
+        return self.matrix[A, A]
+
     def gram(self, X, Y) -> np.ndarray:
-        X, Y = as_point_matrix(X), as_point_matrix(Y)
-        return self.matrix[np.ix_(self._indices(X), self._indices(Y))]
+        return self.cross(self.prepare(X), self.prepare(Y))
 
     def pairwise(self, X, Y) -> np.ndarray:
-        X, Y = as_point_matrix(X), as_point_matrix(Y)
-        if X.shape[0] != Y.shape[0]:
+        A, B = self.prepare(X), self.prepare(Y)
+        if A.shape[0] != B.shape[0]:
             raise ValueError("pairwise needs equal-length batches")
-        return self.matrix[self._indices(X), self._indices(Y)]
-
-    def self_similarities(self, X) -> np.ndarray:
-        X = as_point_matrix(X)
-        idx = self._indices(X)
-        return self.matrix[idx, idx]
+        return self.matrix[A, B]
 
     def index_pool(self) -> "CandidatePool":
         n = self.matrix.shape[0]
@@ -257,7 +282,9 @@ def check_standardized(kernel: Kernel, pool: CandidatePool, tol: float = STANDAR
     """True when max_i |k(x_i, x_i) - 1| <= tol over the pool."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    if len(pool) == 0:
-        return True
-    dev = np.abs(kernel.self_similarities(pool.points) - 1.0)
-    return bool(np.max(dev) <= tol)
+    return unit_diagonal(kernel.self_similarities(pool.points), tol)
+
+
+def unit_diagonal(diag: np.ndarray, tol: float = STANDARDIZATION_TOL) -> bool:
+    """True when every kernel diagonal entry k(x, x) in ``diag`` is within ``tol`` of 1."""
+    return bool(np.all(np.abs(diag - 1.0) <= tol))

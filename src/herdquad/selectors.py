@@ -6,7 +6,7 @@ Four methods share one driver:
 * ``SBQ``        greedy selection by one-step variance reduction, optimal
                  weights; per-iteration it dominates WKH by construction.
 * ``KH_UNIFORM`` classic herding with uniform weights; the driver never
-                 picks a point twice (``kh_uniform_step`` allows repeats).
+                 picks a point twice.
 * ``MC_RANDOM``  uniform draws without replacement; the returned state is
                  optimally reweighted, the trace reports the plain
                  uniform-weight estimate a baseline comparison plots.
@@ -18,10 +18,13 @@ below ``TAU_DEP`` masked out in bulk rather than tried and rejected.  In
 ``run_greedy`` the pair comes from ``PoolScores``, which folds each
 accepted atom into the whole pool in O(n (i + d)) for n candidates in d
 dimensions at step i; ``wkh_select`` and ``sbq_select`` recompute it from
-scratch for one step.  Each step of ``run_greedy`` makes one kernel call,
-the chosen point's row k(x, pool), and hands it to both the state and the
-pool; the baselines likewise reuse the pool's embeddings and one kernel
-row per pick instead of evaluating the target point by point.
+scratch for one step.  ``run_greedy`` prepares the pool once per call
+(``Kernel.prepare``: the unit features of a feature kernel) and checks the
+kernel's diagonal on it.  Each step then takes one kernel row, the chosen
+point's k(x, pool), as one cross product of slices of the prepared pool,
+and hands it to both the state and the pool; the baselines likewise reuse
+the pool's embeddings and one kernel row per pick instead of evaluating
+the target point by point.
 
 Selection is deterministic: ties always go to the lowest pool id, and a
 fixed (method, pool, target, kernel, k, seed) tuple always reproduces the
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import CandidatePool, Kernel, StandardizationError, check_standardized
+from .kernels import CandidatePool, Kernel, StandardizationError, unit_diagonal
 from .state import (
     TAU_DEP,
     NearDependentAtom,
@@ -183,9 +186,6 @@ class UniformAccumulator:
             return self.self_energy
         return self.self_energy - 2.0 * float(np.mean(self.embeds)) + self._pair_sum / n**2
 
-    def atoms_matrix(self) -> np.ndarray:
-        return np.vstack(self.atoms)
-
     def add(self, x, pool_id: int, embed: float, k_atoms: np.ndarray, k_self: float) -> None:
         """Append ``x`` with its embedding z(x), its kernel entries k(x, x_i)
         at the atoms so far, in atom order, and k(x, x)."""
@@ -193,25 +193,6 @@ class UniformAccumulator:
         self.atom_ids.append(int(pool_id))
         self.atoms.append(np.asarray(x, dtype=float).ravel())
         self.embeds.append(float(embed))
-
-
-def kh_uniform_step(acc: UniformAccumulator, pool: CandidatePool, excluded_ids=()) -> int:
-    """Pool id maximizing z(x) - sum_i k(x, x_i) / (n + 1).
-
-    With no exclusions this is classic herding: re-selecting an already
-    chosen point is allowed.
-    """
-    mask = ~np.isin(pool.ids, np.asarray(list(excluded_ids), dtype=int))
-    rows = np.flatnonzero(mask)
-    if rows.size == 0:
-        raise EmptyPool("no candidates left")
-    z = acc.target.mean_embed_many(pool.points)
-    if acc.size:
-        ksum = acc.kernel.gram(pool.points, acc.atoms_matrix()).sum(axis=1)
-    else:
-        ksum = np.zeros(len(pool))
-    scores = z - ksum / (acc.size + 1)
-    return int(pool.ids[_pick(scores, rows, pool.ids)])
 
 
 def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Kernel, k: int,
@@ -236,7 +217,9 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
         raise ValueError("k must be at least 1")
     if len(pool) == 0:
         raise EmptyPool("empty candidate pool")
-    if not check_standardized(kernel, pool):
+    prepared = kernel.prepare(pool.points)
+    diag = kernel.diagonal(prepared)
+    if not unit_diagonal(diag):
         raise StandardizationError("kernel is not standardized on this pool")
     trace = RunTrace(method=method.value, seed=seed)
     t0 = time.perf_counter()
@@ -247,7 +230,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
 
     if method in (Method.WKH, Method.SBQ):
         state = new_state(target, kernel)
-        core = PoolScores(state, pool.points, z_all, capacity=k)
+        core = PoolScores(state, pool.points, z_all, diag, capacity=k)
         used = np.zeros(len(pool), dtype=bool)
         atom_rows = np.empty(min(k, len(pool)), dtype=int)
         for it in range(1, k + 1):
@@ -265,7 +248,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
                     break
                 row = _pick(scores, rows, pool.ids)
                 prev = state.mmd_sq
-                k_row = kernel.gram(pool.points[row:row + 1], pool.points)[0]
+                k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
                 try:
                     state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row],
                                    k_atoms=k_row[atom_rows[:state.size]], k_self=k_row[row])
@@ -298,7 +281,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
             scores = z_all - ksum / (acc.size + 1)
             row = _pick(scores, candidate_rows, pool.ids)
             prev = acc.mmd_sq
-            k_row = kernel.gram(pool.points[row].reshape(1, -1), pool.points)[0]
+            k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
             acc.add(pool.points[row], pool.ids[row], embed=z_all[row],
                     k_atoms=k_row[chosen_rows], k_self=k_row[row])
             chosen_rows.append(row)
@@ -321,7 +304,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     for it, row in enumerate(order[:k], start=1):
         prev = acc.mmd_sq
         # one kernel row against every draw so far, this one last
-        k_row = kernel.gram(pool.points[row].reshape(1, -1), pool.points[order[:it]])[0]
+        k_row = kernel.cross(prepared[row:row + 1], prepared[order[:it]])[0]
         k_atoms = k_row[:it - 1][accepted[:it - 1]]
         score = z_all[row] - k_atoms @ state.weights
         try:

@@ -231,9 +231,10 @@ class QuadratureState:
 class PoolScores:
     """Residual correlations and Schur complements of a pool, kept in step with a state.
 
-    Starts from an empty ``state``; call ``extend(row, k_row)`` right after
-    each accepted ``state.add_atom(points[row], ...)``, with ``k_row`` the
-    kernel row k(points[row], points).  ``resid`` and ``schur``
+    Starts from an empty ``state``, the pool's embeddings ``embeds`` and its
+    kernel diagonal ``diag``; call ``extend(row, k_row)`` right after each
+    accepted ``state.add_atom(points[row], ...)``, with ``k_row`` the kernel
+    row k(points[row], points).  ``resid`` and ``schur``
     then equal ``state.residual_correlations(points)`` and
     ``state.schur_complements(points)`` up to round-off, at O(n (i + d))
     per atom instead of O(n i (i + d)).  ``capacity`` bounds the number of
@@ -241,14 +242,14 @@ class PoolScores:
     """
 
     def __init__(self, state: QuadratureState, points: np.ndarray, embeds: np.ndarray,
-                 capacity: int):
+                 diag: np.ndarray, capacity: int):
         if state.size:
             raise ValueError("PoolScores starts from an empty state")
         self.state = state
         self.points = as_point_matrix(points)
         n = self.points.shape[0]
         self.proj = np.empty((min(capacity, n), n))
-        self.schur = np.array(state.kernel.self_similarities(self.points), dtype=float)
+        self.schur = np.array(diag, dtype=float)
         self.resid = np.array(embeds, dtype=float)
 
     def extend(self, row: int, k_row: np.ndarray) -> None:

@@ -65,12 +65,15 @@ class LogisticModel:
         return float(np.mean(np.logaddexp(0.0, t) - y * t))
 
 
-def _objective_grad(theta, Xd, y, lam, wts):
+def _objective(theta, Xd, y, lam, wts):
+    """Training objective at ``theta`` and the logits t = Xd theta it was computed from."""
     t = Xd @ theta
     loss = float(np.sum(wts * (np.logaddexp(0.0, t) - y * t)))
-    obj = loss + 0.5 * lam * float(theta @ theta)
-    grad = Xd.T @ (wts * (expit(t) - y)) + lam * theta
-    return obj, grad
+    return loss + 0.5 * lam * float(theta @ theta), t
+
+
+def _gradient(theta, t, Xd, y, lam, wts):
+    return Xd.T @ (wts * (expit(t) - y)) + lam * theta
 
 
 def train_logistic(X, y, lam: float = 1.0, max_iters: int = 6000, tol: float = 1e-6,
@@ -78,7 +81,9 @@ def train_logistic(X, y, lam: float = 1.0, max_iters: int = 6000, tol: float = 1
     """Deterministic full-batch gradient descent with backtracking.
 
     Minimizes the weighted mean logistic loss plus (lam/2) ||theta||^2
-    (bias included), starting from zero.  Converged means the gradient
+    (bias included), starting from zero.  A trial step of the backtracking
+    search evaluates the objective alone; the gradient is taken once per
+    accepted step, from that step's logits.  Converged means the gradient
     infinity-norm fell to ``tol``; otherwise a ``NonConvergence`` warning
     is issued and the flag on the model is False.
     """
@@ -99,7 +104,8 @@ def train_logistic(X, y, lam: float = 1.0, max_iters: int = 6000, tol: float = 1
         wts = wts / wts.sum()
 
     theta = np.zeros(Xd.shape[1])
-    obj, grad = _objective_grad(theta, Xd, y, lam, wts)
+    obj, t = _objective(theta, Xd, y, lam, wts)
+    grad = _gradient(theta, t, Xd, y, lam, wts)
     it = 0
     for it in range(1, max_iters + 1):
         gnorm = float(np.max(np.abs(grad)))
@@ -110,11 +116,12 @@ def train_logistic(X, y, lam: float = 1.0, max_iters: int = 6000, tol: float = 1
         gsq = float(grad @ grad)
         for _ in range(60):
             candidate = theta - step * grad
-            cand_obj, cand_grad = _objective_grad(candidate, Xd, y, lam, wts)
+            cand_obj, cand_t = _objective(candidate, Xd, y, lam, wts)
             if cand_obj <= obj - 1e-4 * step * gsq:
                 break
             step *= 0.5
-        theta, obj, grad = candidate, cand_obj, cand_grad
+        theta, obj = candidate, cand_obj
+        grad = _gradient(theta, cand_t, Xd, y, lam, wts)
     gnorm = float(np.max(np.abs(grad)))
     if gnorm > tol:
         warnings.warn(f"gradient descent stopped at grad norm {gnorm:.3e} "
@@ -170,8 +177,8 @@ def finite_difference_grad(theta, X, y, lam: float, h: float = 1e-5,
         up, down = theta.copy(), theta.copy()
         up[j] += h
         down[j] -= h
-        f_up, _ = _objective_grad(up, Xd, y, lam, wts)
-        f_down, _ = _objective_grad(down, Xd, y, lam, wts)
+        f_up, _ = _objective(up, Xd, y, lam, wts)
+        f_down, _ = _objective(down, Xd, y, lam, wts)
         out[j] = (f_up - f_down) / (2 * h)
     return out
 

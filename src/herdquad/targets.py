@@ -163,7 +163,11 @@ class GaussianMixtureTarget(TargetEmbedding):
 
 @dataclass
 class DiscreteTarget(TargetEmbedding):
-    """Discrete target sum_i q_i delta(y_i) under any standardized kernel."""
+    """Discrete target sum_i q_i delta(y_i) under any standardized kernel.
+
+    The support is prepared for the kernel (``Kernel.prepare``) once, on
+    first use, and ``mean_embed_many`` and ``self_energy`` both read it.
+    """
 
     support: np.ndarray
     probs: np.ndarray
@@ -180,6 +184,7 @@ class DiscreteTarget(TargetEmbedding):
         if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must be nonnegative and sum to 1")
         self.support, self.probs = pts, q
+        self._prepared_support: np.ndarray | None = None
         self._self_energy: float | None = None
 
     @classmethod
@@ -187,12 +192,21 @@ class DiscreteTarget(TargetEmbedding):
         pts = as_point_matrix(points)
         return cls(support=pts, probs=np.full(pts.shape[0], 1.0 / pts.shape[0]), kernel=kernel)
 
+    def _support(self) -> np.ndarray:
+        if self._prepared_support is None:
+            self._prepared_support = self.kernel.prepare(self.support)
+        return self._prepared_support
+
     def mean_embed_many(self, X) -> np.ndarray:
-        return self.kernel.gram(as_point_matrix(X), self.support) @ self.probs
+        return self.kernel.cross(self.kernel.prepare(X), self._support()) @ self.probs
 
     def self_energy(self) -> float:
         if self._self_energy is None:
-            G = self.kernel.gram(self.support, self.support)
+            S = self._support()
+            # S @ S.T on one buffer would take BLAS's symmetric product, which
+            # rounds otherwise than gram(support, support); the copy keeps c
+            # equal to that bit for bit
+            G = self.kernel.cross(S, S.copy())
             self._self_energy = float(self.probs @ G @ self.probs)
         return self._self_energy
 

@@ -14,8 +14,10 @@ from herdquad.cli import (
     main,
     median_bandwidth,
     read_trace_csv,
+    trace_rows_for_csv,
 )
 from herdquad.diagnostics import fit_rate
+from herdquad.selectors import RunTrace, TraceRow
 
 
 def run_cli(*argv):
@@ -178,6 +180,33 @@ def test_summarize_small_k_grid_survives_single_class_baseline_draw(tmp_path):
     random_rows = [r for r in rows if r[0] == "RANDOM"]
     assert len(random_rows) == 4  # one baseline per (k, seed) cell
     assert all(float(r[5]) > 0.0 for r in random_rows)
+
+
+def planted_trace(*gs):
+    return RunTrace("SBQ", 0, [TraceRow(i, i, g, 0.0, 0.0, 0.0) for i, g in enumerate(gs, start=1)])
+
+
+def test_trace_rows_clamp_round_off_and_reject_a_negative_g():
+    rows = trace_rows_for_csv("SBQ", 1, 0, planted_trace(0.25, -5e-13, -1e-12, 0.0), False)
+    assert [r[5] for r in rows] == ["0.25", "0.0", "0.0", "0.0"]
+    with pytest.raises(ValueError, match="SBQ iteration 3"):
+        trace_rows_for_csv("SBQ", 1, 0, planted_trace(0.25, 1e-3, -2e-12), False)
+
+
+def test_summarize_csv_rejects_a_negative_final_g(tmp_path, monkeypatch):
+    import herdquad.cli as cli
+
+    def planted(*args, **kwargs):
+        rep = summarize(*args, **kwargs)
+        rep.final_mmd_sq = -1e-9
+        return rep
+
+    summarize = cli.summarize
+    monkeypatch.setattr(cli, "summarize", planted)
+    cfg = tmp_path / "summ.cfg"
+    cfg.write_text("n = 150\ndim = 6\nk_grid = 5\nmethods = wkh\nseeds = 0\n")
+    with pytest.raises(ValueError, match="WKH iteration 5: g = -1e-09"):
+        run_cli("summarize", "--config", str(cfg), "--out", str(tmp_path / "out"))
 
 
 def test_summarize_ingests_csv_dataset(tmp_path):

@@ -145,3 +145,41 @@ def test_check_standardized_flags_bad_diagonal():
     kern = PrecomputedKernel(M, require_unit_diag=False)
     pool = kern.index_pool()
     assert not check_standardized(kern, pool)
+
+
+def _squares_map(X):
+    return np.hstack([X, X**2, np.ones((X.shape[0], 1))])
+
+
+def _kernels_and_pools():
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(30, 5))
+    U = pts / np.linalg.norm(pts, axis=1)[:, None]
+    M = U @ U.T
+    M = (M + M.T) / 2.0
+    np.fill_diagonal(M, 1.0)
+    precomputed = PrecomputedKernel(M)
+    return [
+        (RBFKernel(0.8), pts),
+        (NormalizedFeatureKernel(), pts),
+        (NormalizedFeatureKernel(feature_map=_squares_map), pts),
+        (precomputed, precomputed.index_pool().points),
+    ]
+
+
+@pytest.mark.parametrize("kern, pts", _kernels_and_pools(),
+                         ids=["rbf", "feature", "feature_map", "precomputed"])
+def test_prepared_rows_equal_gram_rows_bit_for_bit(kern, pts):
+    P = kern.prepare(pts)
+    order = np.random.default_rng(3).permutation(len(pts))
+    np.testing.assert_array_equal(kern.cross(P, kern.prepare(pts)), kern.gram(pts, pts))
+    np.testing.assert_array_equal(kern.diagonal(P), kern.self_similarities(pts))
+    for row in range(len(pts)):
+        np.testing.assert_array_equal(kern.cross(P[row:row + 1], P)[0], kern.gram(pts[row], pts)[0])
+        np.testing.assert_array_equal(kern.cross(P[row:row + 1], P[order[:row]])[0],
+                                      kern.gram(pts[row], pts[order[:row]])[0])
+    empty = pts[:0]
+    for got, want in ((kern.cross(kern.prepare(empty), P), kern.gram(empty, pts)),
+                      (kern.cross(P[:1], kern.prepare(empty)), kern.gram(pts[:1], empty))):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)

@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herdquad.kernels import CandidatePool, PrecomputedKernel, RBFKernel, StandardizationError
+from herdquad.kernels import (
+    CandidatePool,
+    NormalizedFeatureKernel,
+    PrecomputedKernel,
+    RBFKernel,
+    StandardizationError,
+    ZeroNormFeature,
+)
 from herdquad.selectors import (
     G_STOP,
     AllDependent,
     EmptyPool,
     Method,
     UniformAccumulator,
-    kh_uniform_step,
     run_greedy,
     sbq_select,
     wkh_select,
@@ -114,25 +120,6 @@ def test_sbq_select_all_dependent():
     state.add_atom(pts[0], 0)
     with pytest.raises(AllDependent):
         sbq_select(state, pool, excluded_ids=[0])
-
-
-def test_kh_uniform_step_empty_accumulator_is_argmax_embedding():
-    pool, target, kern = mixture_problem(seed=17)
-    acc = UniformAccumulator(target, kern)
-    z = target.mean_embed_many(pool.points)
-    assert kh_uniform_step(acc, pool) == int(pool.ids[np.argmax(z)])
-
-
-def test_kh_uniform_repeats_singleton_and_objective_stays_zero():
-    pool, target, kern = singleton_problem()
-    acc = UniformAccumulator(target, kern)
-    for _ in range(4):
-        chosen = kh_uniform_step(acc, pool)
-        assert chosen == 1
-        x = pool.point_by_id(chosen).reshape(1, -1)
-        k_atoms = kern.gram(x, acc.atoms_matrix())[0] if acc.size else np.zeros(0)
-        acc.add(x, chosen, target.mean_embed(x), k_atoms, kern(x, x))
-        assert abs(acc.mmd_sq) <= 1e-14
 
 
 def test_kh_uniform_objective_dominates_optimal_weights_elementwise():
@@ -365,7 +352,7 @@ def counted(owner, name):
 @pytest.mark.parametrize("method", ["WKH", "SBQ"])
 @pytest.mark.parametrize("reject_at", [None, 3])
 def test_one_kernel_row_per_pick_and_no_point_embeddings(method, reject_at):
-    """WKH/SBQ: one gram call per add_atom call, accepted or rejected."""
+    """WKH/SBQ: one kernel row (a cross product) per add_atom call, accepted or rejected."""
     pool, target, kern = saturating_problem()
     original = QuadratureState.add_atom
     picks = []
@@ -376,20 +363,53 @@ def test_one_kernel_row_per_pick_and_no_point_embeddings(method, reject_at):
             raise NearDependentAtom(args[1], 0.0)
         return original(self, *args, **kwargs)
 
-    with counted(RBFKernel, "gram") as gram, counted(TargetEmbedding, "mean_embed") as embed, \
+    with counted(RBFKernel, "cross") as cross, counted(TargetEmbedding, "mean_embed") as embed, \
             mock.patch.object(QuadratureState, "add_atom", add_atom):
         _, trace = run_greedy(method, pool, target, kern, 60)
     rejected = 0 if reject_at is None else 1
     assert len(picks) == len(trace.rows) + rejected
-    assert gram.call_count == len(picks)
+    assert cross.call_count == len(picks)
     assert embed.call_count == 0
 
 
 @pytest.mark.parametrize("method", ["KH_UNIFORM", "MC_RANDOM"])
 def test_baselines_take_one_kernel_row_per_draw(method):
     pool, target, kern = mixture_problem(seed=4, n=40)
-    with counted(RBFKernel, "gram") as gram, counted(TargetEmbedding, "mean_embed") as embed:
+    with counted(RBFKernel, "cross") as cross, counted(TargetEmbedding, "mean_embed") as embed:
         _, trace = run_greedy(method, pool, target, kern, 25, seed=3)
     assert len(trace.rows) == 25
-    assert gram.call_count == 25
+    assert cross.call_count == 25
     assert embed.call_count == 0
+
+
+def feature_problem(seed=8, n=60, dim=40):
+    rng = np.random.default_rng(seed)
+    kern = NormalizedFeatureKernel()
+    pool = CandidatePool.from_points(rng.normal(size=(n, dim)))
+    return pool, DiscreteTarget.uniform(rng.normal(size=(50, dim)), kern), kern
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_feature_kernel_normalizes_the_pool_a_fixed_number_of_times(method):
+    """The pool is normalized once per run_greedy call and once per pool embedding, whatever k."""
+    pool, target, kern = feature_problem()
+    pool_preps = []
+    for k in (3, 15):
+        with counted(NormalizedFeatureKernel, "prepare") as prepare:
+            _, trace = run_greedy(method, pool, target, kern, k, seed=1)
+        assert len(trace.rows) == k
+        pool_preps.append(sum(np.shape(c.args[1])[0] == len(pool) for c in prepare.call_args_list))
+    assert pool_preps[0] == pool_preps[1] == 2
+
+
+@pytest.mark.parametrize("where", ["pool", "support"])
+def test_zero_norm_feature_fails_before_any_selection(where):
+    pool, target, kern = feature_problem()
+    points, support = pool.points.copy(), target.support.copy()
+    (points if where == "pool" else support)[3] = 0.0
+    pool, target = CandidatePool.from_points(points), DiscreteTarget.uniform(support, kern)
+    with counted(QuadratureState, "add_atom") as add_atom:
+        for method in Method:
+            with pytest.raises(ZeroNormFeature):
+                run_greedy(method, pool, target, kern, 5)
+    assert add_atom.call_count == 0

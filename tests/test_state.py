@@ -243,7 +243,7 @@ def test_pool_scores_need_an_empty_state(rng):
     pts = rng.normal(size=(4, 2))
     state.add_atom(pts[0], 0)
     with pytest.raises(ValueError):
-        PoolScores(state, pts, target.mean_embed_many(pts), capacity=3)
+        PoolScores(state, pts, target.mean_embed_many(pts), np.ones(4), capacity=3)
 
 
 class _CheckedScores(PoolScores):

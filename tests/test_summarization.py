@@ -46,9 +46,10 @@ def test_train_logistic_gradient_matches_finite_differences():
         assert np.max(np.abs(fd)) <= 1e-4  # the analytic optimum kills the numeric gradient
         theta = rng.normal(size=d + 1)
         fd = finite_difference_grad(theta, X, y, lam, sample_weights=wts)
-        from herdquad.summarization import _design, _objective_grad
-        _, g = _objective_grad(theta, _design(X), y.astype(float), lam,
-                               wts / wts.sum())
+        from herdquad.summarization import _design, _gradient, _objective
+        Xd, yf, w = _design(X), y.astype(float), wts / wts.sum()
+        _, t = _objective(theta, Xd, yf, lam, w)
+        g = _gradient(theta, t, Xd, yf, lam, w)
         assert np.max(np.abs(fd - g)) <= 1e-4 * max(1.0, np.max(np.abs(g)))
 
 

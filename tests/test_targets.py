@@ -60,6 +60,30 @@ def test_discrete_weighted_embedding_matches_manual(rng):
     assert target.mean_embed(x) == pytest.approx(manual, rel=1e-14)
 
 
+@pytest.mark.parametrize("kern", [RBFKernel(1.3), NormalizedFeatureKernel()], ids=["rbf", "feature"])
+def test_discrete_prepares_its_support_once_and_matches_gram_bit_for_bit(kern):
+    calls = []
+    original = type(kern).prepare
+    prepare = lambda self, Z: calls.append(np.shape(Z)) or original(self, Z)  # noqa: E731
+    # a few of these seeds give another c in the last bit when the support's
+    # Gram matrix comes from the symmetric product P @ P.T
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(50, 128))
+        probs = rng.dirichlet(np.ones(50))
+        X = rng.normal(size=(25, 128))
+        target = DiscreteTarget(support=pts, probs=probs, kernel=kern)
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(kern), "prepare", prepare)
+            energy = target.self_energy()
+            embeds = [target.mean_embed_many(X), target.mean_embed_many(X[:1])]
+        assert calls.count(pts.shape) == 1
+        assert energy == float(probs @ kern.gram(pts, pts) @ probs)
+        np.testing.assert_array_equal(embeds[0], kern.gram(X, pts) @ probs)
+        np.testing.assert_array_equal(embeds[1], kern.gram(X[:1], pts) @ probs)
+
+
 def test_discrete_rejects_bad_probs():
     with pytest.raises(ValueError):
         DiscreteTarget(support=np.zeros((2, 1)), probs=np.array([0.7, 0.7]), kernel=RBFKernel(1.0))
