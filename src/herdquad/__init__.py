@@ -46,7 +46,6 @@ from .summarization import (
 from .targets import (
     DiscreteTarget,
     GaussianMixtureTarget,
-    MonteCarloTarget,
     mc_mean_embed,
     mc_self_energy,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "Kernel",
     "LogisticModel",
     "Method",
-    "MonteCarloTarget",
     "NormalizedFeatureKernel",
     "OracleSubset",
     "PartitionPlan",

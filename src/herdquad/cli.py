@@ -11,9 +11,11 @@ Three subcommands:
 All artifacts are written atomically (temp file + rename) with
 full-precision floats, and a re-run with the same config byte-reproduces
 them; wall-clock columns are zeroed unless ``timing = on`` is requested,
-because real timings would break that reproducibility.  Environment
-variables: HERDQUAD_OUT (default output directory) and HERDQUAD_THREADS
-(default thread count).
+because real timings would break that reproducibility.  Only ``mixture``
+and ``summarize`` take the grid flags (``--seed``, ``--k``, ``--workers``,
+``--method``, ``--threads``).  Environment variables: HERDQUAD_OUT (default
+output directory) and HERDQUAD_THREADS (default thread count of the grid
+subcommands).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .diagnostics import (
 )
 from .distributed import run_distributed
 from .kernels import CandidatePool, RBFKernel
-from .selectors import RunTrace, TraceRow, run_greedy
+from .selectors import RunTrace, run_greedy
 from .summarization import BothClassesRequired, summarize
 from .targets import DiscreteTarget, GaussianMixtureTarget
 
@@ -56,6 +58,7 @@ SCHEMA_VERSION = 1
 TRACE_COLUMNS = ["method", "s", "seed", "iteration", "chosen_id", "g", "elapsed_ms"]
 SUMMARIZE_COLUMNS = ["method", "s", "k", "seed", "g_final", "test_nll"]
 G_ROUNDOFF = 1e-12
+GRID_COMMANDS = ("mixture", "summarize")  # the subcommands that run a (method, seed) grid
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -135,24 +138,6 @@ def trace_rows_for_csv(method: str, s: int, seed: int, trace: RunTrace,
     return rows
 
 
-def read_trace_csv(path: str) -> list[RunTrace]:
-    """Re-ingest a trace CSV into one RunTrace per (method, s, seed) group."""
-    groups: dict[tuple, RunTrace] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(TRACE_COLUMNS) - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"{path}: missing trace columns {sorted(missing)}")
-        for row in reader:
-            key = (row["method"], int(row["s"]), int(row["seed"]))
-            trace = groups.setdefault(key, RunTrace(method=row["method"], seed=int(row["seed"])))
-            trace.rows.append(TraceRow(
-                iteration=int(row["iteration"]), chosen_id=int(row["chosen_id"]),
-                mmd_sq=float(row["g"]), delta=float("nan"), score=float("nan"),
-                elapsed_ms=float(row["elapsed_ms"])))
-    return list(groups.values())
-
-
 def _mixture_single_run(cfg: MixtureConfig, method: str, s: int, seed: int):
     rng = np.random.default_rng(seed)
     weights, means, covs = sample_mixture_params(
@@ -188,18 +173,21 @@ def _mixture_single_run(cfg: MixtureConfig, method: str, s: int, seed: int):
     return trace, record
 
 
+def _run_grid(run, tasks: list[tuple], threads: int) -> dict:
+    """``{task: run(*task)}`` over a grid, on ``threads`` threads when more than one."""
+    def job(task):
+        return task, run(*task)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return dict(ex.map(job, tasks))
+    return dict(map(job, tasks))
+
+
 def cmd_mixture(cfg: MixtureConfig) -> int:
     tasks = [(method, s, seed) for method, s in cfg.methods for seed in cfg.seeds]
-
-    def job(task):
-        method, s, seed = task
-        return task, _mixture_single_run(cfg, method, s, seed)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            results = dict(ex.map(job, tasks))
-    else:
-        results = dict(map(job, tasks))
+    results = _run_grid(lambda method, s, seed: _mixture_single_run(cfg, method, s, seed),
+                       tasks, cfg.threads)
 
     records = []
     for method, s in cfg.methods:
@@ -246,16 +234,9 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
     tasks = [(method, s, k, seed) for method, s in cfg.methods
              for k in cfg.k_grid for seed in cfg.seeds]
 
-    def job(task):
-        method, s, k, seed = task
-        return task, summarize(data, method, k, s=s, lam=cfg.lam, seed=seed,
-                               weighted_retrain=cfg.weighted_retrain)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            results = dict(ex.map(job, tasks))
-    else:
-        results = dict(map(job, tasks))
+    results = _run_grid(lambda method, s, k, seed: summarize(
+        data, method, k, s=s, lam=cfg.lam, seed=seed, weighted_retrain=cfg.weighted_retrain),
+        tasks, cfg.threads)
 
     rows, records = [], []
     trace_rows: dict[int, list] = {k: [] for k in cfg.k_grid}
@@ -377,13 +358,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("mixture", "summarize", "diagnose"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, help="override: run this single seed")
-        p.add_argument("--k", type=int, help="override: selection budget")
-        p.add_argument("--workers", type=int, help="override: distributed worker count")
-        p.add_argument("--method", help="override: run this single method (e.g. WKH or WKH:5)")
         p.add_argument("--out", help="override: output directory")
-        p.add_argument("--threads", type=int, help="override: thread count for seed grids")
-        if name == "diagnose":
+        if name in GRID_COMMANDS:
+            p.add_argument("--seed", type=int, help="override: run this single seed")
+            p.add_argument("--k", type=int, help="override: selection budget")
+            p.add_argument("--workers", type=int, help="override: distributed worker count")
+            p.add_argument("--method", help="override: run this single method (e.g. WKH or WKH:5)")
+            p.add_argument("--threads", type=int, help="override: thread count for seed grids")
+        else:
             p.add_argument("--list", action="store_true", help="print check names and exit")
             p.add_argument("--inject-fault", action="store_true",
                            help="corrupt weights before the orthogonality audit (self-test)")
@@ -396,8 +378,7 @@ _CONFIG_CLASSES = {"mixture": MixtureConfig, "summarize": SummarizeConfig,
 
 def _assemble_config(args) -> object:
     mapping = parse_kv_file(args.config) if args.config else {}
-    takes_grid = args.command in ("mixture", "summarize")
-    if takes_grid:
+    if args.command in GRID_COMMANDS:
         if args.seed is not None:
             mapping["seeds"] = [args.seed]
         if args.k is not None:
@@ -409,14 +390,14 @@ def _assemble_config(args) -> object:
             mapping["workers"] = str(args.workers)
         if args.method is not None:
             mapping["methods"] = args.method
+        if args.threads is not None:
+            mapping["threads"] = str(args.threads)
+        elif "threads" not in mapping and os.environ.get("HERDQUAD_THREADS"):
+            mapping["threads"] = os.environ["HERDQUAD_THREADS"]
     if args.out is not None:
         mapping["out"] = args.out
     elif "out" not in mapping and os.environ.get("HERDQUAD_OUT"):
         mapping["out"] = os.environ["HERDQUAD_OUT"]
-    if args.threads is not None:
-        mapping["threads"] = str(args.threads)
-    elif "threads" not in mapping and os.environ.get("HERDQUAD_THREADS"):
-        mapping["threads"] = os.environ["HERDQUAD_THREADS"]
     return build_config(_CONFIG_CLASSES[args.command], mapping)
 
 
@@ -428,8 +409,7 @@ def main(argv=None) -> int:
             return cmd_mixture(cfg)
         if args.command == "summarize":
             return cmd_summarize(cfg)
-        return cmd_diagnose(cfg, list_only=getattr(args, "list", False),
-                            inject_fault=getattr(args, "inject_fault", False))
+        return cmd_diagnose(cfg, list_only=args.list, inject_fault=args.inject_fault)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -161,61 +161,38 @@ class SummarizeConfig:
 @dataclass
 class DiagnoseConfig:
     out: str = "out"
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
 
 
-_CASTERS = {
+# fields whose values are not plain scalars; every other field is cast by
+# its annotation, a string under ``from __future__ import annotations``
+_FIELD_CASTERS = {
     "methods": parse_methods,
     "seeds": parse_seeds,
     "k_grid": _parse_int_list,
     "bandwidth": _parse_bandwidth,
-    "timing": _parse_bool,
-    "weighted_retrain": _parse_bool,
-    "k": int,
-    "pool_size": int,
-    "components": int,
-    "dim": int,
-    "n": int,
-    "threads": int,
-    "mean_low": float,
-    "mean_high": float,
-    "cov_low": float,
-    "cov_high": float,
-    "dirichlet_alpha": float,
-    "separation": float,
-    "spread": float,
-    "val_fraction": float,
-    "test_fraction": float,
-    "lam": float,
-    "target_form": str,
-    "dataset": str,
-    "out": str,
 }
+_TYPE_CASTERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 
 # config files say "lambda"; the dataclass field avoids the keyword
-_ALIASES = {"lambda": "lam", "workers": None}
+_ALIASES = {"lambda": "lam"}
 
 
 def build_config(config_cls, mapping: dict) -> object:
     """Validate a raw mapping against one experiment schema."""
-    allowed = {f.name for f in fields(config_cls)}
+    casters = {f.name: _FIELD_CASTERS.get(f.name) or _TYPE_CASTERS[f.type]
+               for f in fields(config_cls)}
     kwargs = {}
     unknown = []
     for key, value in mapping.items():
         name = _ALIASES.get(key, key)
-        if key == "workers":
+        if key == "workers" and "methods" in casters:
             # shorthand: apply one worker count to every listed method
             continue
-        if name not in allowed:
+        if name not in casters:
             unknown.append(key)
             continue
-        caster = _CASTERS.get(name, str)
         try:
-            kwargs[name] = caster(value)
+            kwargs[name] = casters[name](value)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -223,7 +200,7 @@ def build_config(config_cls, mapping: dict) -> object:
     if unknown:
         raise ConfigError(f"unknown config keys for {config_cls.__name__}: {sorted(unknown)}")
     cfg = config_cls(**kwargs)
-    if "workers" in mapping and hasattr(cfg, "methods"):
+    if "workers" in mapping:
         try:
             s = int(mapping["workers"])
         except (TypeError, ValueError):

@@ -78,9 +78,6 @@ class Kernel:
     def pairwise(self, X, Y) -> np.ndarray:
         raise NotImplementedError
 
-    def self_similarities(self, X) -> np.ndarray:
-        return self.diagonal(self.prepare(X))
-
     def __call__(self, x, y) -> float:
         return float(self.gram(as_point_matrix(x), as_point_matrix(y))[0, 0])
 
@@ -163,13 +160,11 @@ class PrecomputedKernel(Kernel):
 
     Points for this kernel are 1-d index vectors: entry i of the matrix is
     addressed by the point ``[i]``.  ``index_pool`` builds the matching
-    candidate pool.  The matrix must be symmetric; the unit-diagonal check
-    can be disabled to construct deliberately non-standardized fixtures.
+    candidate pool.  The matrix must be symmetric with a unit diagonal.
     Two instances are equal when their matrices are.
     """
 
     matrix: np.ndarray
-    require_unit_diag: bool = True
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=float)
@@ -178,11 +173,8 @@ class PrecomputedKernel(Kernel):
             raise ValueError("similarity matrix must be square")
         if not np.allclose(M, M.T, atol=1e-12, rtol=0.0):
             raise ValueError("similarity matrix must be symmetric")
-        if self.require_unit_diag and np.max(np.abs(np.diag(M) - 1.0)) > STANDARDIZATION_TOL:
-            raise ValueError(
-                "similarity matrix diagonal must equal 1 "
-                "(pass require_unit_diag=False for non-standardized fixtures)"
-            )
+        if np.max(np.abs(np.diag(M) - 1.0)) > STANDARDIZATION_TOL:
+            raise ValueError("similarity matrix diagonal must equal 1")
 
     def __eq__(self, other):
         if not isinstance(other, PrecomputedKernel):
@@ -282,7 +274,7 @@ def check_standardized(kernel: Kernel, pool: CandidatePool, tol: float = STANDAR
     """True when max_i |k(x_i, x_i) - 1| <= tol over the pool."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    return unit_diagonal(kernel.self_similarities(pool.points), tol)
+    return unit_diagonal(kernel.diagonal(kernel.prepare(pool.points)), tol)
 
 
 def unit_diagonal(diag: np.ndarray, tol: float = STANDARDIZATION_TOL) -> bool:

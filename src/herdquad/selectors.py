@@ -49,7 +49,6 @@ from .state import (
     QuadratureState,
     check_kernel,
     new_state,
-    sbq_gains,
 )
 from .targets import TargetEmbedding
 
@@ -89,10 +88,6 @@ class RunTrace:
     stop_reason: str | None = None
 
     @property
-    def iterations(self) -> np.ndarray:
-        return np.array([r.iteration for r in self.rows], dtype=int)
-
-    @property
     def mmd_values(self) -> np.ndarray:
         return np.array([r.mmd_sq for r in self.rows])
 
@@ -117,9 +112,10 @@ def selection_scores(method: Method, resid: np.ndarray, schur: np.ndarray):
 
     WKH scores the residual correlation r, SBQ the one-step drop r^2 / s.
     A candidate whose Schur complement s is below ``TAU_DEP`` would make the
-    Cholesky factor singular, so the mask leaves it out of either rule.
+    Cholesky factor singular, so the mask leaves it out of either rule; its
+    score is not meant to be read.
     """
-    scores = sbq_gains(resid, schur) if method is Method.SBQ else resid
+    scores = resid**2 / np.maximum(schur, TAU_DEP) if method is Method.SBQ else resid
     return scores, schur >= TAU_DEP
 
 
@@ -156,9 +152,9 @@ def sbq_select(state: QuadratureState, pool: CandidatePool, excluded_ids=()) -> 
 
 
 class UniformAccumulator:
-    """Herding state under uniform weights 1/n.
+    """Herding state under uniform weights 1/n, built from the self-energy c.
 
-    Tracks chosen atoms (repeats allowed), their mean-embedding values and
+    Tracks the chosen ids (repeats allowed), their mean-embedding values and
     the running pairwise similarity sum, so the uniform-weight squared MMD
 
         c - 2 mean_i z_i + mean_{i,j} k(x_i, x_j)
@@ -166,12 +162,9 @@ class UniformAccumulator:
     is available after every step.
     """
 
-    def __init__(self, target: TargetEmbedding, kernel: Kernel):
-        self.target = target
-        self.kernel = kernel
-        self.self_energy = float(target.self_energy())
+    def __init__(self, self_energy: float):
+        self.self_energy = float(self_energy)
         self.atom_ids: list[int] = []
-        self.atoms: list[np.ndarray] = []
         self.embeds: list[float] = []
         self._pair_sum = 0.0
 
@@ -186,12 +179,11 @@ class UniformAccumulator:
             return self.self_energy
         return self.self_energy - 2.0 * float(np.mean(self.embeds)) + self._pair_sum / n**2
 
-    def add(self, x, pool_id: int, embed: float, k_atoms: np.ndarray, k_self: float) -> None:
-        """Append ``x`` with its embedding z(x), its kernel entries k(x, x_i)
-        at the atoms so far, in atom order, and k(x, x)."""
+    def add(self, pool_id: int, embed: float, k_atoms: np.ndarray, k_self: float) -> None:
+        """Append point ``pool_id`` with its embedding z(x), its kernel entries
+        k(x, x_i) at the atoms so far, in atom order, and k(x, x)."""
         self._pair_sum += 2.0 * float(np.sum(k_atoms)) + float(k_self)
         self.atom_ids.append(int(pool_id))
-        self.atoms.append(np.asarray(x, dtype=float).ravel())
         self.embeds.append(float(embed))
 
 
@@ -231,19 +223,18 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     if method in (Method.WKH, Method.SBQ):
         state = new_state(target, kernel)
         core = PoolScores(state, pool.points, z_all, diag, capacity=k)
-        used = np.zeros(len(pool), dtype=bool)
         atom_rows = np.empty(min(k, len(pool)), dtype=int)
         for it in range(1, k + 1):
             if state.mmd_sq <= G_STOP:
                 trace.stop_reason = "objective_floor"
                 break
-            if used.all():
+            if state.size == len(pool):
                 trace.stop_reason = "pool_exhausted"
                 break
             row = None
             while row is None:
                 scores, eligible = selection_scores(method, core.resid, core.schur)
-                rows = np.flatnonzero(eligible & ~used)
+                rows = np.flatnonzero(eligible)
                 if rows.size == 0:
                     break
                 row = _pick(scores, rows, pool.ids)
@@ -263,13 +254,12 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
             score = float(scores[row])  # read first: WKH's scores are core.resid
             core.extend(row, k_row)
             atom_rows[state.size - 1] = row
-            used[row] = True
             trace.rows.append(TraceRow(it, int(pool.ids[row]), state.mmd_sq,
                                        prev - state.mmd_sq, score, elapsed_ms()))
         return state, trace
 
     if method is Method.KH_UNIFORM:
-        acc = UniformAccumulator(target, kernel)
+        acc = UniformAccumulator(target.self_energy())
         ksum = np.zeros(len(pool))
         used = np.zeros(len(pool), dtype=bool)
         chosen_rows = []
@@ -282,8 +272,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
             row = _pick(scores, candidate_rows, pool.ids)
             prev = acc.mmd_sq
             k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
-            acc.add(pool.points[row], pool.ids[row], embed=z_all[row],
-                    k_atoms=k_row[chosen_rows], k_self=k_row[row])
+            acc.add(pool.ids[row], embed=z_all[row], k_atoms=k_row[chosen_rows], k_self=k_row[row])
             chosen_rows.append(row)
             used[row] = True
             ksum += k_row
@@ -298,7 +287,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     # over all draws, which is the number a method comparison plots for the
     # Monte Carlo baseline.
     state = new_state(target, kernel)
-    acc = UniformAccumulator(target, kernel)
+    acc = UniformAccumulator(state.self_energy)
     order = np.random.default_rng(seed).permutation(len(pool))
     accepted = np.zeros(min(k, len(pool)), dtype=bool)  # per draw: taken by the state
     for it, row in enumerate(order[:k], start=1):
@@ -313,8 +302,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
             accepted[it - 1] = True
         except NearDependentAtom:
             pass
-        acc.add(pool.points[row], pool.ids[row], embed=z_all[row],
-                k_atoms=k_row[:-1], k_self=k_row[-1])
+        acc.add(pool.ids[row], embed=z_all[row], k_atoms=k_row[:-1], k_self=k_row[-1])
         trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq,
                                    prev - acc.mmd_sq, float(score), elapsed_ms()))
     if len(order) < k:

@@ -81,11 +81,6 @@ def check_kernel(target: TargetEmbedding, kernel: Kernel) -> None:
         raise KernelMismatch(f"run kernel {kernel!r} differs from the target's {target.kernel!r}")
 
 
-def sbq_gains(resid: np.ndarray, schur: np.ndarray) -> np.ndarray:
-    """One-step drops r^2 / s of mmd_sq; 0 where s < ``TAU_DEP`` by convention."""
-    return np.where(schur >= TAU_DEP, resid**2 / np.maximum(schur, TAU_DEP), 0.0)
-
-
 class QuadratureState:
     """Mutable selection state for one (target, kernel) pair."""
 
@@ -211,21 +206,12 @@ class QuadratureState:
     def schur_complements(self, X) -> np.ndarray:
         """k(x, x) - k_x^T K^{-1} k_x per point, from scratch; 1 means fully novel."""
         X = as_point_matrix(X)
-        diag = self.kernel.self_similarities(X)
+        diag = self.kernel.diagonal(self.kernel.prepare(X))
         if self.size == 0:
             return diag
         C = self.kernel.gram(self.atoms, X)
         Y = solve_triangular(self.chol, C, lower=True)
         return diag - np.einsum("ij,ij->j", Y, Y)
-
-    def variance_reductions(self, X) -> np.ndarray:
-        """One-step drop of mmd_sq for each candidate, from scratch.
-
-        For a candidate with residual correlation r and Schur complement s
-        the drop is r^2 / s; numerically dependent candidates (s < TAU_DEP)
-        report a zero reduction by convention.
-        """
-        return sbq_gains(self.residual_correlations(X), self.schur_complements(X))
 
 
 class PoolScores:
@@ -237,8 +223,10 @@ class PoolScores:
     row k(points[row], points).  ``resid`` and ``schur``
     then equal ``state.residual_correlations(points)`` and
     ``state.schur_complements(points)`` up to round-off, at O(n (i + d))
-    per atom instead of O(n i (i + d)).  ``capacity`` bounds the number of
-    atoms the state may take.
+    per atom instead of O(n i (i + d)).  An atom's own row is set to its
+    exact Schur complement, 0, so the dependence mask that keeps
+    near-dependent candidates out also keeps atoms from being picked again.
+    ``capacity`` bounds the number of atoms the state may take.
     """
 
     def __init__(self, state: QuadratureState, points: np.ndarray, embeds: np.ndarray,
@@ -261,6 +249,7 @@ class PoolScores:
         self.proj[i] = y
         self.schur -= y * y
         self.resid -= st.alpha[i] * y
+        self.schur[row] = 0.0
 
 
 def new_state(target: TargetEmbedding, kernel: Kernel) -> QuadratureState:

@@ -253,7 +253,7 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
         result, trace = run_greedy(method, pool, target, kernel, k, seed=seed)
         selected_pool_ids = trace.chosen_ids
         final_mmd_sq = trace.final_mmd_sq if trace.rows else result.mmd_sq
-        solution_weights = dict(zip(result.atom_ids, result.weights)) if hasattr(result, "weights") else {}
+        solution_weights = dict(zip(result.atom_ids, result.weights))
     else:
         dist = run_distributed(method, pool, target, kernel, k, s, seed)
         selected_pool_ids = list(dist.winner.ids)
@@ -285,9 +285,5 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
         final_mmd_sq=float(final_mmd_sq), selected_indices=selected_indices,
         test_nll=float(test_nll), random_nll=float(random_nll), full_nll=float(full_nll),
         n_degenerate=int(n_degenerate),
-        metadata={
-            "weighted_retrain": weighted_retrain,
-            "labels": "observed",
-            "bias_in_embedding": True,
-        },
+        metadata={"weighted_retrain": weighted_retrain},
     )

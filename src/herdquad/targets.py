@@ -7,15 +7,13 @@ the two quantities every selection algorithm reads:
 * the self-energy              c = E_{x,y~p}[k(x, y)].
 
 Closed forms are implemented for Gaussian mixtures under an RBF kernel and
-for discrete targets under any kernel; a seeded Monte Carlo fallback covers
-everything else.  ``mc_mean_embed`` / ``mc_self_energy`` are the sampling
-oracles used to verify the closed forms.
+for discrete targets under any kernel.  ``mc_mean_embed`` /
+``mc_self_energy`` are the sampling oracles used to verify the closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -213,39 +211,6 @@ class DiscreteTarget(TargetEmbedding):
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(self.support.shape[0], size=n, p=self.probs)
         return self.support[idx]
-
-
-@dataclass
-class MonteCarloTarget(TargetEmbedding):
-    """Seeded Monte Carlo fallback for targets without a closed form.
-
-    ``sampler(n, rng)`` must return an (n, d) array.  The estimator draws a
-    fixed sample at construction (mean embedding) plus an independent paired
-    sample (self-energy), so every evaluation is deterministic for a given
-    seed and there is no shared mutable state.
-    """
-
-    sampler: Callable[[int, np.random.Generator], np.ndarray]
-    kernel: Kernel
-    n_samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("need at least one sample")
-        rng = np.random.default_rng(self.seed)
-        self._embed_draw = as_point_matrix(self.sampler(self.n_samples, rng))
-        self._pair_a = as_point_matrix(self.sampler(self.n_samples, rng))
-        self._pair_b = as_point_matrix(self.sampler(self.n_samples, rng))
-
-    def mean_embed_many(self, X) -> np.ndarray:
-        return self.kernel.gram(as_point_matrix(X), self._embed_draw).mean(axis=1)
-
-    def self_energy(self) -> float:
-        return float(self.kernel.pairwise(self._pair_a, self._pair_b).mean())
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return as_point_matrix(self.sampler(n, rng))
 
 
 def mc_mean_embed(target: TargetEmbedding, x, n_samples: int, seed: int) -> tuple[float, float]:

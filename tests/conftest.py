@@ -45,6 +45,18 @@ def std_normal_target(rbf_unit):
     )
 
 
+def unchecked_matrix_kernel(matrix):
+    """A ``PrecomputedKernel`` built without its unit-diagonal check: a
+    deliberately non-standardized fixture."""
+    from herdquad.kernels import PrecomputedKernel
+
+    class UncheckedMatrixKernel(PrecomputedKernel):
+        def __post_init__(self):
+            object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
+
+    return UncheckedMatrixKernel(matrix)
+
+
 def random_mixture(rng, components=3, dim=2):
     from herdquad.kernels import RBFKernel
     from herdquad.targets import GaussianMixtureTarget

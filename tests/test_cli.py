@@ -13,7 +13,6 @@ from herdquad.cli import (
     fmt,
     main,
     median_bandwidth,
-    read_trace_csv,
     trace_rows_for_csv,
 )
 from herdquad.diagnostics import fit_rate
@@ -100,20 +99,14 @@ def test_mixture_rerun_byte_reproduces(tmp_path):
 def test_mixture_trace_csv_round_trips_into_fit_rate(tmp_path):
     out = tmp_path / "out"
     assert run_cli(*mixture_args(out, extra=("--config", _small_cfg(tmp_path)))) == 0
-    traces = read_trace_csv(str(out / "trace_wkh_s1.csv"))
-    assert len(traces) == 1
+    with open(out / "trace_wkh_s1.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(r["method"], r["s"], r["seed"]) for r in rows} == {("WKH", "1", "0")}
     summary = json.loads((out / "mixture_summary.json").read_text())
     recorded = summary["runs"][0]["rate"]
-    refit = fit_rate(traces[0])
+    refit = fit_rate([(r["iteration"], r["g"]) for r in rows])
     assert refit.slope == pytest.approx(recorded["slope"], abs=1e-15)
     assert refit.r_squared == pytest.approx(recorded["r_squared"], abs=1e-15)
-
-
-def test_read_trace_csv_rejects_missing_columns(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("method,seed\nWKH,0\n")
-    with pytest.raises(ValueError, match="missing trace columns"):
-        read_trace_csv(str(path))
 
 
 def test_mixture_distributed_records_solutions(tmp_path):
@@ -257,6 +250,15 @@ def test_diagnose_list_and_report(tmp_path, capsys):
     report = json.loads((out / "diagnose_report.json").read_text())
     assert report["all_pass"] is True
     assert {c["name"] for c in report["checks"]} == set(listed)
+
+
+def test_diagnose_takes_no_grid_flags(tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("diagnose", "--k", "5", "--out", str(tmp_path / "out"))
+    assert err.value.code == 2
+    # the grid's thread count is not diagnose's to read
+    monkeypatch.setenv("HERDQUAD_THREADS", "2")
+    assert run_cli("diagnose", "--out", str(tmp_path / "out")) == 0
 
 
 def test_diagnose_fault_injection_fails_orthogonality(tmp_path, capsys):

@@ -87,6 +87,8 @@ def test_unknown_keys_fail_loudly():
         build_config(MixtureConfig, {"pool_sz": "100"})
     with pytest.raises(ConfigError, match="DiagnoseConfig"):
         build_config(DiagnoseConfig, {"k": "10"})
+    with pytest.raises(ConfigError, match="DiagnoseConfig"):
+        build_config(DiagnoseConfig, {"workers": "3"})
 
 
 def test_value_validation():
@@ -136,5 +138,3 @@ def test_defaults_construct_cleanly():
     MixtureConfig()
     SummarizeConfig()
     DiagnoseConfig()
-    with pytest.raises(ConfigError):
-        DiagnoseConfig(threads=0)

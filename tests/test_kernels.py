@@ -13,6 +13,7 @@ from herdquad.kernels import (
     ZeroNormFeature,
     check_standardized,
 )
+from tests.conftest import unchecked_matrix_kernel
 
 
 def test_rbf_diagonal_is_one(rbf_unit):
@@ -102,8 +103,6 @@ def test_precomputed_requires_unit_diag_by_default():
     M = np.array([[2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="diagonal"):
         PrecomputedKernel(M)
-    kern = PrecomputedKernel(M, require_unit_diag=False)
-    assert kern(np.array([0.0]), np.array([0.0])) == 2.0
 
 
 def test_precomputed_lookup_and_pool():
@@ -142,7 +141,7 @@ def test_check_standardized_accepts_rbf(rbf_unit, rng):
 
 def test_check_standardized_flags_bad_diagonal():
     M = np.array([[1.0, 0.1], [0.1, 0.5]])
-    kern = PrecomputedKernel(M, require_unit_diag=False)
+    kern = unchecked_matrix_kernel(M)
     pool = kern.index_pool()
     assert not check_standardized(kern, pool)
 
@@ -173,7 +172,6 @@ def test_prepared_rows_equal_gram_rows_bit_for_bit(kern, pts):
     P = kern.prepare(pts)
     order = np.random.default_rng(3).permutation(len(pts))
     np.testing.assert_array_equal(kern.cross(P, kern.prepare(pts)), kern.gram(pts, pts))
-    np.testing.assert_array_equal(kern.diagonal(P), kern.self_similarities(pts))
     for row in range(len(pts)):
         np.testing.assert_array_equal(kern.cross(P[row:row + 1], P)[0], kern.gram(pts[row], pts)[0])
         np.testing.assert_array_equal(kern.cross(P[row:row + 1], P[order[:row]])[0],

@@ -25,7 +25,7 @@ from herdquad.selectors import (
 )
 from herdquad.state import KernelMismatch, NearDependentAtom, QuadratureState, new_state
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget, TargetEmbedding
-from tests.conftest import random_mixture
+from tests.conftest import random_mixture, unchecked_matrix_kernel
 
 
 def singleton_problem():
@@ -150,7 +150,7 @@ def test_run_greedy_rejects_bad_k_and_empty_pool():
 
 def test_run_greedy_requires_standardized_kernel():
     M = np.array([[0.5, 0.0], [0.0, 1.0]])
-    kern = PrecomputedKernel(M, require_unit_diag=False)
+    kern = unchecked_matrix_kernel(M)
     pool = kern.index_pool()
     target = DiscreteTarget.uniform(pool.points, kern)
     with pytest.raises(StandardizationError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from herdquad.diagnostics import orthogonality_residual
 from herdquad.kernels import CandidatePool, PrecomputedKernel, RBFKernel
-from herdquad.selectors import run_greedy
+from herdquad.selectors import Method, run_greedy, selection_scores
 from herdquad.state import (
     TAU_DEP,
     DuplicateAtom,
@@ -18,6 +18,11 @@ from herdquad.state import (
 )
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
 from tests.conftest import random_mixture
+
+
+def sbq_scores(state, X):
+    """SBQ's one-step drops r^2 / s and the independence mask, from scratch."""
+    return selection_scores(Method.SBQ, state.residual_correlations(X), state.schur_complements(X))
 
 
 def singleton_state():
@@ -130,22 +135,24 @@ def test_variance_reduction_matches_refactorization_oracle(rng):
         probe = state.copy()
         probe.add_atom(pts[j], j)
         drop = state.mmd_sq - probe.mmd_sq
-        assert state.variance_reductions(pts[j])[0] == pytest.approx(drop, abs=1e-8)
+        scores, _ = sbq_scores(state, pts[j])
+        assert scores[0] == pytest.approx(drop, abs=1e-8)
 
 
-def test_variance_reduction_zero_for_dependent_candidates(rng):
+def test_variance_reduction_masks_dependent_candidates(rng):
     target = random_mixture(rng)
     state = new_state(target, target.kernel)
     x = rng.normal(size=2)
     state.add_atom(x, 0)
-    assert state.variance_reductions(x)[0] == 0.0
+    _, independent = sbq_scores(state, x)
+    assert not independent[0]
 
 
 def test_empty_state_variance_reduction_is_embedding_squared(std_normal_target, rbf_unit, rng):
     state = new_state(std_normal_target, rbf_unit)
     X = rng.normal(size=(5, 1))
     z = std_normal_target.mean_embed_many(X)
-    np.testing.assert_allclose(state.variance_reductions(X), z**2, rtol=1e-13)
+    np.testing.assert_allclose(sbq_scores(state, X)[0], z**2, rtol=1e-13)
 
 
 def test_schur_complement_of_novel_point_is_one_at_empty(rbf_unit, std_normal_target):
@@ -244,6 +251,26 @@ def test_pool_scores_need_an_empty_state(rng):
     state.add_atom(pts[0], 0)
     with pytest.raises(ValueError):
         PoolScores(state, pts, target.mean_embed_many(pts), np.ones(4), capacity=3)
+
+
+def test_pool_scores_mask_every_atom_from_later_picks(rng):
+    """Every atom's own Schur complement is at most 0, never a round-off
+    residue above it, so the dependence mask alone keeps it from being
+    picked again."""
+    target = random_mixture(rng)
+    kern = target.kernel
+    pts = target.sample(40, rng)
+    state = new_state(target, kern)
+    core = PoolScores(state, pts, target.mean_embed_many(pts), np.ones(40), capacity=12)
+    K = kern.gram(pts, pts)
+    rows = []
+    for row in rng.permutation(40)[:12]:
+        state.add_atom(pts[row], int(row), k_atoms=K[row, rows], k_self=K[row, row])
+        core.extend(row, K[row])
+        rows.append(row)
+        assert np.all(core.schur[rows] <= 0.0)
+        _, independent = selection_scores(Method.SBQ, core.resid, core.schur)
+        assert not independent[rows].any()
 
 
 class _CheckedScores(PoolScores):

@@ -7,7 +7,6 @@ from herdquad.targets import (
     EMBED_CHUNK_BYTES,
     DiscreteTarget,
     GaussianMixtureTarget,
-    MonteCarloTarget,
     SamplerUnavailable,
     TargetEmbedding,
     UnsupportedKernel,
@@ -166,25 +165,6 @@ def test_mixture_sample_moments(rng):
     draws = target.sample(200_000, np.random.default_rng(0))
     np.testing.assert_allclose(draws.mean(axis=0), mean[0], atol=0.01)
     np.testing.assert_allclose(draws.var(axis=0), [0.2, 0.5], atol=0.01)
-
-
-def test_monte_carlo_target_is_deterministic(std_normal_target):
-    mc = MonteCarloTarget(
-        sampler=lambda n, rng: rng.standard_normal((n, 1)),
-        kernel=RBFKernel(1.0),
-        n_samples=50_000,
-        seed=3,
-    )
-    again = MonteCarloTarget(
-        sampler=lambda n, rng: rng.standard_normal((n, 1)),
-        kernel=RBFKernel(1.0),
-        n_samples=50_000,
-        seed=3,
-    )
-    x = np.array([0.4])
-    assert mc.mean_embed(x) == again.mean_embed(x)
-    assert mc.self_energy() == again.self_energy()
-    assert mc.mean_embed(x) == pytest.approx(std_normal_target.mean_embed(x), abs=0.01)
 
 
 def test_mc_mean_embed_single_sample_has_inf_se(std_normal_target):
