@@ -67,18 +67,23 @@ def main():
         argv += ["--k", str(args.k)]
     if args.threads:
         argv += ["--threads", str(args.threads)]
+    side_config = None
     if args.dataset:
         # inject the dataset through a side config so the flat file stays the source of truth
         import tempfile
         from herdquad.config import parse_kv_file
         mapping = parse_kv_file(args.config)
         mapping["dataset"] = args.dataset
-        fd, path = tempfile.mkstemp(suffix=".cfg", text=True)
+        fd, side_config = tempfile.mkstemp(suffix=".cfg", text=True)
         with os.fdopen(fd, "w") as fh:
             for key, value in mapping.items():
                 fh.write(f"{key} = {value}\n")
-        argv[argv.index(args.config)] = path
-    rc = cli_main(argv)
+        argv[argv.index(args.config)] = side_config
+    try:
+        rc = cli_main(argv)
+    finally:
+        if side_config is not None:
+            os.remove(side_config)
     if rc != 0:
         return rc
 

@@ -7,13 +7,20 @@ then greedily pick the training subset whose weighted embedding best
 matches the validation split's embedding distribution, and finally retrain
 on the chosen subset.  Reported quality is the mean negative log-likelihood
 on the held-out test split.
+
+A grid of ``summarize`` calls on one dataset shares the full-data fit, the
+embeddings, target and pool, and the random baseline of each (seed, size):
+they are computed once and kept in a one-entry memo that is checked
+against the dataset's contents and ``lam`` on every call.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit
@@ -217,6 +224,40 @@ def _draw_baseline_rows(rng, train_rows, labels, size: int) -> np.ndarray:
     raise BothClassesRequired("no two-class baseline subset found after 1000 draws")
 
 
+_memo_lock = threading.Lock()
+_memo: SimpleNamespace | None = None
+
+
+def _fit_dataset(data, lam: float) -> SimpleNamespace:
+    """The part of ``summarize`` that depends on the dataset and ``lam`` alone.
+
+    The entry's ``key`` holds private copies of the features, labels, split
+    tags and ``lam``, so an in-place edit, another dataset or another ``lam``
+    recomputes.  ``random_nll`` maps (seed, subset size) to the random
+    baseline's test NLL.  A fit that raises stores nothing.
+    """
+    global _memo
+    key = (data.features, data.labels, data.split, lam)
+    with _memo_lock:
+        if _memo is not None and all(map(np.array_equal, _memo.key, key)):
+            return _memo
+    Xtr, ytr = data.subset("train")
+    Xval, yval = data.subset("validation")
+    test = data.subset("test")
+    full_model = train_logistic(Xtr, ytr, lam=lam)
+    E_tr, kept_tr = fisher_embed_many(full_model, Xtr, ytr)
+    E_val, _ = fisher_embed_many(full_model, Xval, yval)
+    kernel = NormalizedFeatureKernel()
+    fit = SimpleNamespace(
+        key=tuple(np.array(v) for v in key), test=test, full_nll=full_model.mean_nll(*test),
+        kept_tr=kept_tr, n_degenerate=Xtr.shape[0] - kept_tr.size, kernel=kernel,
+        target=DiscreteTarget.uniform(E_val, kernel), pool=CandidatePool.from_points(E_tr),
+        random_nll={})
+    with _memo_lock:
+        _memo = fit
+    return fit
+
+
 def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int = 0,
               weighted_retrain: bool = False) -> SummarizeReport:
     """Select ``k`` training examples whose score embeddings match validation.
@@ -227,42 +268,32 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
     distributed driver (WKH / SBQ only).  ``weighted_retrain`` feeds the
     magnitude of the quadrature weights into the retraining loss instead of
     uniform weights.  The size-matched random baseline rejects single-class
-    draws, see :func:`_draw_baseline_rows`.
+    draws, see :func:`_draw_baseline_rows`.  The full-data fit and the
+    random baselines are memoized per dataset, see :func:`_fit_dataset`.
     """
     method = Method(method)
     if method is Method.KH_UNIFORM:
         raise ValueError("summarize supports WKH, SBQ and MC_RANDOM")
-    Xtr, ytr = data.subset("train")
-    Xval, yval = data.subset("validation")
-    Xte, yte = data.subset("test")
-    if k < 1 or k > Xtr.shape[0]:
-        raise ValueError(f"k must lie in [1, {Xtr.shape[0]}]")
-
-    full_model = train_logistic(Xtr, ytr, lam=lam)
-    E_tr, kept_tr = fisher_embed_many(full_model, Xtr, ytr)
-    E_val, _ = fisher_embed_many(full_model, Xval, yval)
-    n_degenerate = Xtr.shape[0] - kept_tr.size
-    if kept_tr.size < k:
-        raise ValueError(f"only {kept_tr.size} nondegenerate training embeddings for k={k}")
-
-    kernel = NormalizedFeatureKernel()
-    target = DiscreteTarget.uniform(E_val, kernel)
-    pool = CandidatePool.from_points(E_tr)
+    train_rows = data.indices("train")
+    if k < 1 or k > train_rows.size:
+        raise ValueError(f"k must lie in [1, {train_rows.size}]")
+    fit = _fit_dataset(data, lam)
+    if fit.kept_tr.size < k:
+        raise ValueError(f"only {fit.kept_tr.size} nondegenerate training embeddings for k={k}")
 
     if s == 1:
-        result, trace = run_greedy(method, pool, target, kernel, k, seed=seed)
+        result, trace = run_greedy(method, fit.pool, fit.target, fit.kernel, k, seed=seed)
         selected_pool_ids = trace.chosen_ids
         final_mmd_sq = trace.final_mmd_sq if trace.rows else result.mmd_sq
         solution_weights = dict(zip(result.atom_ids, result.weights))
     else:
-        dist = run_distributed(method, pool, target, kernel, k, s, seed)
+        dist = run_distributed(method, fit.pool, fit.target, fit.kernel, k, s, seed)
         selected_pool_ids = list(dist.winner.ids)
         final_mmd_sq = dist.winner.mmd_sq
         trace = dist.traces[dist.winner_index]
         solution_weights = dict(zip(dist.winner.ids, dist.winner.weights))
 
-    train_rows = data.indices("train")
-    selected_indices = train_rows[kept_tr[np.asarray(selected_pool_ids, dtype=int)]]
+    selected_indices = train_rows[fit.kept_tr[np.asarray(selected_pool_ids, dtype=int)]]
     sub_X = data.features[selected_indices]
     sub_y = data.labels[selected_indices]
 
@@ -272,18 +303,22 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
             raise ValueError("weighted retraining needs quadrature weights (WKH or SBQ)")
         sample_weights = np.array([abs(solution_weights[i]) for i in selected_pool_ids])
     summary_model = train_logistic(sub_X, sub_y, lam=lam, sample_weights=sample_weights)
-    test_nll = summary_model.mean_nll(Xte, yte)
+    test_nll = summary_model.mean_nll(*fit.test)
 
-    rng = np.random.default_rng(seed)
-    rand_rows = _draw_baseline_rows(rng, train_rows, data.labels, selected_indices.size)
-    random_model = train_logistic(data.features[rand_rows], data.labels[rand_rows], lam=lam)
-    random_nll = random_model.mean_nll(Xte, yte)
-    full_nll = full_model.mean_nll(Xte, yte)
+    with _memo_lock:
+        random_nll = fit.random_nll.get((seed, selected_indices.size))
+    if random_nll is None:
+        rng = np.random.default_rng(seed)
+        rand_rows = _draw_baseline_rows(rng, train_rows, data.labels, selected_indices.size)
+        random_model = train_logistic(data.features[rand_rows], data.labels[rand_rows], lam=lam)
+        random_nll = random_model.mean_nll(*fit.test)
+        with _memo_lock:
+            fit.random_nll[(seed, selected_indices.size)] = random_nll
 
     return SummarizeReport(
         method=method.value, k=k, s=s, seed=seed, lam=lam, trace=trace,
         final_mmd_sq=float(final_mmd_sq), selected_indices=selected_indices,
-        test_nll=float(test_nll), random_nll=float(random_nll), full_nll=float(full_nll),
-        n_degenerate=int(n_degenerate),
+        test_nll=float(test_nll), random_nll=float(random_nll), full_nll=float(fit.full_nll),
+        n_degenerate=int(fit.n_degenerate),
         metadata={"weighted_retrain": weighted_retrain},
     )

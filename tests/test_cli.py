@@ -175,6 +175,23 @@ def test_summarize_small_k_grid_survives_single_class_baseline_draw(tmp_path):
     assert all(float(r[5]) > 0.0 for r in random_rows)
 
 
+def test_summarize_threads_share_one_fit_and_write_the_same_bytes(tmp_path, monkeypatch):
+    from herdquad import summarization
+    cfg = tmp_path / "summ.cfg"
+    cfg.write_text("n = 200\ndim = 16\nk_grid = 6, 10\nmethods = wkh, sbq, mc_random, wkh:2\n"
+                   "seeds = 0, 1\n")
+    written = {}
+    for threads in ("2", "1"):
+        monkeypatch.setattr(summarization, "_memo", None)
+        out = tmp_path / f"threads{threads}"
+        assert run_cli("summarize", "--config", str(cfg), "--out", str(out),
+                       "--threads", threads) == 0
+        written[threads] = {p.name: read_file(p) for p in out.iterdir()}
+    assert sorted(written["1"]) == ["summarize.csv", "summarize_summary.json",
+                                    "summarize_traces_k10.csv", "summarize_traces_k6.csv"]
+    assert written["2"] == written["1"]
+
+
 def planted_trace(*gs):
     return RunTrace("SBQ", 0, [TraceRow(i, i, g, 0.0, 0.0, 0.0) for i, g in enumerate(gs, start=1)])
 
@@ -202,20 +219,53 @@ def test_summarize_csv_rejects_a_negative_final_g(tmp_path, monkeypatch):
         run_cli("summarize", "--config", str(cfg), "--out", str(tmp_path / "out"))
 
 
-def test_summarize_ingests_csv_dataset(tmp_path):
-    data = tmp_path / "data.csv"
+def write_csv_dataset(path):
     rng = np.random.default_rng(0)
     rows = ["f0,f1,f2,label"]
     for _ in range(120):
         y = int(rng.random() < 0.5)
         x = rng.normal(loc=(2 * y - 1) * 0.8, size=3)
         rows.append(",".join(repr(float(v)) for v in x) + f",{y}")
-    data.write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_summarize_ingests_csv_dataset(tmp_path):
+    data = tmp_path / "data.csv"
+    write_csv_dataset(data)
     cfg = tmp_path / "summ.cfg"
     cfg.write_text(f"dataset = {data}\nk_grid = 4\nmethods = wkh\nseeds = 0\n")
     out = tmp_path / "out"
     assert run_cli("summarize", "--config", str(cfg), "--out", str(out)) == 0
     assert (out / "summarize.csv").exists()
+
+
+def test_summarization_script_removes_its_side_config(tmp_path, monkeypatch):
+    import importlib.util
+    import sys
+    import tempfile
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "summarization_experiment.py")
+    spec = importlib.util.spec_from_file_location("summarization_experiment", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    data = tmp_path / "data.csv"
+    write_csv_dataset(data)
+    cfg = tmp_path / "summ.cfg"
+    cfg.write_text(f"k_grid = 4\nmethods = wkh\nseeds = 0\nout = {tmp_path / 'out'}\n")
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+    def run(dataset):
+        monkeypatch.setattr(sys, "argv", ["summarization_experiment.py", "--config", str(cfg),
+                                          "--dataset", str(dataset)])
+        return module.main()
+
+    assert run(data) == 0
+    assert list(scratch.iterdir()) == []
+    with pytest.raises(FileNotFoundError):
+        run(tmp_path / "missing.csv")
+    assert list(scratch.iterdir()) == []
 
 
 def test_summarize_malformed_dataset_exits_nonzero(tmp_path, capsys):

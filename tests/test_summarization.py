@@ -1,8 +1,12 @@
+from collections import Counter
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from herdquad.datasets import make_blobs, synthetic_blob_dataset
+from herdquad import summarization
+from herdquad.datasets import LabeledDataset, make_blobs, synthetic_blob_dataset
 from herdquad.summarization import (
     BothClassesRequired,
     DegenerateEmbedding,
@@ -220,3 +224,103 @@ def test_summarize_low_dimension_saturates_embedding_span():
     rep = summarize(ds, "WKH", k=10, seed=2)
     assert rep.selected_indices.size <= 3
     assert rep.trace.stop_reason in ("objective_floor", "all_dependent")
+
+
+def assert_same_report(a, b):
+    """Every field bit for bit, the trace's wall-clock column aside."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "trace":
+            assert (x.method, x.seed, x.stop_reason) == (y.method, y.seed, y.stop_reason)
+            assert [astuple(r)[:5] for r in x.rows] == [astuple(r)[:5] for r in y.rows]
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+        else:
+            assert x == y, f.name
+
+
+def fresh_report(data, *args, **kwargs):
+    """The report of a new dataset with copied arrays, computed with an empty memo."""
+    summarization._memo = None
+    copy = LabeledDataset(data.features.copy(), data.labels.copy(), data.split.copy())
+    return summarize(copy, *args, **kwargs)
+
+
+def test_summarize_grid_fits_each_dataset_once(monkeypatch):
+    ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
+    row_of = {row.tobytes(): i for i, row in enumerate(ds.features)}
+    fitted = []
+
+    def counting_train_logistic(X, y, **kwargs):
+        fitted.append(tuple(sorted(row_of[row.tobytes()] for row in np.asarray(X))))
+        return train_logistic(X, y, **kwargs)
+
+    monkeypatch.setattr(summarization, "_memo", None)
+    monkeypatch.setattr(summarization, "train_logistic", counting_train_logistic)
+    grid = [(m, k, seed) for m in ("WKH", "SBQ", "MC_RANDOM") for k in (6, 10) for seed in (0, 1)]
+    reports = {cell: summarize(ds, cell[0], cell[1], seed=cell[2]) for cell in grid}
+
+    train_rows = ds.indices("train")
+    full = [tuple(train_rows)]
+    retrain = [tuple(sorted(rep.selected_indices)) for rep in reports.values()]
+    random = [tuple(sorted(_draw_baseline_rows(np.random.default_rng(seed), train_rows,
+                                               ds.labels, k)))
+              for k in (6, 10) for seed in (0, 1)]
+    assert (len(full), len(random), len(retrain)) == (1, 4, 12)
+    assert Counter(fitted) == Counter(full + random + retrain)
+    assert all(rep.selected_indices.size == k for (_, k, _), rep in reports.items())
+
+    monkeypatch.setattr(summarization, "train_logistic", train_logistic)
+    for (method, k, seed), rep in reports.items():
+        assert_same_report(rep, fresh_report(ds, method, k, seed=seed))
+
+
+@pytest.mark.parametrize("edit", ["flip_labels", "scale_features", "new_lam"])
+def test_summarize_memo_never_serves_stale_results(monkeypatch, edit):
+    monkeypatch.setattr(summarization, "_memo", None)
+    ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
+    cached = summarize(ds, "SBQ", 8, seed=1)
+    lam = 1.0
+    if edit == "flip_labels":
+        rows = ds.indices("train")[:5]
+        ds.labels[rows] = 1 - ds.labels[rows]
+    elif edit == "scale_features":
+        ds.features *= 2.0
+    else:
+        lam = 0.5
+    after = summarize(ds, "SBQ", 8, seed=1, lam=lam)
+    assert after.full_nll != cached.full_nll
+    assert_same_report(after, fresh_report(ds, "SBQ", 8, seed=1, lam=lam))
+
+
+def test_summarize_memo_keeps_nothing_from_a_failed_fit(monkeypatch):
+    monkeypatch.setattr(summarization, "_memo", None)
+    ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
+    summarize(ds, "WKH", 8, seed=0)
+    entry = summarization._memo
+    one_class = LabeledDataset(ds.features, np.zeros_like(ds.labels), ds.split)
+    for _ in range(2):
+        with pytest.raises(BothClassesRequired):
+            summarize(one_class, "WKH", 8, seed=0)
+    assert summarization._memo is entry
+
+
+def test_summarize_memo_under_concurrent_misses(monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
+    grid = [(m, k, seed) for m in ("WKH", "SBQ", "MC_RANDOM") for k in (6, 10) for seed in (0, 1)]
+    serial = {cell: fresh_report(ds, cell[0], cell[1], seed=cell[2]) for cell in grid}
+    monkeypatch.setattr(summarization, "_memo", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            futures = [(cell, ex.submit(summarize, ds, cell[0], cell[1], seed=cell[2]))
+                       for cell in grid * 2]
+            threaded = [(cell, f.result(timeout=60)) for cell, f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for cell, rep in threaded:
+        assert_same_report(rep, serial[cell])
