@@ -17,7 +17,7 @@ from .diagnostics import (
     realizability_fixtures,
     verify_realizability,
 )
-from .distributed import DistributedResult, PartitionPlan, partition, run_distributed
+from .distributed import DistributedResult, partition, run_distributed
 from .kernels import (
     CandidatePool,
     Kernel,
@@ -62,7 +62,6 @@ __all__ = [
     "Method",
     "NormalizedFeatureKernel",
     "OracleSubset",
-    "PartitionPlan",
     "PrecomputedKernel",
     "QuadratureState",
     "RBFKernel",

@@ -274,8 +274,8 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
         "experiment": "summarize",
         "config": {
             "methods": [[m, s] for m, s in cfg.methods], "k_grid": list(cfg.k_grid),
-            "seeds": list(cfg.seeds), "dataset": cfg.dataset, "n": cfg.n,
-            "dim": cfg.dim, "lambda": cfg.lam,
+            "seeds": list(cfg.seeds), "dataset": cfg.dataset, "n": data.features.shape[0],
+            "dim": data.features.shape[1], "lambda": cfg.lam,
             "val_fraction": cfg.val_fraction, "test_fraction": cfg.test_fraction,
             "weighted_retrain": cfg.weighted_retrain,
         },

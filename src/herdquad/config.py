@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .selectors import Method
+from .selectors import OPTIMAL_WEIGHT_METHODS, Method
 
 
 class ConfigError(ValueError):
@@ -208,9 +208,9 @@ def build_config(config_cls, mapping: dict) -> object:
         if s < 1:
             raise ConfigError("workers must be positive")
         # the shorthand only touches methods that can actually run distributed
-        cfg.methods = [(m, s if (sm == 1 and m in ("WKH", "SBQ")) else sm)
+        cfg.methods = [(m, s if (sm == 1 and m in OPTIMAL_WEIGHT_METHODS) else sm)
                        for m, sm in cfg.methods]
     for m, sm in getattr(cfg, "methods", []):
-        if sm > 1 and m not in ("WKH", "SBQ"):
+        if sm > 1 and m not in OPTIMAL_WEIGHT_METHODS:
             raise ConfigError(f"method {m} cannot run with {sm} workers (WKH/SBQ only)")
     return cfg

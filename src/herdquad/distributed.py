@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import CandidatePool, Kernel
-from .selectors import Method, RunTrace, run_greedy
+from .selectors import OPTIMAL_WEIGHT_METHODS, Method, RunTrace, run_greedy
 from .state import check_kernel
 from .targets import TargetEmbedding
 
@@ -33,29 +33,13 @@ class PoolTooSmall(ValueError):
     """Fewer pool points than workers."""
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Random worker assignment for every pool id.
+def partition(pool: CandidatePool, s: int, seed: int) -> np.ndarray:
+    """The worker index of each pool row, an int array.
 
     Shards are disjoint and cover the pool.  Assignment is i.i.d. uniform
     over workers; if a worker ends up empty it receives the largest id from
     the currently largest shard (deterministic under the seed).
     """
-
-    n_workers: int
-    ids: np.ndarray
-    assignment: np.ndarray
-
-    def shard_ids(self, worker: int) -> np.ndarray:
-        if not 0 <= worker < self.n_workers:
-            raise IndexError(f"worker {worker} out of range")
-        return np.sort(self.ids[self.assignment == worker])
-
-    def shard_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.n_workers)
-
-
-def partition(pool: CandidatePool, s: int, seed: int) -> PartitionPlan:
     if s < 1:
         raise ValueError("need at least one worker")
     if len(pool) < s:
@@ -67,10 +51,9 @@ def partition(pool: CandidatePool, s: int, seed: int) -> PartitionPlan:
         empty = int(np.flatnonzero(sizes == 0)[0])
         donor = int(np.argmax(sizes))
         donor_rows = np.flatnonzero(assignment == donor)
-        move = donor_rows[np.argmax(pool.ids[donor_rows])]
-        assignment[move] = empty
+        assignment[donor_rows[-1]] = empty  # rows ascend by id: the largest id is last
         sizes = np.bincount(assignment, minlength=s)
-    return PartitionPlan(n_workers=s, ids=pool.ids.copy(), assignment=assignment)
+    return assignment
 
 
 @dataclass
@@ -125,21 +108,20 @@ def run_distributed(
     Only the optimal-weight methods make sense here; asking for a uniform
     or random method raises ``ValueError``.  A fixed (seed, s) reproduces
     the result bit for bit regardless of worker scheduling, because results
-    are collected by worker index and the aggregator pool is sorted by id.
+    are collected by worker index and every pool lists its rows by id.
     ``KernelMismatch`` is raised when ``kernel`` is not ``target.kernel``.
     """
     method = Method(method)
     check_kernel(target, kernel)
-    if method not in (Method.WKH, Method.SBQ):
+    if method not in OPTIMAL_WEIGHT_METHODS:
         raise ValueError("distributed runs support WKH and SBQ only")
     if executor not in ("serial", "thread", "process"):
         raise ValueError(f"unknown executor {executor!r}")
 
     t_start = time.perf_counter()
-    plan = partition(pool, s, seed)
-    by_id = np.argsort(pool.ids)  # each shard lists its rows by ascending id
+    assignment = partition(pool, s, seed)
     shards = [CandidatePool(points=pool.points[rows], ids=pool.ids[rows])
-              for rows in (by_id[plan.assignment[by_id] == w] for w in range(s))]
+              for rows in (np.flatnonzero(assignment == w) for w in range(s))]
     seeds = _worker_seeds(seed, s)
     t_partition = time.perf_counter()
 

@@ -220,7 +220,7 @@ class CandidatePool:
 
     Freshly built pools number their points 0..n-1; pools produced by
     ``subset`` keep the original ids so that selections remain traceable
-    across shards.
+    across shards.  Rows are listed by strictly increasing id.
     """
 
     points: np.ndarray
@@ -235,8 +235,8 @@ class CandidatePool:
             raise ValueError("pool points must be finite")
         if ids.ndim != 1 or ids.shape[0] != pts.shape[0]:
             raise ValueError("need exactly one id per pool point")
-        if np.unique(ids).size != ids.size:
-            raise ValueError("pool ids must be unique")
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("pool ids must be unique and strictly increasing")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "ids", ids)
 
@@ -260,8 +260,7 @@ class CandidatePool:
             missing = set(keep.tolist()) - set(self.ids.tolist())
             raise KeyError(f"ids not in pool: {sorted(missing)}")
         rows = np.flatnonzero(mask)
-        order = rows[np.argsort(self.ids[rows])]
-        return CandidatePool(points=self.points[order], ids=self.ids[order])
+        return CandidatePool(points=self.points[rows], ids=self.ids[rows])
 
     def point_by_id(self, pool_id: int) -> np.ndarray:
         rows = np.flatnonzero(self.ids == int(pool_id))

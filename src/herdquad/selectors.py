@@ -7,9 +7,11 @@ Four methods share one driver:
                  weights; per-iteration it dominates WKH by construction.
 * ``KH_UNIFORM`` classic herding with uniform weights; the driver never
                  picks a point twice.
-* ``MC_RANDOM``  uniform draws without replacement; the returned state is
-                 optimally reweighted, the trace reports the plain
-                 uniform-weight estimate a baseline comparison plots.
+* ``MC_RANDOM``  uniform draws without replacement, uniform weights.
+
+The result type follows the weighting: WKH and SBQ return a
+``QuadratureState``, the two baselines the ``UniformAccumulator`` whose
+uniform-weight g their trace reports.
 
 WKH and SBQ read one pair of pool-wide arrays, the residual correlations
 r and the Schur complements s, and ``selection_scores`` turns them into
@@ -70,13 +72,15 @@ class Method(str, enum.Enum):
     MC_RANDOM = "MC_RANDOM"
 
 
+# the methods that solve for optimal weights; the others weight uniformly
+OPTIMAL_WEIGHT_METHODS = (Method.WKH, Method.SBQ)
+
+
 @dataclass
 class TraceRow:
     iteration: int
     chosen_id: int
     mmd_sq: float
-    delta: float
-    score: float
     elapsed_ms: float
 
 
@@ -100,11 +104,13 @@ class RunTrace:
         return self.rows[-1].mmd_sq if self.rows else float("nan")
 
 
-def _pick(scores: np.ndarray, candidate_rows: np.ndarray, ids: np.ndarray) -> int:
-    """Row index of the best-scoring candidate; ties go to the lowest id."""
-    vals = scores[candidate_rows]
-    ties = candidate_rows[vals == vals.max()]
-    return int(ties[np.argmin(ids[ties])])
+def _pick(scores: np.ndarray, candidate_rows: np.ndarray) -> int:
+    """Row index of the best-scoring candidate; ties go to the lowest id.
+
+    Pools list their rows by ascending id, so among ascending candidate rows
+    the first maximum has the lowest id.
+    """
+    return int(candidate_rows[np.argmax(scores[candidate_rows])])
 
 
 def selection_scores(method: Method, resid: np.ndarray, schur: np.ndarray):
@@ -128,7 +134,7 @@ def _select(method: Method, state: QuadratureState, pool: CandidatePool, exclude
     rows = np.flatnonzero(mask & independent)
     if rows.size == 0:
         raise AllDependent("every candidate is numerically dependent")
-    return int(pool.ids[_pick(scores, rows, pool.ids)])
+    return int(pool.ids[_pick(scores, rows)])
 
 
 def wkh_select(state: QuadratureState, pool: CandidatePool, excluded_ids=()) -> int:
@@ -159,7 +165,8 @@ class UniformAccumulator:
 
         c - 2 mean_i z_i + mean_{i,j} k(x_i, x_j)
 
-    is available after every step.
+    is available after every step.  ``run_greedy`` returns one for the
+    uniform-weight baselines, KH_UNIFORM and MC_RANDOM.
     """
 
     def __init__(self, self_energy: float):
@@ -192,13 +199,11 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     """Run ``k`` selection iterations of the given method over the pool.
 
     Returns ``(result, trace)`` where ``result`` is a ``QuadratureState``
-    (WKH / SBQ / MC_RANDOM) or a ``UniformAccumulator`` (KH_UNIFORM).  The
-    trace records one row per iteration with the objective value after the
-    step, the step's objective drop, the winning selector score and wall
-    time.  The g column is guaranteed non-increasing only for WKH and SBQ;
-    under uniform weights (KH_UNIFORM, and the MC_RANDOM trace, which
-    reports the plain sample-average estimate rather than the reweighted
-    one) single steps can raise it.  Early-stop reasons: ``objective_floor``
+    (WKH / SBQ) or a ``UniformAccumulator`` (KH_UNIFORM / MC_RANDOM).  The
+    trace records one row per iteration with the chosen id, the objective
+    value of ``result`` after the step and wall time.  The g column is
+    guaranteed non-increasing only for WKH and SBQ; under uniform weights
+    single steps can raise it.  Early-stop reasons: ``objective_floor``
     once mmd_sq <= ``G_STOP`` (WKH/SBQ), ``all_dependent`` when no independent
     candidate remains, and ``pool_exhausted``.  ``KernelMismatch`` is
     raised when ``kernel`` is not ``target.kernel``.
@@ -220,7 +225,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     def elapsed_ms() -> float:
         return (time.perf_counter() - t0) * 1e3
 
-    if method in (Method.WKH, Method.SBQ):
+    if method in OPTIMAL_WEIGHT_METHODS:
         state = new_state(target, kernel)
         core = PoolScores(state, pool.points, z_all, diag, capacity=k)
         atom_rows = np.empty(min(k, len(pool)), dtype=int)
@@ -237,8 +242,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
                 rows = np.flatnonzero(eligible)
                 if rows.size == 0:
                     break
-                row = _pick(scores, rows, pool.ids)
-                prev = state.mmd_sq
+                row = _pick(scores, rows)
                 k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
                 try:
                     state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row],
@@ -251,11 +255,9 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
             if row is None:
                 trace.stop_reason = "all_dependent"
                 break
-            score = float(scores[row])  # read first: WKH's scores are core.resid
             core.extend(row, k_row)
             atom_rows[state.size - 1] = row
-            trace.rows.append(TraceRow(it, int(pool.ids[row]), state.mmd_sq,
-                                       prev - state.mmd_sq, score, elapsed_ms()))
+            trace.rows.append(TraceRow(it, int(pool.ids[row]), state.mmd_sq, elapsed_ms()))
         return state, trace
 
     if method is Method.KH_UNIFORM:
@@ -269,42 +271,24 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
                 trace.stop_reason = "pool_exhausted"
                 break
             scores = z_all - ksum / (acc.size + 1)
-            row = _pick(scores, candidate_rows, pool.ids)
-            prev = acc.mmd_sq
+            row = _pick(scores, candidate_rows)
             k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
             acc.add(pool.ids[row], embed=z_all[row], k_atoms=k_row[chosen_rows], k_self=k_row[row])
             chosen_rows.append(row)
             used[row] = True
             ksum += k_row
-            trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq,
-                                       prev - acc.mmd_sq, float(scores[row]), elapsed_ms()))
+            trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq, elapsed_ms()))
         return acc, trace
 
-    # MC_RANDOM: every draw counts as one iteration and as a selected point.
-    # The returned state optimally reweights the accepted draws (a draw that
-    # is numerically dependent on them adds nothing to the span and is
-    # skipped), while the trace reports the plain uniform-weight estimate
-    # over all draws, which is the number a method comparison plots for the
-    # Monte Carlo baseline.
-    state = new_state(target, kernel)
-    acc = UniformAccumulator(state.self_energy)
+    # MC_RANDOM: every draw counts as one iteration and as a selected point,
+    # dependent draws included.
+    acc = UniformAccumulator(target.self_energy())
     order = np.random.default_rng(seed).permutation(len(pool))
-    accepted = np.zeros(min(k, len(pool)), dtype=bool)  # per draw: taken by the state
     for it, row in enumerate(order[:k], start=1):
-        prev = acc.mmd_sq
         # one kernel row against every draw so far, this one last
         k_row = kernel.cross(prepared[row:row + 1], prepared[order[:it]])[0]
-        k_atoms = k_row[:it - 1][accepted[:it - 1]]
-        score = z_all[row] - k_atoms @ state.weights
-        try:
-            state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row],
-                           k_atoms=k_atoms, k_self=k_row[-1])
-            accepted[it - 1] = True
-        except NearDependentAtom:
-            pass
         acc.add(pool.ids[row], embed=z_all[row], k_atoms=k_row[:-1], k_self=k_row[-1])
-        trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq,
-                                   prev - acc.mmd_sq, float(score), elapsed_ms()))
+        trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq, elapsed_ms()))
     if len(order) < k:
         trace.stop_reason = "pool_exhausted"
-    return state, trace
+    return acc, trace

@@ -191,16 +191,12 @@ class QuadratureState:
         self._weights = None
         self.mmd_sq -= a * a
 
-    def residual_correlations(self, X, embeds=None) -> np.ndarray:
-        """z(x) - k_x^T w for a batch of points, recomputed from scratch.
-
-        ``embeds`` may carry precomputed mean-embedding values for ``X`` to
-        avoid redundant target evaluations.
-        """
+    def residual_correlations(self, X) -> np.ndarray:
+        """z(x) - k_x^T w for a batch of points, recomputed from scratch."""
         X = as_point_matrix(X)
-        z = self.target.mean_embed_many(X) if embeds is None else np.asarray(embeds, dtype=float)
+        z = self.target.mean_embed_many(X)
         if self.size == 0:
-            return z.copy()
+            return z
         return z - self.kernel.gram(X, self.atoms) @ self.weights
 
     def schur_complements(self, X) -> np.ndarray:

@@ -27,7 +27,7 @@ from scipy.special import expit
 
 from .distributed import run_distributed
 from .kernels import CandidatePool, NormalizedFeatureKernel
-from .selectors import Method, RunTrace, run_greedy
+from .selectors import OPTIMAL_WEIGHT_METHODS, Method, RunTrace, run_greedy
 from .targets import DiscreteTarget
 
 log = logging.getLogger(__name__)
@@ -274,6 +274,8 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
     method = Method(method)
     if method is Method.KH_UNIFORM:
         raise ValueError("summarize supports WKH, SBQ and MC_RANDOM")
+    if weighted_retrain and method not in OPTIMAL_WEIGHT_METHODS:
+        raise ValueError("weighted retraining needs quadrature weights (WKH or SBQ)")
     train_rows = data.indices("train")
     if k < 1 or k > train_rows.size:
         raise ValueError(f"k must lie in [1, {train_rows.size}]")
@@ -285,23 +287,19 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
         result, trace = run_greedy(method, fit.pool, fit.target, fit.kernel, k, seed=seed)
         selected_pool_ids = trace.chosen_ids
         final_mmd_sq = trace.final_mmd_sq if trace.rows else result.mmd_sq
-        solution_weights = dict(zip(result.atom_ids, result.weights))
     else:
         dist = run_distributed(method, fit.pool, fit.target, fit.kernel, k, s, seed)
-        selected_pool_ids = list(dist.winner.ids)
-        final_mmd_sq = dist.winner.mmd_sq
+        result = dist.winner
+        selected_pool_ids = list(result.ids)
+        final_mmd_sq = result.mmd_sq
         trace = dist.traces[dist.winner_index]
-        solution_weights = dict(zip(dist.winner.ids, dist.winner.weights))
 
     selected_indices = train_rows[fit.kept_tr[np.asarray(selected_pool_ids, dtype=int)]]
     sub_X = data.features[selected_indices]
     sub_y = data.labels[selected_indices]
 
-    sample_weights = None
-    if weighted_retrain:
-        if method not in (Method.WKH, Method.SBQ):
-            raise ValueError("weighted retraining needs quadrature weights (WKH or SBQ)")
-        sample_weights = np.array([abs(solution_weights[i]) for i in selected_pool_ids])
+    # the weights are in selection order, like the selected indices
+    sample_weights = np.abs(result.weights) if weighted_retrain else None
     summary_model = train_logistic(sub_X, sub_y, lam=lam, sample_weights=sample_weights)
     test_nll = summary_model.mean_nll(*fit.test)
 

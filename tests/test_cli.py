@@ -193,7 +193,7 @@ def test_summarize_threads_share_one_fit_and_write_the_same_bytes(tmp_path, monk
 
 
 def planted_trace(*gs):
-    return RunTrace("SBQ", 0, [TraceRow(i, i, g, 0.0, 0.0, 0.0) for i, g in enumerate(gs, start=1)])
+    return RunTrace("SBQ", 0, [TraceRow(i, i, g, 0.0) for i, g in enumerate(gs, start=1)])
 
 
 def test_trace_rows_clamp_round_off_and_reject_a_negative_g():
@@ -237,6 +237,8 @@ def test_summarize_ingests_csv_dataset(tmp_path):
     out = tmp_path / "out"
     assert run_cli("summarize", "--config", str(cfg), "--out", str(out)) == 0
     assert (out / "summarize.csv").exists()
+    config = json.loads((out / "summarize_summary.json").read_text())["config"]
+    assert (config["n"], config["dim"]) == (120, 3)  # the file's shape, not the config's 500 x 128
 
 
 def test_summarization_script_removes_its_side_config(tmp_path, monkeypatch):

@@ -125,8 +125,9 @@ def test_pool_ids_survive_subset():
 
 
 def test_pool_rejects_duplicate_ids():
-    with pytest.raises(ValueError, match="unique"):
-        CandidatePool(points=np.zeros((2, 1)), ids=np.array([3, 3]))
+    for ids in ([3, 3], [1, 0]):
+        with pytest.raises(ValueError, match="unique"):
+            CandidatePool(points=np.zeros((2, 1)), ids=np.array(ids))
 
 
 def test_pool_rejects_nonfinite_points():
