@@ -2,8 +2,10 @@
 """Run the mixture comparison and print a per-method summary table.
 
 Thin driver over the ``herdquad mixture`` subcommand: runs the experiment,
-then aggregates the JSON artifact into mean final objective and fitted
-decay rate per (method, workers) cell.
+then aggregates the JSON artifact into mean final objective, fitted decay
+rate and the count of each stop reason per (method, workers) cell.  A run
+that used its whole budget counts as ``budget``; ``objective_floor`` means
+g reached the round-off floor ``herdquad.state.G_ROUNDOFF``.
 
 Usage:
     python scripts/mixture_experiment.py --config scripts/configs/mixture_small.cfg
@@ -14,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -31,6 +33,7 @@ def aggregate(summary_path):
     for (method, s), runs in sorted(cells.items()):
         gs = np.array([r["final_g"] for r in runs])
         slopes = [r["rate"]["slope"] for r in runs if r["rate"] is not None]
+        stops = Counter(r["stop_reason"] or "budget" for r in runs)
         table.append({
             "method": method,
             "s": s,
@@ -39,6 +42,7 @@ def aggregate(summary_path):
             "min_g": float(gs.min()),
             "max_g": float(gs.max()),
             "mean_slope": float(np.mean(slopes)) if slopes else float("nan"),
+            "stops": dict(sorted(stops.items())),
         })
     return summary["config"], table
 
@@ -46,13 +50,15 @@ def aggregate(summary_path):
 def print_table(config, table):
     print(f"pool={config['pool_size']} components={config['components']} "
           f"k={config['k']} bandwidth={config['bandwidth']}")
-    header = f"{'method':<12} {'s':>2} {'seeds':>5} {'mean g':>12} {'min g':>12} {'max g':>12} {'slope':>8}"
+    header = (f"{'method':<12} {'s':>2} {'seeds':>5} {'mean g':>12} {'min g':>12} {'max g':>12} "
+              f"{'slope':>8}  stops")
     print(header)
     print("-" * len(header))
     for row in table:
         print(f"{row['method']:<12} {row['s']:>2} {row['seeds']:>5} "
               f"{row['mean_g']:>12.4e} {row['min_g']:>12.4e} {row['max_g']:>12.4e} "
-              f"{row['mean_slope']:>8.3f}")
+              f"{row['mean_slope']:>8.3f}  "
+              + " ".join(f"{reason}={n}" for reason, n in row["stops"].items()))
 
 
 def main():

@@ -51,13 +51,13 @@ from .diagnostics import (
 from .distributed import run_distributed
 from .kernels import CandidatePool, RBFKernel
 from .selectors import RunTrace, run_greedy
+from .state import G_ROUNDOFF
 from .summarization import BothClassesRequired, summarize
 from .targets import DiscreteTarget, GaussianMixtureTarget
 
 SCHEMA_VERSION = 1
 TRACE_COLUMNS = ["method", "s", "seed", "iteration", "chosen_id", "g", "elapsed_ms"]
 SUMMARIZE_COLUMNS = ["method", "s", "k", "seed", "g_final", "test_nll"]
-G_ROUNDOFF = 1e-12
 GRID_COMMANDS = ("mixture", "summarize")  # the subcommands that run a (method, seed) grid
 
 
@@ -120,7 +120,8 @@ def sample_mixture_params(rng: np.random.Generator, components: int, dim: int,
 def reported_g(g: float, method: str, iteration: int) -> float:
     """g as an artifact reports it: round-off in [-G_ROUNDOFF, 0) reads as 0.
 
-    A squared MMD below -G_ROUNDOFF is a fault, not round-off, and raises
+    Every g an artifact writes passes through here.  A squared MMD below
+    -``state.G_ROUNDOFF`` is a fault, not round-off, and raises
     ``ValueError`` naming the method and the iteration.
     """
     if not g >= -G_ROUNDOFF:
@@ -153,16 +154,17 @@ def _mixture_single_run(cfg: MixtureConfig, method: str, s: int, seed: int):
         target = DiscreteTarget.uniform(pool_points, kernel)
     pool = CandidatePool.from_points(pool_points)
     if s == 1:
-        _, trace = run_greedy(method, pool, target, kernel, cfg.k, seed=seed)
+        result, trace = run_greedy(method, pool, target, kernel, cfg.k, seed=seed)
         extra = {}
     else:
-        result = run_distributed(method, pool, target, kernel, cfg.k, s, seed)
-        trace = result.traces[result.winner_index]
-        extra = {"solution_g": [sol.mmd_sq for sol in result.solutions],
-                 "winner": result.winner.label}
+        dist = run_distributed(method, pool, target, kernel, cfg.k, s, seed)
+        result, trace = dist.winner, dist.traces[dist.winner_index]
+        extra = {"solution_g": [reported_g(sol.mmd_sq, f"{method} {sol.label}", len(sol.ids))
+                                for sol in dist.solutions],
+                 "winner": result.label}
     record = {"method": method, "s": s, "seed": seed, "bandwidth": bw,
-              "final_g": float(trace.final_mmd_sq), "n_iterations": len(trace.rows),
-              "stop_reason": trace.stop_reason}
+              "final_g": reported_g(result.mmd_sq, method, len(trace.rows)),
+              "n_iterations": len(trace.rows), "stop_reason": trace.stop_reason}
     record.update(extra)
     try:
         rf = fit_rate(trace)
@@ -248,7 +250,7 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
         rows.append(["RANDOM", 1, k, seed, "", fmt(rep.random_nll)])
         trace_rows[k].extend(trace_rows_for_csv(method, s, seed, rep.trace, cfg.timing))
         records.append({"method": method, "s": s, "k": k, "seed": seed,
-                        "g_final": rep.final_mmd_sq, "test_nll": rep.test_nll,
+                        "g_final": g_final, "test_nll": rep.test_nll,
                         "random_nll": rep.random_nll, "full_nll": rep.full_nll,
                         "n_degenerate": rep.n_degenerate})
     first = results[tasks[0]]
@@ -296,6 +298,9 @@ def _diagnose_payload(inject_fault: bool = False) -> dict:
 
     for fixture in realizability_fixtures():
         rep = verify_realizability(fixture)
+        for key in rep:
+            if key.endswith("_mmd_sq"):
+                rep[key] = reported_g(rep[key], f"oracle on {fixture.name}", fixture.expected_r)
         checks.append({"name": f"realizability:{fixture.name}", "passes": rep.pop("passes"),
                        "details": rep})
 
@@ -320,6 +325,9 @@ def _diagnose_payload(inject_fault: bool = False) -> dict:
     target2 = DiscreteTarget.uniform(inst, kern2)
     pool2 = CandidatePool.from_points(inst)
     guarantee = check_approx_guarantee(pool2, target2, kern2, r=2, epsilon=0.1)
+    guarantee["oracle"]["mmd_sq"] = reported_g(guarantee["oracle"]["mmd_sq"], "oracle", 2)
+    for method, entry in guarantee["methods"].items():
+        entry["mmd_sq_at_k"] = reported_g(entry["mmd_sq_at_k"], method, entry["k_used"])
     checks.append({"name": "approx_guarantee", "passes": guarantee.pop("holds"),
                    "details": guarantee})
 

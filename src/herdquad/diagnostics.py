@@ -26,10 +26,9 @@ import numpy as np
 
 from .kernels import CandidatePool, Kernel, NormalizedFeatureKernel
 from .selectors import Method, RunTrace, run_greedy
-from .state import TAU_DEP, QuadratureState, check_kernel
+from .state import G_ROUNDOFF, TAU_DEP, QuadratureState, check_kernel
 from .targets import DiscreteTarget, TargetEmbedding
 
-G_FLOOR = 1e-13
 SUBSET_BUDGET = 10**6
 
 
@@ -60,23 +59,22 @@ def fit_rate(trace) -> RateFit:
     """Least-squares fit of log(objective) against the iteration index.
 
     Accepts a ``RunTrace`` or an iterable of (iteration, value) pairs.
-    Values at or below ``G_FLOOR`` carry no rate information (they sit in
-    the numerical noise floor) and are excluded; fewer than three usable
-    points raise ``InsufficientPoints``.
+    Values at or below ``state.G_ROUNDOFF``, where greedy runs stop, carry
+    no rate information (they are round-off) and are excluded; fewer than
+    three usable points raise ``InsufficientPoints``.
     """
     if isinstance(trace, RunTrace):
         pairs = [(row.iteration, row.mmd_sq) for row in trace.rows]
     else:
         pairs = [(int(i), float(v)) for i, v in trace]
-    usable = [(i, v) for i, v in pairs if np.isfinite(v) and v > G_FLOOR]
+    usable = [(i, v) for i, v in pairs if np.isfinite(v) and v > G_ROUNDOFF]
     if len(usable) < 3:
-        raise InsufficientPoints(f"need >= 3 points above {G_FLOOR:g}, got {len(usable)}")
+        raise InsufficientPoints(f"need >= 3 points above {G_ROUNDOFF:g}, got {len(usable)}")
     x = np.array([i for i, _ in usable], dtype=float)
     y = np.log(np.array([v for _, v in usable]))
     xc = x - x.mean()
     yc = y - y.mean()
-    sxx = float(xc @ xc)
-    slope = float(xc @ yc) / sxx
+    slope = float(xc @ yc) / float(xc @ xc)
     intercept = float(y.mean() - slope * x.mean())
     ss_tot = float(yc @ yc)
     if ss_tot == 0.0:
@@ -96,30 +94,23 @@ def _dense_objective(K: np.ndarray, z: np.ndarray, c: float, rows) -> float:
     """
     kept: list[int] = []
     for r in rows:
-        if not kept:
-            if K[r, r] < TAU_DEP:
-                break
-            kept.append(r)
-            continue
-        sub = np.ix_(kept, kept)
         kv = K[kept, r]
-        schur = K[r, r] - float(kv @ np.linalg.solve(K[sub], kv))
+        schur = K[r, r] - (float(kv @ np.linalg.solve(K[np.ix_(kept, kept)], kv)) if kept else 0.0)
         if schur < TAU_DEP:
             break
         kept.append(r)
-    if not kept:
-        return c
-    sub = np.ix_(kept, kept)
-    zk = z[kept]
-    return c - float(zk @ np.linalg.solve(K[sub], zk))
+    zk = z[kept]  # empty when no row is kept: g = c
+    return c - float(zk @ np.linalg.solve(K[np.ix_(kept, kept)], zk))
 
 
 def brute_force_best_subset(pool: CandidatePool, target: TargetEmbedding,
                             kernel: Kernel, r: int) -> OracleSubset:
     """Exhaustive best subset of size at most ``r`` under optimal weights.
 
-    Guards the budget with C(n, r) <= 10^6.  Ties keep the first subset in
-    lexicographic id order, which makes the oracle deterministic.
+    Guards the budget with C(n, r) <= 10^6.  Scans sizes in ascending order
+    and subsets in lexicographic id order; ties keep the first.  Every g at
+    or below ``state.G_ROUNDOFF`` is a tie at 0, so the first such subset is
+    returned at once rather than the most negative round-off.
     ``KernelMismatch`` is raised when ``kernel`` is not ``target.kernel``.
     """
     check_kernel(target, kernel)
@@ -135,13 +126,14 @@ def brute_force_best_subset(pool: CandidatePool, target: TargetEmbedding,
     best_g = np.inf
     best_rows: tuple[int, ...] = ()
     examined = 0
-    for size in range(1, min(r, n) + 1):
-        for rows in itertools.combinations(range(n), size):
-            examined += 1
-            g = _dense_objective(K, z, c, rows)
-            if g < best_g:
-                best_g = g
-                best_rows = rows
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(1, min(r, n) + 1))
+    for examined, rows in enumerate(subsets, 1):
+        g = _dense_objective(K, z, c, rows)
+        if g < best_g:
+            best_g, best_rows = g, rows
+        if g <= G_ROUNDOFF:
+            break
     return OracleSubset(ids=tuple(int(pool.ids[i]) for i in best_rows),
                         mmd_sq=float(best_g), subsets_examined=examined)
 
@@ -155,8 +147,7 @@ def estimate_rsc_rss(state: QuadratureState) -> tuple[float, float]:
     """
     if state.size < 1:
         raise ValueError("need at least one atom")
-    eigs = np.linalg.eigvalsh(state.gram)
-    return float(eigs[0]), float(eigs[-1])
+    return _spectrum(state.kernel, state.atoms)
 
 
 def orthogonality_residual(state: QuadratureState) -> float:
@@ -200,7 +191,6 @@ def check_approx_guarantee(pool: CandidatePool, target: TargetEmbedding,
         "methods": {},
         "holds": True,
     }
-    oracle_points = np.vstack([pool.point_by_id(i) for i in oracle.ids])
     for method in (Method.WKH, Method.SBQ):
         state, trace = run_greedy(method, pool, target, kernel, k=len(pool), seed=0)
         m_hat, M_hat = estimate_rsc_rss(state)
@@ -241,17 +231,20 @@ def realizability_fixtures() -> list[RealizabilityFixture]:
 
     ``line_segment``: a 1-d identity-feature kernel collapses every point
     to a sign, so the embedding of a discretized bell-shaped target lies in
-    the span of any single atom (r = 1).
+    the span of any single atom (r = 1).  The bell is centred at 0.25, so
+    its signs do not cancel: c = 0.977, where a bell at 0 would give c = 0,
+    which even the empty subset matches.
 
     ``two_clusters``: unit-normalized 2-d features from two angular
     clusters; the mean embedding points between the clusters, so no single
-    atom's span contains it but any cross-cluster pair does (r = 2).
+    atom's span contains it, but any two atoms that are not collinear span
+    the whole 2-d feature space (r = 2).
     """
     fixtures = []
 
     grid = np.linspace(-1.0, 1.0, 40).reshape(-1, 1)  # even count avoids the zero point
     kern_a = NormalizedFeatureKernel()
-    dens = np.exp(-0.5 * (grid[:, 0] / 0.1) ** 2)
+    dens = np.exp(-0.5 * ((grid[:, 0] - 0.25) / 0.1) ** 2)
     target_a = DiscreteTarget(support=grid, probs=dens / dens.sum(), kernel=kern_a)
     fixtures.append(RealizabilityFixture(
         name="line_segment",

@@ -147,11 +147,11 @@ def run_distributed(
         solutions.append(Solution(label="aggregator", ids=ids, weights=weights, mmd_sq=mmd_sq))
         traces.append(trace)
     else:
-        # Every worker came back empty-handed; the aggregator has nothing to
-        # refine and contributes the empty solution.
+        # No worker took an atom: shards are nonempty and the kernel is
+        # standardized, so c <= G_ROUNDOFF and the aggregator stops there too.
         solutions.append(Solution(label="aggregator", ids=[], weights=np.zeros(0),
                                   mmd_sq=float(target.self_energy())))
-        traces.append(RunTrace(method=method.value, seed=seeds[s], stop_reason="pool_exhausted"))
+        traces.append(RunTrace(method=method.value, seed=seeds[s], stop_reason="objective_floor"))
     t_agg = time.perf_counter()
 
     values = np.array([sol.mmd_sq for sol in solutions])

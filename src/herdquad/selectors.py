@@ -45,6 +45,7 @@ import numpy as np
 
 from .kernels import CandidatePool, Kernel, StandardizationError, unit_diagonal
 from .state import (
+    G_ROUNDOFF,
     TAU_DEP,
     NearDependentAtom,
     PoolScores,
@@ -53,8 +54,6 @@ from .state import (
     new_state,
 )
 from .targets import TargetEmbedding
-
-G_STOP = 1e-14
 
 
 class EmptyPool(Exception):
@@ -204,9 +203,10 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     value of ``result`` after the step and wall time.  The g column is
     guaranteed non-increasing only for WKH and SBQ; under uniform weights
     single steps can raise it.  Early-stop reasons: ``objective_floor``
-    once mmd_sq <= ``G_STOP`` (WKH/SBQ), ``all_dependent`` when no independent
-    candidate remains, and ``pool_exhausted``.  ``KernelMismatch`` is
-    raised when ``kernel`` is not ``target.kernel``.
+    once mmd_sq <= ``state.G_ROUNDOFF``, below which g is round-off
+    (WKH/SBQ), ``all_dependent`` when no independent candidate remains, and
+    ``pool_exhausted``.  ``KernelMismatch`` is raised when ``kernel`` is
+    not ``target.kernel``.
     """
     method = Method(method)
     check_kernel(target, kernel)
@@ -230,7 +230,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
         core = PoolScores(state, pool.points, z_all, diag, capacity=k)
         atom_rows = np.empty(min(k, len(pool)), dtype=int)
         for it in range(1, k + 1):
-            if state.mmd_sq <= G_STOP:
+            if state.mmd_sq <= G_ROUNDOFF:
                 trace.stop_reason = "objective_floor"
                 break
             if state.size == len(pool):

@@ -52,6 +52,9 @@ from .kernels import Kernel, as_point_matrix
 from .targets import TargetEmbedding
 
 TAU_DEP = 1e-10
+# Round-off floor of g, read by every "is g zero?" test: kernels are
+# standardized, so 0 <= g <= c <= 1, and the bench checker's floor is -1e-12.
+G_ROUNDOFF = 1e-12
 
 
 class NearDependentAtom(Exception):

@@ -285,16 +285,12 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
 
     if s == 1:
         result, trace = run_greedy(method, fit.pool, fit.target, fit.kernel, k, seed=seed)
-        selected_pool_ids = trace.chosen_ids
-        final_mmd_sq = trace.final_mmd_sq if trace.rows else result.mmd_sq
     else:
         dist = run_distributed(method, fit.pool, fit.target, fit.kernel, k, s, seed)
-        result = dist.winner
-        selected_pool_ids = list(result.ids)
-        final_mmd_sq = result.mmd_sq
-        trace = dist.traces[dist.winner_index]
+        result, trace = dist.winner, dist.traces[dist.winner_index]
 
-    selected_indices = train_rows[fit.kept_tr[np.asarray(selected_pool_ids, dtype=int)]]
+    # the winner's trace lists its atoms, like a single run's
+    selected_indices = train_rows[fit.kept_tr[np.asarray(trace.chosen_ids, dtype=int)]]
     sub_X = data.features[selected_indices]
     sub_y = data.labels[selected_indices]
 
@@ -315,7 +311,7 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
 
     return SummarizeReport(
         method=method.value, k=k, s=s, seed=seed, lam=lam, trace=trace,
-        final_mmd_sq=float(final_mmd_sq), selected_indices=selected_indices,
+        final_mmd_sq=float(result.mmd_sq), selected_indices=selected_indices,
         test_nll=float(test_nll), random_nll=float(random_nll), full_nll=float(fit.full_nll),
         n_degenerate=int(fit.n_degenerate),
         metadata={"weighted_retrain": weighted_retrain},

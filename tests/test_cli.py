@@ -302,6 +302,23 @@ def test_diagnose_list_and_report(tmp_path, capsys):
     report = json.loads((out / "diagnose_report.json").read_text())
     assert report["all_pass"] is True
     assert {c["name"] for c in report["checks"]} == set(listed)
+    # every g the report writes, the oracle's included, went through
+    # reported_g, which reads round-off below 0 as 0
+    reported = list(_values_under_keys_with(report, "mmd_sq"))
+    assert len(reported) == 6
+    assert all(g >= 0.0 for g in reported)
+
+
+def _values_under_keys_with(obj, part):
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            if part in key and isinstance(val, float):
+                yield val
+            else:
+                yield from _values_under_keys_with(val, part)
+    elif isinstance(obj, list):
+        for val in obj:
+            yield from _values_under_keys_with(val, part)
 
 
 def test_diagnose_takes_no_grid_flags(tmp_path, monkeypatch, capsys):

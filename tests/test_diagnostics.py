@@ -16,7 +16,7 @@ from herdquad.diagnostics import (
 )
 from herdquad.kernels import CandidatePool, PrecomputedKernel, RBFKernel
 from herdquad.selectors import Method, run_greedy
-from herdquad.state import KernelMismatch, new_state
+from herdquad.state import G_ROUNDOFF, KernelMismatch, new_state
 from herdquad.targets import DiscreteTarget
 from tests.conftest import random_mixture
 
@@ -165,9 +165,22 @@ def test_realizability_fixtures_verify():
     for fixture in fixtures:
         report = verify_realizability(fixture)
         assert report["passes"], report
+        # not met trivially: a target with c = 0 is matched by any subset
+        assert fixture.target.self_energy() > 0.3
     pair_report = verify_realizability(fixtures[1])
     assert pair_report["best_singleton_mmd_sq"] > 1e-6
     assert pair_report["best_pair_mmd_sq"] <= 1e-6
+
+
+def test_oracle_returns_the_first_subset_at_the_floor():
+    two_clusters = realizability_fixtures()[1]
+    oracle = brute_force_best_subset(two_clusters.pool, two_clusters.target,
+                                     two_clusters.kernel, r=2)
+    # every independent pair spans the 2-d feature space; the scan stops at
+    # the first pair instead of taking the most negative round-off
+    assert oracle.ids == (0, 1)
+    assert oracle.subsets_examined == 24 + 1
+    assert -G_ROUNDOFF <= oracle.mmd_sq <= G_ROUNDOFF
 
 
 def test_greedy_reaches_realizable_floor_fast():

@@ -8,7 +8,7 @@ from herdquad.distributed import (
 )
 from herdquad.kernels import CandidatePool, NormalizedFeatureKernel, RBFKernel
 from herdquad.selectors import Method, run_greedy
-from herdquad.state import KernelMismatch
+from herdquad.state import G_ROUNDOFF, KernelMismatch
 from herdquad.targets import DiscreteTarget
 from tests.conftest import random_mixture
 
@@ -156,3 +156,17 @@ def test_lone_worker_under_the_feature_kernel_agrees_to_round_off(method):
         worker, aggregator = res.solutions
         assert sorted(aggregator.ids) == sorted(worker.ids), seed
         assert abs(aggregator.mmd_sq - worker.mmd_sq) <= 1e-14, seed
+
+
+@pytest.mark.parametrize("method", [Method.WKH, Method.SBQ])
+def test_a_target_at_the_floor_gives_empty_solutions(method):
+    # symmetric signs cancel in the mean embedding, so c = 0 and every
+    # worker stops before its first atom
+    pts = np.linspace(-1.0, 1.0, 10).reshape(-1, 1)
+    kern = NormalizedFeatureKernel()
+    target = DiscreteTarget.uniform(pts, kern)
+    assert target.self_energy() <= G_ROUNDOFF
+    result = run_distributed(method, CandidatePool.from_points(pts), target, kern, 3, 2, seed=0)
+    assert [sol.ids for sol in result.solutions] == [[], [], []]
+    assert result.winner.label == "worker-0"
+    assert [t.stop_reason for t in result.traces] == ["objective_floor"] * 3

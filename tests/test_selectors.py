@@ -14,7 +14,6 @@ from herdquad.kernels import (
     ZeroNormFeature,
 )
 from herdquad.selectors import (
-    G_STOP,
     AllDependent,
     EmptyPool,
     Method,
@@ -23,7 +22,13 @@ from herdquad.selectors import (
     sbq_select,
     wkh_select,
 )
-from herdquad.state import KernelMismatch, NearDependentAtom, QuadratureState, new_state
+from herdquad.state import (
+    G_ROUNDOFF,
+    KernelMismatch,
+    NearDependentAtom,
+    QuadratureState,
+    new_state,
+)
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget, TargetEmbedding
 from tests.conftest import random_mixture, unchecked_matrix_kernel
 
@@ -136,7 +141,7 @@ def test_run_greedy_singleton_stops_at_floor():
     state, trace = run_greedy(Method.WKH, pool, target, kern, 5, seed=0)
     assert trace.chosen_ids == [1]
     assert trace.stop_reason == "objective_floor"
-    assert abs(state.mmd_sq) <= G_STOP
+    assert abs(state.mmd_sq) <= G_ROUNDOFF
 
 
 def test_run_greedy_rejects_bad_k_and_empty_pool():
@@ -255,8 +260,9 @@ def test_kh_uniform_without_replacement_is_default():
 def saturating_problem(seed=5):
     """3-component 2-d mixture, wide kernel, pool drawn from the target.
 
-    WKH and SBQ bring g to round-off level; at the default seed both stop
-    with every remaining candidate numerically dependent on the atoms.
+    WKH and SBQ bring g to round-off level.  At the default seed WKH stops
+    with every remaining candidate numerically dependent on the atoms, and
+    SBQ first reaches g <= G_ROUNDOFF.
     """
     rng = np.random.default_rng(seed)
     kern = RBFKernel(3.0)
@@ -282,10 +288,20 @@ PINNED_IDS = {
 def test_chosen_ids_match_the_from_scratch_selector(method):
     pool, target, kern = saturating_problem()
     _, trace = run_greedy(method, pool, target, kern, 60)
-    assert trace.stop_reason == "all_dependent"
+    assert trace.stop_reason == {"WKH": "all_dependent", "SBQ": "objective_floor"}[method]
     pinned = PINNED_IDS[method]
     assert trace.chosen_ids[:len(pinned)] == pinned
     assert trace.mmd_values[len(pinned) - 2] > 1e-11
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+@pytest.mark.parametrize("seed", [0, 5, 20])
+def test_objective_floor_stops_at_the_first_roundoff_g(method, seed):
+    pool, target, kern = saturating_problem(seed)
+    _, trace = run_greedy(method, pool, target, kern, 60)
+    g = trace.mmd_values
+    assert np.all(g[:-1] > G_ROUNDOFF)
+    assert (g[-1] <= G_ROUNDOFF) == (trace.stop_reason == "objective_floor")
 
 
 @pytest.mark.parametrize("method", ["WKH", "SBQ"])
