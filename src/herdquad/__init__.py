@@ -22,9 +22,7 @@ from .kernels import (
     CandidatePool,
     Kernel,
     NormalizedFeatureKernel,
-    PrecomputedKernel,
     RBFKernel,
-    check_standardized,
 )
 from .selectors import (
     Method,
@@ -62,7 +60,6 @@ __all__ = [
     "Method",
     "NormalizedFeatureKernel",
     "OracleSubset",
-    "PrecomputedKernel",
     "QuadratureState",
     "RBFKernel",
     "RateFit",
@@ -71,7 +68,6 @@ __all__ = [
     "UniformAccumulator",
     "brute_force_best_subset",
     "check_approx_guarantee",
-    "check_standardized",
     "estimate_rsc_rss",
     "fisher_embed",
     "fisher_embed_many",

@@ -59,6 +59,7 @@ SCHEMA_VERSION = 1
 TRACE_COLUMNS = ["method", "s", "seed", "iteration", "chosen_id", "g", "elapsed_ms"]
 SUMMARIZE_COLUMNS = ["method", "s", "k", "seed", "g_final", "test_nll"]
 GRID_COMMANDS = ("mixture", "summarize")  # the subcommands that run a (method, seed) grid
+MEDIAN_SUBSAMPLE = 500
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -92,11 +93,12 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
-def median_bandwidth(points: np.ndarray, seed: int = 0, cap: int = 500) -> float:
-    """Median pairwise distance over a subsample of at most ``cap`` points."""
+def median_bandwidth(points: np.ndarray, seed: int = 0) -> float:
+    """Median pairwise distance over a subsample of at most ``MEDIAN_SUBSAMPLE`` points."""
     pts = np.asarray(points, dtype=float)
-    if pts.shape[0] > cap:
-        rows = np.random.default_rng(seed).choice(pts.shape[0], size=cap, replace=False)
+    if pts.shape[0] > MEDIAN_SUBSAMPLE:
+        rows = np.random.default_rng(seed).choice(pts.shape[0], size=MEDIAN_SUBSAMPLE,
+                                                  replace=False)
         pts = pts[rows]
     diffs = pts[:, None, :] - pts[None, :, :]
     d = np.sqrt(np.sum(diffs**2, axis=-1))
@@ -388,12 +390,9 @@ def _assemble_config(args) -> object:
     mapping = parse_kv_file(args.config) if args.config else {}
     if args.command in GRID_COMMANDS:
         if args.seed is not None:
-            mapping["seeds"] = [args.seed]
+            mapping["seeds"] = str(args.seed)
         if args.k is not None:
-            if args.command == "summarize":
-                mapping["k_grid"] = [args.k]
-            else:
-                mapping["k"] = str(args.k)
+            mapping["k_grid" if args.command == "summarize" else "k"] = str(args.k)
         if args.workers is not None:
             mapping["workers"] = str(args.workers)
         if args.method is not None:

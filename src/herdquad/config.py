@@ -2,12 +2,15 @@
 
 Config files hold one ``key = value`` pair per line; ``#`` starts a
 comment, blank lines are skipped.  Lists are comma separated, seed lists
-additionally accept the inclusive range form ``a..b``.  Unknown keys are
-rejected so typos fail loudly.  Command-line flags override file values.
+additionally accept the inclusive range form ``a..b``; a list may not be
+empty or repeat an entry, and a float must be finite.  Unknown keys are
+rejected so typos fail loudly.  Command-line flags override file values,
+and reach ``build_config`` as the same strings a file would hold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .selectors import OPTIMAL_WEIGHT_METHODS, Method
@@ -45,17 +48,31 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def parse_seeds(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    t = str(text).strip()
+def _distinct(values: list, what: str) -> list:
+    """``values`` unchanged; an empty list or a repeated entry is a ``ConfigError``."""
+    if not values:
+        raise ConfigError(f"need at least one {what}")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"repeated {what} in {values}")
+    return values
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def parse_seeds(text: str) -> list[int]:
+    t = text.strip()
     if ".." in t:
         lo_s, hi_s = t.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ConfigError(f"empty seed range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(v) for v in t.split(",") if v.strip() != ""]
+    return _distinct([int(v) for v in t.split(",") if v.strip() != ""], "seed")
 
 
 def parse_method_spec(token: str) -> tuple[str, int]:
@@ -75,29 +92,22 @@ def parse_method_spec(token: str) -> tuple[str, int]:
     return t, s
 
 
-def parse_methods(text) -> list[tuple[str, int]]:
-    if isinstance(text, (list, tuple)):
-        return [parse_method_spec(str(v)) for v in text]
-    specs = [parse_method_spec(tok) for tok in str(text).split(",") if tok.strip()]
-    if not specs:
-        raise ConfigError("need at least one method")
-    return specs
+def parse_methods(text: str) -> list[tuple[str, int]]:
+    return _distinct([parse_method_spec(tok) for tok in text.split(",") if tok.strip()], "method")
 
 
 def _parse_bandwidth(text: str):
-    t = str(text).strip().lower()
+    t = text.strip().lower()
     if t == "median":
         return "median"
-    value = float(t)
+    value = _parse_float(t)
     if value <= 0:
         raise ConfigError(f"bandwidth must be positive, got {text!r}")
     return value
 
 
-def _parse_int_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(v) for v in str(text).split(",") if v.strip() != ""]
+def _parse_int_list(text: str) -> list[int]:
+    return _distinct([int(v) for v in text.split(",") if v.strip() != ""], "budget")
 
 
 @dataclass
@@ -150,6 +160,12 @@ class SummarizeConfig:
     def __post_init__(self):
         if not self.k_grid or min(self.k_grid) < 1:
             raise ConfigError("k_grid must hold positive sizes")
+        if self.n < 1 or self.dim < 1:
+            raise ConfigError("n and dim must be positive")
+        if not (0 < self.val_fraction < 1 and 0 <= self.test_fraction < 1
+                and self.val_fraction + self.test_fraction < 1):
+            raise ConfigError("need 0 < val_fraction, 0 <= test_fraction and "
+                              "val_fraction + test_fraction < 1")
         if any(m == "KH_UNIFORM" for m, _ in self.methods):
             raise ConfigError("summarize supports WKH, SBQ and MC_RANDOM")
         if self.lam < 0:
@@ -171,7 +187,7 @@ _FIELD_CASTERS = {
     "k_grid": _parse_int_list,
     "bandwidth": _parse_bandwidth,
 }
-_TYPE_CASTERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_TYPE_CASTERS = {"int": int, "float": _parse_float, "str": str, "bool": _parse_bool}
 
 # config files say "lambda"; the dataclass field avoids the keyword
 _ALIASES = {"lambda": "lam"}
@@ -208,8 +224,8 @@ def build_config(config_cls, mapping: dict) -> object:
         if s < 1:
             raise ConfigError("workers must be positive")
         # the shorthand only touches methods that can actually run distributed
-        cfg.methods = [(m, s if (sm == 1 and m in OPTIMAL_WEIGHT_METHODS) else sm)
-                       for m, sm in cfg.methods]
+        cfg.methods = _distinct([(m, s if (sm == 1 and m in OPTIMAL_WEIGHT_METHODS) else sm)
+                                 for m, sm in cfg.methods], "method")
     for m, sm in getattr(cfg, "methods", []):
         if sm > 1 and m not in OPTIMAL_WEIGHT_METHODS:
             raise ConfigError(f"method {m} cannot run with {sm} workers (WKH/SBQ only)")

@@ -42,9 +42,6 @@ class LabeledDataset:
         idx = self.indices(tag)
         return self.features[idx], self.labels[idx]
 
-    def counts(self) -> dict:
-        return {tag: int(np.sum(self.split == tag)) for tag in SPLIT_TAGS}
-
 
 def split_dataset(X, y, val_fraction: float = 0.1, test_fraction: float = 0.2,
                   seed: int = 0) -> LabeledDataset:

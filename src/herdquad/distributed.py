@@ -9,10 +9,16 @@ is never worse than the best worker.
 
 Every shard is an in-memory ``CandidatePool``.  Workers run serially, on
 a thread pool (the default) or on a process pool; all three return the
-same result bit for bit.  On the mixture_d8_distributed benchmark inputs
-(two workers, one BLAS thread, two cores) the four ``run_distributed``
-calls took 0.59 s serially, 0.58 s on threads and 0.62 s on processes
-(medians of five passes).
+same result bit for bit, in about the same time on the benchmark inputs.
+
+Sharding pays only on large pools.  For SBQ with k = 100 on the
+mixture_d8_distributed inputs grown to n points (two thread workers, one
+BLAS thread, 2 cores), ``run_distributed`` beats ``run_greedy`` on wall
+time from n = 50 000 with s = 2 or 4 and at n = 200 000 with any s >= 2
+(0.49 s with s = 8 against 1.23 s), and on peak RSS only with s >= 4 at
+n >= 50 000 (146 MB with s = 8 against 254 MB at n = 200 000).  At
+n = 20 000 only s = 2 draws level on time; s = 1 never wins.  The
+README's Performance section has the table.
 """
 
 from __future__ import annotations
@@ -120,8 +126,7 @@ def run_distributed(
 
     t_start = time.perf_counter()
     assignment = partition(pool, s, seed)
-    shards = [CandidatePool(points=pool.points[rows], ids=pool.ids[rows])
-              for rows in (np.flatnonzero(assignment == w) for w in range(s))]
+    shards = [pool.take(np.flatnonzero(assignment == w)) for w in range(s)]
     seeds = _worker_seeds(seed, s)
     t_partition = time.perf_counter()
 
@@ -142,8 +147,10 @@ def run_distributed(
         union_ids.update(int(i) for i in ids)
 
     if union_ids:
+        # pool ids ascend, so sorted ids give ascending rows
+        union_rows = np.searchsorted(pool.ids, sorted(union_ids))
         ids, weights, mmd_sq, trace = _run_shard(
-            (method, pool.subset(sorted(union_ids)), target, kernel, k, seeds[s]))
+            (method, pool.take(union_rows), target, kernel, k, seeds[s]))
         solutions.append(Solution(label="aggregator", ids=ids, weights=weights, mmd_sq=mmd_sq))
         traces.append(trace)
     else:

@@ -1,18 +1,17 @@
-"""Standardized similarity kernels, candidate pools, and Gram helpers.
+"""Standardized similarity kernels and candidate pools.
 
 Every kernel here is standardized, meaning k(x, x) = 1 on valid inputs.
 That keeps the squared-MMD objective of the selection algorithms inside
 [0, 1] and makes the Schur-complement independence test used by the
-quadrature state meaningful.  ``check_standardized`` verifies the property
-on a concrete pool.
+quadrature state meaningful.  ``unit_diagonal`` verifies the property on
+a kernel diagonal; ``run_greedy`` applies it to every pool it selects from.
 
 Each kernel splits into a per-point part and a cross product.
 ``prepare(X)`` does the per-point work once per batch: the RBF kernel
-keeps the points as they are, the feature kernel maps and normalizes them
-to unit features, and the precomputed kernel checks and converts its
-index points.  ``cross(A, B)`` is the Gram matrix between two prepared
-batches (cdist and exp, ``A @ B.T``, or ``matrix[np.ix_(A, B)]``) and
-``diagonal(A)`` is k(x, x) at each prepared point.  ``gram(X, Y)`` equals
+keeps the points as they are and the feature kernel maps and normalizes
+them to unit features.  ``cross(A, B)`` is the Gram matrix between two
+prepared batches (cdist and exp, or ``A @ B.T``) and ``diagonal(A)`` is
+k(x, x) at each prepared point.  ``gram(X, Y)`` equals
 ``cross(prepare(X), prepare(Y))``.  A caller that needs many kernel rows
 of one pool, like ``run_greedy``, prepares the pool once and takes each
 row from a slice of it, bit for bit equal to the ``gram`` row.
@@ -56,9 +55,8 @@ class Kernel:
     """Base class for standardized kernels.
 
     Subclasses implement ``cross`` (the Gram matrix of two prepared
-    batches), ``gram`` (the cross Gram matrix of two raw batches,
-    ``cross(prepare(X), prepare(Y))``) and ``pairwise`` (elementwise
-    similarity of two equal-length batches).  By default ``prepare`` (the
+    batches) and ``gram`` (the cross Gram matrix of two raw batches,
+    ``cross(prepare(X), prepare(Y))``).  By default ``prepare`` (the
     per-point part of a batch) only coerces the points to a matrix and
     ``diagonal`` (k(x, x) per prepared point) is 1.
     """
@@ -74,12 +72,6 @@ class Kernel:
 
     def gram(self, X, Y) -> np.ndarray:
         raise NotImplementedError
-
-    def pairwise(self, X, Y) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, x, y) -> float:
-        return float(self.gram(as_point_matrix(x), as_point_matrix(y))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -104,6 +96,7 @@ class RBFKernel(Kernel):
         return self.cross(self.prepare(X), self.prepare(Y))
 
     def pairwise(self, X, Y) -> np.ndarray:
+        """k(x_i, y_i) for two equal-length batches, the pairs of ``mc_self_energy``."""
         X, Y = as_point_matrix(X), as_point_matrix(Y)
         _check_same_dim(X, Y)
         if X.shape[0] != Y.shape[0]:
@@ -146,81 +139,15 @@ class NormalizedFeatureKernel(Kernel):
     def gram(self, X, Y) -> np.ndarray:
         return self.cross(self.prepare(X), self.prepare(Y))
 
-    def pairwise(self, X, Y) -> np.ndarray:
-        X, Y = as_point_matrix(X), as_point_matrix(Y)
-        _check_same_dim(X, Y)
-        if X.shape[0] != Y.shape[0]:
-            raise ValueError("pairwise needs equal-length batches")
-        return np.sum(self.prepare(X) * self.prepare(Y), axis=1)
-
-
-@dataclass(frozen=True)
-class PrecomputedKernel(Kernel):
-    """Explicit symmetric similarity matrix, mainly for test fixtures.
-
-    Points for this kernel are 1-d index vectors: entry i of the matrix is
-    addressed by the point ``[i]``.  ``index_pool`` builds the matching
-    candidate pool.  The matrix must be symmetric with a unit diagonal.
-    Two instances are equal when their matrices are.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", M)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("similarity matrix must be square")
-        if not np.allclose(M, M.T, atol=1e-12, rtol=0.0):
-            raise ValueError("similarity matrix must be symmetric")
-        if np.max(np.abs(np.diag(M) - 1.0)) > STANDARDIZATION_TOL:
-            raise ValueError("similarity matrix diagonal must equal 1")
-
-    def __eq__(self, other):
-        if not isinstance(other, PrecomputedKernel):
-            return NotImplemented
-        return np.array_equal(self.matrix, other.matrix)
-
-    def prepare(self, X) -> np.ndarray:
-        """The integer matrix indices of a batch of index points."""
-        X = as_point_matrix(X)
-        if X.shape[1] != 1:
-            raise ValueError("precomputed kernels take 1-d index points")
-        idx = np.rint(X[:, 0]).astype(int)
-        if np.any(np.abs(X[:, 0] - idx) > 1e-9):
-            raise ValueError("index points must be integral")
-        n = self.matrix.shape[0]
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise IndexError(f"index point out of range for a {n} x {n} matrix")
-        return idx
-
-    def cross(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return self.matrix[np.ix_(A, B)]
-
-    def diagonal(self, A: np.ndarray) -> np.ndarray:
-        return self.matrix[A, A]
-
-    def gram(self, X, Y) -> np.ndarray:
-        return self.cross(self.prepare(X), self.prepare(Y))
-
-    def pairwise(self, X, Y) -> np.ndarray:
-        A, B = self.prepare(X), self.prepare(Y)
-        if A.shape[0] != B.shape[0]:
-            raise ValueError("pairwise needs equal-length batches")
-        return self.matrix[A, B]
-
-    def index_pool(self) -> "CandidatePool":
-        n = self.matrix.shape[0]
-        return CandidatePool.from_points(np.arange(n, dtype=float)[:, None])
-
 
 @dataclass(frozen=True)
 class CandidatePool:
     """A finite indexed candidate set: (n, d) coordinates plus integer ids.
 
-    Freshly built pools number their points 0..n-1; pools produced by
-    ``subset`` keep the original ids so that selections remain traceable
-    across shards.  Rows are listed by strictly increasing id.
+    Freshly built pools number their points 0..n-1; sub-pools made by
+    ``take``, like the shards and the aggregator's pool of
+    ``run_distributed``, keep the original ids so that selections remain
+    traceable across shards.  Rows are listed by strictly increasing id.
     """
 
     points: np.ndarray
@@ -248,18 +175,8 @@ class CandidatePool:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def subset(self, keep_ids) -> "CandidatePool":
-        """Sub-pool containing the given ids, ordered by ascending id."""
-        keep = np.unique(np.asarray(keep_ids, dtype=int))
-        mask = np.isin(self.ids, keep)
-        if mask.sum() != keep.size:
-            missing = set(keep.tolist()) - set(self.ids.tolist())
-            raise KeyError(f"ids not in pool: {sorted(missing)}")
-        rows = np.flatnonzero(mask)
+    def take(self, rows) -> "CandidatePool":
+        """Sub-pool of the given rows, which must ascend so that the ids do."""
         return CandidatePool(points=self.points[rows], ids=self.ids[rows])
 
     def point_by_id(self, pool_id: int) -> np.ndarray:
@@ -269,13 +186,6 @@ class CandidatePool:
         return self.points[rows[0]]
 
 
-def check_standardized(kernel: Kernel, pool: CandidatePool, tol: float = STANDARDIZATION_TOL) -> bool:
-    """True when max_i |k(x_i, x_i) - 1| <= tol over the pool."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    return unit_diagonal(kernel.diagonal(kernel.prepare(pool.points)), tol)
-
-
-def unit_diagonal(diag: np.ndarray, tol: float = STANDARDIZATION_TOL) -> bool:
-    """True when every kernel diagonal entry k(x, x) in ``diag`` is within ``tol`` of 1."""
-    return bool(np.all(np.abs(diag - 1.0) <= tol))
+def unit_diagonal(diag: np.ndarray) -> bool:
+    """True when every entry k(x, x) of ``diag`` is within ``STANDARDIZATION_TOL`` of 1."""
+    return bool(np.all(np.abs(diag - 1.0) <= STANDARDIZATION_TOL))

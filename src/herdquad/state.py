@@ -156,7 +156,7 @@ class QuadratureState:
             raise DuplicateAtom(f"pool id {pool_id} already selected")
         x = np.asarray(x, dtype=float).ravel()
         i = self.size
-        kxx = float(self.kernel(x, x) if k_self is None else k_self)
+        kxx = float(self.kernel.gram(x, x)[0, 0] if k_self is None else k_self)
         if i == 0:
             lrow = np.zeros(0)
             schur = kxx

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,9 +62,6 @@ class LogisticModel:
 
     def logits(self, X) -> np.ndarray:
         return _design(X) @ self.theta
-
-    def predict_proba(self, X) -> np.ndarray:
-        return expit(self.logits(X))
 
     def mean_nll(self, X, y) -> float:
         t = self.logits(X)
@@ -168,28 +165,6 @@ def fisher_embed_many(model: LogisticModel, X, y):
     return G[kept] / norms[kept][:, None], kept
 
 
-def finite_difference_grad(theta, X, y, lam: float, h: float = 1e-5,
-                           sample_weights=None) -> np.ndarray:
-    """Central-difference gradient of the training objective, for audits."""
-    Xd = _design(X)
-    y = np.asarray(y, dtype=float)
-    if sample_weights is None:
-        wts = np.full(y.shape[0], 1.0 / y.shape[0])
-    else:
-        wts = np.asarray(sample_weights, dtype=float)
-        wts = wts / wts.sum()
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros_like(theta)
-    for j in range(theta.size):
-        up, down = theta.copy(), theta.copy()
-        up[j] += h
-        down[j] -= h
-        f_up, _ = _objective(up, Xd, y, lam, wts)
-        f_down, _ = _objective(down, Xd, y, lam, wts)
-        out[j] = (f_up - f_down) / (2 * h)
-    return out
-
-
 @dataclass
 class SummarizeReport:
     method: str
@@ -204,7 +179,6 @@ class SummarizeReport:
     random_nll: float
     full_nll: float
     n_degenerate: int
-    metadata: dict = field(default_factory=dict)
 
 
 def _draw_baseline_rows(rng, train_rows, labels, size: int) -> np.ndarray:
@@ -247,11 +221,11 @@ def _fit_dataset(data, lam: float) -> SimpleNamespace:
     full_model = train_logistic(Xtr, ytr, lam=lam)
     E_tr, kept_tr = fisher_embed_many(full_model, Xtr, ytr)
     E_val, _ = fisher_embed_many(full_model, Xval, yval)
-    kernel = NormalizedFeatureKernel()
     fit = SimpleNamespace(
         key=tuple(np.array(v) for v in key), test=test, full_nll=full_model.mean_nll(*test),
-        kept_tr=kept_tr, n_degenerate=Xtr.shape[0] - kept_tr.size, kernel=kernel,
-        target=DiscreteTarget.uniform(E_val, kernel), pool=CandidatePool.from_points(E_tr),
+        kept_tr=kept_tr, n_degenerate=Xtr.shape[0] - kept_tr.size,
+        target=DiscreteTarget.uniform(E_val, NormalizedFeatureKernel()),
+        pool=CandidatePool.from_points(E_tr),
         random_nll={})
     with _memo_lock:
         _memo = fit
@@ -284,9 +258,9 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
         raise ValueError(f"only {fit.kept_tr.size} nondegenerate training embeddings for k={k}")
 
     if s == 1:
-        result, trace = run_greedy(method, fit.pool, fit.target, fit.kernel, k, seed=seed)
+        result, trace = run_greedy(method, fit.pool, fit.target, fit.target.kernel, k, seed=seed)
     else:
-        dist = run_distributed(method, fit.pool, fit.target, fit.kernel, k, s, seed)
+        dist = run_distributed(method, fit.pool, fit.target, fit.target.kernel, k, s, seed)
         result, trace = dist.winner, dist.traces[dist.winner_index]
 
     # the winner's trace lists its atoms, like a single run's
@@ -314,5 +288,4 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
         final_mmd_sq=float(result.mmd_sq), selected_indices=selected_indices,
         test_nll=float(test_nll), random_nll=float(random_nll), full_nll=float(fit.full_nll),
         n_degenerate=int(fit.n_degenerate),
-        metadata={"weighted_retrain": weighted_retrain},
     )

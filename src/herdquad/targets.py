@@ -8,7 +8,9 @@ the two quantities every selection algorithm reads:
 
 Closed forms are implemented for Gaussian mixtures under an RBF kernel and
 for discrete targets under any kernel.  ``mc_mean_embed`` /
-``mc_self_energy`` are the sampling oracles used to verify the closed forms.
+``mc_self_energy`` are the sampling oracles used to verify the mixture's
+closed forms; a discrete target's closed form is a finite sum, so it has
+no sampler.
 """
 
 from __future__ import annotations
@@ -208,17 +210,14 @@ class DiscreteTarget(TargetEmbedding):
             self._self_energy = float(self.probs @ G @ self.probs)
         return self._self_energy
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        idx = rng.choice(self.support.shape[0], size=n, p=self.probs)
-        return self.support[idx]
-
 
 def mc_mean_embed(target: TargetEmbedding, x, n_samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of z(x) with its standard error.
 
     Draws ``n_samples`` points from the target's sampler under the given
-    seed and averages k(x, draw).  With a single sample the standard error
-    is reported as ``inf`` (no spread information).
+    seed and averages k(x, draw); a target without a sampler raises
+    ``SamplerUnavailable``.  With a single sample the standard error is
+    reported as ``inf`` (no spread information).
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")

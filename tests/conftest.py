@@ -1,6 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from herdquad.kernels import STANDARDIZATION_TOL, CandidatePool, Kernel, as_point_matrix
 
 settings.register_profile(
     "suite",
@@ -45,10 +49,63 @@ def std_normal_target(rbf_unit):
     )
 
 
+@dataclass(frozen=True)
+class PrecomputedKernel(Kernel):
+    """Explicit symmetric similarity matrix, for test fixtures.
+
+    Points for this kernel are 1-d index vectors: entry i of the matrix is
+    addressed by the point ``[i]``.  ``index_pool`` builds the matching
+    candidate pool.  The matrix must be symmetric with a unit diagonal.
+    Two instances are equal when their matrices are.
+    """
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        M = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", M)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError("similarity matrix must be square")
+        if not np.allclose(M, M.T, atol=1e-12, rtol=0.0):
+            raise ValueError("similarity matrix must be symmetric")
+        if np.max(np.abs(np.diag(M) - 1.0)) > STANDARDIZATION_TOL:
+            raise ValueError("similarity matrix diagonal must equal 1")
+
+    def __eq__(self, other):
+        if not isinstance(other, PrecomputedKernel):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    def prepare(self, X) -> np.ndarray:
+        """The integer matrix indices of a batch of index points."""
+        X = as_point_matrix(X)
+        if X.shape[1] != 1:
+            raise ValueError("precomputed kernels take 1-d index points")
+        idx = np.rint(X[:, 0]).astype(int)
+        if np.any(np.abs(X[:, 0] - idx) > 1e-9):
+            raise ValueError("index points must be integral")
+        n = self.matrix.shape[0]
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise IndexError(f"index point out of range for a {n} x {n} matrix")
+        return idx
+
+    def cross(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return self.matrix[np.ix_(A, B)]
+
+    def diagonal(self, A: np.ndarray) -> np.ndarray:
+        return self.matrix[A, A]
+
+    def gram(self, X, Y) -> np.ndarray:
+        return self.cross(self.prepare(X), self.prepare(Y))
+
+    def index_pool(self) -> CandidatePool:
+        n = self.matrix.shape[0]
+        return CandidatePool.from_points(np.arange(n, dtype=float)[:, None])
+
+
 def unchecked_matrix_kernel(matrix):
     """A ``PrecomputedKernel`` built without its unit-diagonal check: a
     deliberately non-standardized fixture."""
-    from herdquad.kernels import PrecomputedKernel
 
     class UncheckedMatrixKernel(PrecomputedKernel):
         def __post_init__(self):

@@ -289,6 +289,39 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+SMALL_CONFIGS = {
+    "mixture": {"methods": "wkh", "k": "3", "seeds": "0", "pool_size": "40", "components": "2"},
+    "summarize": {"methods": "wkh", "k_grid": "4", "seeds": "0", "n": "80", "dim": "2"},
+}
+
+
+@pytest.mark.parametrize("command, override", [
+    pytest.param("mixture", {"bandwidth": "inf"}, id="mixture-bandwidth-inf"),
+    pytest.param("mixture", {"bandwidth": "nan"}, id="mixture-bandwidth-nan"),
+    pytest.param("mixture", {"mean_low": "nan"}, id="mixture-mean_low-nan"),
+    pytest.param("mixture", {"seeds": ","}, id="mixture-seeds-empty"),
+    pytest.param("mixture", {"seeds": "0, 0"}, id="mixture-seeds-repeated"),
+    pytest.param("mixture", {"methods": "wkh, wkh"}, id="mixture-methods-repeated"),
+    pytest.param("mixture", {"methods": "wkh, wkh:2", "workers": "2"},
+                 id="mixture-methods-repeated-by-workers"),
+    pytest.param("summarize", {"lambda": "nan"}, id="summarize-lambda-nan"),
+    pytest.param("summarize", {"val_fraction": "0"}, id="summarize-val_fraction-zero"),
+    pytest.param("summarize", {"test_fraction": "0.95"}, id="summarize-no-training-split"),
+    pytest.param("summarize", {"n": "0"}, id="summarize-n-zero"),
+    pytest.param("summarize", {"dim": "0"}, id="summarize-dim-zero"),
+    pytest.param("summarize", {"seeds": ","}, id="summarize-seeds-empty"),
+    pytest.param("summarize", {"k_grid": "4, 4"}, id="summarize-k_grid-repeated"),
+])
+def test_unrunnable_config_values_exit_with_code_two(tmp_path, capsys, command, override):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**SMALL_CONFIGS[command], **override}.items()))
+    out = tmp_path / "out"
+    rc = run_cli(command, "--config", str(cfg), "--out", str(out))
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagnose_list_and_report(tmp_path, capsys):
     assert run_cli("diagnose", "--list") == 0
     listed = capsys.readouterr().out.strip().splitlines()

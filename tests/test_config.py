@@ -44,7 +44,6 @@ def test_parse_seeds_forms():
     assert parse_seeds("1,2, 5") == [1, 2, 5]
     assert parse_seeds("2..5") == [2, 3, 4, 5]
     assert parse_seeds("7..7") == [7]
-    assert parse_seeds([3, 1]) == [3, 1]
     with pytest.raises(ConfigError):
         parse_seeds("5..2")
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ def test_split_dataset_partitions_everything():
     X = np.arange(40, dtype=float).reshape(20, 2)
     y = np.tile([0, 1], 10)
     ds = split_dataset(X, y, val_fraction=0.1, test_fraction=0.2, seed=3)
-    counts = ds.counts()
+    counts = Counter(ds.split)
     assert counts == {"train": 14, "validation": 2, "test": 4}
     assert sum(counts.values()) == 20
     train_X, train_y = ds.subset("train")
@@ -80,7 +82,7 @@ def test_make_blobs_geometry():
 def test_synthetic_blob_dataset_defaults():
     ds = synthetic_blob_dataset(n=500, dim=8, seed=0)
     assert ds.features.shape == (500, 8)
-    counts = ds.counts()
+    counts = Counter(ds.split)
     assert counts["validation"] == 50
     assert counts["test"] == 100
     assert counts["train"] == 350

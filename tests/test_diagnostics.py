@@ -14,11 +14,11 @@ from herdquad.diagnostics import (
     realizability_fixtures,
     verify_realizability,
 )
-from herdquad.kernels import CandidatePool, PrecomputedKernel, RBFKernel
+from herdquad.kernels import CandidatePool, RBFKernel
 from herdquad.selectors import Method, run_greedy
 from herdquad.state import G_ROUNDOFF, KernelMismatch, new_state
 from herdquad.targets import DiscreteTarget
-from tests.conftest import random_mixture
+from tests.conftest import PrecomputedKernel, random_mixture
 
 
 def test_fit_rate_recovers_planted_decay():
@@ -175,7 +175,7 @@ def test_realizability_fixtures_verify():
 def test_oracle_returns_the_first_subset_at_the_floor():
     two_clusters = realizability_fixtures()[1]
     oracle = brute_force_best_subset(two_clusters.pool, two_clusters.target,
-                                     two_clusters.kernel, r=2)
+                                     two_clusters.target.kernel, r=2)
     # every independent pair spans the 2-d feature space; the scan stops at
     # the first pair instead of taking the most negative round-off
     assert oracle.ids == (0, 1)
@@ -186,7 +186,7 @@ def test_oracle_returns_the_first_subset_at_the_floor():
 def test_greedy_reaches_realizable_floor_fast():
     for fixture in realizability_fixtures():
         state, trace = run_greedy(
-            Method.WKH, fixture.pool, fixture.target, fixture.kernel,
+            Method.WKH, fixture.pool, fixture.target, fixture.target.kernel,
             fixture.expected_r + 1, seed=0,
         )
         assert state.mmd_sq <= 1e-8

@@ -5,24 +5,27 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from herdquad.kernels import (
-    STANDARDIZATION_TOL,
     CandidatePool,
     NormalizedFeatureKernel,
-    PrecomputedKernel,
     RBFKernel,
     ZeroNormFeature,
-    check_standardized,
+    unit_diagonal,
 )
-from tests.conftest import unchecked_matrix_kernel
+from tests.conftest import PrecomputedKernel, unchecked_matrix_kernel
+
+
+def pool_is_standardized(kern, pool):
+    return unit_diagonal(kern.diagonal(kern.prepare(pool.points)))
 
 
 def test_rbf_diagonal_is_one(rbf_unit):
     x = np.array([0.3, -1.7])
-    assert rbf_unit(x, x) == 1.0
+    assert rbf_unit.gram(x, x)[0, 0] == 1.0
 
 
 def test_rbf_known_value(rbf_unit):
-    assert rbf_unit(np.array([0.0]), np.array([2.0])) == pytest.approx(np.exp(-2.0), rel=1e-15)
+    assert rbf_unit.gram(np.array([0.0]), np.array([2.0]))[0, 0] == pytest.approx(np.exp(-2.0),
+                                                                                  rel=1e-15)
 
 
 def test_rbf_rejects_nonpositive_bandwidth():
@@ -78,7 +81,7 @@ def test_normalized_feature_gram_symmetric_psd(X):
 
 def test_normalized_feature_cosine_value():
     kern = NormalizedFeatureKernel()
-    v = kern(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+    v = kern.gram(np.array([1.0, 0.0]), np.array([1.0, 1.0]))[0, 0]
     assert v == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-14)
 
 
@@ -110,18 +113,20 @@ def test_precomputed_lookup_and_pool():
     kern = PrecomputedKernel(M)
     pool = kern.index_pool()
     assert len(pool) == 2
-    assert kern(pool.points[0], pool.points[1]) == 0.0
+    assert kern.gram(pool.points[0], pool.points[1])[0, 0] == 0.0
     with pytest.raises(IndexError):
-        kern(np.array([5.0]), np.array([0.0]))
+        kern.gram(np.array([5.0]), np.array([0.0]))
 
 
-def test_pool_ids_survive_subset():
+def test_pool_ids_survive_take():
     pool = CandidatePool.from_points(np.arange(10.0).reshape(-1, 2))
-    sub = pool.subset([4, 1])
+    sub = pool.take(np.array([1, 4]))
     np.testing.assert_array_equal(sub.ids, [1, 4])
     np.testing.assert_array_equal(sub.point_by_id(4), pool.points[4])
-    with pytest.raises(KeyError):
-        pool.subset([99])
+    with pytest.raises(IndexError):
+        pool.take(np.array([99]))
+    with pytest.raises(ValueError, match="increasing"):
+        pool.take(np.array([4, 1]))
 
 
 def test_pool_rejects_duplicate_ids():
@@ -135,16 +140,16 @@ def test_pool_rejects_nonfinite_points():
         CandidatePool.from_points(np.array([[np.nan], [0.0]]))
 
 
-def test_check_standardized_accepts_rbf(rbf_unit, rng):
+def test_unit_diagonal_accepts_rbf(rbf_unit, rng):
     pool = CandidatePool.from_points(rng.normal(size=(6, 2)))
-    assert check_standardized(rbf_unit, pool, STANDARDIZATION_TOL)
+    assert pool_is_standardized(rbf_unit, pool)
 
 
-def test_check_standardized_flags_bad_diagonal():
+def test_unit_diagonal_flags_bad_diagonal():
     M = np.array([[1.0, 0.1], [0.1, 0.5]])
     kern = unchecked_matrix_kernel(M)
     pool = kern.index_pool()
-    assert not check_standardized(kern, pool)
+    assert not pool_is_standardized(kern, pool)
 
 
 def _squares_map(X):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from herdquad.kernels import (
     CandidatePool,
     NormalizedFeatureKernel,
-    PrecomputedKernel,
     RBFKernel,
     StandardizationError,
     ZeroNormFeature,
@@ -30,7 +29,7 @@ from herdquad.state import (
     new_state,
 )
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget, TargetEmbedding
-from tests.conftest import random_mixture, unchecked_matrix_kernel
+from tests.conftest import PrecomputedKernel, random_mixture, unchecked_matrix_kernel
 
 
 def singleton_problem():

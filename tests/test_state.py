@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herdquad.diagnostics import orthogonality_residual
-from herdquad.kernels import CandidatePool, PrecomputedKernel, RBFKernel
+from herdquad.kernels import CandidatePool, RBFKernel
 from herdquad.selectors import Method, run_greedy, selection_scores
 from herdquad.state import (
     TAU_DEP,
@@ -17,7 +17,7 @@ from herdquad.state import (
     new_state,
 )
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
-from tests.conftest import random_mixture
+from tests.conftest import PrecomputedKernel, random_mixture
 
 
 def sbq_scores(state, X):

@@ -55,7 +55,7 @@ def test_discrete_weighted_embedding_matches_manual(rng):
     kern = RBFKernel(1.3)
     target = DiscreteTarget(support=pts, probs=probs, kernel=kern)
     x = rng.normal(size=2)
-    manual = sum(p * kern(x, y) for p, y in zip(probs, pts))
+    manual = sum(p * kern.gram(x, y)[0, 0] for p, y in zip(probs, pts))
     assert target.mean_embed(x) == pytest.approx(manual, rel=1e-14)
 
 
