@@ -12,10 +12,11 @@ All artifacts are written atomically (temp file + rename) with
 full-precision floats, and a re-run with the same config byte-reproduces
 them; wall-clock columns are zeroed unless ``timing = on`` is requested,
 because real timings would break that reproducibility.  Only ``mixture``
-and ``summarize`` take the grid flags (``--seed``, ``--k``, ``--workers``,
-``--method``, ``--threads``).  Environment variables: HERDQUAD_OUT (default
-output directory) and HERDQUAD_THREADS (default thread count of the grid
-subcommands).
+and ``summarize`` take the grid flags (``--seed``, ``--k``, ``--method``,
+``--threads``); ``--method WKH:5`` runs WKH on five workers.  Both print
+an aggregate table of their runs after the artifacts are written.
+Environment variables: HERDQUAD_OUT (default output directory) and
+HERDQUAD_THREADS (default thread count of the grid subcommands).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -188,7 +190,42 @@ def _run_grid(run, tasks: list[tuple], threads: int) -> dict:
     return dict(map(job, tasks))
 
 
+def _print_table(caption: str, header: str, lines: list[str]) -> None:
+    print()
+    print(caption)
+    print(header)
+    print("-" * len(header))
+    for line in lines:
+        print(line)
+
+
+def _print_mixture_table(cfg: MixtureConfig, records: list[dict]) -> None:
+    """One line per (method, workers) cell: final g over seeds, mean slope, stop counts."""
+    cells: dict[tuple, list] = {}
+    for r in records:
+        cells.setdefault((r["method"], r["s"]), []).append(r)
+    lines = []
+    for (method, s), runs in sorted(cells.items()):
+        gs = np.array([r["final_g"] for r in runs])
+        slopes = [r["rate"]["slope"] for r in runs if r["rate"] is not None]
+        slope = float(np.mean(slopes)) if slopes else float("nan")
+        stops = Counter(r["stop_reason"] or "budget" for r in runs)
+        lines.append(f"{method:<12} {s:>2} {len(runs):>5} {gs.mean():>12.4e} {gs.min():>12.4e} "
+                     f"{gs.max():>12.4e} {slope:>8.3f}  "
+                     + " ".join(f"{reason}={n}" for reason, n in sorted(stops.items())))
+    bandwidth = cfg.bandwidth if isinstance(cfg.bandwidth, float) else "median"
+    _print_table(f"pool={cfg.pool_size} components={cfg.components} k={cfg.k} "
+                 f"bandwidth={bandwidth}",
+                 f"{'method':<12} {'s':>2} {'seeds':>5} {'mean g':>12} {'min g':>12} "
+                 f"{'max g':>12} {'slope':>8}  stops", lines)
+
+
 def cmd_mixture(cfg: MixtureConfig) -> int:
+    """Run the (method, workers, seed) grid, write its artifacts and print its table.
+
+    In the table's stop counts a run that used its whole budget counts as
+    ``budget``; ``objective_floor`` means g reached ``state.G_ROUNDOFF``.
+    """
     tasks = [(method, s, seed) for method, s in cfg.methods for seed in cfg.seeds]
     results = _run_grid(lambda method, s, seed: _mixture_single_run(cfg, method, s, seed),
                        tasks, cfg.threads)
@@ -221,7 +258,25 @@ def cmd_mixture(cfg: MixtureConfig) -> int:
     }
     write_json(os.path.join(cfg.out, "mixture_summary.json"), summary)
     print(f"mixture: wrote {len(cfg.methods)} trace files and mixture_summary.json to {cfg.out}")
+    _print_mixture_table(cfg, records)
     return 0
+
+
+def _print_summarize_table(cfg: SummarizeConfig, data, records: list[dict]) -> None:
+    """One line per (budget, method, workers) cell: NLLs and final g, averaged over seeds."""
+    cells: dict[tuple, list] = {}
+    for r in records:
+        cells.setdefault((r["k"], r["method"], r["s"]), []).append(r)
+    lines = []
+    for (k, method, s), runs in sorted(cells.items()):
+        test, rand, full, g = (float(np.mean([r[key] for r in runs]))
+                               for key in ("test_nll", "random_nll", "full_nll", "g_final"))
+        lines.append(f"{k:>4} {method:<10} {s:>2} {test:>10.4f} {rand:>10.4f} {full:>10.4f} "
+                     f"{g:>12.4e}")
+    _print_table(f"dataset={cfg.dataset} n={data.features.shape[0]} dim={data.features.shape[1]} "
+                 f"lambda={cfg.lam}",
+                 f"{'k':>4} {'method':<10} {'s':>2} {'test NLL':>10} {'random':>10} "
+                 f"{'full':>10} {'final g':>12}", lines)
 
 
 def cmd_summarize(cfg: SummarizeConfig) -> int:
@@ -287,6 +342,7 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
     })
     print(f"summarize: wrote summarize.csv, per-budget trace files and "
           f"summarize_summary.json to {cfg.out}")
+    _print_summarize_table(cfg, data, records)
     return 0
 
 
@@ -372,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in GRID_COMMANDS:
             p.add_argument("--seed", type=int, help="override: run this single seed")
             p.add_argument("--k", type=int, help="override: selection budget")
-            p.add_argument("--workers", type=int, help="override: distributed worker count")
             p.add_argument("--method", help="override: run this single method (e.g. WKH or WKH:5)")
             p.add_argument("--threads", type=int, help="override: thread count for seed grids")
         else:
@@ -393,8 +448,6 @@ def _assemble_config(args) -> object:
             mapping["seeds"] = str(args.seed)
         if args.k is not None:
             mapping["k_grid" if args.command == "summarize" else "k"] = str(args.k)
-        if args.workers is not None:
-            mapping["workers"] = str(args.workers)
         if args.method is not None:
             mapping["methods"] = args.method
         if args.threads is not None:

@@ -21,8 +21,12 @@ class ConfigError(ValueError):
 
 
 def parse_kv_file(path) -> dict[str, str]:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     mapping: dict[str, str] = {}
-    with open(path) as fh:
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -201,9 +205,6 @@ def build_config(config_cls, mapping: dict) -> object:
     unknown = []
     for key, value in mapping.items():
         name = _ALIASES.get(key, key)
-        if key == "workers" and "methods" in casters:
-            # shorthand: apply one worker count to every listed method
-            continue
         if name not in casters:
             unknown.append(key)
             continue
@@ -216,16 +217,6 @@ def build_config(config_cls, mapping: dict) -> object:
     if unknown:
         raise ConfigError(f"unknown config keys for {config_cls.__name__}: {sorted(unknown)}")
     cfg = config_cls(**kwargs)
-    if "workers" in mapping:
-        try:
-            s = int(mapping["workers"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad value for 'workers': {mapping['workers']!r}") from None
-        if s < 1:
-            raise ConfigError("workers must be positive")
-        # the shorthand only touches methods that can actually run distributed
-        cfg.methods = _distinct([(m, s if (sm == 1 and m in OPTIMAL_WEIGHT_METHODS) else sm)
-                                 for m, sm in cfg.methods], "method")
     for m, sm in getattr(cfg, "methods", []):
         if sm > 1 and m not in OPTIMAL_WEIGHT_METHODS:
             raise ConfigError(f"method {m} cannot run with {sm} workers (WKH/SBQ only)")

@@ -10,7 +10,7 @@ SPLIT_TAGS = ("train", "validation", "test")
 
 
 class IngestError(ValueError):
-    """Malformed dataset file; the message cites the offending line."""
+    """Unreadable or malformed dataset file; the message cites the path or the offending line."""
 
 
 @dataclass
@@ -162,6 +162,8 @@ def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
 
 def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch on extension: ``.csv`` is dense, everything else is libsvm text."""
-    if str(path).lower().endswith(".csv"):
-        return load_csv(path)
-    return load_libsvm(path)
+    loader = load_csv if str(path).lower().endswith(".csv") else load_libsvm
+    try:
+        return loader(path)
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc.strerror}") from None

@@ -158,7 +158,7 @@ def run_distributed(
         # standardized, so c <= G_ROUNDOFF and the aggregator stops there too.
         solutions.append(Solution(label="aggregator", ids=[], weights=np.zeros(0),
                                   mmd_sq=float(target.self_energy())))
-        traces.append(RunTrace(method=method.value, seed=seeds[s], stop_reason="objective_floor"))
+        traces.append(RunTrace(method=method.value, stop_reason="objective_floor"))
     t_agg = time.perf_counter()
 
     values = np.array([sol.mmd_sq for sol in solutions])

@@ -86,7 +86,6 @@ class TraceRow:
 @dataclass
 class RunTrace:
     method: str
-    seed: int
     rows: list[TraceRow] = field(default_factory=list)
     stop_reason: str | None = None
 
@@ -218,7 +217,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     diag = kernel.diagonal(prepared)
     if not unit_diagonal(diag):
         raise StandardizationError("kernel is not standardized on this pool")
-    trace = RunTrace(method=method.value, seed=seed)
+    trace = RunTrace(method=method.value)
     t0 = time.perf_counter()
     z_all = target.mean_embed_many(pool.points)
 

@@ -55,10 +55,6 @@ class LogisticModel:
     """Fitted logistic model; theta carries the bias in its last slot."""
 
     theta: np.ndarray
-    lam: float
-    n_iters: int
-    grad_norm: float
-    converged: bool
 
     def logits(self, X) -> np.ndarray:
         return _design(X) @ self.theta
@@ -89,7 +85,7 @@ def train_logistic(X, y, lam: float = 1.0, max_iters: int = 6000, tol: float = 1
     search evaluates the objective alone; the gradient is taken once per
     accepted step, from that step's logits.  Converged means the gradient
     infinity-norm fell to ``tol``; otherwise a ``NonConvergence`` warning
-    is issued and the flag on the model is False.
+    is issued.
     """
     Xd = _design(X)
     y = np.asarray(y, dtype=float)
@@ -110,12 +106,9 @@ def train_logistic(X, y, lam: float = 1.0, max_iters: int = 6000, tol: float = 1
     theta = np.zeros(Xd.shape[1])
     obj, t = _objective(theta, Xd, y, lam, wts)
     grad = _gradient(theta, t, Xd, y, lam, wts)
-    it = 0
-    for it in range(1, max_iters + 1):
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= tol:
-            return LogisticModel(theta=theta, lam=lam, n_iters=it - 1,
-                                 grad_norm=gnorm, converged=True)
+    for _ in range(max_iters):
+        if float(np.max(np.abs(grad))) <= tol:
+            return LogisticModel(theta=theta)
         step = 1.0
         gsq = float(grad @ grad)
         for _ in range(60):
@@ -130,8 +123,7 @@ def train_logistic(X, y, lam: float = 1.0, max_iters: int = 6000, tol: float = 1
     if gnorm > tol:
         warnings.warn(f"gradient descent stopped at grad norm {gnorm:.3e} "
                       f"after {max_iters} iterations", NonConvergence)
-        return LogisticModel(theta=theta, lam=lam, n_iters=it, grad_norm=gnorm, converged=False)
-    return LogisticModel(theta=theta, lam=lam, n_iters=it, grad_norm=gnorm, converged=True)
+    return LogisticModel(theta=theta)
 
 
 def fisher_embed(model: LogisticModel, x, y) -> np.ndarray:
@@ -168,10 +160,6 @@ def fisher_embed_many(model: LogisticModel, X, y):
 @dataclass
 class SummarizeReport:
     method: str
-    k: int
-    s: int
-    seed: int
-    lam: float
     trace: RunTrace
     final_mmd_sq: float
     selected_indices: np.ndarray
@@ -284,7 +272,7 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
             fit.random_nll[(seed, selected_indices.size)] = random_nll
 
     return SummarizeReport(
-        method=method.value, k=k, s=s, seed=seed, lam=lam, trace=trace,
+        method=method.value, trace=trace,
         final_mmd_sq=float(result.mmd_sq), selected_indices=selected_indices,
         test_nll=float(test_nll), random_nll=float(random_nll), full_nll=float(fit.full_nll),
         n_degenerate=int(fit.n_degenerate),

@@ -1,6 +1,6 @@
 import csv
 import json
-import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -112,7 +112,7 @@ def test_mixture_trace_csv_round_trips_into_fit_rate(tmp_path):
 def test_mixture_distributed_records_solutions(tmp_path):
     out = tmp_path / "out"
     rc = run_cli("mixture", "--out", str(out), "--seed", "1", "--k", "5",
-                 "--method", "WKH", "--workers", "3",
+                 "--method", "WKH:3",
                  "--config", _small_cfg(tmp_path))
     assert rc == 0
     summary = json.loads((out / "mixture_summary.json").read_text())
@@ -122,6 +122,49 @@ def test_mixture_distributed_records_solutions(tmp_path):
     assert min(run["solution_g"]) == run["solution_g"][
         int(run["winner"].split("-")[-1]) if run["winner"].startswith("worker") else 3]
     assert (out / "trace_wkh_s3.csv").exists()
+
+
+def _table_rows(stdout):
+    """The rows under the dashed rule of a printed aggregate table, split on whitespace."""
+    lines = stdout.splitlines()
+    rule = next(i for i, line in enumerate(lines) if line and set(line) == {"-"})
+    return [line.split() for line in lines[rule + 1:]]
+
+
+def test_grid_commands_print_their_summary_as_a_table(tmp_path, monkeypatch, capsys):
+    # the configs name no output directory, so it comes from HERDQUAD_OUT
+    out = tmp_path / "env_out"
+    monkeypatch.setenv("HERDQUAD_OUT", str(out))
+    cfg = tmp_path / "mixture.cfg"
+    cfg.write_text("methods = wkh, wkh:2, mc_random\nk = 6\nseeds = 0..2\n"
+                   "pool_size = 200\ncomponents = 3\n")
+    assert run_cli("mixture", "--config", str(cfg)) == 0
+    runs = json.loads((out / "mixture_summary.json").read_text())["runs"]
+    rows = _table_rows(capsys.readouterr().out)
+    assert [(r[0], r[1]) for r in rows] == [("MC_RANDOM", "1"), ("WKH", "1"), ("WKH", "2")]
+    for method, s, seeds, mean_g, min_g, max_g, _slope, *stops in rows:
+        cell = [r for r in runs if (r["method"], r["s"]) == (method, int(s))]
+        g = [r["final_g"] for r in cell]
+        assert int(seeds) == len(cell) == 3
+        assert [float(mean_g), float(min_g), float(max_g)] == pytest.approx(
+            [np.mean(g), min(g), max(g)], rel=1e-4)
+        counts = {reason: int(n) for reason, n in (stop.split("=") for stop in stops)}
+        assert counts == Counter(r["stop_reason"] or "budget" for r in cell)
+
+    cfg = tmp_path / "summ.cfg"
+    cfg.write_text("methods = wkh, wkh:2, mc_random\nk_grid = 6, 10\nseeds = 0..1\n"
+                   "n = 200\ndim = 16\n")
+    assert run_cli("summarize", "--config", str(cfg)) == 0
+    runs = json.loads((out / "summarize_summary.json").read_text())["runs"]
+    rows = _table_rows(capsys.readouterr().out)
+    assert [tuple(r[:3]) for r in rows] == [(k, m, s) for k in ("6", "10") for m, s in
+                                            (("MC_RANDOM", "1"), ("WKH", "1"), ("WKH", "2"))]
+    for k, method, s, test, rand, full, g in rows:
+        cell = [r for r in runs if (r["k"], r["method"], r["s"]) == (int(k), method, int(s))]
+        assert len(cell) == 2
+        means = [np.mean([r[key] for r in cell]) for key in ("test_nll", "random_nll", "full_nll")]
+        assert [float(test), float(rand), float(full)] == pytest.approx(means, abs=1e-4)
+        assert float(g) == pytest.approx(np.mean([r["g_final"] for r in cell]), rel=1e-4)
 
 
 def test_timing_flag_gates_elapsed_column(tmp_path):
@@ -193,7 +236,7 @@ def test_summarize_threads_share_one_fit_and_write_the_same_bytes(tmp_path, monk
 
 
 def planted_trace(*gs):
-    return RunTrace("SBQ", 0, [TraceRow(i, i, g, 0.0) for i, g in enumerate(gs, start=1)])
+    return RunTrace("SBQ", [TraceRow(i, i, g, 0.0) for i, g in enumerate(gs, start=1)])
 
 
 def test_trace_rows_clamp_round_off_and_reject_a_negative_g():
@@ -241,35 +284,6 @@ def test_summarize_ingests_csv_dataset(tmp_path):
     assert (config["n"], config["dim"]) == (120, 3)  # the file's shape, not the config's 500 x 128
 
 
-def test_summarization_script_removes_its_side_config(tmp_path, monkeypatch):
-    import importlib.util
-    import sys
-    import tempfile
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                          "summarization_experiment.py")
-    spec = importlib.util.spec_from_file_location("summarization_experiment", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    data = tmp_path / "data.csv"
-    write_csv_dataset(data)
-    cfg = tmp_path / "summ.cfg"
-    cfg.write_text(f"k_grid = 4\nmethods = wkh\nseeds = 0\nout = {tmp_path / 'out'}\n")
-    scratch = tmp_path / "tmp"
-    scratch.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-
-    def run(dataset):
-        monkeypatch.setattr(sys, "argv", ["summarization_experiment.py", "--config", str(cfg),
-                                          "--dataset", str(dataset)])
-        return module.main()
-
-    assert run(data) == 0
-    assert list(scratch.iterdir()) == []
-    with pytest.raises(FileNotFoundError):
-        run(tmp_path / "missing.csv")
-    assert list(scratch.iterdir()) == []
-
-
 def test_summarize_malformed_dataset_exits_nonzero(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("f0,f1,label\n1.0,2.0,1\n3.0,bad,0\n")
@@ -287,6 +301,14 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
     rc = run_cli("mixture", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+    missing = tmp_path / "nope.cfg"
+    assert run_cli("mixture", "--config", str(missing), "--out", str(tmp_path / "out")) == 2
+    assert f"config error: cannot read {missing}" in capsys.readouterr().err
+    # worker counts are spelled only as method:s
+    for command in ("mixture", "summarize"):
+        with pytest.raises(SystemExit) as err:
+            run_cli(command, "--workers", "3", "--out", str(tmp_path / "out"))
+        assert err.value.code == 2
 
 
 SMALL_CONFIGS = {
@@ -302,8 +324,6 @@ SMALL_CONFIGS = {
     pytest.param("mixture", {"seeds": ","}, id="mixture-seeds-empty"),
     pytest.param("mixture", {"seeds": "0, 0"}, id="mixture-seeds-repeated"),
     pytest.param("mixture", {"methods": "wkh, wkh"}, id="mixture-methods-repeated"),
-    pytest.param("mixture", {"methods": "wkh, wkh:2", "workers": "2"},
-                 id="mixture-methods-repeated-by-workers"),
     pytest.param("summarize", {"lambda": "nan"}, id="summarize-lambda-nan"),
     pytest.param("summarize", {"val_fraction": "0"}, id="summarize-val_fraction-zero"),
     pytest.param("summarize", {"test_fraction": "0.95"}, id="summarize-no-training-split"),
@@ -311,6 +331,7 @@ SMALL_CONFIGS = {
     pytest.param("summarize", {"dim": "0"}, id="summarize-dim-zero"),
     pytest.param("summarize", {"seeds": ","}, id="summarize-seeds-empty"),
     pytest.param("summarize", {"k_grid": "4, 4"}, id="summarize-k_grid-repeated"),
+    pytest.param("summarize", {"dataset": "no-such-dataset.csv"}, id="summarize-dataset-missing"),
 ])
 def test_unrunnable_config_values_exit_with_code_two(tmp_path, capsys, command, override):
     cfg = tmp_path / "bad.cfg"
@@ -318,7 +339,9 @@ def test_unrunnable_config_values_exit_with_code_two(tmp_path, capsys, command, 
     out = tmp_path / "out"
     rc = run_cli(command, "--config", str(cfg), "--out", str(out))
     assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    # a dataset is checked when it is read, so a missing one is an ingest error
+    kind = "ingest error" if "dataset" in override else "config error"
+    assert kind in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -86,8 +86,10 @@ def test_unknown_keys_fail_loudly():
         build_config(MixtureConfig, {"pool_sz": "100"})
     with pytest.raises(ConfigError, match="DiagnoseConfig"):
         build_config(DiagnoseConfig, {"k": "10"})
-    with pytest.raises(ConfigError, match="DiagnoseConfig"):
-        build_config(DiagnoseConfig, {"workers": "3"})
+    # worker counts are spelled only as method:s
+    for config_cls in (DiagnoseConfig, MixtureConfig, SummarizeConfig):
+        with pytest.raises(ConfigError, match=f"unknown config keys for {config_cls.__name__}"):
+            build_config(config_cls, {"workers": "3"})
 
 
 def test_value_validation():
@@ -101,18 +103,6 @@ def test_value_validation():
         build_config(MixtureConfig, {"target_form": "histogram"})
     with pytest.raises(ConfigError, match="boolean"):
         build_config(MixtureConfig, {"timing": "maybe"})
-
-
-def test_workers_shorthand_applies_to_optimal_weight_methods():
-    cfg = build_config(MixtureConfig, {"methods": "wkh, sbq, mc_random", "workers": "6"})
-    assert cfg.methods == [("WKH", 6), ("SBQ", 6), ("MC_RANDOM", 1)]
-    # explicit per-method counts win over the shorthand
-    cfg = build_config(MixtureConfig, {"methods": "wkh:2, sbq", "workers": "6"})
-    assert cfg.methods == [("WKH", 2), ("SBQ", 6)]
-    with pytest.raises(ConfigError, match="workers"):
-        build_config(MixtureConfig, {"methods": "wkh", "workers": "0"})
-    with pytest.raises(ConfigError, match="workers"):
-        build_config(MixtureConfig, {"methods": "wkh", "workers": "many"})
 
 
 def test_distributed_only_for_optimal_weights():

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from dataclasses import astuple, fields
 
@@ -23,11 +24,18 @@ def blob_training_set(n=200, dim=2, seed=0):
     return make_blobs(n, dim=dim, seed=seed)
 
 
+def objective_grad(theta, X, y, lam):
+    """Gradient of the unweighted training objective, from its definition."""
+    Xd = np.hstack([X, np.ones((X.shape[0], 1))])
+    return Xd.T @ (expit(Xd @ theta) - y) / X.shape[0] + lam * theta
+
+
 def test_train_logistic_reaches_tolerance_on_blobs():
     X, y = blob_training_set()
-    model = train_logistic(X, y, lam=1.0)
-    assert model.converged
-    assert model.grad_norm <= 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonConvergence)
+        model = train_logistic(X, y, lam=1.0)
+    assert np.max(np.abs(objective_grad(model.theta, X, y, 1.0))) <= 1e-6
     assert model.mean_nll(X, y) < np.log(2.0)  # beats the coin-flip model
     p = expit(model.logits(X))
     assert np.mean((p > 0.5) == (y == 1)) > 0.7
@@ -100,8 +108,7 @@ def test_nonconvergence_warns():
     X, y = blob_training_set(n=100)
     with pytest.warns(NonConvergence):
         model = train_logistic(X, y, max_iters=1)
-    assert not model.converged
-    assert model.grad_norm > 1e-6
+    assert np.max(np.abs(objective_grad(model.theta, X, y, 1.0))) > 1e-6
 
 
 def test_fisher_embed_direction_and_norm():
@@ -119,8 +126,7 @@ def test_fisher_embed_direction_and_norm():
 def test_fisher_embed_degenerate_raises():
     from herdquad.summarization import LogisticModel
     # a huge weight saturates the sigmoid exactly in float arithmetic
-    model = LogisticModel(theta=np.array([100.0, 0.0]), lam=1.0,
-                          n_iters=0, grad_norm=0.0, converged=True)
+    model = LogisticModel(theta=np.array([100.0, 0.0]))
     with pytest.raises(DegenerateEmbedding):
         fisher_embed(model, np.array([5.0]), 1)
 
@@ -134,8 +140,7 @@ def test_fisher_embed_many_matches_scalar_and_drops_degenerates():
         np.testing.assert_allclose(E[row], fisher_embed(model, X[row], y[row]), atol=1e-12)
 
     from herdquad.summarization import LogisticModel
-    model = LogisticModel(theta=np.array([100.0, 0.0]), lam=1.0,
-                          n_iters=0, grad_norm=0.0, converged=True)
+    model = LogisticModel(theta=np.array([100.0, 0.0]))
     X2 = np.array([[5.0], [-5.0], [0.1]])
     y2 = np.array([1, 0, 1])
     E2, kept2 = fisher_embed_many(model, X2, y2)
@@ -152,7 +157,6 @@ def test_summarize_report_structure_and_determinism():
     rep = summarize(ds, "WKH", k=8, seed=3)
     again = summarize(ds, "WKH", k=8, seed=3)
     assert rep.method == "WKH"
-    assert rep.k == 8 and rep.s == 1 and rep.seed == 3
     assert rep.selected_indices.size == 8
     assert set(ds.split[rep.selected_indices]) == {"train"}
     assert rep.final_mmd_sq == rep.trace.final_mmd_sq
@@ -194,10 +198,18 @@ def test_summarize_weighted_retrain_paths():
         summarize(ds, "MC_RANDOM", k=10, seed=1, weighted_retrain=True)
 
 
-def test_summarize_distributed_route():
+def test_summarize_distributed_route(monkeypatch):
     ds = small_dataset()
+    worker_counts = []
+    real = summarization.run_distributed
+
+    def spy(method, pool, target, kernel, k, s, seed):
+        worker_counts.append(s)
+        return real(method, pool, target, kernel, k, s, seed)
+
+    monkeypatch.setattr(summarization, "run_distributed", spy)
     rep = summarize(ds, "WKH", k=8, s=2, seed=5)
-    assert rep.s == 2
+    assert worker_counts == [2]
     assert rep.selected_indices.size <= 8
     assert set(ds.split[rep.selected_indices]) == {"train"}
     assert np.isfinite(rep.test_nll)
@@ -248,7 +260,7 @@ def assert_same_report(a, b):
     for f in fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "trace":
-            assert (x.method, x.seed, x.stop_reason) == (y.method, y.seed, y.stop_reason)
+            assert (x.method, x.stop_reason) == (y.method, y.stop_reason)
             assert [astuple(r)[:-1] for r in x.rows] == [astuple(r)[:-1] for r in y.rows]
         elif isinstance(x, np.ndarray):
             assert x.dtype == y.dtype
