@@ -22,24 +22,27 @@ class ConfigError(ValueError):
 
 def parse_kv_file(path) -> dict[str, str]:
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: byte 0x{exc.object[exc.start]:02x} "
+                          f"at offset {exc.start} is not UTF-8") from None
     mapping: dict[str, str] = {}
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            if key in mapping:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            mapping[key] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in mapping:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        mapping[key] = value.strip()
     return mapping
 
 

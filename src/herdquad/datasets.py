@@ -100,10 +100,22 @@ def _map_label(token: str, lineno: int) -> int:
     raise IngestError(f"line {lineno}: label {v} not in {{-1, 0, 1}}")
 
 
+def _read_text(path) -> str:
+    """The file's text; an unreadable file or one that is not UTF-8 is an
+    ``IngestError`` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"cannot read {path}: byte 0x{exc.object[exc.start]:02x} "
+                          f"at offset {exc.start} is not UTF-8") from None
+
+
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Dense CSV: one header row, features in order, label in the last column."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise IngestError("line 1: file is empty")
     n_cols = len(lines[0].split(","))
@@ -129,28 +141,27 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
 def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
     """Sparse text rows: ``label index:value ...`` with 1-based indices."""
     rows, labels, width = [], [], 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            labels.append(_map_label(tokens[0], lineno))
-            entries = {}
-            for tok in tokens[1:]:
-                if ":" not in tok:
-                    raise IngestError(f"line {lineno}: malformed entry {tok!r} (expected index:value)")
-                idx_s, val_s = tok.split(":", 1)
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise IngestError(f"line {lineno}: malformed entry {tok!r}") from None
-                if idx < 1:
-                    raise IngestError(f"line {lineno}: indices are 1-based, got {idx}")
-                entries[idx] = val
-                width = max(width, idx)
-            rows.append(entries)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        labels.append(_map_label(tokens[0], lineno))
+        entries = {}
+        for tok in tokens[1:]:
+            if ":" not in tok:
+                raise IngestError(f"line {lineno}: malformed entry {tok!r} (expected index:value)")
+            idx_s, val_s = tok.split(":", 1)
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise IngestError(f"line {lineno}: malformed entry {tok!r}") from None
+            if idx < 1:
+                raise IngestError(f"line {lineno}: indices are 1-based, got {idx}")
+            entries[idx] = val
+            width = max(width, idx)
+        rows.append(entries)
     if not rows:
         raise IngestError("line 1: no data rows")
     X = np.zeros((len(rows), width))
@@ -163,7 +174,4 @@ def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
 def load_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch on extension: ``.csv`` is dense, everything else is libsvm text."""
     loader = load_csv if str(path).lower().endswith(".csv") else load_libsvm
-    try:
-        return loader(path)
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc.strerror}") from None
+    return loader(path)

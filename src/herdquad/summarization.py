@@ -11,7 +11,11 @@ on the held-out test split.
 A grid of ``summarize`` calls on one dataset shares the full-data fit, the
 embeddings, target and pool, and the random baseline of each (seed, size):
 they are computed once and kept in a one-entry memo that is checked
-against the dataset's contents and ``lam`` on every call.
+against the dataset's contents and ``lam`` on every call.  WKH and SBQ
+on one machine (``s = 1``) never read ``seed``, so the memo also keeps
+their per-cell result, keyed by (method, k, weighted_retrain), and serves
+it to every other seed.  MC_RANDOM and ``s > 1``, where the seed drives
+the draws or the partition, are computed in every call.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import logging
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -196,7 +200,10 @@ def _fit_dataset(data, lam: float) -> SimpleNamespace:
     The entry's ``key`` holds private copies of the features, labels, split
     tags and ``lam``, so an in-place edit, another dataset or another ``lam``
     recomputes.  ``random_nll`` maps (seed, subset size) to the random
-    baseline's test NLL.  A fit that raises stores nothing.
+    baseline's test NLL, and ``cells`` maps (method, k, weighted_retrain) to
+    the seed-free part of a WKH or SBQ report at ``s = 1``: the trace, the
+    final g, the selected rows and the test NLL.  A fit that raises stores
+    nothing.
     """
     global _memo
     key = (data.features, data.labels, data.split, lam)
@@ -214,7 +221,7 @@ def _fit_dataset(data, lam: float) -> SimpleNamespace:
         kept_tr=kept_tr, n_degenerate=Xtr.shape[0] - kept_tr.size,
         target=DiscreteTarget.uniform(E_val, NormalizedFeatureKernel()),
         pool=CandidatePool.from_points(E_tr),
-        random_nll={})
+        random_nll={}, cells={})
     with _memo_lock:
         _memo = fit
     return fit
@@ -230,8 +237,16 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
     distributed driver (WKH / SBQ only).  ``weighted_retrain`` feeds the
     magnitude of the quadrature weights into the retraining loss instead of
     uniform weights.  The size-matched random baseline rejects single-class
-    draws, see :func:`_draw_baseline_rows`.  The full-data fit and the
-    random baselines are memoized per dataset, see :func:`_fit_dataset`.
+    draws, see :func:`_draw_baseline_rows`.
+
+    The full-data fit and the random baselines are memoized per dataset,
+    see :func:`_fit_dataset`.  So is the selection and retraining of WKH
+    and SBQ at ``s = 1``, which do not read ``seed``: the first call for a
+    (method, k, weighted_retrain) computes it and every later call, with
+    any seed, is served a copy, bit for bit the same report with its own
+    ``selected_indices`` and trace row list.  Such a report carries the
+    trace of the call that computed it, wall-clock ``elapsed_ms`` included.
+    MC_RANDOM and ``s > 1`` select afresh in every call.
     """
     method = Method(method)
     if method is Method.KH_UNIFORM:
@@ -245,35 +260,50 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
     if fit.kept_tr.size < k:
         raise ValueError(f"only {fit.kept_tr.size} nondegenerate training embeddings for k={k}")
 
-    if s == 1:
-        result, trace = run_greedy(method, fit.pool, fit.target, fit.target.kernel, k, seed=seed)
-    else:
-        dist = run_distributed(method, fit.pool, fit.target, fit.target.kernel, k, s, seed)
-        result, trace = dist.winner, dist.traces[dist.winner_index]
+    # WKH and SBQ on one machine read no seed: one call per (method, k,
+    # weighted_retrain) serves every seed
+    cell_key = (method, k, weighted_retrain) if s == 1 and method in OPTIMAL_WEIGHT_METHODS else None
+    with _memo_lock:
+        cell = fit.cells.get(cell_key)
+    if cell is None:
+        if s == 1:
+            result, trace = run_greedy(method, fit.pool, fit.target, fit.target.kernel, k,
+                                       seed=seed)
+        else:
+            dist = run_distributed(method, fit.pool, fit.target, fit.target.kernel, k, s, seed)
+            result, trace = dist.winner, dist.traces[dist.winner_index]
 
-    # the winner's trace lists its atoms, like a single run's
-    selected_indices = train_rows[fit.kept_tr[np.asarray(trace.chosen_ids, dtype=int)]]
-    sub_X = data.features[selected_indices]
-    sub_y = data.labels[selected_indices]
+        # the winner's trace lists its atoms, like a single run's
+        selected_indices = train_rows[fit.kept_tr[np.asarray(trace.chosen_ids, dtype=int)]]
+        sub_X = data.features[selected_indices]
+        sub_y = data.labels[selected_indices]
 
-    # the weights are in selection order, like the selected indices
-    sample_weights = np.abs(result.weights) if weighted_retrain else None
-    summary_model = train_logistic(sub_X, sub_y, lam=lam, sample_weights=sample_weights)
-    test_nll = summary_model.mean_nll(*fit.test)
+        # the weights are in selection order, like the selected indices
+        sample_weights = np.abs(result.weights) if weighted_retrain else None
+        summary_model = train_logistic(sub_X, sub_y, lam=lam, sample_weights=sample_weights)
+        cell = SimpleNamespace(trace=trace, final_mmd_sq=float(result.mmd_sq),
+                               selected_indices=selected_indices,
+                               test_nll=float(summary_model.mean_nll(*fit.test)))
+    size = cell.selected_indices.size
 
     with _memo_lock:
-        random_nll = fit.random_nll.get((seed, selected_indices.size))
+        random_nll = fit.random_nll.get((seed, size))
     if random_nll is None:
         rng = np.random.default_rng(seed)
-        rand_rows = _draw_baseline_rows(rng, train_rows, data.labels, selected_indices.size)
+        rand_rows = _draw_baseline_rows(rng, train_rows, data.labels, size)
         random_model = train_logistic(data.features[rand_rows], data.labels[rand_rows], lam=lam)
-        random_nll = random_model.mean_nll(*fit.test)
-        with _memo_lock:
-            fit.random_nll[(seed, selected_indices.size)] = random_nll
+        random_nll = float(random_model.mean_nll(*fit.test))
 
+    # stored only now, so that a call that raises stores nothing
+    with _memo_lock:
+        fit.random_nll[(seed, size)] = random_nll
+        if cell_key is not None:
+            fit.cells[cell_key] = cell
+
+    # each report owns its row list and indices, so editing one edits no other
     return SummarizeReport(
-        method=method.value, trace=trace,
-        final_mmd_sq=float(result.mmd_sq), selected_indices=selected_indices,
-        test_nll=float(test_nll), random_nll=float(random_nll), full_nll=float(fit.full_nll),
+        method=method.value, trace=replace(cell.trace, rows=list(cell.trace.rows)),
+        final_mmd_sq=cell.final_mmd_sq, selected_indices=cell.selected_indices.copy(),
+        test_nll=cell.test_nll, random_nll=random_nll, full_nll=float(fit.full_nll),
         n_degenerate=int(fit.n_degenerate),
     )

@@ -74,8 +74,10 @@ class GaussianMixtureTarget(TargetEmbedding):
     L_j of the widened covariances.  ``mean_embed_many`` whitens every
     component at once with the inverse factors L_j^{-1}, which are formed
     once per target, in chunks of points whose (J, rows, d) intermediates
-    stay near ``EMBED_CHUNK_BYTES``; ``self_energy`` factors the J pair
-    covariances S_j + S_l + sigma^2 I of each j in one batched Cholesky.
+    stay near ``EMBED_CHUNK_BYTES``, and never evaluates a one-row product,
+    so a point's z is the same bits in every batch; ``self_energy`` factors
+    the J pair covariances S_j + S_l + sigma^2 I of each j in one batched
+    Cholesky.
     """
 
     weights: np.ndarray
@@ -127,11 +129,15 @@ class GaussianMixtureTarget(TargetEmbedding):
         out = np.empty(X.shape[0])
         step = self._chunk_rows
         for s in range(0, X.shape[0], step):
-            u = (X[None, s:s + step] - self.means[:, None]) @ self._whiten_t
+            chunk = X[s:s + step]
+            # a one-row product takes another BLAS path (gemv for gemm) and
+            # rounds otherwise, so a lone row is whitened as two copies
+            rows = np.repeat(chunk, 2, axis=0) if len(chunk) == 1 else chunk
+            u = (rows[None] - self.means[:, None]) @ self._whiten_t
             q = np.einsum("jnd,jnd->jn", u, u)
             # summed over components in order, row by row, so a point's value
             # does not depend on the other rows of the batch
-            out[s:s + step] = (self._coefs * np.exp(-0.5 * q)).sum(axis=0)
+            out[s:s + len(chunk)] = (self._coefs * np.exp(-0.5 * q)).sum(axis=0)[:len(chunk)]
         return out
 
     def self_energy(self) -> float:

@@ -345,6 +345,18 @@ def test_unrunnable_config_values_exit_with_code_two(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+def test_files_that_are_not_utf8_exit_with_code_two(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"f0,f1,label\n1.0,2.0\xff,1\n")
+    cfg = tmp_path / "summ.cfg"
+    cfg.write_text(f"dataset = {data}\nk_grid = 2\nmethods = wkh\n")
+    assert run_cli("summarize", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert f"ingest error: cannot read {data}" in capsys.readouterr().err
+    cfg.write_bytes(b"k_grid = 2\nmethods = wkh\xff\n")
+    assert run_cli("summarize", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert f"config error: cannot read {cfg}" in capsys.readouterr().err
+
+
 def test_diagnose_list_and_report(tmp_path, capsys):
     assert run_cli("diagnose", "--list") == 0
     listed = capsys.readouterr().out.strip().splitlines()

@@ -39,6 +39,13 @@ def test_parse_kv_file_rejects_garbage(tmp_path):
         parse_kv_file(write(tmp_path, " = 3\n"))
 
 
+def test_parse_kv_file_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"k = 1\nmethods = wkh\xff\n")
+    with pytest.raises(ConfigError, match=f"cannot read {path}: byte 0xff at offset 19"):
+        parse_kv_file(path)
+
+
 def test_parse_seeds_forms():
     assert parse_seeds("4") == [4]
     assert parse_seeds("1,2, 5") == [1, 2, 5]

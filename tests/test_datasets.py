@@ -118,6 +118,13 @@ def test_csv_errors_cite_line_numbers(tmp_path):
         load_csv(path)
 
 
+def test_csv_that_is_not_utf8_is_an_ingest_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b,label\n1.0,2.0\xff,1\n")
+    with pytest.raises(IngestError, match=f"cannot read {path}: byte 0xff"):
+        load_csv(path)
+
+
 def test_libsvm_round_trip(tmp_path):
     path = tmp_path / "data.libsvm"
     path.write_text("+1 1:0.5 3:2.0\n-1 2:-1.5\n0 1:1.0 2:1.0 3:1.0\n")
@@ -142,4 +149,11 @@ def test_libsvm_errors_cite_line_numbers(tmp_path):
         load_libsvm(path)
     path.write_text("\n\n")
     with pytest.raises(IngestError, match="no data rows"):
+        load_libsvm(path)
+
+
+def test_libsvm_that_is_not_utf8_is_an_ingest_error(tmp_path):
+    path = tmp_path / "latin1.libsvm"
+    path.write_bytes(b"1 1:0.5\n0 2:\xff\n")
+    with pytest.raises(IngestError, match=f"cannot read {path}: byte 0xff"):
         load_libsvm(path)

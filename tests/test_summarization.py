@@ -292,11 +292,13 @@ def test_summarize_grid_fits_each_dataset_once(monkeypatch):
 
     train_rows = ds.indices("train")
     full = [tuple(train_rows)]
-    retrain = [tuple(sorted(rep.selected_indices)) for rep in reports.values()]
+    # WKH and SBQ read no seed, so they retrain once per (method, k)
+    retrain = [tuple(sorted(rep.selected_indices)) for (method, _, seed), rep in reports.items()
+               if method == "MC_RANDOM" or seed == 0]
     random = [tuple(sorted(_draw_baseline_rows(np.random.default_rng(seed), train_rows,
                                                ds.labels, k)))
               for k in (6, 10) for seed in (0, 1)]
-    assert (len(full), len(random), len(retrain)) == (1, 4, 12)
+    assert (len(full), len(random), len(retrain)) == (1, 4, 8)
     assert Counter(fitted) == Counter(full + random + retrain)
     assert all(rep.selected_indices.size == k for (_, k, _), rep in reports.items())
 
@@ -305,22 +307,78 @@ def test_summarize_grid_fits_each_dataset_once(monkeypatch):
         assert_same_report(rep, fresh_report(ds, method, k, seed=seed))
 
 
-@pytest.mark.parametrize("edit", ["flip_labels", "scale_features", "new_lam"])
+def test_summarize_selects_once_per_seed_free_cell(monkeypatch):
+    ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
+    greedy_calls, distributed_calls = Counter(), Counter()
+    real_greedy, real_distributed = summarization.run_greedy, summarization.run_distributed
+
+    def counting_greedy(method, pool, target, kernel, k, seed=0):
+        greedy_calls[(method.value, k, seed)] += 1
+        return real_greedy(method, pool, target, kernel, k, seed=seed)
+
+    def counting_distributed(method, pool, target, kernel, k, s, seed):
+        distributed_calls[(method.value, k, seed)] += 1
+        return real_distributed(method, pool, target, kernel, k, s, seed)
+
+    monkeypatch.setattr(summarization, "_memo", None)
+    monkeypatch.setattr(summarization, "run_greedy", counting_greedy)
+    monkeypatch.setattr(summarization, "run_distributed", counting_distributed)
+    grid = [(m, s, k, seed, wr) for m in ("WKH", "SBQ") for s in (1, 2) for k in (6, 10)
+            for seed in (0, 1, 3) for wr in (False, True)]
+    grid += [("MC_RANDOM", 1, k, seed, False) for k in (6, 10) for seed in (0, 1, 3)]
+    reports = {cell: summarize(ds, cell[0], cell[2], s=cell[1], seed=cell[3],
+                               weighted_retrain=cell[4]) for cell in grid}
+
+    # one greedy run per (method, k, weighted_retrain), made by the first seed
+    expected = Counter({(m, k, 0): 2 for m in ("WKH", "SBQ") for k in (6, 10)})
+    expected.update((("MC_RANDOM", k, seed) for k in (6, 10) for seed in (0, 1, 3)))
+    assert greedy_calls == expected
+    # every s = 2 cell partitions afresh, since its seed drives the partition
+    assert distributed_calls == Counter({(m, k, seed): 2 for m in ("WKH", "SBQ")
+                                         for k in (6, 10) for seed in (0, 1, 3)})
+
+    monkeypatch.setattr(summarization, "run_greedy", real_greedy)
+    monkeypatch.setattr(summarization, "run_distributed", real_distributed)
+    for (method, s, k, seed, wr), rep in reports.items():
+        assert_same_report(rep, fresh_report(ds, method, k, s=s, seed=seed, weighted_retrain=wr))
+
+
+def test_summarize_memo_hits_share_no_mutable_state(monkeypatch):
+    monkeypatch.setattr(summarization, "_memo", None)
+    ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
+    first = summarize(ds, "WKH", 8, seed=0)
+    second = summarize(ds, "WKH", 8, seed=1)
+    kept_rows, kept_trace = second.selected_indices.copy(), list(second.trace.rows)
+    first.selected_indices[:] = -1
+    first.trace.rows.clear()
+    np.testing.assert_array_equal(second.selected_indices, kept_rows)
+    assert second.trace.rows == kept_trace
+    second.selected_indices[:] = -1
+    second.trace.rows.append(kept_trace[0])
+    assert_same_report(summarize(ds, "WKH", 8, seed=2), fresh_report(ds, "WKH", 8, seed=2))
+
+
+@pytest.mark.parametrize("edit", ["flip_labels", "scale_features", "new_lam", "weighted_retrain"])
 def test_summarize_memo_never_serves_stale_results(monkeypatch, edit):
     monkeypatch.setattr(summarization, "_memo", None)
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
     cached = summarize(ds, "SBQ", 8, seed=1)
-    lam = 1.0
+    lam, weighted = 1.0, False
     if edit == "flip_labels":
         rows = ds.indices("train")[:5]
         ds.labels[rows] = 1 - ds.labels[rows]
     elif edit == "scale_features":
         ds.features *= 2.0
-    else:
+    elif edit == "new_lam":
         lam = 0.5
-    after = summarize(ds, "SBQ", 8, seed=1, lam=lam)
-    assert after.full_nll != cached.full_nll
-    assert_same_report(after, fresh_report(ds, "SBQ", 8, seed=1, lam=lam))
+    else:
+        weighted = True
+    after = summarize(ds, "SBQ", 8, seed=1, lam=lam, weighted_retrain=weighted)
+    # the weights change the retrained model only, the data all of the fit
+    changed = "test_nll" if weighted else "full_nll"
+    assert getattr(after, changed) != getattr(cached, changed)
+    assert_same_report(after, fresh_report(ds, "SBQ", 8, seed=1, lam=lam,
+                                           weighted_retrain=weighted))
 
 
 def test_summarize_memo_keeps_nothing_from_a_failed_fit(monkeypatch):

@@ -250,3 +250,22 @@ def test_self_energy_names_a_non_spd_pair_covariance():
     target.covs = np.stack([-target.kernel.bandwidth**2 * np.eye(2)] * len(target.weights))
     with pytest.raises(ValueError, match="pair covariance is not symmetric positive definite"):
         target.self_energy()
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_mixture_embeds_a_point_alike_in_every_batch(diagonal):
+    # a lone point and the lone last row of a chunk_rows + 1 batch must not
+    # take the one-row product, which rounds otherwise under full covariances
+    for seed in range(20):
+        target = full_cov_mixture(seed, 8)
+        if diagonal:
+            target = GaussianMixtureTarget(
+                target.weights, target.means,
+                np.stack([np.diag(np.diag(S)) for S in target.covs]), target.kernel)
+        rng = np.random.default_rng(500 + seed)
+        X = 2.0 * rng.normal(size=(target._chunk_rows + 1, 8))
+        batch = target.mean_embed_many(X)
+        rows = np.append(rng.choice(len(X) - 1, size=10, replace=False), len(X) - 1)
+        singles = [target.mean_embed_many(X[i:i + 1])[0] for i in rows]
+        np.testing.assert_array_equal(singles, batch[rows])
+        np.testing.assert_array_equal(target.mean_embed_many(X[-2:]), batch[-2:])
