@@ -15,8 +15,9 @@ because real timings would break that reproducibility.  Only ``mixture``
 and ``summarize`` take the grid flags (``--seed``, ``--k``, ``--method``,
 ``--threads``); ``--method WKH:5`` runs WKH on five workers.  Both print
 an aggregate table of their runs after the artifacts are written.
-Environment variables: HERDQUAD_OUT (default output directory) and
-HERDQUAD_THREADS (default thread count of the grid subcommands).
+The mixture family and the blob geometry are fixed, see
+``MIXTURE_FAMILY`` and ``datasets.make_blobs``.  Environment variable:
+HERDQUAD_OUT (default output directory).
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ TRACE_COLUMNS = ["method", "s", "seed", "iteration", "chosen_id", "g", "elapsed_
 SUMMARIZE_COLUMNS = ["method", "s", "k", "seed", "g_final", "test_nll"]
 GRID_COMMANDS = ("mixture", "summarize")  # the subcommands that run a (method, seed) grid
 MEDIAN_SUBSAMPLE = 500
+# the random mixtures of ``herdquad mixture``: means uniform in [-5, 5],
+# diagonal variances uniform in [0.05, 0.5], Dirichlet(1) weights
+MIXTURE_FAMILY = {"mean_low": -5.0, "mean_high": 5.0, "cov_low": 0.05, "cov_high": 0.5,
+                  "alpha": 1.0}
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -145,17 +150,12 @@ def trace_rows_for_csv(method: str, s: int, seed: int, trace: RunTrace,
 
 def _mixture_single_run(cfg: MixtureConfig, method: str, s: int, seed: int):
     rng = np.random.default_rng(seed)
-    weights, means, covs = sample_mixture_params(
-        rng, cfg.components, cfg.dim, cfg.mean_low, cfg.mean_high,
-        cfg.cov_low, cfg.cov_high, cfg.dirichlet_alpha)
+    weights, means, covs = sample_mixture_params(rng, cfg.components, cfg.dim, **MIXTURE_FAMILY)
     probe = GaussianMixtureTarget(weights, means, covs, RBFKernel(1.0))
     pool_points = probe.sample(cfg.pool_size, rng)
     bw = cfg.bandwidth if isinstance(cfg.bandwidth, float) else median_bandwidth(pool_points, seed=seed)
     kernel = RBFKernel(bw)
-    if cfg.target_form == "continuous":
-        target = GaussianMixtureTarget(weights, means, covs, kernel)
-    else:
-        target = DiscreteTarget.uniform(pool_points, kernel)
+    target = GaussianMixtureTarget(weights, means, covs, kernel)
     pool = CandidatePool.from_points(pool_points)
     if s == 1:
         result, trace = run_greedy(method, pool, target, kernel, cfg.k, seed=seed)
@@ -248,11 +248,11 @@ def cmd_mixture(cfg: MixtureConfig) -> int:
             "methods": [[m, s] for m, s in cfg.methods], "k": cfg.k,
             "seeds": list(cfg.seeds), "pool_size": cfg.pool_size,
             "components": cfg.components, "dim": cfg.dim,
-            "mean_range": [cfg.mean_low, cfg.mean_high],
-            "cov_range": [cfg.cov_low, cfg.cov_high],
-            "dirichlet_alpha": cfg.dirichlet_alpha,
+            "mean_range": [MIXTURE_FAMILY["mean_low"], MIXTURE_FAMILY["mean_high"]],
+            "cov_range": [MIXTURE_FAMILY["cov_low"], MIXTURE_FAMILY["cov_high"]],
+            "dirichlet_alpha": MIXTURE_FAMILY["alpha"],
             "bandwidth": cfg.bandwidth if isinstance(cfg.bandwidth, float) else "median",
-            "target_form": cfg.target_form,
+            "target_form": "continuous",
         },
         "runs": records,
     }
@@ -283,8 +283,7 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
     if cfg.dataset == "blobs":
         data = synthetic_blob_dataset(n=cfg.n, dim=cfg.dim, seed=min(cfg.seeds),
                                       val_fraction=cfg.val_fraction,
-                                      test_fraction=cfg.test_fraction,
-                                      separation=cfg.separation, spread=cfg.spread)
+                                      test_fraction=cfg.test_fraction)
     else:
         X, y = load_dataset(cfg.dataset)
         data = split_dataset(X, y, val_fraction=cfg.val_fraction,
@@ -452,8 +451,6 @@ def _assemble_config(args) -> object:
             mapping["methods"] = args.method
         if args.threads is not None:
             mapping["threads"] = str(args.threads)
-        elif "threads" not in mapping and os.environ.get("HERDQUAD_THREADS"):
-            mapping["threads"] = os.environ["HERDQUAD_THREADS"]
     if args.out is not None:
         mapping["out"] = args.out
     elif "out" not in mapping and os.environ.get("HERDQUAD_OUT"):

@@ -126,13 +126,7 @@ class MixtureConfig:
     pool_size: int = 2000
     components: int = 20
     dim: int = 2
-    mean_low: float = -5.0
-    mean_high: float = 5.0
-    cov_low: float = 0.05
-    cov_high: float = 0.5
-    dirichlet_alpha: float = 1.0
     bandwidth: object = "median"
-    target_form: str = "continuous"
     out: str = "out"
     threads: int = 1
     timing: bool = False
@@ -140,8 +134,6 @@ class MixtureConfig:
     def __post_init__(self):
         if self.k < 1 or self.pool_size < 1 or self.components < 1 or self.dim < 1:
             raise ConfigError("k, pool_size, components and dim must be positive")
-        if self.target_form not in ("continuous", "empirical"):
-            raise ConfigError("target_form must be 'continuous' or 'empirical'")
         if self.threads < 1:
             raise ConfigError("threads must be positive")
 
@@ -154,8 +146,6 @@ class SummarizeConfig:
     dataset: str = "blobs"
     n: int = 500
     dim: int = 128
-    separation: float = 2.5
-    spread: float = 1.0
     val_fraction: float = 0.1
     test_fraction: float = 0.2
     lam: float = 1.0

@@ -82,9 +82,9 @@ def make_blobs(n: int, dim: int = 2, seed: int = 0, separation: float = 2.5,
 
 
 def synthetic_blob_dataset(n: int = 500, dim: int = 2, seed: int = 0,
-                           val_fraction: float = 0.1, test_fraction: float = 0.2,
-                           separation: float = 2.5, spread: float = 1.0) -> LabeledDataset:
-    X, y = make_blobs(n, dim=dim, seed=seed, separation=separation, spread=spread)
+                           val_fraction: float = 0.1, test_fraction: float = 0.2) -> LabeledDataset:
+    """``make_blobs`` in its default geometry, split by ``split_dataset``."""
+    X, y = make_blobs(n, dim=dim, seed=seed)
     return split_dataset(X, y, val_fraction=val_fraction, test_fraction=test_fraction, seed=seed)
 
 

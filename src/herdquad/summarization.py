@@ -237,7 +237,8 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
     distributed driver (WKH / SBQ only).  ``weighted_retrain`` feeds the
     magnitude of the quadrature weights into the retraining loss instead of
     uniform weights.  The size-matched random baseline rejects single-class
-    draws, see :func:`_draw_baseline_rows`.
+    draws, see :func:`_draw_baseline_rows`; a selection of one class raises
+    ``BothClassesRequired`` naming the method, ``k`` and ``seed``.
 
     The full-data fit and the random baselines are memoized per dataset,
     see :func:`_fit_dataset`.  So is the selection and retraining of WKH
@@ -277,6 +278,9 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
         selected_indices = train_rows[fit.kept_tr[np.asarray(trace.chosen_ids, dtype=int)]]
         sub_X = data.features[selected_indices]
         sub_y = data.labels[selected_indices]
+        if np.unique(sub_y).size < 2:
+            raise BothClassesRequired(f"{method.value} at k={k}, seed {seed} selected "
+                                      "a single class")
 
         # the weights are in selection order, like the selected indices
         sample_weights = np.abs(result.weights) if weighted_retrain else None

@@ -54,7 +54,7 @@ class TargetEmbedding:
 def _spd_cholesky(mat: np.ndarray, what: str) -> np.ndarray:
     try:
         return cholesky(mat, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own type
+    except np.linalg.LinAlgError as exc:
         raise ValueError(f"{what} is not symmetric positive definite") from exc
 
 

@@ -96,7 +96,7 @@ def test_mixture_rerun_byte_reproduces(tmp_path):
     assert first == second
 
 
-def test_mixture_trace_csv_round_trips_into_fit_rate(tmp_path):
+def test_mixture_trace_csv_round_trips_into_fit_rate(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(*mixture_args(out, extra=("--config", _small_cfg(tmp_path)))) == 0
     with open(out / "trace_wkh_s1.csv", newline="") as fh:
@@ -107,6 +107,11 @@ def test_mixture_trace_csv_round_trips_into_fit_rate(tmp_path):
     refit = fit_rate([(r["iteration"], r["g"]) for r in rows])
     assert refit.slope == pytest.approx(recorded["slope"], abs=1e-15)
     assert refit.r_squared == pytest.approx(recorded["r_squared"], abs=1e-15)
+    # two rows are too few for a fit: the summary says so and the table's slope is nan
+    capsys.readouterr()
+    assert run_cli(*mixture_args(out, extra=("--config", _small_cfg(tmp_path), "--k", "2"))) == 0
+    assert json.loads((out / "mixture_summary.json").read_text())["runs"][0]["rate"] is None
+    assert _table_rows(capsys.readouterr().out)[0][6] == "nan"
 
 
 def test_mixture_distributed_records_solutions(tmp_path):
@@ -137,10 +142,15 @@ def test_grid_commands_print_their_summary_as_a_table(tmp_path, monkeypatch, cap
     monkeypatch.setenv("HERDQUAD_OUT", str(out))
     cfg = tmp_path / "mixture.cfg"
     cfg.write_text("methods = wkh, wkh:2, mc_random\nk = 6\nseeds = 0..2\n"
-                   "pool_size = 200\ncomponents = 3\n")
+                   "pool_size = 200\ncomponents = 3\nbandwidth = 0.7\n")
     assert run_cli("mixture", "--config", str(cfg)) == 0
-    runs = json.loads((out / "mixture_summary.json").read_text())["runs"]
-    rows = _table_rows(capsys.readouterr().out)
+    summary = json.loads((out / "mixture_summary.json").read_text())
+    runs = summary["runs"]
+    assert summary["config"]["bandwidth"] == 0.7
+    assert {r["bandwidth"] for r in runs} == {0.7}
+    stdout = capsys.readouterr().out
+    assert "bandwidth=0.7" in stdout
+    rows = _table_rows(stdout)
     assert [(r[0], r[1]) for r in rows] == [("MC_RANDOM", "1"), ("WKH", "1"), ("WKH", "2")]
     for method, s, seeds, mean_g, min_g, max_g, _slope, *stops in rows:
         cell = [r for r in runs if (r["method"], r["s"]) == (method, int(s))]
@@ -216,6 +226,13 @@ def test_summarize_small_k_grid_survives_single_class_baseline_draw(tmp_path):
     random_rows = [r for r in rows if r[0] == "RANDOM"]
     assert len(random_rows) == 4  # one baseline per (k, seed) cell
     assert all(float(r[5]) > 0.0 for r in random_rows)
+
+
+def test_summarize_single_class_selection_names_its_cell(tmp_path, capsys):
+    cfg = tmp_path / "summ.cfg"
+    cfg.write_text("n = 200\ndim = 16\nmethods = mc_random\nk_grid = 3\nseeds = 0\n")
+    assert run_cli("summarize", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+    assert "summarize error: MC_RANDOM at k=3, seed 0" in capsys.readouterr().err
 
 
 def test_summarize_threads_share_one_fit_and_write_the_same_bytes(tmp_path, monkeypatch):
@@ -320,11 +337,12 @@ SMALL_CONFIGS = {
 @pytest.mark.parametrize("command, override", [
     pytest.param("mixture", {"bandwidth": "inf"}, id="mixture-bandwidth-inf"),
     pytest.param("mixture", {"bandwidth": "nan"}, id="mixture-bandwidth-nan"),
-    pytest.param("mixture", {"mean_low": "nan"}, id="mixture-mean_low-nan"),
+    pytest.param("mixture", {"threads": "0"}, id="mixture-threads-zero"),
     pytest.param("mixture", {"seeds": ","}, id="mixture-seeds-empty"),
     pytest.param("mixture", {"seeds": "0, 0"}, id="mixture-seeds-repeated"),
     pytest.param("mixture", {"methods": "wkh, wkh"}, id="mixture-methods-repeated"),
     pytest.param("summarize", {"lambda": "nan"}, id="summarize-lambda-nan"),
+    pytest.param("summarize", {"threads": "0"}, id="summarize-threads-zero"),
     pytest.param("summarize", {"val_fraction": "0"}, id="summarize-val_fraction-zero"),
     pytest.param("summarize", {"test_fraction": "0.95"}, id="summarize-no-training-split"),
     pytest.param("summarize", {"n": "0"}, id="summarize-n-zero"),
@@ -389,13 +407,10 @@ def _values_under_keys_with(obj, part):
             yield from _values_under_keys_with(val, part)
 
 
-def test_diagnose_takes_no_grid_flags(tmp_path, monkeypatch, capsys):
+def test_diagnose_takes_no_grid_flags(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli("diagnose", "--k", "5", "--out", str(tmp_path / "out"))
     assert err.value.code == 2
-    # the grid's thread count is not diagnose's to read
-    monkeypatch.setenv("HERDQUAD_THREADS", "2")
-    assert run_cli("diagnose", "--out", str(tmp_path / "out")) == 0
 
 
 def test_diagnose_fault_injection_fails_orthogonality(tmp_path, capsys):
@@ -414,7 +429,6 @@ def test_diagnose_fault_injection_fails_orthogonality(tmp_path, capsys):
 def test_environment_variable_fallbacks(tmp_path, monkeypatch, capsys):
     out = tmp_path / "env_out"
     monkeypatch.setenv("HERDQUAD_OUT", str(out))
-    monkeypatch.setenv("HERDQUAD_THREADS", "2")
     rc = run_cli("mixture", "--seed", "0", "--k", "4", "--method", "WKH",
                  "--config", _small_cfg(tmp_path))
     assert rc == 0
@@ -424,3 +438,8 @@ def test_environment_variable_fallbacks(tmp_path, monkeypatch, capsys):
     rc = run_cli(*mixture_args(out2, extra=("--config", _small_cfg(tmp_path))))
     assert rc == 0
     assert (out2 / "mixture_summary.json").exists()
+
+
+def test_thread_count_is_not_read_from_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("HERDQUAD_THREADS", "0")
+    assert run_cli(*mixture_args(tmp_path, extra=("--config", _small_cfg(tmp_path)))) == 0

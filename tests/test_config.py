@@ -85,7 +85,7 @@ timing = yes
     assert cfg.pool_size == 500
     assert cfg.bandwidth == "median"
     assert cfg.timing is True
-    assert cfg.target_form == "continuous"  # the default target is the analytic mixture
+    assert build_config(MixtureConfig, {"timing": "off"}).timing is False
 
 
 def test_unknown_keys_fail_loudly():
@@ -97,6 +97,14 @@ def test_unknown_keys_fail_loudly():
     for config_cls in (DiagnoseConfig, MixtureConfig, SummarizeConfig):
         with pytest.raises(ConfigError, match=f"unknown config keys for {config_cls.__name__}"):
             build_config(config_cls, {"workers": "3"})
+    # the mixture family, the target and the blob geometry are fixed
+    deleted = {MixtureConfig: ("mean_low", "mean_high", "cov_low", "cov_high",
+                               "dirichlet_alpha", "target_form"),
+               SummarizeConfig: ("separation", "spread")}
+    for config_cls, keys in deleted.items():
+        for key in keys:
+            with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):
+                build_config(config_cls, {key: "1"})
 
 
 def test_value_validation():
@@ -106,8 +114,6 @@ def test_value_validation():
         build_config(MixtureConfig, {"k": "0"})
     with pytest.raises(ConfigError, match="bandwidth"):
         build_config(MixtureConfig, {"bandwidth": "-2"})
-    with pytest.raises(ConfigError, match="target_form"):
-        build_config(MixtureConfig, {"target_form": "histogram"})
     with pytest.raises(ConfigError, match="boolean"):
         build_config(MixtureConfig, {"timing": "maybe"})
 

@@ -230,6 +230,7 @@ def test_mc_random_trace_reports_uniform_weight_estimate():
     # the result is the uniform-weight accumulator the trace reports
     assert isinstance(acc, UniformAccumulator)
     assert acc.mmd_sq == trace.final_mmd_sq
+    assert UniformAccumulator(0.3).mmd_sq == 0.3  # no atoms: g is the target's self-energy
     assert acc.atom_ids == trace.chosen_ids
     # the trace carries the plain sample-average objective over all draws
     chosen = np.stack([pool.point_by_id(i) for i in trace.chosen_ids])
@@ -343,13 +344,14 @@ def test_run_greedy_rejects_another_kernel():
     assert state.mmd_sq >= -1e-12
 
 
-@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+@pytest.mark.parametrize("method", ["WKH", "SBQ", "KH_UNIFORM", "MC_RANDOM"])
 def test_budget_above_pool_size_exhausts_the_pool(method):
     kern = RBFKernel(1.0)
     pool = CandidatePool.from_points(np.array([[0.0], [1.0]]))
     target = DiscreteTarget.uniform(np.array([[5.0]]), kern)
     state, trace = run_greedy(method, pool, target, kern, 5)
     assert trace.stop_reason == "pool_exhausted"
+    assert len(trace.rows) == 2
     assert sorted(trace.chosen_ids) == [0, 1] and state.size == 2
 
 

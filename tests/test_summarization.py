@@ -246,6 +246,13 @@ def test_draw_baseline_rows_contract():
         _draw_baseline_rows(np.random.default_rng(0), train_rows, one_class, 5)
 
 
+def test_mc_random_single_class_draw_names_its_cell():
+    # MC_RANDOM's own draw of 6 rows at seed 2 holds one class; it is not redrawn
+    ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
+    with pytest.raises(BothClassesRequired, match="MC_RANDOM at k=6, seed 2"):
+        summarize(ds, "MC_RANDOM", 6, seed=2)
+
+
 def test_summarize_low_dimension_saturates_embedding_span():
     # gradient embeddings of a d-feature model live in d+1 dimensions, so
     # the greedy run cannot place more than dim+1 independent atoms

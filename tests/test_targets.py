@@ -118,6 +118,13 @@ def test_mixture_rejects_inconsistent_shapes():
         )
 
 
+def test_mixture_names_a_covariance_that_is_not_positive_definite():
+    # symmetric, but with eigenvalues 3 and -1
+    with pytest.raises(ValueError, match="^covariance 0 is not symmetric positive definite"):
+        GaussianMixtureTarget(weights=np.array([1.0]), means=np.zeros((1, 2)),
+                              covs=np.array([[[1.0, 2.0], [2.0, 1.0]]]), kernel=RBFKernel(1.0))
+
+
 @pytest.mark.parametrize("field", ["weights", "means", "covs"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_mixture_rejects_non_finite_parameters(field, bad):
