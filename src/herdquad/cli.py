@@ -12,9 +12,10 @@ All artifacts are written atomically (temp file + rename) with
 full-precision floats, and a re-run with the same config byte-reproduces
 them; wall-clock columns are zeroed unless ``timing = on`` is requested,
 because real timings would break that reproducibility.  Only ``mixture``
-and ``summarize`` take the grid flags (``--seed``, ``--k``, ``--method``,
-``--threads``); ``--method WKH:5`` runs WKH on five workers.  Both print
-an aggregate table of their runs after the artifacts are written.
+and ``summarize`` take a config file and the grid flags (``--config``,
+``--seed``, ``--k``, ``--method``, ``--threads``); ``--method WKH:5`` runs
+WKH on five workers.  Both print an aggregate table of their runs after
+the artifacts are written.  All three take ``--out``.
 The mixture family and the blob geometry are fixed, see
 ``MIXTURE_FAMILY`` and ``datasets.make_blobs``.  Environment variable:
 HERDQUAD_OUT (default output directory).
@@ -34,14 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    DiagnoseConfig,
-    MixtureConfig,
-    SummarizeConfig,
-    build_config,
-    parse_kv_file,
-)
+from .config import ConfigError, MixtureConfig, SummarizeConfig, build_config, parse_kv_file
 from .datasets import IngestError, load_dataset, split_dataset, synthetic_blob_dataset
 from .diagnostics import (
     InsufficientPoints,
@@ -61,7 +55,6 @@ from .targets import DiscreteTarget, GaussianMixtureTarget
 SCHEMA_VERSION = 1
 TRACE_COLUMNS = ["method", "s", "seed", "iteration", "chosen_id", "g", "elapsed_ms"]
 SUMMARIZE_COLUMNS = ["method", "s", "k", "seed", "g_final", "test_nll"]
-GRID_COMMANDS = ("mixture", "summarize")  # the subcommands that run a (method, seed) grid
 MEDIAN_SUBSAMPLE = 500
 # the random mixtures of ``herdquad mixture``: means uniform in [-5, 5],
 # diagonal variances uniform in [0.05, 0.5], Dirichlet(1) weights
@@ -289,6 +282,9 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
         data = split_dataset(X, y, val_fraction=cfg.val_fraction,
                              test_fraction=cfg.test_fraction, seed=min(cfg.seeds))
 
+    n_train = int(np.sum(data.split == "train"))
+    if max(cfg.k_grid + [s for _, s in cfg.methods]) > n_train:
+        raise ConfigError(f"a budget or worker count exceeds the {n_train} training examples")
     tasks = [(method, s, k, seed) for method, s in cfg.methods
              for k in cfg.k_grid for seed in cfg.seeds]
 
@@ -298,7 +294,6 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
 
     rows, records = [], []
     trace_rows: dict[int, list] = {k: [] for k in cfg.k_grid}
-    n_train = int(np.sum(data.split == "train"))
     for method, s, k, seed in tasks:
         rep = results[(method, s, k, seed)]
         g_final = reported_g(rep.final_mmd_sq, method, len(rep.trace.rows))
@@ -399,21 +394,25 @@ def _diagnose_payload(inject_fault: bool = False) -> dict:
             "checks": checks, "all_pass": all(c["passes"] for c in checks)}
 
 
-def cmd_diagnose(cfg: DiagnoseConfig, list_only: bool = False, inject_fault: bool = False) -> int:
+def cmd_diagnose(out: str, list_only: bool = False, inject_fault: bool = False) -> int:
     if list_only:
         for name in DIAGNOSE_CHECKS:
             print(name)
         return 0
     payload = _diagnose_payload(inject_fault=inject_fault)
-    write_json(os.path.join(cfg.out, "diagnose_report.json"), payload)
+    write_json(os.path.join(out, "diagnose_report.json"), payload)
     for check in payload["checks"]:
         print(f"{'PASS' if check['passes'] else 'FAIL'} {check['name']}")
     if not payload["all_pass"]:
         failing = [c["name"] for c in payload["checks"] if not c["passes"]]
         print(f"diagnose: failing checks: {', '.join(failing)}", file=sys.stderr)
         return 1
-    print(f"diagnose: all checks passed; report in {cfg.out}/diagnose_report.json")
+    print(f"diagnose: all checks passed; report in {out}/diagnose_report.json")
     return 0
+
+
+# the subcommands that run a (method, seed) grid from a config
+_CONFIG_CLASSES = {"mixture": MixtureConfig, "summarize": SummarizeConfig}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -422,9 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("mixture", "summarize", "diagnose"):
         p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="override: output directory")
-        if name in GRID_COMMANDS:
+        if name in _CONFIG_CLASSES:
+            p.add_argument("--config", help="flat key = value config file")
             p.add_argument("--seed", type=int, help="override: run this single seed")
             p.add_argument("--k", type=int, help="override: selection budget")
             p.add_argument("--method", help="override: run this single method (e.g. WKH or WKH:5)")
@@ -436,21 +435,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_CLASSES = {"mixture": MixtureConfig, "summarize": SummarizeConfig,
-                   "diagnose": DiagnoseConfig}
-
-
 def _assemble_config(args) -> object:
     mapping = parse_kv_file(args.config) if args.config else {}
-    if args.command in GRID_COMMANDS:
-        if args.seed is not None:
-            mapping["seeds"] = str(args.seed)
-        if args.k is not None:
-            mapping["k_grid" if args.command == "summarize" else "k"] = str(args.k)
-        if args.method is not None:
-            mapping["methods"] = args.method
-        if args.threads is not None:
-            mapping["threads"] = str(args.threads)
+    if args.seed is not None:
+        mapping["seeds"] = str(args.seed)
+    if args.k is not None:
+        mapping["k_grid" if args.command == "summarize" else "k"] = str(args.k)
+    if args.method is not None:
+        mapping["methods"] = args.method
+    if args.threads is not None:
+        mapping["threads"] = str(args.threads)
     if args.out is not None:
         mapping["out"] = args.out
     elif "out" not in mapping and os.environ.get("HERDQUAD_OUT"):
@@ -460,13 +454,14 @@ def _assemble_config(args) -> object:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "diagnose":
+        out = args.out if args.out is not None else os.environ.get("HERDQUAD_OUT") or "out"
+        return cmd_diagnose(out, list_only=args.list, inject_fault=args.inject_fault)
     try:
         cfg = _assemble_config(args)
         if args.command == "mixture":
             return cmd_mixture(cfg)
-        if args.command == "summarize":
-            return cmd_summarize(cfg)
-        return cmd_diagnose(cfg, list_only=args.list, inject_fault=args.inject_fault)
+        return cmd_summarize(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

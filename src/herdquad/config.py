@@ -3,9 +3,10 @@
 Config files hold one ``key = value`` pair per line; ``#`` starts a
 comment, blank lines are skipped.  Lists are comma separated, seed lists
 additionally accept the inclusive range form ``a..b``; a list may not be
-empty or repeat an entry, and a float must be finite.  Unknown keys are
-rejected so typos fail loudly.  Command-line flags override file values,
-and reach ``build_config`` as the same strings a file would hold.
+empty or repeat an entry, a seed may not be negative, and a float must be
+finite.  Unknown keys are rejected so typos fail loudly.  Command-line
+flags override file values, and reach ``build_config`` as the same
+strings a file would hold.
 """
 
 from __future__ import annotations
@@ -78,8 +79,12 @@ def parse_seeds(text: str) -> list[int]:
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ConfigError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    return _distinct([int(v) for v in t.split(",") if v.strip() != ""], "seed")
+        seeds = list(range(lo, hi + 1))
+    else:
+        seeds = _distinct([int(v) for v in t.split(",") if v.strip() != ""], "seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be nonnegative, got {text!r}")
+    return seeds
 
 
 def parse_method_spec(token: str) -> tuple[str, int]:
@@ -134,6 +139,8 @@ class MixtureConfig:
     def __post_init__(self):
         if self.k < 1 or self.pool_size < 1 or self.components < 1 or self.dim < 1:
             raise ConfigError("k, pool_size, components and dim must be positive")
+        if any(s > self.pool_size for _, s in self.methods):
+            raise ConfigError(f"a worker count exceeds pool_size = {self.pool_size}")
         if self.threads < 1:
             raise ConfigError("threads must be positive")
 
@@ -171,11 +178,6 @@ class SummarizeConfig:
             raise ConfigError("threads must be positive")
 
 
-@dataclass
-class DiagnoseConfig:
-    out: str = "out"
-
-
 # fields whose values are not plain scalars; every other field is cast by
 # its annotation, a string under ``from __future__ import annotations``
 _FIELD_CASTERS = {
@@ -210,7 +212,7 @@ def build_config(config_cls, mapping: dict) -> object:
     if unknown:
         raise ConfigError(f"unknown config keys for {config_cls.__name__}: {sorted(unknown)}")
     cfg = config_cls(**kwargs)
-    for m, sm in getattr(cfg, "methods", []):
+    for m, sm in cfg.methods:
         if sm > 1 and m not in OPTIMAL_WEIGHT_METHODS:
             raise ConfigError(f"method {m} cannot run with {sm} workers (WKH/SBQ only)")
     return cfg

@@ -226,7 +226,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
 
     if method in OPTIMAL_WEIGHT_METHODS:
         state = new_state(target, kernel)
-        core = PoolScores(state, pool.points, z_all, diag, capacity=k)
+        core = PoolScores(state, z_all, diag, capacity=k)
         atom_rows = np.empty(min(k, len(pool)), dtype=int)
         for it in range(1, k + 1):
             if state.mmd_sq <= G_ROUNDOFF:

@@ -216,10 +216,10 @@ class QuadratureState:
 class PoolScores:
     """Residual correlations and Schur complements of a pool, kept in step with a state.
 
-    Starts from an empty ``state``, the pool's embeddings ``embeds`` and its
-    kernel diagonal ``diag``; call ``extend(row, k_row)`` right after each
-    accepted ``state.add_atom(points[row], ...)``, with ``k_row`` the kernel
-    row k(points[row], points).  ``resid`` and ``schur``
+    Starts from an empty ``state``, the embeddings ``embeds`` and kernel
+    diagonal ``diag`` of a pool of n ``points``; call ``extend(row, k_row)``
+    right after each accepted ``state.add_atom(points[row], ...)``, with
+    ``k_row`` the kernel row k(points[row], points).  ``resid`` and ``schur``
     then equal ``state.residual_correlations(points)`` and
     ``state.schur_complements(points)`` up to round-off, at O(n (i + d))
     per atom instead of O(n i (i + d)).  An atom's own row is set to its
@@ -228,13 +228,12 @@ class PoolScores:
     ``capacity`` bounds the number of atoms the state may take.
     """
 
-    def __init__(self, state: QuadratureState, points: np.ndarray, embeds: np.ndarray,
-                 diag: np.ndarray, capacity: int):
+    def __init__(self, state: QuadratureState, embeds: np.ndarray, diag: np.ndarray,
+                 capacity: int):
         if state.size:
             raise ValueError("PoolScores starts from an empty state")
         self.state = state
-        self.points = as_point_matrix(points)
-        n = self.points.shape[0]
+        n = len(embeds)
         self.proj = np.empty((min(capacity, n), n))
         self.schur = np.array(diag, dtype=float)
         self.resid = np.array(embeds, dtype=float)

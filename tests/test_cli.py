@@ -326,6 +326,10 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(command, "--workers", "3", "--out", str(tmp_path / "out"))
         assert err.value.code == 2
+    for command in ("mixture", "summarize"):
+        assert run_cli(command, "--seed", "-1", "--out", str(tmp_path / "out")) == 2
+        assert "seeds must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 SMALL_CONFIGS = {
@@ -341,6 +345,9 @@ SMALL_CONFIGS = {
     pytest.param("mixture", {"seeds": ","}, id="mixture-seeds-empty"),
     pytest.param("mixture", {"seeds": "0, 0"}, id="mixture-seeds-repeated"),
     pytest.param("mixture", {"methods": "wkh, wkh"}, id="mixture-methods-repeated"),
+    pytest.param("mixture", {"seeds": "-1"}, id="mixture-seeds-negative"),
+    pytest.param("mixture", {"methods": "wkh:80", "pool_size": "50"},
+                 id="mixture-workers-exceed-pool"),
     pytest.param("summarize", {"lambda": "nan"}, id="summarize-lambda-nan"),
     pytest.param("summarize", {"threads": "0"}, id="summarize-threads-zero"),
     pytest.param("summarize", {"val_fraction": "0"}, id="summarize-val_fraction-zero"),
@@ -349,6 +356,11 @@ SMALL_CONFIGS = {
     pytest.param("summarize", {"dim": "0"}, id="summarize-dim-zero"),
     pytest.param("summarize", {"seeds": ","}, id="summarize-seeds-empty"),
     pytest.param("summarize", {"k_grid": "4, 4"}, id="summarize-k_grid-repeated"),
+    pytest.param("summarize", {"seeds": "-3..-1"}, id="summarize-seeds-negative"),
+    pytest.param("summarize", {"n": "100", "dim": "4", "k_grid": "90"},
+                 id="summarize-k-exceeds-training-split"),
+    pytest.param("summarize", {"n": "100", "dim": "4", "methods": "wkh:200"},
+                 id="summarize-workers-exceed-training-split"),
     pytest.param("summarize", {"dataset": "no-such-dataset.csv"}, id="summarize-dataset-missing"),
 ])
 def test_unrunnable_config_values_exit_with_code_two(tmp_path, capsys, command, override):
@@ -408,9 +420,10 @@ def _values_under_keys_with(obj, part):
 
 
 def test_diagnose_takes_no_grid_flags(tmp_path, capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli("diagnose", "--k", "5", "--out", str(tmp_path / "out"))
-    assert err.value.code == 2
+    for flag, value in (("--k", "5"), ("--config", _small_cfg(tmp_path))):
+        with pytest.raises(SystemExit) as err:
+            run_cli("diagnose", flag, value, "--out", str(tmp_path / "out"))
+        assert err.value.code == 2
 
 
 def test_diagnose_fault_injection_fails_orthogonality(tmp_path, capsys):
@@ -433,6 +446,8 @@ def test_environment_variable_fallbacks(tmp_path, monkeypatch, capsys):
                  "--config", _small_cfg(tmp_path))
     assert rc == 0
     assert (out / "mixture_summary.json").exists()
+    assert run_cli("diagnose") == 0
+    assert (out / "diagnose_report.json").exists()
     # explicit flags beat the environment
     out2 = tmp_path / "flag_out"
     rc = run_cli(*mixture_args(out2, extra=("--config", _small_cfg(tmp_path))))

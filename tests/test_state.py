@@ -250,7 +250,7 @@ def test_pool_scores_need_an_empty_state(rng):
     pts = rng.normal(size=(4, 2))
     state.add_atom(pts[0], 0)
     with pytest.raises(ValueError):
-        PoolScores(state, pts, target.mean_embed_many(pts), np.ones(4), capacity=3)
+        PoolScores(state, target.mean_embed_many(pts), np.ones(4), capacity=3)
 
 
 def test_pool_scores_mask_every_atom_from_later_picks(rng):
@@ -261,7 +261,7 @@ def test_pool_scores_mask_every_atom_from_later_picks(rng):
     kern = target.kernel
     pts = target.sample(40, rng)
     state = new_state(target, kern)
-    core = PoolScores(state, pts, target.mean_embed_many(pts), np.ones(40), capacity=12)
+    core = PoolScores(state, target.mean_embed_many(pts), np.ones(40), capacity=12)
     K = kern.gram(pts, pts)
     rows = []
     for row in rng.permutation(40)[:12]:
@@ -276,6 +276,7 @@ def test_pool_scores_mask_every_atom_from_later_picks(rng):
 class _CheckedScores(PoolScores):
     """PoolScores that compares itself with the from-scratch routes after every atom."""
 
+    points = None  # the pool's points, set by the test
     steps = 0
 
     def extend(self, row, k_row):
@@ -294,6 +295,7 @@ def test_pool_scores_match_from_scratch_recomputation(seed, method):
     rng = np.random.default_rng(seed)
     target = random_mixture(rng, components=2)
     pool = CandidatePool.from_points(target.sample(60, rng))
+    _CheckedScores.points = pool.points
     _CheckedScores.steps = 0
     with mock.patch("herdquad.selectors.PoolScores", _CheckedScores):
         _, trace = run_greedy(method, pool, target, target.kernel, 25)
