@@ -173,7 +173,10 @@ def check_approx_guarantee(pool: CandidatePool, target: TargetEmbedding,
         k = ceil(r * (M_hat / m_hat) * ln(1 / epsilon))
 
     (capped at the trace length; the objective only keeps falling), and
-    asserts  g_k <= (1 - epsilon) * g_oracle + epsilon * c + 1e-8.  The
+    asserts  g_k <= (1 - epsilon) * g_oracle + epsilon * c + 1e-8.  Each
+    method's ``capped`` says the k needed exceeded the trace, so g was read
+    at the end of a run that took the whole pool or reached the floor; the
+    bound then cannot fail unless the weights are wrong.  The
     spectrum over the union of greedy and oracle atoms is reported next to
     the selected-atom one since the analysis constants live on supersets.
     ``KernelMismatch`` is raised when ``kernel`` is not ``target.kernel``.
@@ -206,6 +209,7 @@ def check_approx_guarantee(pool: CandidatePool, target: TargetEmbedding,
         report["methods"][method.value] = {
             "k_needed": k_needed,
             "k_used": k_used,
+            "capped": k_needed > len(trace.rows),
             "mmd_sq_at_k": g_at_k,
             "bound": bound,
             "m_hat": m_hat,

@@ -7,18 +7,22 @@ the solution (among the s workers and the aggregator) with the smallest
 squared MMD, ties going to the lowest index.  By construction the winner
 is never worse than the best worker.
 
-Every shard is an in-memory ``CandidatePool``.  Workers run serially, on
-a thread pool (the default) or on a process pool; all three return the
-same result bit for bit, in about the same time on the benchmark inputs.
+Every shard is an in-memory ``CandidatePool``; a lone worker's shard is
+the pool itself.  Workers run serially, on a thread pool (the default) or
+on a process pool; all three return the same result bit for bit.  On the
+mixture_d8_distributed benchmark inputs (two workers, one BLAS thread,
+2 cores) the benchmark's four distributed calls take 0.45 s serially, 0.33 s on
+threads and 0.36 s on processes.  A lone worker runs in the caller under
+every executor.
 
 Sharding pays only on large pools.  For SBQ with k = 100 on the
 mixture_d8_distributed inputs grown to n points (two thread workers, one
 BLAS thread, 2 cores), ``run_distributed`` beats ``run_greedy`` on wall
-time from n = 50 000 with s = 2 or 4 and at n = 200 000 with any s >= 2
-(0.49 s with s = 8 against 1.23 s), and on peak RSS only with s >= 4 at
-n >= 50 000 (146 MB with s = 8 against 254 MB at n = 200 000).  At
-n = 20 000 only s = 2 draws level on time; s = 1 never wins.  The
-README's Performance section has the table.
+time from n = 50 000 with any s >= 2 (0.58 s with s = 4 against 1.29 s at
+n = 200 000), and on peak RSS only with s >= 4 at n >= 50 000 (144 MB
+with s = 8 against 250 MB at n = 200 000); s = 1 takes as long as
+``run_greedy`` and as much memory.  The README's Performance section has
+the table.
 """
 
 from __future__ import annotations
@@ -126,12 +130,16 @@ def run_distributed(
 
     t_start = time.perf_counter()
     assignment = partition(pool, s, seed)
-    shards = [pool.take(np.flatnonzero(assignment == w)) for w in range(s)]
+    # a lone worker's shard is the whole pool itself, not a copy of it
+    shards = [pool] if s == 1 else [pool.take(np.flatnonzero(assignment == w)) for w in range(s)]
     seeds = _worker_seeds(seed, s)
     t_partition = time.perf_counter()
 
     jobs = [(method, shards[w], target, kernel, k, seeds[w]) for w in range(s)]
-    if executor == "serial":
+    if executor == "serial" or s == 1:
+        # A lone worker runs in the caller under every executor: in a thread
+        # of its own its arrays come from another malloc arena, which cost
+        # about 10 MB of peak RSS at n = 200 000.
         outcomes = [_run_shard(job) for job in jobs]
     else:
         pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor

@@ -15,12 +15,15 @@ uniform-weight g their trace reports.
 
 WKH and SBQ read one pair of pool-wide arrays, the residual correlations
 r and the Schur complements s, and ``selection_scores`` turns them into
-scores: r for WKH, r^2 / s for SBQ, with every candidate whose s falls
-below ``TAU_DEP`` masked out in bulk rather than tried and rejected.  In
-``run_greedy`` the pair comes from ``PoolScores``, which folds each
+one score array: r for WKH, r^2 / s for SBQ, and -inf for every candidate
+whose s falls below ``TAU_DEP``, so dependent candidates are masked in
+bulk rather than tried and rejected, and the pick is a plain ``argmax``.
+In ``run_greedy`` the pair comes from ``PoolScores``, which folds each
 accepted atom into the whole pool in O(n (i + d)) for n candidates in d
-dimensions at step i; ``wkh_select`` and ``sbq_select`` recompute it from
-scratch for one step.  ``run_greedy`` prepares the pool once per call
+dimensions at step i, and the scores are written into buffers allocated
+once per run, so the kernel row is a step's only allocation of the pool's
+length; ``wkh_select`` and ``sbq_select`` recompute the pair from scratch
+for one step.  ``run_greedy`` prepares the pool once per call
 (``Kernel.prepare``: the unit features of a feature kernel) and checks the
 kernel's diagonal on it.  Each step then takes one kernel row, the chosen
 point's k(x, pool), as one cross product of slices of the prepared pool,
@@ -28,7 +31,8 @@ and hands it to both the state and the pool; the baselines likewise reuse
 the pool's embeddings and one kernel row per pick instead of evaluating
 the target point by point.
 
-Selection is deterministic: ties always go to the lowest pool id, and a
+Selection is deterministic: ties always go to the lowest pool id (pools
+list their rows by ascending id and ``argmax`` takes the first maximum), and a
 fixed (method, pool, target, kernel, k, seed) tuple always reproduces the
 same id sequence; the seed only drives MC_RANDOM's draws.  The kernel must
 be the target's own (``KernelMismatch`` otherwise) and standardized on the
@@ -102,37 +106,41 @@ class RunTrace:
         return self.rows[-1].mmd_sq if self.rows else float("nan")
 
 
-def _pick(scores: np.ndarray, candidate_rows: np.ndarray) -> int:
-    """Row index of the best-scoring candidate; ties go to the lowest id.
-
-    Pools list their rows by ascending id, so among ascending candidate rows
-    the first maximum has the lowest id.
-    """
-    return int(candidate_rows[np.argmax(scores[candidate_rows])])
-
-
-def selection_scores(method: Method, resid: np.ndarray, schur: np.ndarray):
-    """Greedy scores and the mask of independent candidates.
+def selection_scores(method: Method, resid: np.ndarray, schur: np.ndarray,
+                     out: np.ndarray | None = None, mask: np.ndarray | None = None) -> np.ndarray:
+    """Greedy scores, -inf for every dependent candidate.
 
     WKH scores the residual correlation r, SBQ the one-step drop r^2 / s.
-    A candidate whose Schur complement s is below ``TAU_DEP`` would make the
-    Cholesky factor singular, so the mask leaves it out of either rule; its
-    score is not meant to be read.
+    A candidate whose Schur complement s is below ``TAU_DEP`` (or NaN) would
+    make the Cholesky factor singular, so it scores -inf under either rule
+    and a maximum of -inf means no candidate is independent.  The scores
+    are written into ``out`` (float) and the mask into ``mask`` (bool) when
+    given, arrays shaped like ``resid``; otherwise both are allocated.
     """
-    scores = resid**2 / np.maximum(schur, TAU_DEP) if method is Method.SBQ else resid
-    return scores, schur >= TAU_DEP
+    independent = np.greater_equal(schur, TAU_DEP, out=mask)
+    if method is Method.SBQ:
+        out = np.square(resid, out=out)
+        # s >= TAU_DEP wherever the quotient is taken: r^2 / max(s, TAU_DEP)
+        np.divide(out, schur, out=out, where=independent)
+    elif out is None:
+        out = np.array(resid, dtype=float)
+    else:
+        np.copyto(out, resid)
+    np.copyto(out, -np.inf, where=np.logical_not(independent, out=independent))
+    return out
 
 
 def _select(method: Method, state: QuadratureState, pool: CandidatePool, excluded_ids) -> int:
-    mask = ~np.isin(pool.ids, np.asarray(list(excluded_ids), dtype=int))
-    if not mask.any():
+    excluded = np.isin(pool.ids, np.asarray(list(excluded_ids), dtype=int))
+    if excluded.all():
         raise EmptyPool("no candidates left")
-    scores, independent = selection_scores(
+    scores = selection_scores(
         method, state.residual_correlations(pool.points), state.schur_complements(pool.points))
-    rows = np.flatnonzero(mask & independent)
-    if rows.size == 0:
+    scores[excluded] = -np.inf
+    row = int(np.argmax(scores))
+    if scores[row] == -np.inf:
         raise AllDependent("every candidate is numerically dependent")
-    return int(pool.ids[_pick(scores, rows)])
+    return int(pool.ids[row])
 
 
 def wkh_select(state: QuadratureState, pool: CandidatePool, excluded_ids=()) -> int:
@@ -228,6 +236,7 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
         state = new_state(target, kernel)
         core = PoolScores(state, z_all, diag, capacity=k)
         atom_rows = np.empty(min(k, len(pool)), dtype=int)
+        scores, mask = np.empty(len(pool)), np.empty(len(pool), dtype=bool)
         for it in range(1, k + 1):
             if state.mmd_sq <= G_ROUNDOFF:
                 trace.stop_reason = "objective_floor"
@@ -237,11 +246,11 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
                 break
             row = None
             while row is None:
-                scores, eligible = selection_scores(method, core.resid, core.schur)
-                rows = np.flatnonzero(eligible)
-                if rows.size == 0:
+                selection_scores(method, core.resid, core.schur, out=scores, mask=mask)
+                row = int(np.argmax(scores))
+                if scores[row] == -np.inf:
+                    row = None
                     break
-                row = _pick(scores, rows)
                 k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
                 try:
                     state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row],
@@ -262,19 +271,17 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     if method is Method.KH_UNIFORM:
         acc = UniformAccumulator(target.self_energy())
         ksum = np.zeros(len(pool))
-        used = np.zeros(len(pool), dtype=bool)
         chosen_rows = []
         for it in range(1, k + 1):
-            candidate_rows = np.flatnonzero(~used)
-            if candidate_rows.size == 0:
+            if len(chosen_rows) == len(pool):
                 trace.stop_reason = "pool_exhausted"
                 break
             scores = z_all - ksum / (acc.size + 1)
-            row = _pick(scores, candidate_rows)
+            scores[chosen_rows] = -np.inf  # the driver never picks a point twice
+            row = int(np.argmax(scores))
             k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
             acc.add(pool.ids[row], embed=z_all[row], k_atoms=k_row[chosen_rows], k_self=k_row[row])
             chosen_rows.append(row)
-            used[row] = True
             ksum += k_row
             trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq, elapsed_ms()))
         return acc, trace

@@ -20,13 +20,23 @@ do not trust a cached copy.  An atom whose Schur complement falls below
 ``TAU_DEP`` would make the factor numerically singular and is rejected
 instead of jittered.
 
+L, the atoms, z and alpha live in buffers whose row count doubles when
+they fill, from ``INITIAL_CAPACITY``; an accepted atom writes one row of
+each, only after every check has passed, so a rejected atom leaves the
+state as it was and no step copies L.  ``chol``, ``atoms``, ``embeds`` and
+``alpha`` are views of the first ``size`` rows.  A row, once written, is
+never written again, so an array read from them keeps its values while
+the state grows; ``copy`` copies the buffers.
+
 ``PoolScores`` carries the same factorization over a whole candidate pool
 of n points: Y = L^{-1} K(atoms, pool), the Schur complements
 s = diag - colsum(Y^2) and the residual correlations r = z - Y^T alpha.
 Each accepted atom adds one row of Y from one kernel row and an O(n i)
 product, so a greedy step costs O(n (i + d)) in d dimensions instead of
 rebuilding an i x n Gram block.  Y holds at most min(k, n) rows, k n 8
-bytes for k atoms: 16 MB at n = 20 000 and k = 100.  Candidates with
+bytes for k atoms: 16 MB at n = 20 000 and k = 100.  Y, s and r are
+updated in place, through one scratch vector of length n per run, so a
+step allocates nothing of the pool's length.  Candidates with
 s < ``TAU_DEP`` are masked in bulk by the selection scores rather than
 tried and rejected one at a time.
 
@@ -52,6 +62,8 @@ from .kernels import Kernel, as_point_matrix
 from .targets import TargetEmbedding
 
 TAU_DEP = 1e-10
+# rows of a state's buffers before its first growth
+INITIAL_CAPACITY = 32
 # Round-off floor of g, read by every "is g zero?" test: kernels are
 # standardized, so 0 <= g <= c <= 1, and the bench checker's floor is -1e-12.
 G_ROUNDOFF = 1e-12
@@ -93,10 +105,11 @@ class QuadratureState:
         self.kernel = kernel
         self.self_energy = float(target.self_energy())
         self.atom_ids: list[int] = []
-        self.atoms = np.zeros((0, 0))
-        self.chol = np.zeros((0, 0))
-        self.embeds = np.zeros(0)
-        self.alpha = np.zeros(0)
+        # row buffers; the atoms' width is set by the first atom
+        self._chol = np.zeros((0, 0))
+        self._atoms = np.zeros((0, 0))
+        self._embeds = np.zeros(0)
+        self._alpha = np.zeros(0)
         self._weights: np.ndarray | None = None
         self.mmd_sq = self.self_energy
 
@@ -105,13 +118,37 @@ class QuadratureState:
         return len(self.atom_ids)
 
     @property
+    def chol(self) -> np.ndarray:
+        return self._chol[:self.size, :self.size]
+
+    @property
+    def atoms(self) -> np.ndarray:
+        return self._atoms[:self.size]
+
+    @property
+    def embeds(self) -> np.ndarray:
+        return self._embeds[:self.size]
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self._alpha[:self.size]
+
+    def _factor(self) -> np.ndarray:
+        """L as its own C-ordered array.
+
+        LAPACK takes another path for a strided view of the buffer, which
+        changes the last bits of the solves; the copy keeps them.
+        """
+        return np.ascontiguousarray(self.chol)
+
+    @property
     def weights(self) -> np.ndarray:
         """w = L^{-T} alpha, solved on the first read after the atoms change.
 
         Assigning sets the weights the audits read until the next atom.
         """
         if self._weights is None:
-            self._weights = (solve_triangular(self.chol.T, self.alpha, lower=False)
+            self._weights = (solve_triangular(self._factor().T, self.alpha, lower=False)
                              if self.size else np.zeros(0))
         return self._weights
 
@@ -130,13 +167,26 @@ class QuadratureState:
         out.kernel = self.kernel
         out.self_energy = self.self_energy
         out.atom_ids = list(self.atom_ids)
-        out.atoms = self.atoms.copy()
-        out.chol = self.chol.copy()
-        out.embeds = self.embeds.copy()
-        out.alpha = self.alpha.copy()
+        out._chol = self._chol.copy()
+        out._atoms = self._atoms.copy()
+        out._embeds = self._embeds.copy()
+        out._alpha = self._alpha.copy()
         out._weights = None if self._weights is None else self._weights.copy()
         out.mmd_sq = self.mmd_sq
         return out
+
+    def _grow(self, dim: int) -> None:
+        """Double the buffers' rows (at least ``INITIAL_CAPACITY``), keeping the rows so far."""
+        i = self.size
+        cap = max(2 * i, INITIAL_CAPACITY)
+        chol, atoms, embeds, alpha = (np.zeros((cap, cap)), np.zeros((cap, dim)),
+                                      np.zeros(cap), np.zeros(cap))
+        if i:
+            chol[:i, :i] = self.chol
+            atoms[:i] = self.atoms
+            embeds[:i] = self.embeds
+            alpha[:i] = self.alpha
+        self._chol, self._atoms, self._embeds, self._alpha = chol, atoms, embeds, alpha
 
     def add_atom(self, x, pool_id: int, embed: float | None = None,
                  k_atoms: np.ndarray | None = None, k_self: float | None = None) -> None:
@@ -149,13 +199,17 @@ class QuadratureState:
         ``DuplicateAtom`` for an already-selected id,
         ``NearDependentAtom`` when the Schur complement drops below
         ``TAU_DEP`` and ``ValueError`` when it is not finite (a NaN or inf
-        kernel entry); the state is unchanged in all three cases.
+        kernel entry) or ``x`` has another dimension than the atoms; the
+        state is unchanged in all four cases.
         """
         pool_id = int(pool_id)
         if pool_id in self.atom_ids:
             raise DuplicateAtom(f"pool id {pool_id} already selected")
         x = np.asarray(x, dtype=float).ravel()
         i = self.size
+        dim = self._atoms.shape[1]
+        if i and x.shape[0] != dim:
+            raise ValueError(f"point has {x.shape[0]} coordinates, the atoms {dim}")
         kxx = float(self.kernel.gram(x, x)[0, 0] if k_self is None else k_self)
         if i == 0:
             lrow = np.zeros(0)
@@ -169,28 +223,29 @@ class QuadratureState:
                     raise ValueError(f"need {i} kernel entries at the atoms, got shape {kx.shape}")
             # solve_triangular's own LAPACK call without its argument handling,
             # which costs about 14 us a call, five times the solve at i = 60.
-            # L^T is Fortran-ordered, so L lrow = kx is solved in place of a
-            # copy; a non-finite entry of kx fails the finiteness gate below.
-            lrow = lapack.dtrtrs(self.chol.T, kx, lower=0, trans=1)[0]
+            # The first i columns of the buffer's transpose are L^T, Fortran-
+            # ordered with the buffer's row length as leading dimension, so
+            # L lrow = kx is solved in place of a copy; a non-finite entry of
+            # kx fails the finiteness gate below.
+            lrow = lapack.dtrtrs(self._chol.T[:, :i], kx, lower=0, trans=1)[0]
             schur = kxx - float(lrow @ lrow)
         if not np.isfinite(schur):
             raise ValueError(f"pool id {pool_id}: kernel entries give a non-finite Schur complement")
         if schur < TAU_DEP:
             raise NearDependentAtom(pool_id, schur)
 
-        chol = np.zeros((i + 1, i + 1))
-        chol[:i, :i] = self.chol
-        chol[i, :i] = lrow
-        chol[i, i] = np.sqrt(schur)
-
+        pivot = np.sqrt(schur)
         z = self.target.mean_embed(x) if embed is None else float(embed)
-        a = float((z - lrow @ self.alpha) / chol[i, i])
+        a = float((z - lrow @ self.alpha) / pivot)
 
-        self.atoms = x.reshape(1, -1) if i == 0 else np.vstack([self.atoms, x])
+        if i == len(self._embeds):
+            self._grow(x.shape[0])
+        self._chol[i, :i] = lrow
+        self._chol[i, i] = pivot
+        self._atoms[i] = x
+        self._embeds[i] = z
+        self._alpha[i] = a
         self.atom_ids.append(pool_id)
-        self.chol = chol
-        self.embeds = np.append(self.embeds, z)
-        self.alpha = np.append(self.alpha, a)
         self._weights = None
         self.mmd_sq -= a * a
 
@@ -209,7 +264,7 @@ class QuadratureState:
         if self.size == 0:
             return diag
         C = self.kernel.gram(self.atoms, X)
-        Y = solve_triangular(self.chol, C, lower=True)
+        Y = solve_triangular(self._factor(), C, lower=True)
         return diag - np.einsum("ij,ij->j", Y, Y)
 
 
@@ -237,16 +292,21 @@ class PoolScores:
         self.proj = np.empty((min(capacity, n), n))
         self.schur = np.array(diag, dtype=float)
         self.resid = np.array(embeds, dtype=float)
+        self._scratch = np.empty(n)
 
     def extend(self, row: int, k_row: np.ndarray) -> None:
         """Fold the state's newest atom, pool row ``row``, into every candidate."""
         st = self.state
         i = st.size - 1
         lrow = st.chol[i]
-        y = (k_row - lrow[:i] @ self.proj[:i]) / lrow[i]
-        self.proj[i] = y
-        self.schur -= y * y
-        self.resid -= st.alpha[i] * y
+        # y = (k_row - lrow[:i] @ Y[:i]) / lrow[i], written straight into Y's row i
+        y = self.proj[i]
+        np.dot(lrow[:i], self.proj[:i], out=y)
+        np.subtract(k_row, y, out=y)
+        y /= lrow[i]
+        tmp = self._scratch
+        self.schur -= np.multiply(y, y, out=tmp)
+        self.resid -= np.multiply(st.alpha[i], y, out=tmp)
         self.schur[row] = 0.0
 
 

@@ -405,6 +405,11 @@ def test_diagnose_list_and_report(tmp_path, capsys):
     reported = list(_values_under_keys_with(report, "mmd_sq"))
     assert len(reported) == 6
     assert all(g >= 0.0 for g in reported)
+    # the 10-point instance needs far more atoms than its pool holds
+    guarantee = next(c for c in report["checks"] if c["name"] == "approx_guarantee")
+    for entry in guarantee["details"]["methods"].values():
+        assert entry["k_needed"] > entry["k_used"] == 10
+        assert entry["capped"] is True
 
 
 def _values_under_keys_with(obj, part):

@@ -109,6 +109,15 @@ def test_check_approx_guarantee_holds_on_small_instance():
     assert report["oracle"]["subsets_examined"] == 12 + 66
 
 
+def test_check_approx_guarantee_flags_a_k_within_the_trace_as_not_capped():
+    # ln(1 / epsilon) is about 1e-9, so one atom is enough
+    pool, target, kern = brute_problem(seed=3, n=12)
+    report = check_approx_guarantee(pool, target, kern, r=2, epsilon=1.0 - 1e-9)
+    for entry in report["methods"].values():
+        assert entry["k_needed"] == entry["k_used"] == 1
+        assert entry["capped"] is False
+
+
 def test_oracles_reject_another_kernel():
     # Scoring this target under a narrower kernel drove the oracle's g negative.
     pts = np.linspace(-2.0, 2.0, 8).reshape(-1, 1)

@@ -62,9 +62,12 @@ def test_single_worker_matches_plain_greedy_objective():
     worker = result.solutions[0]
     # the lone shard is the whole pool, so the worker solves the full problem;
     # the aggregator then re-selects from the worker's atoms and cannot improve
-    state, _ = run_greedy(Method.SBQ, pool, target, kern, 5, seed=0)
-    # seeds differ, but greedy over a fixed pool is deterministic up to ties
-    assert worker.mmd_sq == pytest.approx(state.mmd_sq, rel=1e-9)
+    state, trace = run_greedy(Method.SBQ, pool, target, kern, 5, seed=0)
+    # seeds differ, but SBQ does not read its seed
+    assert worker.ids == state.atom_ids
+    np.testing.assert_array_equal(worker.weights, state.weights)
+    assert worker.mmd_sq == state.mmd_sq
+    np.testing.assert_array_equal(result.traces[0].mmd_values, trace.mmd_values)
     assert result.winner.mmd_sq <= worker.mmd_sq + 1e-15
 
 

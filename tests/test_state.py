@@ -9,6 +9,7 @@ from herdquad.diagnostics import orthogonality_residual
 from herdquad.kernels import CandidatePool, RBFKernel
 from herdquad.selectors import Method, run_greedy, selection_scores
 from herdquad.state import (
+    INITIAL_CAPACITY,
     TAU_DEP,
     DuplicateAtom,
     KernelMismatch,
@@ -21,7 +22,7 @@ from tests.conftest import PrecomputedKernel, random_mixture
 
 
 def sbq_scores(state, X):
-    """SBQ's one-step drops r^2 / s and the independence mask, from scratch."""
+    """SBQ's one-step drops r^2 / s, -inf for dependent candidates, from scratch."""
     return selection_scores(Method.SBQ, state.residual_correlations(X), state.schur_complements(X))
 
 
@@ -135,8 +136,7 @@ def test_variance_reduction_matches_refactorization_oracle(rng):
         probe = state.copy()
         probe.add_atom(pts[j], j)
         drop = state.mmd_sq - probe.mmd_sq
-        scores, _ = sbq_scores(state, pts[j])
-        assert scores[0] == pytest.approx(drop, abs=1e-8)
+        assert sbq_scores(state, pts[j])[0] == pytest.approx(drop, abs=1e-8)
 
 
 def test_variance_reduction_masks_dependent_candidates(rng):
@@ -144,15 +144,14 @@ def test_variance_reduction_masks_dependent_candidates(rng):
     state = new_state(target, target.kernel)
     x = rng.normal(size=2)
     state.add_atom(x, 0)
-    _, independent = sbq_scores(state, x)
-    assert not independent[0]
+    assert sbq_scores(state, x)[0] == -np.inf
 
 
 def test_empty_state_variance_reduction_is_embedding_squared(std_normal_target, rbf_unit, rng):
     state = new_state(std_normal_target, rbf_unit)
     X = rng.normal(size=(5, 1))
     z = std_normal_target.mean_embed_many(X)
-    np.testing.assert_allclose(sbq_scores(state, X)[0], z**2, rtol=1e-13)
+    np.testing.assert_allclose(sbq_scores(state, X), z**2, rtol=1e-13)
 
 
 def test_schur_complement_of_novel_point_is_one_at_empty(rbf_unit, std_normal_target):
@@ -269,8 +268,8 @@ def test_pool_scores_mask_every_atom_from_later_picks(rng):
         core.extend(row, K[row])
         rows.append(row)
         assert np.all(core.schur[rows] <= 0.0)
-        _, independent = selection_scores(Method.SBQ, core.resid, core.schur)
-        assert not independent[rows].any()
+        scores = selection_scores(Method.SBQ, core.resid, core.schur)
+        assert np.all(scores[rows] == -np.inf)
 
 
 class _CheckedScores(PoolScores):
@@ -373,3 +372,83 @@ def test_weights_are_solved_on_read_and_reset_by_add_atom(rng):
     state.add_atom(pts[2], 2)
     assert state.weights.size == 3
     np.testing.assert_allclose(state.gram @ state.weights, state.embeds, atol=1e-12)
+
+
+def grid_state(n_atoms):
+    """A state holding ``n_atoms`` points of a grid 1.5 bandwidths apart, added one by one."""
+    target = random_mixture(np.random.default_rng(5))
+    grid = 1.5 * np.stack(np.meshgrid(np.arange(7.0), np.arange(7.0)), axis=-1).reshape(-1, 2)
+    state = new_state(target, target.kernel)
+    for i in range(n_atoms):
+        state.add_atom(grid[i], i)
+    return state, grid
+
+
+def bits(state):
+    """Every attribute of ``state``, arrays as (shape, bytes), buffers included."""
+    out = {}
+    for key, val in vars(state).items():
+        if isinstance(val, np.ndarray):
+            out[key] = (val.shape, val.tobytes())
+        elif isinstance(val, list):
+            out[key] = list(val)
+        else:
+            out[key] = val
+    return out
+
+
+READ_ATTRIBUTES = ("chol", "atoms", "embeds", "alpha", "weights")
+
+
+def test_arrays_read_from_the_state_keep_their_values_as_it_grows():
+    target = random_mixture(np.random.default_rng(5))
+    _, grid = grid_state(0)
+    state = new_state(target, target.kernel)
+    reads = []
+    for i in range(45):  # the buffers grow past INITIAL_CAPACITY on the way
+        state.add_atom(grid[i], i)
+        read = {name: getattr(state, name) for name in READ_ATTRIBUTES}
+        reads.append((read, {name: arr.copy() for name, arr in read.items()}))
+    assert state.size > INITIAL_CAPACITY
+    for read, values in reads:
+        for name in READ_ATTRIBUTES:
+            np.testing.assert_array_equal(read[name], values[name], err_msg=name)
+    rebuilt, _ = grid_state(45)
+    for name in READ_ATTRIBUTES:
+        np.testing.assert_array_equal(getattr(state, name), getattr(rebuilt, name), err_msg=name)
+
+
+@pytest.mark.parametrize("n_atoms", [INITIAL_CAPACITY - 1, INITIAL_CAPACITY])
+def test_copy_does_not_change_when_the_original_grows(n_atoms):
+    """Below and at full capacity: the original's next rows never reach the copy."""
+    state, grid = grid_state(n_atoms)
+    clone = state.copy()
+    before = bits(clone)
+    for i in range(n_atoms, n_atoms + 3):
+        state.add_atom(grid[i], i)
+    assert bits(clone) == before
+    clone.add_atom(grid[-1], len(grid) - 1)  # the two now differ in row n_atoms
+    expected, _ = grid_state(n_atoms + 3)
+    for name in READ_ATTRIBUTES:
+        np.testing.assert_array_equal(getattr(state, name), getattr(expected, name), err_msg=name)
+    assert clone.atom_ids[-1] == len(grid) - 1 and clone.size == n_atoms + 1
+
+
+@pytest.mark.parametrize("reject", ["duplicate", "near_dependent", "non_finite", "dimension"])
+def test_rejected_atom_at_full_capacity_leaves_every_attribute_alone(reject):
+    state, grid = grid_state(INITIAL_CAPACITY)
+    state.weights  # solved and cached, so the cache is checked too
+    before = bits(state)
+    x, pool_id, entries = grid[INITIAL_CAPACITY], INITIAL_CAPACITY, {}
+    if reject == "duplicate":
+        pool_id, error = 0, DuplicateAtom
+    elif reject == "near_dependent":
+        x, error = grid[3] + 1e-9, NearDependentAtom
+    elif reject == "non_finite":
+        entries = {"k_atoms": np.full(INITIAL_CAPACITY, np.nan), "k_self": 1.0}
+        error = ValueError
+    else:
+        x, error = np.append(x, 0.0), ValueError
+    with pytest.raises(error):
+        state.add_atom(x, pool_id, **entries)
+    assert bits(state) == before
