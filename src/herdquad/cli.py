@@ -56,6 +56,7 @@ SCHEMA_VERSION = 1
 TRACE_COLUMNS = ["method", "s", "seed", "iteration", "chosen_id", "g", "elapsed_ms"]
 SUMMARIZE_COLUMNS = ["method", "s", "k", "seed", "g_final", "test_nll"]
 MEDIAN_SUBSAMPLE = 500
+MEDIAN_BLOCK_BYTES = 1 << 20  # bound on one block of point differences in median_bandwidth
 # the random mixtures of ``herdquad mixture``: means uniform in [-5, 5],
 # diagonal variances uniform in [0.05, 0.5], Dirichlet(1) weights
 MIXTURE_FAMILY = {"mean_low": -5.0, "mean_high": 5.0, "cov_low": 0.05, "cov_high": 0.5,
@@ -100,9 +101,18 @@ def median_bandwidth(points: np.ndarray, seed: int = 0) -> float:
         rows = np.random.default_rng(seed).choice(pts.shape[0], size=MEDIAN_SUBSAMPLE,
                                                   replace=False)
         pts = pts[rows]
-    diffs = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt(np.sum(diffs**2, axis=-1))
-    upper = d[np.triu_indices(pts.shape[0], k=1)]
+    # the upper triangle of the distance matrix, row by row, taken in blocks
+    # of rows whose differences (pts.nbytes per row) fit in MEDIAN_BLOCK_BYTES
+    m = pts.shape[0]
+    rows = max(1, MEDIAN_BLOCK_BYTES // max(pts.nbytes, 1))
+    upper, filled = np.empty(m * (m - 1) // 2), 0
+    for start in range(0, m, rows):
+        block = pts[start:start + rows]
+        diffs = block[:, None, :] - pts[None, :, :]
+        sq = np.sum(diffs**2, axis=-1)
+        above = sq[np.arange(m) > np.arange(start, start + block.shape[0])[:, None]]
+        np.sqrt(above, out=upper[filled:filled + above.size])
+        filled += above.size
     med = float(np.median(upper))
     if med <= 0:
         raise ValueError("median pairwise distance is zero; specify a bandwidth")

@@ -23,13 +23,23 @@ accepted atom into the whole pool in O(n (i + d)) for n candidates in d
 dimensions at step i, and the scores are written into buffers allocated
 once per run, so the kernel row is a step's only allocation of the pool's
 length; ``wkh_select`` and ``sbq_select`` recompute the pair from scratch
-for one step.  ``run_greedy`` prepares the pool once per call
-(``Kernel.prepare``: the unit features of a feature kernel) and checks the
-kernel's diagonal on it.  Each step then takes one kernel row, the chosen
-point's k(x, pool), as one cross product of slices of the prepared pool,
-and hands it to both the state and the pool; the baselines likewise reuse
-the pool's embeddings and one kernel row per pick instead of evaluating
-the target point by point.
+for one step.
+
+``run_greedy`` is two parts.  ``setup_pool`` checks the kernel against the
+target, prepares the pool once (``Kernel.prepare``: the unit features of a
+feature kernel), checks the kernel's diagonal on it and embeds the pool
+under the target; the ``PoolSetup`` it returns depends on no method,
+budget or seed.  ``run_on_setup`` is the selection loop, and reads the
+setup without writing into it, so a caller that selects many times from
+one (pool, target), like a ``summarize`` grid, builds the setup once.
+Each step takes one kernel row, the chosen point's k(x, pool), as one
+cross product of slices of the prepared pool, and hands it to both the
+state and the pool; the baselines likewise reuse the pool's embeddings
+and one kernel row per pick instead of evaluating the target point by
+point.  Their bookkeeping is O(1) per step besides that row: the
+``UniformAccumulator`` keeps its embeddings in a doubling buffer,
+KH_UNIFORM scores into a buffer of the run and MC_RANDOM gathers its
+prepared draws once.
 
 Selection is deterministic: ties always go to the lowest pool id (pools
 list their rows by ascending id and ``argmax`` takes the first maximum), and a
@@ -117,16 +127,19 @@ def selection_scores(method: Method, resid: np.ndarray, schur: np.ndarray,
     are written into ``out`` (float) and the mask into ``mask`` (bool) when
     given, arrays shaped like ``resid``; otherwise both are allocated.
     """
-    independent = np.greater_equal(schur, TAU_DEP, out=mask)
     if method is Method.SBQ:
         out = np.square(resid, out=out)
-        # s >= TAU_DEP wherever the quotient is taken: r^2 / max(s, TAU_DEP)
-        np.divide(out, schur, out=out, where=independent)
+        # dependent rows divide by a tiny, zero, negative or NaN s; they are
+        # overwritten below, so their warnings are noise
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(out, schur, out=out)
     elif out is None:
         out = np.array(resid, dtype=float)
     else:
         np.copyto(out, resid)
-    np.copyto(out, -np.inf, where=np.logical_not(independent, out=independent))
+    # not (s >= TAU_DEP) rather than s < TAU_DEP, so that a NaN s is dependent
+    independent = np.greater_equal(schur, TAU_DEP, out=mask)
+    out[np.logical_not(independent, out=independent)] = -np.inf
     return out
 
 
@@ -172,13 +185,15 @@ class UniformAccumulator:
         c - 2 mean_i z_i + mean_{i,j} k(x_i, x_j)
 
     is available after every step.  ``run_greedy`` returns one for the
-    uniform-weight baselines, KH_UNIFORM and MC_RANDOM.
+    uniform-weight baselines, KH_UNIFORM and MC_RANDOM.  The embeddings sit
+    in a buffer that doubles when it fills, so a step costs O(1) besides
+    the one sum of the mean, which is the sum ``np.mean`` takes.
     """
 
     def __init__(self, self_energy: float):
         self.self_energy = float(self_energy)
         self.atom_ids: list[int] = []
-        self.embeds: list[float] = []
+        self._embeds = np.empty(64)
         self._pair_sum = 0.0
 
     @property
@@ -186,18 +201,63 @@ class UniformAccumulator:
         return len(self.atom_ids)
 
     @property
+    def embeds(self) -> np.ndarray:
+        """z(x_i) at the atoms, in atom order; a view of the buffer."""
+        return self._embeds[:self.size]
+
+    @property
     def mmd_sq(self) -> float:
         n = self.size
         if n == 0:
             return self.self_energy
-        return self.self_energy - 2.0 * float(np.mean(self.embeds)) + self._pair_sum / n**2
+        mean = float(np.add.reduce(self._embeds[:n])) / n
+        return self.self_energy - 2.0 * mean + self._pair_sum / n**2
 
     def add(self, pool_id: int, embed: float, k_atoms: np.ndarray, k_self: float) -> None:
         """Append point ``pool_id`` with its embedding z(x), its kernel entries
         k(x, x_i) at the atoms so far, in atom order, and k(x, x)."""
         self._pair_sum += 2.0 * float(np.sum(k_atoms)) + float(k_self)
+        n = self.size
+        if n == self._embeds.size:
+            self._embeds = np.concatenate([self._embeds, np.empty(n)])
+        self._embeds[n] = embed
         self.atom_ids.append(int(pool_id))
-        self.embeds.append(float(embed))
+
+
+@dataclass(frozen=True)
+class PoolSetup:
+    """A pool checked and prepared for selection against one target.
+
+    ``prepared`` is ``kernel.prepare(pool.points)``, ``diag`` the kernel's
+    diagonal on it (all ones within ``STANDARDIZATION_TOL``) and ``embeds``
+    the target's mean embedding z at every pool point.  None of them
+    depends on the method, the budget or the seed, so one setup serves any
+    number of ``run_on_setup`` calls; none of those calls writes into it.
+    """
+
+    pool: CandidatePool
+    target: TargetEmbedding
+    kernel: Kernel
+    prepared: np.ndarray
+    diag: np.ndarray
+    embeds: np.ndarray
+
+
+def setup_pool(pool: CandidatePool, target: TargetEmbedding, kernel: Kernel) -> PoolSetup:
+    """Check and prepare ``pool`` for selections against ``target`` under ``kernel``.
+
+    Raises ``KernelMismatch`` when ``kernel`` is not ``target.kernel``,
+    ``EmptyPool`` for an empty pool and ``StandardizationError`` when the
+    kernel's diagonal on the pool is not 1.
+    """
+    check_kernel(target, kernel)
+    if len(pool) == 0:
+        raise EmptyPool("empty candidate pool")
+    prepared = kernel.prepare(pool.points)
+    diag = kernel.diagonal(prepared)
+    if not unit_diagonal(diag):
+        raise StandardizationError("kernel is not standardized on this pool")
+    return PoolSetup(pool, target, kernel, prepared, diag, target.mean_embed_many(pool.points))
 
 
 def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Kernel, k: int,
@@ -207,41 +267,42 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     Returns ``(result, trace)`` where ``result`` is a ``QuadratureState``
     (WKH / SBQ) or a ``UniformAccumulator`` (KH_UNIFORM / MC_RANDOM).  The
     trace records one row per iteration with the chosen id, the objective
-    value of ``result`` after the step and wall time.  The g column is
+    value of ``result`` after the step and the wall time since the
+    selection began, the pool's setup excluded.  The g column is
     guaranteed non-increasing only for WKH and SBQ; under uniform weights
     single steps can raise it.  Early-stop reasons: ``objective_floor``
     once mmd_sq <= ``state.G_ROUNDOFF``, below which g is round-off
     (WKH/SBQ), ``all_dependent`` when no independent candidate remains, and
     ``pool_exhausted``.  ``KernelMismatch`` is raised when ``kernel`` is
-    not ``target.kernel``.
+    not ``target.kernel``.  Equal to ``run_on_setup`` on
+    ``setup_pool(pool, target, kernel)``.
     """
+    return run_on_setup(Method(method), setup_pool(pool, target, kernel), k, seed)
+
+
+def run_on_setup(method, setup: PoolSetup, k: int, seed: int = 0):
+    """``run_greedy`` over a pool already checked and prepared by ``setup_pool``."""
     method = Method(method)
-    check_kernel(target, kernel)
     if k < 1:
         raise ValueError("k must be at least 1")
-    if len(pool) == 0:
-        raise EmptyPool("empty candidate pool")
-    prepared = kernel.prepare(pool.points)
-    diag = kernel.diagonal(prepared)
-    if not unit_diagonal(diag):
-        raise StandardizationError("kernel is not standardized on this pool")
+    pool, target, kernel = setup.pool, setup.target, setup.kernel
+    prepared, z_all, n = setup.prepared, setup.embeds, len(setup.pool)
     trace = RunTrace(method=method.value)
     t0 = time.perf_counter()
-    z_all = target.mean_embed_many(pool.points)
 
     def elapsed_ms() -> float:
         return (time.perf_counter() - t0) * 1e3
 
     if method in OPTIMAL_WEIGHT_METHODS:
         state = new_state(target, kernel)
-        core = PoolScores(state, z_all, diag, capacity=k)
-        atom_rows = np.empty(min(k, len(pool)), dtype=int)
-        scores, mask = np.empty(len(pool)), np.empty(len(pool), dtype=bool)
+        core = PoolScores(state, z_all, setup.diag, capacity=k)
+        atom_rows = np.empty(min(k, n), dtype=int)
+        scores, mask = np.empty(n), np.empty(n, dtype=bool)
         for it in range(1, k + 1):
             if state.mmd_sq <= G_ROUNDOFF:
                 trace.stop_reason = "objective_floor"
                 break
-            if state.size == len(pool):
+            if state.size == n:
                 trace.stop_reason = "pool_exhausted"
                 break
             row = None
@@ -268,33 +329,37 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
             trace.rows.append(TraceRow(it, int(pool.ids[row]), state.mmd_sq, elapsed_ms()))
         return state, trace
 
+    acc = UniformAccumulator(target.self_energy())
     if method is Method.KH_UNIFORM:
-        acc = UniformAccumulator(target.self_energy())
-        ksum = np.zeros(len(pool))
-        chosen_rows = []
+        ksum = np.zeros(n)
+        scores = np.empty(n)
+        chosen_rows = np.empty(min(k, n), dtype=int)
         for it in range(1, k + 1):
-            if len(chosen_rows) == len(pool):
+            size = acc.size
+            if size == n:
                 trace.stop_reason = "pool_exhausted"
                 break
-            scores = z_all - ksum / (acc.size + 1)
-            scores[chosen_rows] = -np.inf  # the driver never picks a point twice
+            # z - ksum / (size + 1), computed in the scores buffer
+            np.subtract(z_all, np.divide(ksum, size + 1, out=scores), out=scores)
+            scores[chosen_rows[:size]] = -np.inf  # the driver never picks a point twice
             row = int(np.argmax(scores))
             k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
-            acc.add(pool.ids[row], embed=z_all[row], k_atoms=k_row[chosen_rows], k_self=k_row[row])
-            chosen_rows.append(row)
+            acc.add(pool.ids[row], embed=z_all[row], k_atoms=k_row[chosen_rows[:size]],
+                    k_self=k_row[row])
+            chosen_rows[size] = row
             ksum += k_row
             trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq, elapsed_ms()))
         return acc, trace
 
     # MC_RANDOM: every draw counts as one iteration and as a selected point,
     # dependent draws included.
-    acc = UniformAccumulator(target.self_energy())
-    order = np.random.default_rng(seed).permutation(len(pool))
-    for it, row in enumerate(order[:k], start=1):
+    order = np.random.default_rng(seed).permutation(n)[:k]
+    drawn = prepared[order]
+    for it, row in enumerate(order, start=1):
         # one kernel row against every draw so far, this one last
-        k_row = kernel.cross(prepared[row:row + 1], prepared[order[:it]])[0]
+        k_row = kernel.cross(drawn[it - 1:it], drawn[:it])[0]
         acc.add(pool.ids[row], embed=z_all[row], k_atoms=k_row[:-1], k_self=k_row[-1])
         trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq, elapsed_ms()))
-    if len(order) < k:
+    if n < k:
         trace.stop_reason = "pool_exhausted"
     return acc, trace

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from herdquad.cli import (
+    MEDIAN_SUBSAMPLE,
     SCHEMA_VERSION,
     SUMMARIZE_COLUMNS,
     TRACE_COLUMNS,
@@ -53,6 +54,17 @@ def test_median_bandwidth_known_value():
     assert median_bandwidth(pts) == 2.0
     with pytest.raises(ValueError):
         median_bandwidth(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("n, dim", [(2, 1), (37, 3), (150, 128), (500, 24), (1200, 2), (1200, 8)])
+def test_median_bandwidth_equals_the_dense_formula(n, dim):
+    pts = np.random.default_rng(n + dim).normal(size=(n, dim))
+    sub = pts
+    if n > MEDIAN_SUBSAMPLE:
+        sub = pts[np.random.default_rng(4).choice(n, size=MEDIAN_SUBSAMPLE, replace=False)]
+    diffs = sub[:, None, :] - sub[None, :, :]
+    dense = np.sqrt(np.sum(diffs**2, axis=-1))[np.triu_indices(sub.shape[0], k=1)]
+    assert median_bandwidth(pts, seed=4) == float(np.median(dense))
 
 
 def test_mixture_subcommand_writes_artifacts(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,11 +19,15 @@ from herdquad.selectors import (
     Method,
     UniformAccumulator,
     run_greedy,
+    run_on_setup,
     sbq_select,
+    selection_scores,
+    setup_pool,
     wkh_select,
 )
 from herdquad.state import (
     G_ROUNDOFF,
+    TAU_DEP,
     KernelMismatch,
     NearDependentAtom,
     QuadratureState,
@@ -426,3 +431,89 @@ def test_zero_norm_feature_fails_before_any_selection(where):
             with pytest.raises(ZeroNormFeature):
                 run_greedy(method, pool, target, kern, 5)
     assert add_atom.call_count == 0
+
+
+def reference_uniform_run(method, pool, target, kern, k, seed):
+    """KH_UNIFORM and MC_RANDOM written plainly: Python lists, ``np.mean`` over
+    every embedding at every step, a fresh score array per step and a fresh
+    gather of every draw so far.  Returns the chosen ids and the g trace."""
+    prepared = kern.prepare(pool.points)
+    z_all = target.mean_embed_many(pool.points)
+    c = target.self_energy()
+    ids, embeds, g = [], [], []
+    pair = 0.0
+
+    def add(row, k_atoms, k_self):
+        nonlocal pair
+        pair += 2.0 * float(np.sum(k_atoms)) + float(k_self)
+        ids.append(int(pool.ids[row]))
+        embeds.append(float(z_all[row]))
+        g.append(c - 2.0 * float(np.mean(embeds)) + pair / len(ids) ** 2)
+
+    if method is Method.KH_UNIFORM:
+        ksum, chosen = np.zeros(len(pool)), []
+        for _ in range(min(k, len(pool))):
+            scores = z_all - ksum / (len(chosen) + 1)
+            scores[chosen] = -np.inf
+            row = int(np.argmax(scores))
+            k_row = kern.cross(prepared[row:row + 1], prepared)[0]
+            add(row, k_row[chosen], k_row[row])
+            chosen.append(row)
+            ksum += k_row
+    else:
+        order = np.random.default_rng(seed).permutation(len(pool))
+        for it, row in enumerate(order[:k], start=1):
+            k_row = kern.cross(prepared[row:row + 1], prepared[order[:it]])[0]
+            add(row, k_row[:-1], k_row[-1])
+    return ids, g
+
+
+@pytest.mark.parametrize("problem", ["rbf", "feature"])
+@pytest.mark.parametrize("method", [Method.KH_UNIFORM, Method.MC_RANDOM])
+@pytest.mark.parametrize("k", [130, 260])
+def test_uniform_baselines_match_the_plain_loops_bit_for_bit(problem, method, k):
+    """200 points and k > 100, so the accumulator's buffer grows at least once."""
+    if problem == "rbf":
+        pool, target, kern = mixture_problem(seed=41, n=200, dim=3)
+    else:
+        pool, target, kern = feature_problem(seed=42, n=200, dim=30)
+    acc, trace = run_greedy(method, pool, target, kern, k, seed=7)
+    ids, g = reference_uniform_run(method, pool, target, kern, k, seed=7)
+    assert trace.chosen_ids == ids == acc.atom_ids
+    assert trace.mmd_values.tobytes() == np.array(g).tobytes()
+    assert acc.mmd_sq == g[-1]
+    assert trace.stop_reason == ("pool_exhausted" if k > len(pool) else None)
+    z = target.mean_embed_many(pool.points)
+    np.testing.assert_array_equal(acc.embeds, z[np.asarray(ids)])
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_one_setup_serves_many_runs_without_being_written(method):
+    pool, target, kern = feature_problem(seed=9, n=80, dim=20)
+    setup = setup_pool(pool, target, kern)
+    for arr in (setup.prepared, setup.diag, setup.embeds):
+        arr.flags.writeable = False  # a write into the setup would raise
+    for k, seed in ((5, 0), (12, 3), (12, 0)):
+        result, trace = run_on_setup(method, setup, k, seed=seed)
+        expected, expected_trace = run_greedy(method, pool, target, kern, k, seed=seed)
+        assert trace.chosen_ids == expected_trace.chosen_ids
+        assert trace.mmd_values.tobytes() == expected_trace.mmd_values.tobytes()
+        assert result.mmd_sq == expected.mmd_sq
+
+
+@pytest.mark.parametrize("method", [Method.WKH, Method.SBQ])
+@pytest.mark.parametrize("buffers", [False, True])
+def test_selection_scores_mask_every_s_that_is_not_above_the_threshold(method, buffers):
+    resid = np.array([0.5, -0.4, 0.3, 0.2, 0.25, 0.7, -0.6])
+    # NaN, zero, negative, below TAU_DEP, subnormal (r^2/s overflows), at and above TAU_DEP
+    schur = np.array([np.nan, 0.0, -1e-3, TAU_DEP / 2, 1e-320, TAU_DEP, 0.9])
+    out = np.empty(resid.size) if buffers else None
+    mask = np.empty(resid.size, dtype=bool) if buffers else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the masked rows' divisions warn nothing
+        scores = selection_scores(method, resid, schur, out=out, mask=mask)
+    assert np.all(scores[:5] == -np.inf)
+    kept = resid[5:] ** 2 / schur[5:] if method is Method.SBQ else resid[5:]
+    assert scores[5:].tobytes() == kept.tobytes()
+    if buffers:
+        assert scores is out
