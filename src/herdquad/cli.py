@@ -16,8 +16,10 @@ and ``summarize`` take a config file and the grid flags (``--config``,
 ``--seed``, ``--k``, ``--method``, ``--threads``); ``--method WKH:5`` runs
 WKH on five workers.  Both print an aggregate table of their runs after
 the artifacts are written.  All three take ``--out``.
-The mixture family and the blob geometry are fixed, see
-``MIXTURE_FAMILY`` and ``datasets.make_blobs``.  Environment variable:
+The mixture family, the RBF bandwidth (the median heuristic), the blob
+geometry and the split fractions are fixed, see ``MIXTURE_FAMILY``,
+``median_bandwidth``, ``datasets.make_blobs`` and ``datasets.VAL_FRACTION``
+/ ``TEST_FRACTION``.  Environment variable:
 HERDQUAD_OUT (default output directory).
 """
 
@@ -36,7 +38,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .config import ConfigError, MixtureConfig, SummarizeConfig, build_config, parse_kv_file
-from .datasets import IngestError, load_dataset, split_dataset, synthetic_blob_dataset
+from .datasets import (
+    TEST_FRACTION,
+    VAL_FRACTION,
+    IngestError,
+    load_dataset,
+    split_dataset,
+    synthetic_blob_dataset,
+)
 from .diagnostics import (
     InsufficientPoints,
     check_approx_guarantee,
@@ -115,7 +124,8 @@ def median_bandwidth(points: np.ndarray, seed: int = 0) -> float:
         filled += above.size
     med = float(np.median(upper))
     if med <= 0:
-        raise ValueError("median pairwise distance is zero; specify a bandwidth")
+        raise ValueError("median pairwise distance is zero: "
+                         "at least half the point pairs coincide")
     return med
 
 
@@ -156,7 +166,7 @@ def _mixture_single_run(cfg: MixtureConfig, method: str, s: int, seed: int):
     weights, means, covs = sample_mixture_params(rng, cfg.components, cfg.dim, **MIXTURE_FAMILY)
     probe = GaussianMixtureTarget(weights, means, covs, RBFKernel(1.0))
     pool_points = probe.sample(cfg.pool_size, rng)
-    bw = cfg.bandwidth if isinstance(cfg.bandwidth, float) else median_bandwidth(pool_points, seed=seed)
+    bw = median_bandwidth(pool_points, seed=seed)
     kernel = RBFKernel(bw)
     target = GaussianMixtureTarget(weights, means, covs, kernel)
     pool = CandidatePool.from_points(pool_points)
@@ -216,9 +226,8 @@ def _print_mixture_table(cfg: MixtureConfig, records: list[dict]) -> None:
         lines.append(f"{method:<12} {s:>2} {len(runs):>5} {gs.mean():>12.4e} {gs.min():>12.4e} "
                      f"{gs.max():>12.4e} {slope:>8.3f}  "
                      + " ".join(f"{reason}={n}" for reason, n in sorted(stops.items())))
-    bandwidth = cfg.bandwidth if isinstance(cfg.bandwidth, float) else "median"
     _print_table(f"pool={cfg.pool_size} components={cfg.components} k={cfg.k} "
-                 f"bandwidth={bandwidth}",
+                 "bandwidth=median",
                  f"{'method':<12} {'s':>2} {'seeds':>5} {'mean g':>12} {'min g':>12} "
                  f"{'max g':>12} {'slope':>8}  stops", lines)
 
@@ -254,7 +263,7 @@ def cmd_mixture(cfg: MixtureConfig) -> int:
             "mean_range": [MIXTURE_FAMILY["mean_low"], MIXTURE_FAMILY["mean_high"]],
             "cov_range": [MIXTURE_FAMILY["cov_low"], MIXTURE_FAMILY["cov_high"]],
             "dirichlet_alpha": MIXTURE_FAMILY["alpha"],
-            "bandwidth": cfg.bandwidth if isinstance(cfg.bandwidth, float) else "median",
+            "bandwidth": "median",
             "target_form": "continuous",
         },
         "runs": records,
@@ -284,13 +293,10 @@ def _print_summarize_table(cfg: SummarizeConfig, data, records: list[dict]) -> N
 
 def cmd_summarize(cfg: SummarizeConfig) -> int:
     if cfg.dataset == "blobs":
-        data = synthetic_blob_dataset(n=cfg.n, dim=cfg.dim, seed=min(cfg.seeds),
-                                      val_fraction=cfg.val_fraction,
-                                      test_fraction=cfg.test_fraction)
+        data = synthetic_blob_dataset(n=cfg.n, dim=cfg.dim, seed=min(cfg.seeds))
     else:
         X, y = load_dataset(cfg.dataset)
-        data = split_dataset(X, y, val_fraction=cfg.val_fraction,
-                             test_fraction=cfg.test_fraction, seed=min(cfg.seeds))
+        data = split_dataset(X, y, seed=min(cfg.seeds))
 
     n_train = int(np.sum(data.split == "train"))
     if max(cfg.k_grid + [s for _, s in cfg.methods]) > n_train:
@@ -303,12 +309,16 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
         tasks, cfg.threads)
 
     rows, records = [], []
+    # one random baseline per (subset size, seed): a cell that stops early
+    # draws its baseline at the size it selected, not at its budget
+    random_rows: dict[tuple, list] = {}
     trace_rows: dict[int, list] = {k: [] for k in cfg.k_grid}
     for method, s, k, seed in tasks:
         rep = results[(method, s, k, seed)]
         g_final = reported_g(rep.final_mmd_sq, method, len(rep.trace.rows))
         rows.append([method, s, k, seed, fmt(g_final), fmt(rep.test_nll)])
-        rows.append(["RANDOM", 1, k, seed, "", fmt(rep.random_nll)])
+        size = rep.selected_indices.size
+        random_rows[(size, seed)] = ["RANDOM", 1, size, seed, "", fmt(rep.random_nll)]
         trace_rows[k].extend(trace_rows_for_csv(method, s, seed, rep.trace, cfg.timing))
         records.append({"method": method, "s": s, "k": k, "seed": seed,
                         "g_final": g_final, "test_nll": rep.test_nll,
@@ -316,18 +326,10 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
                         "n_degenerate": rep.n_degenerate})
     first = results[tasks[0]]
     rows.append(["FULL", 1, n_train, min(cfg.seeds), "", fmt(first.full_nll)])
+    rows.extend(random_rows.values())
+    rows.sort(key=lambda r: r[:4])
 
-    # one row per grid cell plus the baselines, deduplicated and ordered
-    seen = set()
-    unique_rows = []
-    for row in rows:
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
-            unique_rows.append(row)
-    unique_rows.sort(key=lambda r: (r[0], int(r[1]), int(r[2]), int(r[3])))
-
-    write_csv(os.path.join(cfg.out, "summarize.csv"), SUMMARIZE_COLUMNS, unique_rows)
+    write_csv(os.path.join(cfg.out, "summarize.csv"), SUMMARIZE_COLUMNS, rows)
     for k in cfg.k_grid:
         write_csv(os.path.join(cfg.out, f"summarize_traces_k{k}.csv"),
                   TRACE_COLUMNS, trace_rows[k])
@@ -339,7 +341,7 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
             "methods": [[m, s] for m, s in cfg.methods], "k_grid": list(cfg.k_grid),
             "seeds": list(cfg.seeds), "dataset": cfg.dataset, "n": data.features.shape[0],
             "dim": data.features.shape[1], "lambda": cfg.lam,
-            "val_fraction": cfg.val_fraction, "test_fraction": cfg.test_fraction,
+            "val_fraction": VAL_FRACTION, "test_fraction": TEST_FRACTION,
             "weighted_retrain": cfg.weighted_retrain,
         },
         "runs": records,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .datasets import read_utf8
 from .selectors import OPTIMAL_WEIGHT_METHODS, Method
 
 
@@ -22,16 +23,8 @@ class ConfigError(ValueError):
 
 
 def parse_kv_file(path) -> dict[str, str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = list(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read {path}: byte 0x{exc.object[exc.start]:02x} "
-                          f"at offset {exc.start} is not UTF-8") from None
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_utf8(path, ConfigError).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -108,16 +101,6 @@ def parse_methods(text: str) -> list[tuple[str, int]]:
     return _distinct([parse_method_spec(tok) for tok in text.split(",") if tok.strip()], "method")
 
 
-def _parse_bandwidth(text: str):
-    t = text.strip().lower()
-    if t == "median":
-        return "median"
-    value = _parse_float(t)
-    if value <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {text!r}")
-    return value
-
-
 def _parse_int_list(text: str) -> list[int]:
     return _distinct([int(v) for v in text.split(",") if v.strip() != ""], "budget")
 
@@ -131,7 +114,6 @@ class MixtureConfig:
     pool_size: int = 2000
     components: int = 20
     dim: int = 2
-    bandwidth: object = "median"
     out: str = "out"
     threads: int = 1
     timing: bool = False
@@ -153,8 +135,6 @@ class SummarizeConfig:
     dataset: str = "blobs"
     n: int = 500
     dim: int = 128
-    val_fraction: float = 0.1
-    test_fraction: float = 0.2
     lam: float = 1.0
     weighted_retrain: bool = False
     out: str = "out"
@@ -166,10 +146,6 @@ class SummarizeConfig:
             raise ConfigError("k_grid must hold positive sizes")
         if self.n < 1 or self.dim < 1:
             raise ConfigError("n and dim must be positive")
-        if not (0 < self.val_fraction < 1 and 0 <= self.test_fraction < 1
-                and self.val_fraction + self.test_fraction < 1):
-            raise ConfigError("need 0 < val_fraction, 0 <= test_fraction and "
-                              "val_fraction + test_fraction < 1")
         if any(m == "KH_UNIFORM" for m, _ in self.methods):
             raise ConfigError("summarize supports WKH, SBQ and MC_RANDOM")
         if self.lam < 0:
@@ -184,7 +160,6 @@ _FIELD_CASTERS = {
     "methods": parse_methods,
     "seeds": parse_seeds,
     "k_grid": _parse_int_list,
-    "bandwidth": _parse_bandwidth,
 }
 _TYPE_CASTERS = {"int": int, "float": _parse_float, "str": str, "bool": _parse_bool}
 

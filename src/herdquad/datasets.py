@@ -1,4 +1,5 @@
-"""Labeled binary-classification datasets: synthesis, ingestion, splits."""
+"""Labeled binary-classification datasets: synthesis, ingestion and a seeded
+train / validation / test split in fixed proportions."""
 
 from __future__ import annotations
 
@@ -7,6 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 SPLIT_TAGS = ("train", "validation", "test")
+# the shares of every dataset that ``split_dataset`` tags validation and test
+VAL_FRACTION = 0.1
+TEST_FRACTION = 0.2
 
 
 class IngestError(ValueError):
@@ -43,19 +47,15 @@ class LabeledDataset:
         return self.features[idx], self.labels[idx]
 
 
-def split_dataset(X, y, val_fraction: float = 0.1, test_fraction: float = 0.2,
-                  seed: int = 0) -> LabeledDataset:
-    """Shuffle and tag examples as train / validation / test."""
+def split_dataset(X, y, seed: int = 0) -> LabeledDataset:
+    """Shuffle and tag examples as validation (``VAL_FRACTION``, at least
+    one), test (``TEST_FRACTION``) and train (the rest)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     n = X.shape[0]
-    if not 0 < val_fraction < 1 or not 0 <= test_fraction < 1:
-        raise ValueError("fractions must lie in (0, 1)")
-    if val_fraction + test_fraction >= 1:
-        raise ValueError("nothing left for training")
     order = np.random.default_rng(seed).permutation(n)
-    n_val = max(1, int(round(val_fraction * n)))
-    n_test = int(round(test_fraction * n))
+    n_val = max(1, int(round(VAL_FRACTION * n)))
+    n_test = int(round(TEST_FRACTION * n))
     tags = np.empty(n, dtype=object)
     tags[order[:n_val]] = "validation"
     tags[order[n_val:n_val + n_test]] = "test"
@@ -81,11 +81,10 @@ def make_blobs(n: int, dim: int = 2, seed: int = 0, separation: float = 2.5,
     return X, y
 
 
-def synthetic_blob_dataset(n: int = 500, dim: int = 2, seed: int = 0,
-                           val_fraction: float = 0.1, test_fraction: float = 0.2) -> LabeledDataset:
+def synthetic_blob_dataset(n: int = 500, dim: int = 2, seed: int = 0) -> LabeledDataset:
     """``make_blobs`` in its default geometry, split by ``split_dataset``."""
     X, y = make_blobs(n, dim=dim, seed=seed)
-    return split_dataset(X, y, val_fraction=val_fraction, test_fraction=test_fraction, seed=seed)
+    return split_dataset(X, y, seed=seed)
 
 
 def _map_label(token: str, lineno: int) -> int:
@@ -100,22 +99,22 @@ def _map_label(token: str, lineno: int) -> int:
     raise IngestError(f"line {lineno}: label {v} not in {{-1, 0, 1}}")
 
 
-def _read_text(path) -> str:
-    """The file's text; an unreadable file or one that is not UTF-8 is an
-    ``IngestError`` naming the path."""
+def read_utf8(path, error: type[Exception]) -> str:
+    """The file's text; an unreadable file or one that is not UTF-8 raises
+    ``error`` naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc.strerror}") from None
+        raise error(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise IngestError(f"cannot read {path}: byte 0x{exc.object[exc.start]:02x} "
-                          f"at offset {exc.start} is not UTF-8") from None
+        raise error(f"cannot read {path}: byte 0x{exc.object[exc.start]:02x} "
+                    f"at offset {exc.start} is not UTF-8") from None
 
 
 def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Dense CSV: one header row, features in order, label in the last column."""
-    lines = _read_text(path).splitlines()
+    lines = read_utf8(path, IngestError).splitlines()
     if not lines:
         raise IngestError("line 1: file is empty")
     n_cols = len(lines[0].split(","))
@@ -141,7 +140,7 @@ def load_csv(path) -> tuple[np.ndarray, np.ndarray]:
 def load_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
     """Sparse text rows: ``label index:value ...`` with 1-based indices."""
     rows, labels, width = [], [], 0
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_utf8(path, IngestError).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

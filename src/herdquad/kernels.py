@@ -8,8 +8,8 @@ a kernel diagonal; ``run_greedy`` applies it to every pool it selects from.
 
 Each kernel splits into a per-point part and a cross product.
 ``prepare(X)`` does the per-point work once per batch: the RBF kernel
-keeps the points as they are and the feature kernel maps and normalizes
-them to unit features.  ``cross(A, B)`` is the Gram matrix between two
+keeps the points as they are and the feature kernel scales them to unit
+length.  ``cross(A, B)`` is the Gram matrix between two
 prepared batches (cdist and exp, or ``A @ B.T``) and ``diagonal(A)`` is
 k(x, x) at each prepared point.  ``gram(X, Y)`` equals
 ``cross(prepare(X), prepare(Y))``.  A caller that needs many kernel rows
@@ -20,7 +20,6 @@ row from a slice of it, bit for bit equal to the ``gram`` row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -107,28 +106,22 @@ class RBFKernel(Kernel):
 
 @dataclass(frozen=True)
 class NormalizedFeatureKernel(Kernel):
-    """Cosine similarity of an explicit finite-dimensional feature map.
+    """Cosine similarity of the points, read as finite-dimensional features.
 
-    ``feature_map`` maps an (n, d) batch of points to an (n, m) batch of
-    features; ``None`` means the identity map.  ``prepare`` scales the
-    features to unit length, so the cross product is ``A @ B.T`` and the
-    diagonal is 1 by construction.  A zero-norm feature raises
-    ``ZeroNormFeature``.
+    The kernel of a feature map phi is this kernel on the points phi(X).
+    ``prepare`` scales the points to unit length, so the cross product is
+    ``A @ B.T`` and the diagonal is 1 by construction.  A zero-norm point
+    raises ``ZeroNormFeature``.
     """
-
-    feature_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def prepare(self, X) -> np.ndarray:
         X = as_point_matrix(X)
         if X.shape[0] == 0:
             return X
-        F = X if self.feature_map is None else np.asarray(self.feature_map(X), dtype=float)
-        if F.ndim != 2 or F.shape[0] != X.shape[0]:
-            raise ValueError("feature map must return one feature row per input point")
-        norms = np.linalg.norm(F, axis=1)
+        norms = np.linalg.norm(X, axis=1)
         if np.any(norms == 0.0):
             raise ZeroNormFeature("zero-norm feature vector: cosine similarity undefined")
-        return F / norms[:, None]
+        return X / norms[:, None]
 
     def cross(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         if A.shape[0] == 0 or B.shape[0] == 0:

@@ -77,7 +77,6 @@ methods = wkh:4, sbq, mc_random
 k = 30
 seeds = 0..2
 pool_size = 500
-bandwidth = median
 timing = yes
 """)
     cfg = build_config(MixtureConfig, parse_kv_file(path))
@@ -85,7 +84,6 @@ timing = yes
     assert cfg.k == 30
     assert cfg.seeds == [0, 1, 2]
     assert cfg.pool_size == 500
-    assert cfg.bandwidth == "median"
     assert cfg.timing is True
     assert build_config(MixtureConfig, {"timing": "off"}).timing is False
 
@@ -97,10 +95,11 @@ def test_unknown_keys_fail_loudly():
     for config_cls in (MixtureConfig, SummarizeConfig):
         with pytest.raises(ConfigError, match=f"unknown config keys for {config_cls.__name__}"):
             build_config(config_cls, {"workers": "3"})
-    # the mixture family, the target and the blob geometry are fixed
+    # the mixture family, the target, the bandwidth, the blob geometry and
+    # the split fractions are fixed
     deleted = {MixtureConfig: ("mean_low", "mean_high", "cov_low", "cov_high",
-                               "dirichlet_alpha", "target_form"),
-               SummarizeConfig: ("separation", "spread")}
+                               "dirichlet_alpha", "target_form", "bandwidth"),
+               SummarizeConfig: ("separation", "spread", "val_fraction", "test_fraction")}
     for config_cls, keys in deleted.items():
         for key in keys:
             with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):
@@ -112,8 +111,6 @@ def test_value_validation():
         build_config(MixtureConfig, {"k": "ten"})
     with pytest.raises(ConfigError):
         build_config(MixtureConfig, {"k": "0"})
-    with pytest.raises(ConfigError, match="bandwidth"):
-        build_config(MixtureConfig, {"bandwidth": "-2"})
     with pytest.raises(ConfigError, match="boolean"):
         build_config(MixtureConfig, {"timing": "maybe"})
 

@@ -18,7 +18,7 @@ from herdquad.datasets import (
 def test_split_dataset_partitions_everything():
     X = np.arange(40, dtype=float).reshape(20, 2)
     y = np.tile([0, 1], 10)
-    ds = split_dataset(X, y, val_fraction=0.1, test_fraction=0.2, seed=3)
+    ds = split_dataset(X, y, seed=3)
     counts = Counter(ds.split)
     assert counts == {"train": 14, "validation": 2, "test": 4}
     assert sum(counts.values()) == 20
@@ -40,15 +40,6 @@ def test_split_dataset_is_seeded():
     np.testing.assert_array_equal(a.split, b.split)
     c = split_dataset(X, y, seed=8)
     assert not np.array_equal(a.split, c.split)
-
-
-def test_split_dataset_rejects_bad_fractions():
-    X = np.zeros((10, 1))
-    y = np.zeros(10, dtype=int)
-    with pytest.raises(ValueError):
-        split_dataset(X, y, val_fraction=0.0)
-    with pytest.raises(ValueError):
-        split_dataset(X, y, val_fraction=0.6, test_fraction=0.5)
 
 
 def test_labeled_dataset_validation():

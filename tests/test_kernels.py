@@ -91,12 +91,6 @@ def test_normalized_feature_zero_norm_rejected():
         kern.gram(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 0.0]]))
 
 
-def test_normalized_feature_custom_map():
-    kern = NormalizedFeatureKernel(feature_map=lambda X: np.hstack([X, np.ones((X.shape[0], 1))]))
-    x = np.array([[0.0]])
-    np.testing.assert_allclose(kern.gram(x, x), [[1.0]], atol=1e-15)
-
-
 def test_precomputed_requires_symmetry():
     with pytest.raises(ValueError, match="symmetric"):
         PrecomputedKernel(np.array([[1.0, 0.2], [0.3, 1.0]]))
@@ -167,7 +161,7 @@ def _kernels_and_pools():
     return [
         (RBFKernel(0.8), pts),
         (NormalizedFeatureKernel(), pts),
-        (NormalizedFeatureKernel(feature_map=_squares_map), pts),
+        (NormalizedFeatureKernel(), _squares_map(pts)),  # a feature map's kernel
         (precomputed, precomputed.index_pool().points),
     ]
 
