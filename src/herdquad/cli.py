@@ -19,7 +19,8 @@ the artifacts are written.  All three take ``--out``.
 The mixture family, the RBF bandwidth (the median heuristic), the blob
 geometry and the split fractions are fixed, see ``MIXTURE_FAMILY``,
 ``median_bandwidth``, ``datasets.make_blobs`` and ``datasets.VAL_FRACTION``
-/ ``TEST_FRACTION``.  Environment variable:
+/ ``TEST_FRACTION``; ``mixture`` builds one instance per seed for all
+methods.  Environment variable:
 HERDQUAD_OUT (default output directory).
 """
 
@@ -36,6 +37,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .config import ConfigError, MixtureConfig, SummarizeConfig, build_config, parse_kv_file
 from .datasets import (
@@ -56,7 +58,7 @@ from .diagnostics import (
 )
 from .distributed import run_distributed
 from .kernels import CandidatePool, RBFKernel
-from .selectors import RunTrace, run_greedy
+from .selectors import RunTrace, run_greedy, run_on_setup, setup_pool
 from .state import G_ROUNDOFF
 from .summarization import BothClassesRequired, summarize
 from .targets import DiscreteTarget, GaussianMixtureTarget
@@ -65,7 +67,6 @@ SCHEMA_VERSION = 1
 TRACE_COLUMNS = ["method", "s", "seed", "iteration", "chosen_id", "g", "elapsed_ms"]
 SUMMARIZE_COLUMNS = ["method", "s", "k", "seed", "g_final", "test_nll"]
 MEDIAN_SUBSAMPLE = 500
-MEDIAN_BLOCK_BYTES = 1 << 20  # bound on one block of point differences in median_bandwidth
 # the random mixtures of ``herdquad mixture``: means uniform in [-5, 5],
 # diagonal variances uniform in [0.05, 0.5], Dirichlet(1) weights
 MIXTURE_FAMILY = {"mean_low": -5.0, "mean_high": 5.0, "cov_low": 0.05, "cov_high": 0.5,
@@ -104,25 +105,14 @@ def fmt(value: float) -> str:
 
 
 def median_bandwidth(points: np.ndarray, seed: int = 0) -> float:
-    """Median pairwise distance over a subsample of at most ``MEDIAN_SUBSAMPLE`` points."""
+    """The median heuristic: the median of ``pdist`` over at most ``MEDIAN_SUBSAMPLE``
+    points drawn under ``seed``; ``ValueError`` for fewer than two points."""
     pts = np.asarray(points, dtype=float)
+    if pts.shape[0] < 2:
+        raise ValueError(f"the median bandwidth needs at least two points, got {pts.shape[0]}")
     if pts.shape[0] > MEDIAN_SUBSAMPLE:
-        rows = np.random.default_rng(seed).choice(pts.shape[0], size=MEDIAN_SUBSAMPLE,
-                                                  replace=False)
-        pts = pts[rows]
-    # the upper triangle of the distance matrix, row by row, taken in blocks
-    # of rows whose differences (pts.nbytes per row) fit in MEDIAN_BLOCK_BYTES
-    m = pts.shape[0]
-    rows = max(1, MEDIAN_BLOCK_BYTES // max(pts.nbytes, 1))
-    upper, filled = np.empty(m * (m - 1) // 2), 0
-    for start in range(0, m, rows):
-        block = pts[start:start + rows]
-        diffs = block[:, None, :] - pts[None, :, :]
-        sq = np.sum(diffs**2, axis=-1)
-        above = sq[np.arange(m) > np.arange(start, start + block.shape[0])[:, None]]
-        np.sqrt(above, out=upper[filled:filled + above.size])
-        filled += above.size
-    med = float(np.median(upper))
+        pts = pts[np.random.default_rng(seed).choice(len(pts), MEDIAN_SUBSAMPLE, replace=False)]
+    med = float(np.median(pdist(pts)))
     if med <= 0:
         raise ValueError("median pairwise distance is zero: "
                          "at least half the point pairs coincide")
@@ -161,35 +151,39 @@ def trace_rows_for_csv(method: str, s: int, seed: int, trace: RunTrace,
     return rows
 
 
-def _mixture_single_run(cfg: MixtureConfig, method: str, s: int, seed: int):
+def _mixture_seed_runs(cfg: MixtureConfig, seed: int) -> dict:
+    """``{(method, s): (trace, record)}`` for every method of ``cfg`` on the
+    seed's one instance: mixture, pool, bandwidth and pool setup are shared."""
     rng = np.random.default_rng(seed)
     weights, means, covs = sample_mixture_params(rng, cfg.components, cfg.dim, **MIXTURE_FAMILY)
-    probe = GaussianMixtureTarget(weights, means, covs, RBFKernel(1.0))
-    pool_points = probe.sample(cfg.pool_size, rng)
+    pool_points = GaussianMixtureTarget(weights, means, covs, RBFKernel(1.0)).sample(
+        cfg.pool_size, rng)
     bw = median_bandwidth(pool_points, seed=seed)
     kernel = RBFKernel(bw)
     target = GaussianMixtureTarget(weights, means, covs, kernel)
     pool = CandidatePool.from_points(pool_points)
-    if s == 1:
-        result, trace = run_greedy(method, pool, target, kernel, cfg.k, seed=seed)
-        extra = {}
-    else:
-        dist = run_distributed(method, pool, target, kernel, cfg.k, s, seed)
-        result, trace = dist.winner, dist.traces[dist.winner_index]
-        extra = {"solution_g": [reported_g(sol.mmd_sq, f"{method} {sol.label}", len(sol.ids))
-                                for sol in dist.solutions],
-                 "winner": result.label}
-    record = {"method": method, "s": s, "seed": seed, "bandwidth": bw,
-              "final_g": reported_g(result.mmd_sq, method, len(trace.rows)),
-              "n_iterations": len(trace.rows), "stop_reason": trace.stop_reason}
-    record.update(extra)
-    try:
-        rf = fit_rate(trace)
-        record["rate"] = {"slope": rf.slope, "intercept": rf.intercept,
-                          "r_squared": rf.r_squared, "n_points": rf.n_points}
-    except InsufficientPoints:
-        record["rate"] = None
-    return trace, record
+    setup = setup_pool(pool, target, kernel)
+    runs = {}
+    for method, s in cfg.methods:
+        record = {"method": method, "s": s, "seed": seed, "bandwidth": bw}
+        if s == 1:
+            result, trace = run_on_setup(method, setup, cfg.k, seed=seed)
+        else:  # the workers set up their own shards
+            dist = run_distributed(method, pool, target, kernel, cfg.k, s, seed)
+            result, trace = dist.winner, dist.traces[dist.winner_index]
+            record["solution_g"] = [reported_g(sol.mmd_sq, f"{method} {sol.label}", len(sol.ids))
+                                    for sol in dist.solutions]
+            record["winner"] = result.label
+        record.update(final_g=reported_g(result.mmd_sq, method, len(trace.rows)),
+                      n_iterations=len(trace.rows), stop_reason=trace.stop_reason)
+        try:
+            rf = fit_rate(trace)
+            record["rate"] = {"slope": rf.slope, "intercept": rf.intercept,
+                              "r_squared": rf.r_squared, "n_points": rf.n_points}
+        except InsufficientPoints:
+            record["rate"] = None
+        runs[(method, s)] = trace, record
+    return runs
 
 
 def _run_grid(run, tasks: list[tuple], threads: int) -> dict:
@@ -235,18 +229,18 @@ def _print_mixture_table(cfg: MixtureConfig, records: list[dict]) -> None:
 def cmd_mixture(cfg: MixtureConfig) -> int:
     """Run the (method, workers, seed) grid, write its artifacts and print its table.
 
+    Each seed's instance is built once for all methods; threads take seeds.
     In the table's stop counts a run that used its whole budget counts as
     ``budget``; ``objective_floor`` means g reached ``state.G_ROUNDOFF``.
     """
-    tasks = [(method, s, seed) for method, s in cfg.methods for seed in cfg.seeds]
-    results = _run_grid(lambda method, s, seed: _mixture_single_run(cfg, method, s, seed),
-                       tasks, cfg.threads)
+    results = _run_grid(lambda seed: _mixture_seed_runs(cfg, seed),
+                        [(seed,) for seed in cfg.seeds], cfg.threads)
 
     records = []
     for method, s in cfg.methods:
         rows = []
         for seed in cfg.seeds:
-            trace, record = results[(method, s, seed)]
+            trace, record = results[(seed,)][(method, s)]
             rows.extend(trace_rows_for_csv(method, s, seed, trace, cfg.timing))
             records.append(record)
         path = os.path.join(cfg.out, f"trace_{method.lower()}_s{s}.csv")

@@ -119,8 +119,10 @@ class MixtureConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if self.k < 1 or self.pool_size < 1 or self.components < 1 or self.dim < 1:
-            raise ConfigError("k, pool_size, components and dim must be positive")
+        if self.k < 1 or self.components < 1 or self.dim < 1:
+            raise ConfigError("k, components and dim must be positive")
+        if self.pool_size < 2:
+            raise ConfigError(f"pool_size must be at least 2, got {self.pool_size}")
         if any(s > self.pool_size for _, s in self.methods):
             raise ConfigError(f"a worker count exceeds pool_size = {self.pool_size}")
         if self.threads < 1:

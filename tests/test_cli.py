@@ -1,6 +1,7 @@
 import csv
 import json
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from herdquad.cli import (
     trace_rows_for_csv,
 )
 from herdquad.diagnostics import fit_rate
-from herdquad.selectors import RunTrace, TraceRow
+from herdquad.selectors import RunTrace, TraceRow, setup_pool
 
 
 def run_cli(*argv):
@@ -54,6 +55,9 @@ def test_median_bandwidth_known_value():
     assert median_bandwidth(pts) == 2.0
     with pytest.raises(ValueError):
         median_bandwidth(np.zeros((4, 2)))
+    # one point has no pair: its median distance would be the NaN of an empty median
+    with pytest.raises(ValueError, match="at least two points, got 1"):
+        median_bandwidth(np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("n, dim", [(2, 1), (37, 3), (150, 128), (500, 24), (1200, 2), (1200, 8)])
@@ -139,6 +143,20 @@ def test_mixture_distributed_records_solutions(tmp_path):
     assert min(run["solution_g"]) == run["solution_g"][
         int(run["winner"].split("-")[-1]) if run["winner"].startswith("worker") else 3]
     assert (out / "trace_wkh_s3.csv").exists()
+
+
+def test_mixture_builds_each_seed_instance_once(tmp_path):
+    """Every method of a seed shares one bandwidth and one pool setup."""
+    cfg = tmp_path / "mix.cfg"
+    cfg.write_text("methods = wkh, sbq, wkh:2\nseeds = 0, 1\nk = 4\npool_size = 60\n"
+                   "components = 2\n")
+    with mock.patch("herdquad.cli.median_bandwidth", wraps=median_bandwidth) as bandwidth, \
+            mock.patch("herdquad.cli.setup_pool", wraps=setup_pool) as setup:
+        assert run_cli("mixture", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+    assert bandwidth.call_count == 2
+    assert setup.call_count == 2
+    runs = json.loads((tmp_path / "out" / "mixture_summary.json").read_text())["runs"]
+    assert len(runs) == 6
 
 
 def _table_rows(stdout):
@@ -372,6 +390,7 @@ SMALL_CONFIGS = {
     pytest.param("mixture", {"seeds": "-1"}, id="mixture-seeds-negative"),
     pytest.param("mixture", {"methods": "wkh:80", "pool_size": "50"},
                  id="mixture-workers-exceed-pool"),
+    pytest.param("mixture", {"pool_size": "1"}, id="mixture-pool-size-one"),
     pytest.param("summarize", {"lambda": "nan"}, id="summarize-lambda-nan"),
     pytest.param("summarize", {"threads": "0"}, id="summarize-threads-zero"),
     pytest.param("summarize", {"n": "0"}, id="summarize-n-zero"),
