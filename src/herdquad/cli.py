@@ -13,9 +13,9 @@ full-precision floats, and a re-run with the same config byte-reproduces
 them; wall-clock columns are zeroed unless ``timing = on`` is requested,
 because real timings would break that reproducibility.  Only ``mixture``
 and ``summarize`` take a config file and the grid flags (``--config``,
-``--seed``, ``--k``, ``--method``, ``--threads``); ``--method WKH:5`` runs
-WKH on five workers.  Both print an aggregate table of their runs after
-the artifacts are written.  All three take ``--out``.
+``--seed``, ``--k``, ``--method``); ``--method WKH:5`` runs WKH on five
+workers.  Both run their grid serially and print an aggregate table of
+their runs after the artifacts are written.  All three take ``--out``.
 The mixture family, the RBF bandwidth (the median heuristic), the blob
 geometry and the split fractions are fixed, see ``MIXTURE_FAMILY``,
 ``median_bandwidth``, ``datasets.make_blobs`` and ``datasets.VAL_FRACTION``
@@ -34,7 +34,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -186,17 +186,6 @@ def _mixture_seed_runs(cfg: MixtureConfig, seed: int) -> dict:
     return runs
 
 
-def _run_grid(run, tasks: list[tuple], threads: int) -> dict:
-    """``{task: run(*task)}`` over a grid, on ``threads`` threads when more than one."""
-    def job(task):
-        return task, run(*task)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return dict(ex.map(job, tasks))
-    return dict(map(job, tasks))
-
-
 def _print_table(caption: str, header: str, lines: list[str]) -> None:
     print()
     print(caption)
@@ -229,18 +218,17 @@ def _print_mixture_table(cfg: MixtureConfig, records: list[dict]) -> None:
 def cmd_mixture(cfg: MixtureConfig) -> int:
     """Run the (method, workers, seed) grid, write its artifacts and print its table.
 
-    Each seed's instance is built once for all methods; threads take seeds.
-    In the table's stop counts a run that used its whole budget counts as
-    ``budget``; ``objective_floor`` means g reached ``state.G_ROUNDOFF``.
+    Each seed's instance is built once for all methods.  In the table's
+    stop counts a run that used its whole budget counts as ``budget``;
+    ``objective_floor`` means g reached ``state.G_ROUNDOFF``.
     """
-    results = _run_grid(lambda seed: _mixture_seed_runs(cfg, seed),
-                        [(seed,) for seed in cfg.seeds], cfg.threads)
+    results = {seed: _mixture_seed_runs(cfg, seed) for seed in cfg.seeds}
 
     records = []
     for method, s in cfg.methods:
         rows = []
         for seed in cfg.seeds:
-            trace, record = results[(seed,)][(method, s)]
+            trace, record = results[seed][(method, s)]
             rows.extend(trace_rows_for_csv(method, s, seed, trace, cfg.timing))
             records.append(record)
         path = os.path.join(cfg.out, f"trace_{method.lower()}_s{s}.csv")
@@ -295,20 +283,15 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
     n_train = int(np.sum(data.split == "train"))
     if max(cfg.k_grid + [s for _, s in cfg.methods]) > n_train:
         raise ConfigError(f"a budget or worker count exceeds the {n_train} training examples")
-    tasks = [(method, s, k, seed) for method, s in cfg.methods
-             for k in cfg.k_grid for seed in cfg.seeds]
-
-    results = _run_grid(lambda method, s, k, seed: summarize(
-        data, method, k, s=s, lam=cfg.lam, seed=seed, weighted_retrain=cfg.weighted_retrain),
-        tasks, cfg.threads)
 
     rows, records = [], []
     # one random baseline per (subset size, seed): a cell that stops early
     # draws its baseline at the size it selected, not at its budget
     random_rows: dict[tuple, list] = {}
     trace_rows: dict[int, list] = {k: [] for k in cfg.k_grid}
-    for method, s, k, seed in tasks:
-        rep = results[(method, s, k, seed)]
+    for (method, s), k, seed in product(cfg.methods, cfg.k_grid, cfg.seeds):
+        rep = summarize(data, method, k, s=s, lam=cfg.lam, seed=seed,
+                        weighted_retrain=cfg.weighted_retrain)
         g_final = reported_g(rep.final_mmd_sq, method, len(rep.trace.rows))
         rows.append([method, s, k, seed, fmt(g_final), fmt(rep.test_nll)])
         size = rep.selected_indices.size
@@ -318,8 +301,8 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
                         "g_final": g_final, "test_nll": rep.test_nll,
                         "random_nll": rep.random_nll, "full_nll": rep.full_nll,
                         "n_degenerate": rep.n_degenerate})
-    first = results[tasks[0]]
-    rows.append(["FULL", 1, n_train, min(cfg.seeds), "", fmt(first.full_nll)])
+    # every cell shares the one full-data fit
+    rows.append(["FULL", 1, n_train, min(cfg.seeds), "", fmt(rep.full_nll)])
     rows.extend(random_rows.values())
     rows.sort(key=lambda r: r[:4])
 
@@ -433,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, help="override: run this single seed")
             p.add_argument("--k", type=int, help="override: selection budget")
             p.add_argument("--method", help="override: run this single method (e.g. WKH or WKH:5)")
-            p.add_argument("--threads", type=int, help="override: thread count for seed grids")
         else:
             p.add_argument("--list", action="store_true", help="print check names and exit")
             p.add_argument("--inject-fault", action="store_true",
@@ -449,8 +431,6 @@ def _assemble_config(args) -> object:
         mapping["k_grid" if args.command == "summarize" else "k"] = str(args.k)
     if args.method is not None:
         mapping["methods"] = args.method
-    if args.threads is not None:
-        mapping["threads"] = str(args.threads)
     if args.out is not None:
         mapping["out"] = args.out
     elif "out" not in mapping and os.environ.get("HERDQUAD_OUT"):

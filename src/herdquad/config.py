@@ -115,7 +115,6 @@ class MixtureConfig:
     components: int = 20
     dim: int = 2
     out: str = "out"
-    threads: int = 1
     timing: bool = False
 
     def __post_init__(self):
@@ -125,8 +124,6 @@ class MixtureConfig:
             raise ConfigError(f"pool_size must be at least 2, got {self.pool_size}")
         if any(s > self.pool_size for _, s in self.methods):
             raise ConfigError(f"a worker count exceeds pool_size = {self.pool_size}")
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
 
 
 @dataclass
@@ -140,7 +137,6 @@ class SummarizeConfig:
     lam: float = 1.0
     weighted_retrain: bool = False
     out: str = "out"
-    threads: int = 1
     timing: bool = False
 
     def __post_init__(self):
@@ -152,8 +148,6 @@ class SummarizeConfig:
             raise ConfigError("summarize supports WKH, SBQ and MC_RANDOM")
         if self.lam < 0:
             raise ConfigError("lambda must be nonnegative")
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
 
 
 # fields whose values are not plain scalars; every other field is cast by

@@ -9,11 +9,16 @@ is never worse than the best worker.
 
 Every shard is an in-memory ``CandidatePool``; a lone worker's shard is
 the pool itself.  Workers run serially, on a thread pool (the default) or
-on a process pool; all three return the same result bit for bit.  On the
-mixture_d8_distributed benchmark inputs (two workers, one BLAS thread,
-2 cores) the benchmark's four distributed calls take 0.45 s serially, 0.33 s on
-threads and 0.36 s on processes.  A lone worker runs in the caller under
-every executor.
+on a process pool; all three return the same result bit for bit.  A pool
+runs at most one worker per core by default: with one BLAS thread on 2
+cores, WKH with s = 32 and k = 100 on 200 000 points took 1.8-2.9 s on 32
+threads and 0.8 s on 2.  On the mixture_d8_distributed benchmark inputs
+(two workers) the benchmark's four distributed calls took 0.74 s serially,
+0.77 s on threads and 0.76 s on processes (medians of 10 interleaved
+rounds, quartiles overlapping).  Processes stay for large s, where they
+avoid the GIL: SBQ with s = 32 on 200 000 points and two workers took
+0.63-0.68 s on processes and 0.88-0.91 s on threads.  A lone worker runs
+in the caller under every executor.
 
 Sharding pays only on large pools.  For SBQ with k = 100 on the
 mixture_d8_distributed inputs grown to n points (two thread workers, one
@@ -27,6 +32,7 @@ the table.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -120,6 +126,8 @@ def run_distributed(
     the result bit for bit regardless of worker scheduling, because results
     are collected by worker index and every pool lists its rows by id.
     ``KernelMismatch`` is raised when ``kernel`` is not ``target.kernel``.
+    A thread or process pool runs ``max_workers`` shards at a time, by
+    default one per core and at most ``s``.
     """
     method = Method(method)
     check_kernel(target, kernel)
@@ -143,7 +151,7 @@ def run_distributed(
         outcomes = [_run_shard(job) for job in jobs]
     else:
         pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-        with pool_cls(max_workers=max_workers or s) as ex:
+        with pool_cls(max_workers=max_workers or min(s, os.cpu_count() or 1)) as ex:
             outcomes = list(ex.map(_run_shard, jobs))
     t_workers = time.perf_counter()
 

@@ -298,35 +298,31 @@ def run_on_setup(method, setup: PoolSetup, k: int, seed: int = 0):
         core = PoolScores(state, z_all, setup.diag, capacity=k)
         atom_rows = np.empty(min(k, n), dtype=int)
         scores, mask = np.empty(n), np.empty(n, dtype=bool)
-        for it in range(1, k + 1):
+        while state.size < k:
             if state.mmd_sq <= G_ROUNDOFF:
                 trace.stop_reason = "objective_floor"
                 break
             if state.size == n:
                 trace.stop_reason = "pool_exhausted"
                 break
-            row = None
-            while row is None:
-                selection_scores(method, core.resid, core.schur, out=scores, mask=mask)
-                row = int(np.argmax(scores))
-                if scores[row] == -np.inf:
-                    row = None
-                    break
-                k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
-                try:
-                    state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row],
-                                   k_atoms=k_row[atom_rows[:state.size]], k_self=k_row[row])
-                except NearDependentAtom as err:
-                    # add_atom's own Schur complement outranks the pool-wide
-                    # one; recording it masks the row from now on.
-                    core.schur[row] = err.schur
-                    row = None
-            if row is None:
+            selection_scores(method, core.resid, core.schur, out=scores, mask=mask)
+            row = int(np.argmax(scores))
+            if scores[row] == -np.inf:
                 trace.stop_reason = "all_dependent"
                 break
+            k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
+            try:
+                state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row],
+                               k_atoms=k_row[atom_rows[:state.size]], k_self=k_row[row])
+            except NearDependentAtom as err:
+                # add_atom's own Schur complement outranks the pool-wide
+                # one; recording it masks the row from now on.
+                core.schur[row] = err.schur
+                continue
             core.extend(row, k_row)
             atom_rows[state.size - 1] = row
-            trace.rows.append(TraceRow(it, int(pool.ids[row]), state.mmd_sq, elapsed_ms()))
+            trace.rows.append(TraceRow(state.size, int(pool.ids[row]), state.mmd_sq,
+                                       elapsed_ms()))
         return state, trace
 
     acc = UniformAccumulator(target.self_energy())

@@ -40,6 +40,10 @@ from .targets import DiscreteTarget
 
 log = logging.getLogger(__name__)
 
+# train_logistic's iteration cap and the gradient infinity-norm that counts as converged
+MAX_ITERS = 6000
+GRAD_TOL = 1e-6
+
 
 class BothClassesRequired(ValueError):
     """Training data contains a single class."""
@@ -84,16 +88,15 @@ def _gradient(theta, t, Xd, y, lam, wts):
     return Xd.T @ (wts * (expit(t) - y)) + lam * theta
 
 
-def train_logistic(X, y, lam: float = 1.0, max_iters: int = 6000, tol: float = 1e-6,
-                   sample_weights=None) -> LogisticModel:
+def train_logistic(X, y, lam: float = 1.0, sample_weights=None) -> LogisticModel:
     """Deterministic full-batch gradient descent with backtracking.
 
     Minimizes the weighted mean logistic loss plus (lam/2) ||theta||^2
     (bias included), starting from zero.  A trial step of the backtracking
     search evaluates the objective alone; the gradient is taken once per
     accepted step, from that step's logits.  Converged means the gradient
-    infinity-norm fell to ``tol``; otherwise a ``NonConvergence`` warning
-    is issued.
+    infinity-norm fell to ``GRAD_TOL`` within ``MAX_ITERS`` steps;
+    otherwise a ``NonConvergence`` warning is issued.
     """
     Xd = _design(X)
     y = np.asarray(y, dtype=float)
@@ -114,8 +117,8 @@ def train_logistic(X, y, lam: float = 1.0, max_iters: int = 6000, tol: float = 1
     theta = np.zeros(Xd.shape[1])
     obj, t = _objective(theta, Xd, y, lam, wts)
     grad = _gradient(theta, t, Xd, y, lam, wts)
-    for _ in range(max_iters):
-        if float(np.max(np.abs(grad))) <= tol:
+    for _ in range(MAX_ITERS):
+        if float(np.max(np.abs(grad))) <= GRAD_TOL:
             return LogisticModel(theta=theta)
         step = 1.0
         gsq = float(grad @ grad)
@@ -128,9 +131,9 @@ def train_logistic(X, y, lam: float = 1.0, max_iters: int = 6000, tol: float = 1
         theta, obj = candidate, cand_obj
         grad = _gradient(theta, cand_t, Xd, y, lam, wts)
     gnorm = float(np.max(np.abs(grad)))
-    if gnorm > tol:
+    if gnorm > GRAD_TOL:
         warnings.warn(f"gradient descent stopped at grad norm {gnorm:.3e} "
-                      f"after {max_iters} iterations", NonConvergence)
+                      f"after {MAX_ITERS} iterations", NonConvergence)
     return LogisticModel(theta=theta)
 
 

@@ -279,23 +279,6 @@ def test_summarize_single_class_selection_names_its_cell(tmp_path, capsys):
     assert "summarize error: MC_RANDOM at k=3, seed 0" in capsys.readouterr().err
 
 
-def test_summarize_threads_share_one_fit_and_write_the_same_bytes(tmp_path, monkeypatch):
-    from herdquad import summarization
-    cfg = tmp_path / "summ.cfg"
-    cfg.write_text("n = 200\ndim = 16\nk_grid = 6, 10\nmethods = wkh, sbq, mc_random, wkh:2\n"
-                   "seeds = 0, 1\n")
-    written = {}
-    for threads in ("2", "1"):
-        monkeypatch.setattr(summarization, "_memo", None)
-        out = tmp_path / f"threads{threads}"
-        assert run_cli("summarize", "--config", str(cfg), "--out", str(out),
-                       "--threads", threads) == 0
-        written[threads] = {p.name: read_file(p) for p in out.iterdir()}
-    assert sorted(written["1"]) == ["summarize.csv", "summarize_summary.json",
-                                    "summarize_traces_k10.csv", "summarize_traces_k6.csv"]
-    assert written["2"] == written["1"]
-
-
 def planted_trace(*gs):
     return RunTrace("SBQ", [TraceRow(i, i, g, 0.0) for i, g in enumerate(gs, start=1)])
 
@@ -365,11 +348,12 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert run_cli("mixture", "--config", str(missing), "--out", str(tmp_path / "out")) == 2
     assert f"config error: cannot read {missing}" in capsys.readouterr().err
-    # worker counts are spelled only as method:s
+    # worker counts are spelled only as method:s, and grids run serially
     for command in ("mixture", "summarize"):
-        with pytest.raises(SystemExit) as err:
-            run_cli(command, "--workers", "3", "--out", str(tmp_path / "out"))
-        assert err.value.code == 2
+        for flag in ("--workers", "--threads"):
+            with pytest.raises(SystemExit) as err:
+                run_cli(command, flag, "2", "--out", str(tmp_path / "out"))
+            assert err.value.code == 2
     for command in ("mixture", "summarize"):
         assert run_cli(command, "--seed", "-1", "--out", str(tmp_path / "out")) == 2
         assert "seeds must be nonnegative" in capsys.readouterr().err
@@ -383,7 +367,6 @@ SMALL_CONFIGS = {
 
 
 @pytest.mark.parametrize("command, override", [
-    pytest.param("mixture", {"threads": "0"}, id="mixture-threads-zero"),
     pytest.param("mixture", {"seeds": ","}, id="mixture-seeds-empty"),
     pytest.param("mixture", {"seeds": "0, 0"}, id="mixture-seeds-repeated"),
     pytest.param("mixture", {"methods": "wkh, wkh"}, id="mixture-methods-repeated"),
@@ -392,7 +375,6 @@ SMALL_CONFIGS = {
                  id="mixture-workers-exceed-pool"),
     pytest.param("mixture", {"pool_size": "1"}, id="mixture-pool-size-one"),
     pytest.param("summarize", {"lambda": "nan"}, id="summarize-lambda-nan"),
-    pytest.param("summarize", {"threads": "0"}, id="summarize-threads-zero"),
     pytest.param("summarize", {"n": "0"}, id="summarize-n-zero"),
     pytest.param("summarize", {"dim": "0"}, id="summarize-dim-zero"),
     pytest.param("summarize", {"seeds": ","}, id="summarize-seeds-empty"),

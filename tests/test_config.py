@@ -96,10 +96,11 @@ def test_unknown_keys_fail_loudly():
         with pytest.raises(ConfigError, match=f"unknown config keys for {config_cls.__name__}"):
             build_config(config_cls, {"workers": "3"})
     # the mixture family, the target, the bandwidth, the blob geometry and
-    # the split fractions are fixed
+    # the split fractions are fixed, and grids run serially
     deleted = {MixtureConfig: ("mean_low", "mean_high", "cov_low", "cov_high",
-                               "dirichlet_alpha", "target_form", "bandwidth"),
-               SummarizeConfig: ("separation", "spread", "val_fraction", "test_fraction")}
+                               "dirichlet_alpha", "target_form", "bandwidth", "threads"),
+               SummarizeConfig: ("separation", "spread", "val_fraction", "test_fraction",
+                                 "threads")}
     for config_cls, keys in deleted.items():
         for key in keys:
             with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):

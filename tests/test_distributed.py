@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from herdquad import distributed
 from herdquad.distributed import (
     PoolTooSmall,
     partition,
@@ -86,18 +89,38 @@ def test_rejects_another_kernel():
         run_distributed(Method.SBQ, pool, target, RBFKernel(0.3), 5, 2, seed=0)
 
 
+def assert_same_result(expected, other):
+    assert other.winner_index == expected.winner_index
+    for a, b in zip(expected.solutions, other.solutions, strict=True):
+        assert a.ids == b.ids
+        np.testing.assert_array_equal(a.weights, b.weights)
+        assert a.mmd_sq == b.mmd_sq
+
+
 def test_executors_agree_bit_for_bit():
     pool, target, kern = make_problem(seed=10)
     kwargs = dict(k=5, s=3, seed=13)
     serial = run_distributed(Method.WKH, pool, target, kern, **kwargs, executor="serial")
-    threaded = run_distributed(Method.WKH, pool, target, kern, **kwargs, executor="thread")
-    processes = run_distributed(Method.WKH, pool, target, kern, **kwargs, executor="process")
-    for other in (threaded, processes):
-        assert other.winner_index == serial.winner_index
-        for a, b in zip(serial.solutions, other.solutions):
-            assert a.ids == b.ids
-            np.testing.assert_array_equal(a.weights, b.weights)
-            assert a.mmd_sq == b.mmd_sq
+    for executor in ("thread", "process"):
+        assert_same_result(serial, run_distributed(Method.WKH, pool, target, kern, **kwargs,
+                                                   executor=executor))
+
+
+def test_default_pool_has_one_worker_per_core(monkeypatch):
+    requested = []
+
+    def recording_pool(max_workers):
+        requested.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(distributed, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(distributed.os, "cpu_count", lambda: 2)
+    pool, target, kern = make_problem(seed=14)
+    kwargs = dict(k=5, s=5, seed=15)
+    default = run_distributed(Method.WKH, pool, target, kern, **kwargs)
+    one_per_shard = run_distributed(Method.WKH, pool, target, kern, **kwargs, max_workers=5)
+    assert requested == [2, 5]
+    assert_same_result(one_per_shard, default)
 
 
 def test_distributed_reproducible_across_calls():

@@ -106,10 +106,11 @@ def test_sample_weight_scale_invariance():
     np.testing.assert_allclose(a.theta, b.theta, atol=1e-9)
 
 
-def test_nonconvergence_warns():
+def test_nonconvergence_warns(monkeypatch):
+    monkeypatch.setattr(summarization, "MAX_ITERS", 1)
     X, y = blob_training_set(n=100)
     with pytest.warns(NonConvergence):
-        model = train_logistic(X, y, max_iters=1)
+        model = train_logistic(X, y)
     assert np.max(np.abs(objective_grad(model.theta, X, y, 1.0))) > 1e-6
 
 
