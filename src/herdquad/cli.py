@@ -58,7 +58,7 @@ from .diagnostics import (
 )
 from .distributed import run_distributed
 from .kernels import CandidatePool, RBFKernel
-from .selectors import RunTrace, run_greedy, run_on_setup, setup_pool
+from .selectors import RunTrace, run_greedy
 from .state import G_ROUNDOFF
 from .summarization import BothClassesRequired, summarize
 from .targets import DiscreteTarget, GaussianMixtureTarget
@@ -153,7 +153,7 @@ def trace_rows_for_csv(method: str, s: int, seed: int, trace: RunTrace,
 
 def _mixture_seed_runs(cfg: MixtureConfig, seed: int) -> dict:
     """``{(method, s): (trace, record)}`` for every method of ``cfg`` on the
-    seed's one instance: mixture, pool, bandwidth and pool setup are shared."""
+    seed's one instance: mixture, pool, bandwidth and the pool's setup are shared."""
     rng = np.random.default_rng(seed)
     weights, means, covs = sample_mixture_params(rng, cfg.components, cfg.dim, **MIXTURE_FAMILY)
     pool_points = GaussianMixtureTarget(weights, means, covs, RBFKernel(1.0)).sample(
@@ -162,13 +162,12 @@ def _mixture_seed_runs(cfg: MixtureConfig, seed: int) -> dict:
     kernel = RBFKernel(bw)
     target = GaussianMixtureTarget(weights, means, covs, kernel)
     pool = CandidatePool.from_points(pool_points)
-    setup = setup_pool(pool, target, kernel)
     runs = {}
     for method, s in cfg.methods:
         record = {"method": method, "s": s, "seed": seed, "bandwidth": bw}
         if s == 1:
-            result, trace = run_on_setup(method, setup, cfg.k, seed=seed)
-        else:  # the workers set up their own shards
+            result, trace = run_greedy(method, pool, target, kernel, cfg.k, seed=seed)
+        else:
             dist = run_distributed(method, pool, target, kernel, cfg.k, s, seed)
             result, trace = dist.winner, dist.traces[dist.winner_index]
             record["solution_g"] = [reported_g(sol.mmd_sq, f"{method} {sol.label}", len(sol.ids))

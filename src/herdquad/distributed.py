@@ -7,27 +7,23 @@ the solution (among the s workers and the aggregator) with the smallest
 squared MMD, ties going to the lowest index.  By construction the winner
 is never worse than the best worker.
 
-Every shard is an in-memory ``CandidatePool``; a lone worker's shard is
-the pool itself.  Workers run serially, on a thread pool (the default) or
-on a process pool; all three return the same result bit for bit.  A pool
-runs at most one worker per core by default: with one BLAS thread on 2
-cores, WKH with s = 32 and k = 100 on 200 000 points took 1.8-2.9 s on 32
-threads and 0.8 s on 2.  On the mixture_d8_distributed benchmark inputs
-(two workers) the benchmark's four distributed calls took 0.74 s serially,
-0.77 s on threads and 0.76 s on processes (medians of 10 interleaved
-rounds, quartiles overlapping).  Processes stay for large s, where they
-avoid the GIL: SBQ with s = 32 on 200 000 points and two workers took
-0.63-0.68 s on processes and 0.88-0.91 s on threads.  A lone worker runs
-in the caller under every executor.
-
-Sharding pays only on large pools.  For SBQ with k = 100 on the
-mixture_d8_distributed inputs grown to n points (two thread workers, one
-BLAS thread, 2 cores), ``run_distributed`` beats ``run_greedy`` on wall
-time from n = 50 000 with any s >= 2 (0.58 s with s = 4 against 1.29 s at
-n = 200 000), and on peak RSS only with s >= 4 at n >= 50 000 (144 MB
-with s = 8 against 250 MB at n = 200 000); s = 1 takes as long as
-``run_greedy`` and as much memory.  The README's Performance section has
-the table.
+``run_distributed`` sets the pool up once (``selectors.setup_pool``, kept
+on the pool, so later calls on the same pool and target embed nothing)
+and hands every worker, and the aggregator, a ``PoolSetup.take`` slice of
+that setup; a lone worker reads the setup itself.  On a pool never set up
+before, the caller embeds the whole pool before the workers start.
+Workers run serially, on a thread pool (the default) or on a process
+pool; all three return the same result bit for bit.  A pool runs at most
+one worker per core by default: with one BLAS thread on 2 cores, WKH with
+s = 32 and k = 100 on 200 000 points took 1.8-2.9 s on 32 threads and
+0.8 s on 2.  On the mixture_d8_distributed benchmark inputs (two workers)
+the benchmark's four distributed calls took 0.36 s serially, 0.33 s on
+threads and 0.34 s on processes (medians of 10 interleaved rounds on a
+pool already set up).  Processes stay for large s, where they avoid the
+GIL: SBQ with s = 32 on 200 000 points and two workers took 0.58 s on
+processes and 0.79-0.81 s on threads.  A lone worker runs in the caller
+under every executor.  Where sharding pays, in wall time and peak RSS, is
+measured in the README's Performance section.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import CandidatePool, Kernel
-from .selectors import OPTIMAL_WEIGHT_METHODS, Method, RunTrace, run_greedy
+from .selectors import OPTIMAL_WEIGHT_METHODS, Method, RunTrace, run_on_setup, setup_pool
 from .state import check_kernel
 from .targets import TargetEmbedding
 
@@ -102,8 +98,8 @@ def _worker_seeds(seed: int, s: int) -> list[int]:
 
 
 def _run_shard(args):
-    method, shard, target, kernel, k, wseed = args
-    state, trace = run_greedy(method, shard, target, kernel, k, seed=wseed)
+    method, setup, k, wseed = args
+    state, trace = run_on_setup(method, setup, k, seed=wseed)
     return list(state.atom_ids), np.asarray(state.weights), float(state.mmd_sq), trace
 
 
@@ -138,12 +134,13 @@ def run_distributed(
 
     t_start = time.perf_counter()
     assignment = partition(pool, s, seed)
-    # a lone worker's shard is the whole pool itself, not a copy of it
-    shards = [pool] if s == 1 else [pool.take(np.flatnonzero(assignment == w)) for w in range(s)]
+    setup = setup_pool(pool, target, kernel)
+    # a lone worker selects from the whole pool's setup, the others from slices of it
+    shards = [setup] if s == 1 else [setup.take(np.flatnonzero(assignment == w)) for w in range(s)]
     seeds = _worker_seeds(seed, s)
     t_partition = time.perf_counter()
 
-    jobs = [(method, shards[w], target, kernel, k, seeds[w]) for w in range(s)]
+    jobs = [(method, shards[w], k, seeds[w]) for w in range(s)]
     if executor == "serial" or s == 1:
         # A lone worker runs in the caller under every executor: in a thread
         # of its own its arrays come from another malloc arena, which cost
@@ -165,8 +162,7 @@ def run_distributed(
     if union_ids:
         # pool ids ascend, so sorted ids give ascending rows
         union_rows = np.searchsorted(pool.ids, sorted(union_ids))
-        ids, weights, mmd_sq, trace = _run_shard(
-            (method, pool.take(union_rows), target, kernel, k, seeds[s]))
+        ids, weights, mmd_sq, trace = _run_shard((method, setup.take(union_rows), k, seeds[s]))
         solutions.append(Solution(label="aggregator", ids=ids, weights=weights, mmd_sq=mmd_sq))
         traces.append(trace)
     else:

@@ -141,14 +141,18 @@ class CandidatePool:
     ``take``, like the shards and the aggregator's pool of
     ``run_distributed``, keep the original ids so that selections remain
     traceable across shards.  Rows are listed by strictly increasing id.
+    The pool owns read-only arrays: the constructor copies its inputs once
+    and ``take`` keeps the fresh rows it gathers.  ``selectors.setup_pool``
+    keeps the pool's setup against its latest target in ``_setup``.
     """
 
     points: np.ndarray
     ids: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        ids = np.asarray(self.ids, dtype=int)
+        self._own(np.array(self.points, dtype=float), np.array(self.ids, dtype=int))
+
+    def _own(self, pts: np.ndarray, ids: np.ndarray) -> None:
         if pts.ndim != 2:
             raise ValueError("pool points must form a 2-d array")
         if not np.all(np.isfinite(pts)):
@@ -157,8 +161,10 @@ class CandidatePool:
             raise ValueError("need exactly one id per pool point")
         if np.any(ids[1:] <= ids[:-1]):
             raise ValueError("pool ids must be unique and strictly increasing")
+        pts.flags.writeable = ids.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_setup", None)
 
     @classmethod
     def from_points(cls, points) -> "CandidatePool":
@@ -170,7 +176,9 @@ class CandidatePool:
 
     def take(self, rows) -> "CandidatePool":
         """Sub-pool of the given rows, which must ascend so that the ids do."""
-        return CandidatePool(points=self.points[rows], ids=self.ids[rows])
+        sub = object.__new__(CandidatePool)
+        sub._own(self.points[rows], self.ids[rows])
+        return sub
 
     def point_by_id(self, pool_id: int) -> np.ndarray:
         rows = np.flatnonzero(self.ids == int(pool_id))

@@ -29,9 +29,9 @@ for one step.
 target, prepares the pool once (``Kernel.prepare``: the unit features of a
 feature kernel), checks the kernel's diagonal on it and embeds the pool
 under the target; the ``PoolSetup`` it returns depends on no method,
-budget or seed.  ``run_on_setup`` is the selection loop, and reads the
-setup without writing into it, so a caller that selects many times from
-one (pool, target), like a ``summarize`` grid, builds the setup once.
+budget or seed; the pool keeps it, so every selection from one (pool,
+target) shares one setup, and ``PoolSetup.take`` slices it for the shards
+of ``run_distributed``.  ``run_on_setup`` is the selection loop.
 Each step takes one kernel row, the chosen point's k(x, pool), as one
 cross product of slices of the prepared pool, and hands it to both the
 state and the pool; the baselines likewise reuse the pool's embeddings
@@ -230,9 +230,9 @@ class PoolSetup:
 
     ``prepared`` is ``kernel.prepare(pool.points)``, ``diag`` the kernel's
     diagonal on it (all ones within ``STANDARDIZATION_TOL``) and ``embeds``
-    the target's mean embedding z at every pool point.  None of them
-    depends on the method, the budget or the seed, so one setup serves any
-    number of ``run_on_setup`` calls; none of those calls writes into it.
+    the target's mean embedding z at every pool point, all three read-only.
+    None of them depends on the method, the budget or the seed, so one
+    setup serves any number of ``run_on_setup`` calls.
     """
 
     pool: CandidatePool
@@ -242,22 +242,44 @@ class PoolSetup:
     diag: np.ndarray
     embeds: np.ndarray
 
+    def take(self, rows) -> "PoolSetup":
+        """The setup of ``pool.take(rows)``, sliced from this one with no kernel or
+        target call: the sub-pool's own setup bit for bit under RBF and a Gaussian
+        mixture, to round-off where the embedding is a BLAS product."""
+        pool = self.pool.take(rows)
+        # where the prepared rows are the points themselves, keep one copy of them
+        prepared = pool.points if self.prepared is self.pool.points else self.prepared[rows]
+        return _keep(pool, self.target, self.kernel, prepared, self.diag[rows], self.embeds[rows])
+
+
+def _keep(pool, target, kernel, prepared, diag, embeds) -> PoolSetup:
+    # the pool keeps the arrays, not the PoolSetup, which refers to the pool: no cycle
+    prepared.flags.writeable = diag.flags.writeable = embeds.flags.writeable = False
+    object.__setattr__(pool, "_setup", (target, prepared, diag, embeds))
+    return PoolSetup(pool, target, kernel, prepared, diag, embeds)
+
 
 def setup_pool(pool: CandidatePool, target: TargetEmbedding, kernel: Kernel) -> PoolSetup:
     """Check and prepare ``pool`` for selections against ``target`` under ``kernel``.
 
-    Raises ``KernelMismatch`` when ``kernel`` is not ``target.kernel``,
+    The pool keeps its setup against its latest target, so a call with the
+    same target object returns it with no kernel or target call; the target
+    embeds the prepared rows without preparing them again.  Raises
+    ``KernelMismatch`` when ``kernel`` is not ``target.kernel``,
     ``EmptyPool`` for an empty pool and ``StandardizationError`` when the
     kernel's diagonal on the pool is not 1.
     """
     check_kernel(target, kernel)
+    memo = pool._setup  # read once: another thread may replace it
+    if memo is not None and memo[0] is target:
+        return PoolSetup(pool, target, kernel, *memo[1:])
     if len(pool) == 0:
         raise EmptyPool("empty candidate pool")
     prepared = kernel.prepare(pool.points)
     diag = kernel.diagonal(prepared)
     if not unit_diagonal(diag):
         raise StandardizationError("kernel is not standardized on this pool")
-    return PoolSetup(pool, target, kernel, prepared, diag, target.mean_embed_many(pool.points))
+    return _keep(pool, target, kernel, prepared, diag, target.mean_embed_many(prepared, prepared=True))
 
 
 def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Kernel, k: int,

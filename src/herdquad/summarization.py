@@ -9,17 +9,16 @@ on the chosen subset.  Reported quality is the mean negative log-likelihood
 on the held-out test split.
 
 A grid of ``summarize`` calls on one dataset shares the full-data fit, the
-embeddings, target and pool, the pool's selection setup (its prepared
-features and target embedding, see ``selectors.setup_pool``) and the
-random baseline of each (seed, size): they are computed once and kept in a
-one-entry memo that is checked against the dataset's contents and ``lam``
-on every call.  The setup's arrays are read-only, since every cell and
-thread reads them.  WKH and SBQ on one machine (``s = 1``) never read
-``seed``, so the memo also keeps their per-cell result, keyed by (method,
-k, weighted_retrain), and serves it to every other seed.  MC_RANDOM and
-``s > 1``, where the seed drives the draws or the partition, are computed
-in every call; MC_RANDOM selects from the shared setup, while the shards
-of ``s > 1`` embed their own points.
+embeddings, target and pool, and through the pool its selection setup (its
+prepared features and target embedding, see ``selectors.setup_pool``),
+and the random baseline of each (seed, size): they are computed once and
+kept in a one-entry memo that is checked against the dataset's contents
+and ``lam`` on every call.  WKH and SBQ on one machine (``s = 1``) never
+read ``seed``, so the memo also keeps their per-cell result, keyed by
+(method, k, weighted_retrain), and serves it to every other seed.
+MC_RANDOM and ``s > 1``, where the seed drives the draws or the partition,
+are computed in every call; both select from the pool's one setup, the
+shards of ``s > 1`` from slices of it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from scipy.special import expit
 
 from .distributed import run_distributed
 from .kernels import CandidatePool, NormalizedFeatureKernel
-from .selectors import OPTIMAL_WEIGHT_METHODS, Method, RunTrace, run_on_setup, setup_pool
+from .selectors import OPTIMAL_WEIGHT_METHODS, Method, RunTrace, run_greedy
 from .targets import DiscreteTarget
 
 log = logging.getLogger(__name__)
@@ -207,9 +206,8 @@ def _fit_dataset(data, lam: float) -> SimpleNamespace:
     The entry's ``key`` holds private copies of the features, labels, split
     tags and ``lam``, so an in-place edit, another dataset or another ``lam``
     recomputes.  ``random_nll`` maps (seed, subset size) to the random
-    baseline's test NLL, ``setup`` is the pool's read-only ``PoolSetup`` that
-    every ``s = 1`` cell selects from (``None`` when every training embedding
-    is degenerate), and ``cells`` maps (method, k, weighted_retrain) to the
+    baseline's test NLL, ``pool`` and ``target`` are what every cell selects
+    from and against, and ``cells`` maps (method, k, weighted_retrain) to the
     seed-free part of a WKH or SBQ report at ``s = 1``: the trace, the
     final g, the selected rows and the test NLL.  A fit that raises stores
     nothing.
@@ -225,17 +223,11 @@ def _fit_dataset(data, lam: float) -> SimpleNamespace:
     full_model = train_logistic(Xtr, ytr, lam=lam)
     E_tr, kept_tr = fisher_embed_many(full_model, Xtr, ytr)
     E_val, _ = fisher_embed_many(full_model, Xval, yval)
-    target = DiscreteTarget.uniform(E_val, NormalizedFeatureKernel())
-    setup = None
-    if kept_tr.size:  # with no embedding left, summarize names the budget it cannot meet
-        setup = setup_pool(CandidatePool.from_points(E_tr), target, target.kernel)
-        # every cell and thread shares the setup: none may write into it
-        for arr in (setup.pool.points, setup.pool.ids, setup.prepared, setup.diag, setup.embeds):
-            arr.flags.writeable = False
     fit = SimpleNamespace(
         key=tuple(np.array(v) for v in key), test=test, full_nll=full_model.mean_nll(*test),
-        kept_tr=kept_tr, n_degenerate=Xtr.shape[0] - kept_tr.size, setup=setup,
-        random_nll={}, cells={})
+        kept_tr=kept_tr, n_degenerate=Xtr.shape[0] - kept_tr.size,
+        pool=CandidatePool.from_points(E_tr),
+        target=DiscreteTarget.uniform(E_val, NormalizedFeatureKernel()), random_nll={}, cells={})
     with _memo_lock:
         _memo = fit
     return fit
@@ -282,11 +274,9 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
         cell = fit.cells.get(cell_key)
     if cell is None:
         if s == 1:
-            result, trace = run_on_setup(method, fit.setup, k, seed=seed)
+            result, trace = run_greedy(method, fit.pool, fit.target, fit.target.kernel, k, seed)
         else:
-            # each shard needs its own embeddings, so the shared setup is no use
-            dist = run_distributed(method, fit.setup.pool, fit.setup.target,
-                                   fit.setup.target.kernel, k, s, seed)
+            dist = run_distributed(method, fit.pool, fit.target, fit.target.kernel, k, s, seed)
             result, trace = dist.winner, dist.traces[dist.winner_index]
 
         # the winner's trace lists its atoms, like a single run's

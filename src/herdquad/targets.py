@@ -33,11 +33,12 @@ class SamplerUnavailable(TypeError):
 
 
 class TargetEmbedding:
-    """Base class; subclasses implement ``mean_embed_many`` and ``self_energy``."""
+    """Base class; subclasses implement ``self_energy`` and ``mean_embed_many``,
+    which reads X as rows already ``kernel.prepare``-d when ``prepared``."""
 
     kernel: Kernel
 
-    def mean_embed_many(self, X) -> np.ndarray:
+    def mean_embed_many(self, X, prepared: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def mean_embed(self, x) -> float:
@@ -117,8 +118,8 @@ class GaussianMixtureTarget(TargetEmbedding):
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def mean_embed_many(self, X) -> np.ndarray:
-        X = as_point_matrix(X)
+    def mean_embed_many(self, X, prepared: bool = False) -> np.ndarray:
+        X = as_point_matrix(X)  # RBFKernel.prepare: the points as they are
         if X.shape[1] != self.dim:
             raise ValueError(f"dimension mismatch: points have {X.shape[1]}, target has {self.dim}")
         out = np.empty(X.shape[0])
@@ -191,8 +192,9 @@ class DiscreteTarget(TargetEmbedding):
             self._prepared_support = self.kernel.prepare(self.support)
         return self._prepared_support
 
-    def mean_embed_many(self, X) -> np.ndarray:
-        return self.kernel.cross(self.kernel.prepare(X), self._support()) @ self.probs
+    def mean_embed_many(self, X, prepared: bool = False) -> np.ndarray:
+        P = X if prepared else self.kernel.prepare(X)
+        return self.kernel.cross(P, self._support()) @ self.probs
 
     def self_energy(self) -> float:
         if self._self_energy is None:

@@ -1,6 +1,7 @@
 import csv
 import json
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,10 @@ from herdquad.cli import (
     trace_rows_for_csv,
 )
 from herdquad.diagnostics import fit_rate
-from herdquad.selectors import RunTrace, TraceRow, setup_pool
+from herdquad.selectors import RunTrace, TraceRow
+from herdquad.targets import GaussianMixtureTarget
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def run_cli(*argv):
@@ -150,11 +154,14 @@ def test_mixture_builds_each_seed_instance_once(tmp_path):
     cfg = tmp_path / "mix.cfg"
     cfg.write_text("methods = wkh, sbq, wkh:2\nseeds = 0, 1\nk = 4\npool_size = 60\n"
                    "components = 2\n")
+    counted_embed = mock.patch.object(GaussianMixtureTarget, "mean_embed_many", autospec=True,
+                                      side_effect=GaussianMixtureTarget.mean_embed_many)
     with mock.patch("herdquad.cli.median_bandwidth", wraps=median_bandwidth) as bandwidth, \
-            mock.patch("herdquad.cli.setup_pool", wraps=setup_pool) as setup:
+            counted_embed as embed:
         assert run_cli("mixture", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
     assert bandwidth.call_count == 2
-    assert setup.call_count == 2
+    # one embedding of each seed's pool: the wkh:2 shards and aggregator read slices of it
+    assert [len(c.args[1]) for c in embed.call_args_list] == [60, 60]
     runs = json.loads((tmp_path / "out" / "mixture_summary.json").read_text())["runs"]
     assert len(runs) == 6
 
@@ -483,6 +490,10 @@ def test_environment_variable_fallbacks(tmp_path, monkeypatch, capsys):
     assert (out2 / "mixture_summary.json").exists()
 
 
-def test_thread_count_is_not_read_from_the_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("HERDQUAD_THREADS", "0")
-    assert run_cli(*mixture_args(tmp_path, extra=("--config", _small_cfg(tmp_path)))) == 0
+@pytest.mark.parametrize("name", ["mixture_small", "mixture_distributed"])
+def test_shipped_mixture_configs_rerun_byte_identical_in_one_process(tmp_path, name):
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert run_cli("mixture", "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out)) == 0
+    first, second = ({p.name: read_file(p) for p in out.iterdir()} for out in outs)
+    assert first == second

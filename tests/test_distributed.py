@@ -1,4 +1,6 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from herdquad.distributed import (
     partition,
     run_distributed,
 )
-from herdquad.kernels import CandidatePool, NormalizedFeatureKernel, RBFKernel
-from herdquad.selectors import Method, run_greedy
+from herdquad.kernels import CandidatePool, Kernel, NormalizedFeatureKernel, RBFKernel
+from herdquad.selectors import Method, run_greedy, setup_pool
 from herdquad.state import G_ROUNDOFF, KernelMismatch
 from herdquad.targets import DiscreteTarget
 from tests.conftest import random_mixture
@@ -196,3 +198,76 @@ def test_a_target_at_the_floor_gives_empty_solutions(method):
     assert [sol.ids for sol in result.solutions] == [[], [], []]
     assert result.winner.label == "worker-0"
     assert [t.stop_reason for t in result.traces] == ["objective_floor"] * 3
+
+
+def assert_same_setup(expected, other):
+    for name in ("prepared", "diag", "embeds"):
+        assert getattr(other, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert other.pool.points.tobytes() == expected.pool.points.tobytes()
+    np.testing.assert_array_equal(other.pool.ids, expected.pool.ids)
+
+
+@pytest.mark.parametrize("s", [2, 5, 32])
+def test_rbf_shard_slices_equal_the_shards_own_setups_bit_for_bit(s):
+    pool, target, kern = make_problem(seed=16, n=400, dim=8)
+    parent = setup_pool(pool, target, kern)
+    assignment = partition(pool, s, seed=17)
+    shards = [np.flatnonzero(assignment == w) for w in range(s)]
+    # the aggregator's union: a few rows of every shard; and a lone row
+    union = np.sort(np.concatenate([rows[:3] for rows in shards]))
+    for rows in shards + [union, shards[0][:1]]:
+        own = setup_pool(pool.take(rows), target, kern)
+        sliced = parent.take(rows)
+        assert_same_setup(own, sliced)
+        # under RBF the prepared rows are the shard's points, held once
+        assert sliced.prepared is sliced.pool.points
+
+
+def feature_pool_problem(seed=18, n=120, dim=24):
+    rng = np.random.default_rng(seed)
+    kern = NormalizedFeatureKernel()
+    pool = CandidatePool.from_points(rng.normal(size=(n, dim)))
+    return pool, DiscreteTarget.uniform(rng.normal(size=(40, dim)), kern), kern
+
+
+@pytest.mark.parametrize("problem", ["mixture", "feature"])
+def test_one_pool_is_prepared_and_embedded_once_across_runs(problem):
+    pool, target, kern = make_problem(seed=19, n=120) if problem == "mixture" \
+        else feature_pool_problem()
+    target_cls = type(target)
+    prepare_owner = NormalizedFeatureKernel if problem == "feature" else Kernel
+    # a target that prepared the rows again would show a second full-pool prepare
+    with mock.patch.object(target_cls, "mean_embed_many", autospec=True,
+                           side_effect=target_cls.mean_embed_many) as embed, \
+            mock.patch.object(prepare_owner, "prepare", autospec=True,
+                              side_effect=prepare_owner.prepare) as prepare:
+        for method in (Method.WKH, Method.SBQ):
+            run_greedy(method, pool, target, kern, 6)
+            for s in (2, 5):
+                for executor in ("serial", "thread"):
+                    run_distributed(method, pool, target, kern, 6, s, seed=s, executor=executor)
+    assert [len(c.args[1]) for c in embed.call_args_list] == [len(pool)]
+    assert [len(c.args[1]) for c in prepare.call_args_list
+            if len(c.args[1]) == len(pool)] == [len(pool)]
+
+
+def test_threads_sharing_one_pool_between_two_targets_agree_with_serial_runs():
+    """The pool's setup is replaced whenever the target changes; no thread may
+    read one target's setup for the other."""
+    pool, first, kern = make_problem(seed=22, n=300)
+    second = random_mixture(np.random.default_rng(23), components=2, dim=2)
+    calls = [(target, s) for target in (first, second) for s in (1, 3)] * 6
+    expected = {(id(target), s): run_distributed(
+        Method.SBQ, CandidatePool.from_points(pool.points), target, kern, 5, s, seed=1)
+        for target, s in calls[:4]}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as ex:
+            futures = [(key, ex.submit(run_distributed, Method.SBQ, pool, key[0], kern, 5, key[1],
+                                       seed=1, executor="serial")) for key in calls]
+            results = [(key, f.result(timeout=60)) for key, f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (target, s), result in results:
+        assert_same_result(expected[(id(target), s)], result)

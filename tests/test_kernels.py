@@ -123,6 +123,21 @@ def test_pool_ids_survive_take():
         pool.take(np.array([4, 1]))
 
 
+def test_pool_owns_read_only_copies_of_its_arrays():
+    points, ids = np.arange(10.0).reshape(-1, 2), np.arange(5)
+    pool = CandidatePool(points=points, ids=ids)
+    sub = pool.take(np.array([1, 4]))
+    for arr in (pool.points, pool.ids, sub.points, sub.ids):
+        assert not np.shares_memory(arr, points) and not np.shares_memory(arr, ids)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert not np.shares_memory(sub.points, pool.points)
+    points[:] = -1.0  # the caller's arrays stay the caller's
+    ids[:] = 0
+    np.testing.assert_array_equal(pool.points, np.arange(10.0).reshape(-1, 2))
+    np.testing.assert_array_equal(pool.ids, np.arange(5))
+
+
 def test_pool_rejects_duplicate_ids():
     for ids in ([3, 3], [1, 0]):
         with pytest.raises(ValueError, match="unique"):

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -409,7 +411,8 @@ def feature_problem(seed=8, n=60, dim=40):
 
 @pytest.mark.parametrize("method", list(Method))
 def test_feature_kernel_normalizes_the_pool_a_fixed_number_of_times(method):
-    """The pool is normalized once per run_greedy call and once per pool embedding, whatever k."""
+    """The pool is normalized once, on its first setup, whatever k; later
+    runs against the same target normalize it no more."""
     pool, target, kern = feature_problem()
     pool_preps = []
     for k in (3, 15):
@@ -417,7 +420,54 @@ def test_feature_kernel_normalizes_the_pool_a_fixed_number_of_times(method):
             _, trace = run_greedy(method, pool, target, kern, k, seed=1)
         assert len(trace.rows) == k
         pool_preps.append(sum(np.shape(c.args[1])[0] == len(pool) for c in prepare.call_args_list))
-    assert pool_preps[0] == pool_preps[1] == 2
+    assert pool_preps == [1, 0]
+
+
+def test_the_pool_keeps_one_setup_per_target_object():
+    pool, target, kern = feature_problem()
+    with counted(DiscreteTarget, "mean_embed_many") as embed:
+        first = setup_pool(pool, target, kern)
+        again = setup_pool(pool, target, kern)
+        assert embed.call_count == 1
+        for name in ("prepared", "diag", "embeds"):
+            assert getattr(again, name) is getattr(first, name)
+            assert not getattr(first, name).flags.writeable
+        # an equal target is another object: it gets its own setup
+        twin = DiscreteTarget(target.support, target.probs, kern)
+        other = setup_pool(pool, twin, kern)
+        assert embed.call_count == 2
+        assert other.embeds is not first.embeds
+        np.testing.assert_array_equal(other.embeds, first.embeds)
+        assert setup_pool(pool, twin, kern).embeds is other.embeds
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_editing_the_source_array_leaves_selections_unchanged(method):
+    rng = np.random.default_rng(21)
+    target = random_mixture(rng, components=2, dim=2)
+    points = rng.normal(size=(40, 2), scale=2.0)
+    pool = CandidatePool.from_points(points)
+    _, before = run_greedy(method, pool, target, target.kernel, 8, seed=2)
+    points[:20] = points[20:]  # a pool that viewed this array would now hold duplicates
+    _, after = run_greedy(method, pool, target, target.kernel, 8, seed=2)
+    fresh = CandidatePool.from_points(pool.points)
+    _, again = run_greedy(method, fresh, target, target.kernel, 8, seed=2)
+    assert after.chosen_ids == again.chosen_ids == before.chosen_ids
+    assert after.mmd_values.tobytes() == again.mmd_values.tobytes() == before.mmd_values.tobytes()
+
+
+@pytest.mark.parametrize("problem", [mixture_problem, feature_problem])
+def test_a_dropped_pool_frees_its_setup_without_the_cycle_collector(problem):
+    pool, target, kern = problem(seed=4)
+    run_greedy("SBQ", pool, target, kern, 4)
+    setup = setup_pool(pool, target, kern)
+    refs = [weakref.ref(obj) for obj in (pool, setup, setup.prepared, setup.diag, setup.embeds)]
+    gc.disable()
+    try:
+        del pool, setup
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("where", ["pool", "support"])
@@ -491,8 +541,8 @@ def test_uniform_baselines_match_the_plain_loops_bit_for_bit(problem, method, k)
 def test_one_setup_serves_many_runs_without_being_written(method):
     pool, target, kern = feature_problem(seed=9, n=80, dim=20)
     setup = setup_pool(pool, target, kern)
-    for arr in (setup.prepared, setup.diag, setup.embeds):
-        arr.flags.writeable = False  # a write into the setup would raise
+    # a write into the setup would raise
+    assert not any(arr.flags.writeable for arr in (setup.prepared, setup.diag, setup.embeds))
     for k, seed in ((5, 0), (12, 3), (12, 0)):
         result, trace = run_on_setup(method, setup, k, seed=seed)
         expected, expected_trace = run_greedy(method, pool, target, kern, k, seed=seed)

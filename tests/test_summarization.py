@@ -9,6 +9,7 @@ from scipy.special import expit
 from herdquad import summarization
 from herdquad.datasets import LabeledDataset, make_blobs, synthetic_blob_dataset
 from herdquad.kernels import NormalizedFeatureKernel
+from herdquad.selectors import setup_pool
 from herdquad.summarization import (
     BothClassesRequired,
     DegenerateEmbedding,
@@ -320,18 +321,18 @@ def test_summarize_grid_fits_each_dataset_once(monkeypatch):
 def test_summarize_selects_once_per_seed_free_cell(monkeypatch):
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
     greedy_calls, distributed_calls = Counter(), Counter()
-    real_greedy, real_distributed = summarization.run_on_setup, summarization.run_distributed
+    real_greedy, real_distributed = summarization.run_greedy, summarization.run_distributed
 
-    def counting_greedy(method, setup, k, seed=0):
+    def counting_greedy(method, pool, target, kernel, k, seed=0):
         greedy_calls[(method.value, k, seed)] += 1
-        return real_greedy(method, setup, k, seed=seed)
+        return real_greedy(method, pool, target, kernel, k, seed=seed)
 
     def counting_distributed(method, pool, target, kernel, k, s, seed):
         distributed_calls[(method.value, k, seed)] += 1
         return real_distributed(method, pool, target, kernel, k, s, seed)
 
     monkeypatch.setattr(summarization, "_memo", None)
-    monkeypatch.setattr(summarization, "run_on_setup", counting_greedy)
+    monkeypatch.setattr(summarization, "run_greedy", counting_greedy)
     monkeypatch.setattr(summarization, "run_distributed", counting_distributed)
     grid = [(m, s, k, seed, wr) for m in ("WKH", "SBQ") for s in (1, 2) for k in (6, 10)
             for seed in (0, 1, 3) for wr in (False, True)]
@@ -347,7 +348,7 @@ def test_summarize_selects_once_per_seed_free_cell(monkeypatch):
     assert distributed_calls == Counter({(m, k, seed): 2 for m in ("WKH", "SBQ")
                                          for k in (6, 10) for seed in (0, 1, 3)})
 
-    monkeypatch.setattr(summarization, "run_on_setup", real_greedy)
+    monkeypatch.setattr(summarization, "run_greedy", real_greedy)
     monkeypatch.setattr(summarization, "run_distributed", real_distributed)
     for (method, s, k, seed, wr), rep in reports.items():
         assert_same_report(rep, fresh_report(ds, method, k, s=s, seed=seed, weighted_retrain=wr))
@@ -357,9 +358,9 @@ def test_summarize_prepares_and_embeds_the_pool_once_per_dataset_fit(monkeypatch
     rows_seen = Counter()  # (layer, rows of its argument) -> calls
     real_embed, real_prepare = DiscreteTarget.mean_embed_many, NormalizedFeatureKernel.prepare
 
-    def counting_embed(self, X):
+    def counting_embed(self, X, prepared=False):
         rows_seen[("mean_embed_many", len(X))] += 1
-        return real_embed(self, X)
+        return real_embed(self, X, prepared=prepared)
 
     def counting_prepare(self, X):
         rows_seen[("prepare", len(X))] += 1
@@ -371,31 +372,34 @@ def test_summarize_prepares_and_embeds_the_pool_once_per_dataset_fit(monkeypatch
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
 
     def pool_calls():
-        n_pool = len(summarization._memo.setup.pool)
+        n_pool = len(summarization._memo.pool)
         return rows_seen[("mean_embed_many", n_pool)], rows_seen[("prepare", n_pool)]
 
     summarize(ds, "MC_RANDOM", 6, seed=0)
-    one_fit = pool_calls()
-    assert one_fit[0] == 1
-    grid = [(m, k, seed) for m in ("WKH", "SBQ", "MC_RANDOM") for k in (6, 10) for seed in (0, 1, 3)]
-    for method, k, seed in grid:
-        summarize(ds, method, k, seed=seed)
-    assert pool_calls() == one_fit
+    assert pool_calls() == (1, 1)
+    # the s = 2 cells select from slices of the same setup
+    grid = [(m, k, s, seed) for m in ("WKH", "SBQ", "MC_RANDOM") for k in (6, 10)
+            for s in (1, 2) for seed in (0, 1, 3) if s == 1 or m != "MC_RANDOM"]
+    for method, k, s, seed in grid:
+        summarize(ds, method, k, s=s, seed=seed)
+    assert pool_calls() == (1, 1)
     summarize(ds, "WKH", 6, lam=0.5, seed=0)  # another lam: a second fit
-    assert pool_calls() == tuple(2 * c for c in one_fit)
+    assert pool_calls() == (2, 2)
 
 
 def test_summarize_cells_cannot_write_into_the_shared_setup(monkeypatch):
     monkeypatch.setattr(summarization, "_memo", None)
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
     summarize(ds, "MC_RANDOM", 8, seed=0)
-    setup = summarization._memo.setup
+    fit = summarization._memo
+    setup = setup_pool(fit.pool, fit.target, fit.target.kernel)
     arrays = (setup.pool.points, setup.pool.ids, setup.prepared, setup.diag, setup.embeds)
     kept = [arr.copy() for arr in arrays]
     for method in ("WKH", "SBQ", "MC_RANDOM"):
         for seed in (1, 2):
             summarize(ds, method, 8, seed=seed)
-    assert summarization._memo.setup is setup
+    assert summarization._memo is fit
+    assert setup_pool(fit.pool, fit.target, fit.target.kernel).embeds is setup.embeds
     for arr, before in zip(arrays, kept):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
