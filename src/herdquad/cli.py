@@ -32,7 +32,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from collections import Counter
 from itertools import product
 
@@ -76,7 +75,9 @@ MIXTURE_FAMILY = {"mean_low": -5.0, "mean_high": 5.0, "cov_low": 0.05, "cov_high
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+    tmp = os.path.join(directory, f".tmp_{os.urandom(8).hex()}")
+    # mode 0o666 less the umask, as open(path, "w") gives; a mkstemp file keeps 0o600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

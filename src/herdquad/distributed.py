@@ -7,11 +7,12 @@ the solution (among the s workers and the aggregator) with the smallest
 squared MMD, ties going to the lowest index.  By construction the winner
 is never worse than the best worker.
 
-``run_distributed`` sets the pool up once (``selectors.setup_pool``, kept
-on the pool, so later calls on the same pool and target embed nothing)
-and hands every worker, and the aggregator, a ``PoolSetup.take`` slice of
-that setup; a lone worker reads the setup itself.  On a pool never set up
-before, the caller embeds the whole pool before the workers start.
+Every worker, and the aggregator, is one ``run_greedy`` call on a
+smaller pool.  ``run_distributed`` sets the pool up once
+(``selectors.setup_pool``, kept on the pool, so later calls on the same
+pool and target embed nothing), and ``CandidatePool.take`` hands every
+shard and the aggregator's pool its rows of that setup.  On a pool never
+set up before, the caller embeds the whole pool before the workers start.
 Workers run serially, on a thread pool (the default) or on a process
 pool; all three return the same result bit for bit.  A pool runs at most
 one worker per core by default: with one BLAS thread on 2 cores, WKH with
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import CandidatePool, Kernel
-from .selectors import OPTIMAL_WEIGHT_METHODS, Method, RunTrace, run_on_setup, setup_pool
+from .selectors import OPTIMAL_WEIGHT_METHODS, Method, RunTrace, run_greedy, setup_pool
 from .state import check_kernel
 from .targets import TargetEmbedding
 
@@ -98,8 +99,8 @@ def _worker_seeds(seed: int, s: int) -> list[int]:
 
 
 def _run_shard(args):
-    method, setup, k, wseed = args
-    state, trace = run_on_setup(method, setup, k, seed=wseed)
+    method, shard, target, kernel, k, wseed = args
+    state, trace = run_greedy(method, shard, target, kernel, k, seed=wseed)
     return list(state.atom_ids), np.asarray(state.weights), float(state.mmd_sq), trace
 
 
@@ -134,13 +135,12 @@ def run_distributed(
 
     t_start = time.perf_counter()
     assignment = partition(pool, s, seed)
-    setup = setup_pool(pool, target, kernel)
-    # a lone worker selects from the whole pool's setup, the others from slices of it
-    shards = [setup] if s == 1 else [setup.take(np.flatnonzero(assignment == w)) for w in range(s)]
+    setup_pool(pool, target, kernel)  # kept on the pool; take hands every shard its rows
+    shards = [pool] if s == 1 else [pool.take(np.flatnonzero(assignment == w)) for w in range(s)]
     seeds = _worker_seeds(seed, s)
     t_partition = time.perf_counter()
 
-    jobs = [(method, shards[w], k, seeds[w]) for w in range(s)]
+    jobs = [(method, shards[w], target, kernel, k, seeds[w]) for w in range(s)]
     if executor == "serial" or s == 1:
         # A lone worker runs in the caller under every executor: in a thread
         # of its own its arrays come from another malloc arena, which cost
@@ -162,7 +162,8 @@ def run_distributed(
     if union_ids:
         # pool ids ascend, so sorted ids give ascending rows
         union_rows = np.searchsorted(pool.ids, sorted(union_ids))
-        ids, weights, mmd_sq, trace = _run_shard((method, setup.take(union_rows), k, seeds[s]))
+        ids, weights, mmd_sq, trace = _run_shard(
+            (method, pool.take(union_rows), target, kernel, k, seeds[s]))
         solutions.append(Solution(label="aggregator", ids=ids, weights=weights, mmd_sq=mmd_sq))
         traces.append(trace)
     else:

@@ -19,7 +19,7 @@ row from a slice of it, bit for bit equal to the ``gram`` row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -142,8 +142,9 @@ class CandidatePool:
     ``run_distributed``, keep the original ids so that selections remain
     traceable across shards.  Rows are listed by strictly increasing id.
     The pool owns read-only arrays: the constructor copies its inputs once
-    and ``take`` keeps the fresh rows it gathers.  ``selectors.setup_pool``
-    keeps the pool's setup against its latest target in ``_setup``.
+    and ``take`` keeps the fresh rows it gathers.  The pool keeps the
+    ``selectors.PoolSetup`` of its latest target in ``_setup``, and
+    ``take`` hands a sub-pool its rows of it.
     """
 
     points: np.ndarray
@@ -175,9 +176,20 @@ class CandidatePool:
         return self.points.shape[0]
 
     def take(self, rows) -> "CandidatePool":
-        """Sub-pool of the given rows, which must ascend so that the ids do."""
+        """Sub-pool of the given rows, which must ascend so that the ids do.
+
+        The rows of this pool's setup need no kernel or target call; they are
+        the sub-pool's own setup bit for bit under RBF and a Gaussian mixture,
+        to round-off where the embedding is a BLAS product.
+        """
         sub = object.__new__(CandidatePool)
         sub._own(self.points[rows], self.ids[rows])
+        setup = self._setup  # read once: another thread may replace it
+        if setup is not None:
+            # where the prepared rows are the points themselves, keep one copy of them
+            prepared = sub.points if setup.prepared is self.points else setup.prepared[rows]
+            object.__setattr__(sub, "_setup", replace(
+                setup, prepared=prepared, diag=setup.diag[rows], embeds=setup.embeds[rows]))
         return sub
 
     def point_by_id(self, pool_id: int) -> np.ndarray:

@@ -25,21 +25,20 @@ once per run, so the kernel row is a step's only allocation of the pool's
 length; ``wkh_select`` and ``sbq_select`` recompute the pair from scratch
 for one step.
 
-``run_greedy`` is two parts.  ``setup_pool`` checks the kernel against the
-target, prepares the pool once (``Kernel.prepare``: the unit features of a
-feature kernel), checks the kernel's diagonal on it and embeds the pool
-under the target; the ``PoolSetup`` it returns depends on no method,
-budget or seed; the pool keeps it, so every selection from one (pool,
-target) shares one setup, and ``PoolSetup.take`` slices it for the shards
-of ``run_distributed``.  ``run_on_setup`` is the selection loop.
-Each step takes one kernel row, the chosen point's k(x, pool), as one
-cross product of slices of the prepared pool, and hands it to both the
-state and the pool; the baselines likewise reuse the pool's embeddings
-and one kernel row per pick instead of evaluating the target point by
-point.  Their bookkeeping is O(1) per step besides that row: the
-``UniformAccumulator`` keeps its embeddings in a doubling buffer,
-KH_UNIFORM scores into a buffer of the run and MC_RANDOM gathers its
-prepared draws once.
+``run_greedy`` reads the pool's setup from ``setup_pool``, which checks
+the kernel against the target, prepares the pool once (``Kernel.prepare``:
+the unit features of a feature kernel), checks the kernel's diagonal on it
+and embeds the pool under the target.  The ``PoolSetup`` depends on no
+method, budget or seed, and the pool keeps it, so every selection from one
+(pool, target) shares one setup; ``CandidatePool.take`` hands a sub-pool,
+like a shard of ``run_distributed``, its rows of it.  Each step takes one
+kernel row, the chosen point's k(x, pool), as one cross product of slices
+of the prepared pool, and hands it to both the state and the pool; the
+baselines likewise reuse the pool's embeddings and one kernel row per pick
+instead of evaluating the target point by point.  Their bookkeeping is
+O(1) per step besides that row: the ``UniformAccumulator`` keeps its
+embeddings in a doubling buffer, KH_UNIFORM scores into a buffer of the
+run and MC_RANDOM gathers its prepared draws once.
 
 Selection is deterministic: ties always go to the lowest pool id (pools
 list their rows by ascending id and ``argmax`` takes the first maximum), and a
@@ -226,37 +225,25 @@ class UniformAccumulator:
 
 @dataclass(frozen=True)
 class PoolSetup:
-    """A pool checked and prepared for selection against one target.
+    """A pool's setup for selection against one target, kept by the pool.
 
     ``prepared`` is ``kernel.prepare(pool.points)``, ``diag`` the kernel's
     diagonal on it (all ones within ``STANDARDIZATION_TOL``) and ``embeds``
-    the target's mean embedding z at every pool point, all three read-only.
-    None of them depends on the method, the budget or the seed, so one
-    setup serves any number of ``run_on_setup`` calls.
+    the target's mean embedding z at every pool point; the three arrays are
+    made read-only on construction.  None of them depends on the method,
+    the budget or the seed, so one setup serves every run on the pool, and
+    ``CandidatePool.take`` hands a sub-pool its rows of it.  The setup
+    holds no reference to its pool, so pool and setup form no cycle.
     """
 
-    pool: CandidatePool
     target: TargetEmbedding
-    kernel: Kernel
     prepared: np.ndarray
     diag: np.ndarray
     embeds: np.ndarray
 
-    def take(self, rows) -> "PoolSetup":
-        """The setup of ``pool.take(rows)``, sliced from this one with no kernel or
-        target call: the sub-pool's own setup bit for bit under RBF and a Gaussian
-        mixture, to round-off where the embedding is a BLAS product."""
-        pool = self.pool.take(rows)
-        # where the prepared rows are the points themselves, keep one copy of them
-        prepared = pool.points if self.prepared is self.pool.points else self.prepared[rows]
-        return _keep(pool, self.target, self.kernel, prepared, self.diag[rows], self.embeds[rows])
-
-
-def _keep(pool, target, kernel, prepared, diag, embeds) -> PoolSetup:
-    # the pool keeps the arrays, not the PoolSetup, which refers to the pool: no cycle
-    prepared.flags.writeable = diag.flags.writeable = embeds.flags.writeable = False
-    object.__setattr__(pool, "_setup", (target, prepared, diag, embeds))
-    return PoolSetup(pool, target, kernel, prepared, diag, embeds)
+    def __post_init__(self):
+        self.prepared.flags.writeable = self.diag.flags.writeable = False
+        self.embeds.flags.writeable = False
 
 
 def setup_pool(pool: CandidatePool, target: TargetEmbedding, kernel: Kernel) -> PoolSetup:
@@ -270,16 +257,18 @@ def setup_pool(pool: CandidatePool, target: TargetEmbedding, kernel: Kernel) -> 
     kernel's diagonal on the pool is not 1.
     """
     check_kernel(target, kernel)
-    memo = pool._setup  # read once: another thread may replace it
-    if memo is not None and memo[0] is target:
-        return PoolSetup(pool, target, kernel, *memo[1:])
+    setup = pool._setup  # read once: another thread may replace it
+    if setup is not None and setup.target is target:
+        return setup
     if len(pool) == 0:
         raise EmptyPool("empty candidate pool")
     prepared = kernel.prepare(pool.points)
     diag = kernel.diagonal(prepared)
     if not unit_diagonal(diag):
         raise StandardizationError("kernel is not standardized on this pool")
-    return _keep(pool, target, kernel, prepared, diag, target.mean_embed_many(prepared, prepared=True))
+    setup = PoolSetup(target, prepared, diag, target.mean_embed_many(prepared, prepared=True))
+    object.__setattr__(pool, "_setup", setup)
+    return setup
 
 
 def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Kernel, k: int,
@@ -296,19 +285,13 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     once mmd_sq <= ``state.G_ROUNDOFF``, below which g is round-off
     (WKH/SBQ), ``all_dependent`` when no independent candidate remains, and
     ``pool_exhausted``.  ``KernelMismatch`` is raised when ``kernel`` is
-    not ``target.kernel``.  Equal to ``run_on_setup`` on
-    ``setup_pool(pool, target, kernel)``.
+    not ``target.kernel``.
     """
-    return run_on_setup(Method(method), setup_pool(pool, target, kernel), k, seed)
-
-
-def run_on_setup(method, setup: PoolSetup, k: int, seed: int = 0):
-    """``run_greedy`` over a pool already checked and prepared by ``setup_pool``."""
     method = Method(method)
+    setup = setup_pool(pool, target, kernel)
     if k < 1:
         raise ValueError("k must be at least 1")
-    pool, target, kernel = setup.pool, setup.target, setup.kernel
-    prepared, z_all, n = setup.prepared, setup.embeds, len(setup.pool)
+    prepared, z_all, n = setup.prepared, setup.embeds, len(pool)
     trace = RunTrace(method=method.value)
     t0 = time.perf_counter()
 

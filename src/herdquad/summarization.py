@@ -18,7 +18,8 @@ read ``seed``, so the memo also keeps their per-cell result, keyed by
 (method, k, weighted_retrain), and serves it to every other seed.
 MC_RANDOM and ``s > 1``, where the seed drives the draws or the partition,
 are computed in every call; both select from the pool's one setup, the
-shards of ``s > 1`` from slices of it.
+shards of ``s > 1`` from their rows of it, which ``CandidatePool.take``
+carries over.
 """
 
 from __future__ import annotations

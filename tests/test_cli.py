@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -51,6 +53,19 @@ def test_atomic_write_replaces_without_partial_state(tmp_path):
     assert path.read_text() == "two"
     leftovers = [p for p in path.parent.iterdir() if p.name.startswith(".tmp_")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_artifacts_get_the_mode_of_a_plain_open(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        assert run_cli(*mixture_args(tmp_path / "out")) == 0
+    finally:
+        os.umask(previous)
+    artifacts = sorted((tmp_path / "out").iterdir())
+    assert artifacts
+    for path in artifacts:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 def test_median_bandwidth_known_value():

@@ -1,3 +1,4 @@
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -203,24 +204,25 @@ def test_a_target_at_the_floor_gives_empty_solutions(method):
 def assert_same_setup(expected, other):
     for name in ("prepared", "diag", "embeds"):
         assert getattr(other, name).tobytes() == getattr(expected, name).tobytes(), name
-    assert other.pool.points.tobytes() == expected.pool.points.tobytes()
-    np.testing.assert_array_equal(other.pool.ids, expected.pool.ids)
 
 
 @pytest.mark.parametrize("s", [2, 5, 32])
 def test_rbf_shard_slices_equal_the_shards_own_setups_bit_for_bit(s):
     pool, target, kern = make_problem(seed=16, n=400, dim=8)
-    parent = setup_pool(pool, target, kern)
+    setup_pool(pool, target, kern)
     assignment = partition(pool, s, seed=17)
     shards = [np.flatnonzero(assignment == w) for w in range(s)]
     # the aggregator's union: a few rows of every shard; and a lone row
     union = np.sort(np.concatenate([rows[:3] for rows in shards]))
     for rows in shards + [union, shards[0][:1]]:
-        own = setup_pool(pool.take(rows), target, kern)
-        sliced = parent.take(rows)
-        assert_same_setup(own, sliced)
+        fresh = CandidatePool(points=pool.points[rows], ids=pool.ids[rows])
+        shard = pool.take(rows)
+        assert shard.points.tobytes() == fresh.points.tobytes()
+        np.testing.assert_array_equal(shard.ids, fresh.ids)
+        assert_same_setup(setup_pool(fresh, target, kern), shard._setup)
+        assert setup_pool(shard, target, kern) is shard._setup
         # under RBF the prepared rows are the shard's points, held once
-        assert sliced.prepared is sliced.pool.points
+        assert shard._setup.prepared is shard.points
 
 
 def feature_pool_problem(seed=18, n=120, dim=24):
@@ -249,6 +251,46 @@ def test_one_pool_is_prepared_and_embedded_once_across_runs(problem):
     assert [len(c.args[1]) for c in embed.call_args_list] == [len(pool)]
     assert [len(c.args[1]) for c in prepare.call_args_list
             if len(c.args[1]) == len(pool)] == [len(pool)]
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+def test_every_worker_and_the_aggregator_is_one_run_greedy_call(executor):
+    """The workers and the aggregator call ``run_greedy`` as looked up in
+    ``herdquad.distributed``, so a wrapper installed there sees every
+    selection; on a pool already set up none of them embeds a point."""
+    pool, target, kern = make_problem(seed=24, n=120)
+    setup_pool(pool, target, kern)
+    for s, calls in ((1, 2), (2, 3), (5, 6)):
+        with mock.patch.object(distributed, "run_greedy", wraps=run_greedy) as greedy, \
+                mock.patch.object(type(target), "mean_embed_many", autospec=True,
+                                  side_effect=type(target).mean_embed_many) as embed:
+            result = run_distributed(Method.SBQ, pool, target, kern, 6, s, seed=s,
+                                     executor=executor)
+        assert greedy.call_count == calls, s
+        assert embed.call_count == 0, s
+        assert all(sol.ids for sol in result.solutions)
+
+
+@pytest.mark.parametrize("problem", ["mixture", "feature"])
+def test_a_pickled_shard_keeps_its_setup(problem):
+    """What the process executor sends a worker: the shard and the target in
+    one pickle.  The shard arrives set up and embeds nothing again."""
+    pool, target, kern = make_problem(seed=25, n=120) if problem == "mixture" \
+        else feature_pool_problem()
+    setup_pool(pool, target, kern)
+    shard = pool.take(np.flatnonzero(partition(pool, 3, seed=26) == 1))
+    sent, sent_target = pickle.loads(pickle.dumps((shard, target)))
+    target_cls = type(target)
+    with mock.patch.object(target_cls, "mean_embed_many", autospec=True,
+                           side_effect=target_cls.mean_embed_many) as embed:
+        setup = setup_pool(sent, sent_target, sent_target.kernel)
+        _, trace = run_greedy(Method.WKH, sent, sent_target, sent_target.kernel, 6)
+    assert embed.call_count == 0
+    assert setup.target is sent_target
+    assert_same_setup(shard._setup, setup)
+    _, expected = run_greedy(Method.WKH, shard, target, kern, 6)
+    assert trace.chosen_ids == expected.chosen_ids
+    assert trace.mmd_values.tobytes() == expected.mmd_values.tobytes()
 
 
 def test_threads_sharing_one_pool_between_two_targets_agree_with_serial_runs():

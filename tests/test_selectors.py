@@ -21,7 +21,6 @@ from herdquad.selectors import (
     Method,
     UniformAccumulator,
     run_greedy,
-    run_on_setup,
     sbq_select,
     selection_scores,
     setup_pool,
@@ -544,11 +543,13 @@ def test_one_setup_serves_many_runs_without_being_written(method):
     # a write into the setup would raise
     assert not any(arr.flags.writeable for arr in (setup.prepared, setup.diag, setup.embeds))
     for k, seed in ((5, 0), (12, 3), (12, 0)):
-        result, trace = run_on_setup(method, setup, k, seed=seed)
-        expected, expected_trace = run_greedy(method, pool, target, kern, k, seed=seed)
+        result, trace = run_greedy(method, pool, target, kern, k, seed=seed)
+        fresh = CandidatePool.from_points(pool.points)
+        expected, expected_trace = run_greedy(method, fresh, target, kern, k, seed=seed)
         assert trace.chosen_ids == expected_trace.chosen_ids
         assert trace.mmd_values.tobytes() == expected_trace.mmd_values.tobytes()
         assert result.mmd_sq == expected.mmd_sq
+    assert setup_pool(pool, target, kern) is setup
 
 
 @pytest.mark.parametrize("method", [Method.WKH, Method.SBQ])

@@ -393,7 +393,7 @@ def test_summarize_cells_cannot_write_into_the_shared_setup(monkeypatch):
     summarize(ds, "MC_RANDOM", 8, seed=0)
     fit = summarization._memo
     setup = setup_pool(fit.pool, fit.target, fit.target.kernel)
-    arrays = (setup.pool.points, setup.pool.ids, setup.prepared, setup.diag, setup.embeds)
+    arrays = (fit.pool.points, fit.pool.ids, setup.prepared, setup.diag, setup.embeds)
     kept = [arr.copy() for arr in arrays]
     for method in ("WKH", "SBQ", "MC_RANDOM"):
         for seed in (1, 2):
