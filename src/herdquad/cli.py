@@ -17,11 +17,11 @@ and ``summarize`` take a config file and the grid flags (``--config``,
 workers.  Both run their grid serially and print an aggregate table of
 their runs after the artifacts are written.  All three take ``--out``.
 The mixture family, the RBF bandwidth (the median heuristic), the blob
-geometry and the split fractions are fixed, see ``MIXTURE_FAMILY``,
-``median_bandwidth``, ``datasets.make_blobs`` and ``datasets.VAL_FRACTION``
-/ ``TEST_FRACTION``; ``mixture`` builds one instance per seed for all
-methods.  Environment variable:
-HERDQUAD_OUT (default output directory).
+geometry, the split fractions and the ridge strength are fixed, see
+``MIXTURE_FAMILY``, ``median_bandwidth``, ``datasets.make_blobs``,
+``datasets.VAL_FRACTION`` / ``TEST_FRACTION`` and ``summarization.LAM``;
+``mixture`` builds one instance per seed for all methods.  Environment
+variable: HERDQUAD_OUT (default output directory).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .distributed import run_distributed
 from .kernels import CandidatePool, RBFKernel
 from .selectors import RunTrace, run_greedy
 from .state import G_ROUNDOFF
-from .summarization import BothClassesRequired, summarize
+from .summarization import LAM, BothClassesRequired, summarize
 from .targets import DiscreteTarget, GaussianMixtureTarget
 
 SCHEMA_VERSION = 1
@@ -268,7 +268,7 @@ def _print_summarize_table(cfg: SummarizeConfig, data, records: list[dict]) -> N
         lines.append(f"{k:>4} {method:<10} {s:>2} {test:>10.4f} {rand:>10.4f} {full:>10.4f} "
                      f"{g:>12.4e}")
     _print_table(f"dataset={cfg.dataset} n={data.features.shape[0]} dim={data.features.shape[1]} "
-                 f"lambda={cfg.lam}",
+                 f"lambda={LAM}",
                  f"{'k':>4} {'method':<10} {'s':>2} {'test NLL':>10} {'random':>10} "
                  f"{'full':>10} {'final g':>12}", lines)
 
@@ -290,8 +290,7 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
     random_rows: dict[tuple, list] = {}
     trace_rows: dict[int, list] = {k: [] for k in cfg.k_grid}
     for (method, s), k, seed in product(cfg.methods, cfg.k_grid, cfg.seeds):
-        rep = summarize(data, method, k, s=s, lam=cfg.lam, seed=seed,
-                        weighted_retrain=cfg.weighted_retrain)
+        rep = summarize(data, method, k, s=s, seed=seed, weighted_retrain=cfg.weighted_retrain)
         g_final = reported_g(rep.final_mmd_sq, method, len(rep.trace.rows))
         rows.append([method, s, k, seed, fmt(g_final), fmt(rep.test_nll)])
         size = rep.selected_indices.size
@@ -317,7 +316,7 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
         "config": {
             "methods": [[m, s] for m, s in cfg.methods], "k_grid": list(cfg.k_grid),
             "seeds": list(cfg.seeds), "dataset": cfg.dataset, "n": data.features.shape[0],
-            "dim": data.features.shape[1], "lambda": cfg.lam,
+            "dim": data.features.shape[1], "lambda": LAM,
             "val_fraction": VAL_FRACTION, "test_fraction": TEST_FRACTION,
             "weighted_retrain": cfg.weighted_retrain,
         },

@@ -3,15 +3,13 @@
 Config files hold one ``key = value`` pair per line; ``#`` starts a
 comment, blank lines are skipped.  Lists are comma separated, seed lists
 additionally accept the inclusive range form ``a..b``; a list may not be
-empty or repeat an entry, a seed may not be negative, and a float must be
-finite.  Unknown keys are rejected so typos fail loudly.  Command-line
-flags override file values, and reach ``build_config`` as the same
-strings a file would hold.
+empty or repeat an entry, and a seed may not be negative.  Unknown keys
+are rejected so typos fail loudly.  Command-line flags override file
+values, and reach ``build_config`` as the same strings a file would hold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 from .datasets import read_utf8
@@ -56,13 +54,6 @@ def _distinct(values: list, what: str) -> list:
     if len(set(values)) != len(values):
         raise ConfigError(f"repeated {what} in {values}")
     return values
-
-
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -134,7 +125,6 @@ class SummarizeConfig:
     dataset: str = "blobs"
     n: int = 500
     dim: int = 128
-    lam: float = 1.0
     weighted_retrain: bool = False
     out: str = "out"
     timing: bool = False
@@ -146,8 +136,6 @@ class SummarizeConfig:
             raise ConfigError("n and dim must be positive")
         if any(m == "KH_UNIFORM" for m, _ in self.methods):
             raise ConfigError("summarize supports WKH, SBQ and MC_RANDOM")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
 
 
 # fields whose values are not plain scalars; every other field is cast by
@@ -157,10 +145,7 @@ _FIELD_CASTERS = {
     "seeds": parse_seeds,
     "k_grid": _parse_int_list,
 }
-_TYPE_CASTERS = {"int": int, "float": _parse_float, "str": str, "bool": _parse_bool}
-
-# config files say "lambda"; the dataclass field avoids the keyword
-_ALIASES = {"lambda": "lam"}
+_TYPE_CASTERS = {"int": int, "str": str, "bool": _parse_bool}
 
 
 def build_config(config_cls, mapping: dict) -> object:
@@ -170,12 +155,11 @@ def build_config(config_cls, mapping: dict) -> object:
     kwargs = {}
     unknown = []
     for key, value in mapping.items():
-        name = _ALIASES.get(key, key)
-        if name not in casters:
+        if key not in casters:
             unknown.append(key)
             continue
         try:
-            kwargs[name] = casters[name](value)
+            kwargs[key] = casters[key](value)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:

@@ -5,7 +5,9 @@ each worker runs the full greedy budget on its shard.  The aggregator runs
 the same method over the union of the workers' atoms, and the winner is
 the solution (among the s workers and the aggregator) with the smallest
 squared MMD, ties going to the lowest index.  By construction the winner
-is never worse than the best worker.
+is never worse than the best worker.  The partition is the only random
+step: WKH and SBQ are deterministic, so the workers and the aggregator
+take no seed.
 
 Every worker, and the aggregator, is one ``run_greedy`` call on a
 smaller pool.  ``run_distributed`` sets the pool up once
@@ -32,7 +34,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,15 +95,9 @@ class DistributedResult:
         return np.array([s.mmd_sq for s in self.solutions])
 
 
-def _worker_seeds(seed: int, s: int) -> list[int]:
-    children = np.random.SeedSequence(seed).spawn(s + 1)
-    return [int(c.generate_state(1)[0]) for c in children]
-
-
-def _run_shard(args):
-    method, shard, target, kernel, k, wseed = args
-    state, trace = run_greedy(method, shard, target, kernel, k, seed=wseed)
-    return list(state.atom_ids), np.asarray(state.weights), float(state.mmd_sq), trace
+def _run_shard(label, method, shard, target, kernel, k) -> tuple[Solution, RunTrace]:
+    state, trace = run_greedy(method, shard, target, kernel, k)
+    return Solution(label, list(state.atom_ids), state.weights, float(state.mmd_sq)), trace
 
 
 def run_distributed(
@@ -132,52 +128,42 @@ def run_distributed(
         raise ValueError("distributed runs support WKH and SBQ only")
     if executor not in ("serial", "thread", "process"):
         raise ValueError(f"unknown executor {executor!r}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
 
     t_start = time.perf_counter()
     assignment = partition(pool, s, seed)
     setup_pool(pool, target, kernel)  # kept on the pool; take hands every shard its rows
     shards = [pool] if s == 1 else [pool.take(np.flatnonzero(assignment == w)) for w in range(s)]
-    seeds = _worker_seeds(seed, s)
     t_partition = time.perf_counter()
 
-    jobs = [(method, shards[w], target, kernel, k, seeds[w]) for w in range(s)]
+    jobs = [(f"worker-{w}", method, shards[w], target, kernel, k) for w in range(s)]
     if executor == "serial" or s == 1:
         # A lone worker runs in the caller under every executor: in a thread
         # of its own its arrays come from another malloc arena, which cost
         # about 10 MB of peak RSS at n = 200 000.
-        outcomes = [_run_shard(job) for job in jobs]
+        outcomes = [_run_shard(*job) for job in jobs]
     else:
         pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
         with pool_cls(max_workers=max_workers or min(s, os.cpu_count() or 1)) as ex:
-            outcomes = list(ex.map(_run_shard, jobs))
+            outcomes = list(ex.map(_run_shard, *zip(*jobs)))
     t_workers = time.perf_counter()
 
-    solutions, traces = [], []
-    union_ids: set[int] = set()
-    for w, (ids, weights, mmd_sq, trace) in enumerate(outcomes):
-        solutions.append(Solution(label=f"worker-{w}", ids=ids, weights=weights, mmd_sq=mmd_sq))
-        traces.append(trace)
-        union_ids.update(int(i) for i in ids)
-
+    union_ids = sorted({int(i) for sol, _ in outcomes for i in sol.ids})
     if union_ids:
         # pool ids ascend, so sorted ids give ascending rows
-        union_rows = np.searchsorted(pool.ids, sorted(union_ids))
-        ids, weights, mmd_sq, trace = _run_shard(
-            (method, pool.take(union_rows), target, kernel, k, seeds[s]))
-        solutions.append(Solution(label="aggregator", ids=ids, weights=weights, mmd_sq=mmd_sq))
-        traces.append(trace)
+        union = pool.take(np.searchsorted(pool.ids, union_ids))
+        outcomes.append(_run_shard("aggregator", method, union, target, kernel, k))
     else:
-        # No worker took an atom: shards are nonempty and the kernel is
-        # standardized, so c <= G_ROUNDOFF and the aggregator stops there too.
-        solutions.append(Solution(label="aggregator", ids=[], weights=np.zeros(0),
-                                  mmd_sq=float(target.self_energy())))
-        traces.append(RunTrace(method=method.value, stop_reason="objective_floor"))
+        # No worker took an atom, so c <= G_ROUNDOFF (shards are nonempty, the
+        # kernel standardized): the aggregator would return worker 0's result.
+        empty, trace = outcomes[0]
+        outcomes.append((replace(empty, label="aggregator", ids=[]), replace(trace, rows=[])))
     t_agg = time.perf_counter()
 
-    values = np.array([sol.mmd_sq for sol in solutions])
-    winner_index = int(np.argmin(values))  # argmin takes the lowest index on ties
+    solutions, traces = map(list, zip(*outcomes))
     return DistributedResult(
-        winner_index=winner_index,
+        winner_index=int(np.argmin([sol.mmd_sq for sol in solutions])),  # lowest index on ties
         solutions=solutions,
         traces=traces,
         phase_seconds={

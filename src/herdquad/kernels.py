@@ -144,7 +144,9 @@ class CandidatePool:
     The pool owns read-only arrays: the constructor copies its inputs once
     and ``take`` keeps the fresh rows it gathers.  The pool keeps the
     ``selectors.PoolSetup`` of its latest target in ``_setup``, and
-    ``take`` hands a sub-pool its rows of it.
+    ``take`` hands a sub-pool its rows of it.  The read-only flags hold in
+    the calling process only: a process worker of ``run_distributed``
+    unpickles writeable copies, and nothing writes into them.
     """
 
     points: np.ndarray

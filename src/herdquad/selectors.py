@@ -233,7 +233,9 @@ class PoolSetup:
     made read-only on construction.  None of them depends on the method,
     the budget or the seed, so one setup serves every run on the pool, and
     ``CandidatePool.take`` hands a sub-pool its rows of it.  The setup
-    holds no reference to its pool, so pool and setup form no cycle.
+    holds no reference to its pool, so pool and setup form no cycle.  The
+    flags hold in the calling process only: a process worker unpickles
+    writeable copies, and nothing writes into them.
     """
 
     target: TargetEmbedding
@@ -288,9 +290,9 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     not ``target.kernel``.
     """
     method = Method(method)
-    setup = setup_pool(pool, target, kernel)
     if k < 1:
         raise ValueError("k must be at least 1")
+    setup = setup_pool(pool, target, kernel)
     prepared, z_all, n = setup.prepared, setup.embeds, len(pool)
     trace = RunTrace(method=method.value)
     t0 = time.perf_counter()

@@ -13,13 +13,13 @@ embeddings, target and pool, and through the pool its selection setup (its
 prepared features and target embedding, see ``selectors.setup_pool``),
 and the random baseline of each (seed, size): they are computed once and
 kept in a one-entry memo that is checked against the dataset's contents
-and ``lam`` on every call.  WKH and SBQ on one machine (``s = 1``) never
-read ``seed``, so the memo also keeps their per-cell result, keyed by
-(method, k, weighted_retrain), and serves it to every other seed.
-MC_RANDOM and ``s > 1``, where the seed drives the draws or the partition,
-are computed in every call; both select from the pool's one setup, the
-shards of ``s > 1`` from their rows of it, which ``CandidatePool.take``
-carries over.
+on every call.  Every fit uses the ridge strength ``LAM``.  WKH and SBQ
+on one machine (``s = 1``) never read ``seed``, so the memo also keeps
+their per-cell result, keyed by (method, k, weighted_retrain), and serves
+it to every other seed.  MC_RANDOM and ``s > 1``, where the seed drives
+the draws or the partition, are computed in every call; both select from
+the pool's one setup, the shards of ``s > 1`` from their rows of it,
+which ``CandidatePool.take`` carries over.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ log = logging.getLogger(__name__)
 # train_logistic's iteration cap and the gradient infinity-norm that counts as converged
 MAX_ITERS = 6000
 GRAD_TOL = 1e-6
+LAM = 1.0  # the ridge strength of every fit summarize makes
 
 
 class BothClassesRequired(ValueError):
@@ -88,7 +89,7 @@ def _gradient(theta, t, Xd, y, lam, wts):
     return Xd.T @ (wts * (expit(t) - y)) + lam * theta
 
 
-def train_logistic(X, y, lam: float = 1.0, sample_weights=None) -> LogisticModel:
+def train_logistic(X, y, lam: float = LAM, sample_weights=None) -> LogisticModel:
     """Deterministic full-batch gradient descent with backtracking.
 
     Minimizes the weighted mean logistic loss plus (lam/2) ||theta||^2
@@ -201,27 +202,26 @@ _memo_lock = threading.Lock()
 _memo: SimpleNamespace | None = None
 
 
-def _fit_dataset(data, lam: float) -> SimpleNamespace:
-    """The part of ``summarize`` that depends on the dataset and ``lam`` alone.
+def _fit_dataset(data) -> SimpleNamespace:
+    """The part of ``summarize`` that depends on the dataset alone.
 
-    The entry's ``key`` holds private copies of the features, labels, split
-    tags and ``lam``, so an in-place edit, another dataset or another ``lam``
-    recomputes.  ``random_nll`` maps (seed, subset size) to the random
-    baseline's test NLL, ``pool`` and ``target`` are what every cell selects
-    from and against, and ``cells`` maps (method, k, weighted_retrain) to the
+    The entry's ``key`` holds private copies of the features, labels and
+    split tags, so an in-place edit or another dataset recomputes.
+    ``random_nll`` maps (seed, subset size) to the random baseline's test
+    NLL, ``pool`` and ``target`` are what every cell selects from and
+    against, and ``cells`` maps (method, k, weighted_retrain) to the
     seed-free part of a WKH or SBQ report at ``s = 1``: the trace, the
-    final g, the selected rows and the test NLL.  A fit that raises stores
-    nothing.
+    final g, the selected rows and the test NLL.  A failed fit stores nothing.
     """
     global _memo
-    key = (data.features, data.labels, data.split, lam)
+    key = (data.features, data.labels, data.split)
     with _memo_lock:
         if _memo is not None and all(map(np.array_equal, _memo.key, key)):
             return _memo
     Xtr, ytr = data.subset("train")
     Xval, yval = data.subset("validation")
     test = data.subset("test")
-    full_model = train_logistic(Xtr, ytr, lam=lam)
+    full_model = train_logistic(Xtr, ytr)
     E_tr, kept_tr = fisher_embed_many(full_model, Xtr, ytr)
     E_val, _ = fisher_embed_many(full_model, Xval, yval)
     fit = SimpleNamespace(
@@ -234,7 +234,7 @@ def _fit_dataset(data, lam: float) -> SimpleNamespace:
     return fit
 
 
-def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int = 0,
+def summarize(data, method, k: int, *, s: int = 1, seed: int = 0,
               weighted_retrain: bool = False) -> SummarizeReport:
     """Select ``k`` training examples whose score embeddings match validation.
 
@@ -264,7 +264,7 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
     train_rows = data.indices("train")
     if k < 1 or k > train_rows.size:
         raise ValueError(f"k must lie in [1, {train_rows.size}]")
-    fit = _fit_dataset(data, lam)
+    fit = _fit_dataset(data)
     if fit.kept_tr.size < k:
         raise ValueError(f"only {fit.kept_tr.size} nondegenerate training embeddings for k={k}")
 
@@ -290,7 +290,7 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
 
         # the weights are in selection order, like the selected indices
         sample_weights = np.abs(result.weights) if weighted_retrain else None
-        summary_model = train_logistic(sub_X, sub_y, lam=lam, sample_weights=sample_weights)
+        summary_model = train_logistic(sub_X, sub_y, sample_weights=sample_weights)
         cell = SimpleNamespace(trace=trace, final_mmd_sq=float(result.mmd_sq),
                                selected_indices=selected_indices,
                                test_nll=float(summary_model.mean_nll(*fit.test)))
@@ -301,7 +301,7 @@ def summarize(data, method, k: int, *, s: int = 1, lam: float = 1.0, seed: int =
     if random_nll is None:
         rng = np.random.default_rng(seed)
         rand_rows = _draw_baseline_rows(rng, train_rows, data.labels, size)
-        random_model = train_logistic(data.features[rand_rows], data.labels[rand_rows], lam=lam)
+        random_model = train_logistic(data.features[rand_rows], data.labels[rand_rows])
         random_nll = float(random_model.mean_nll(*fit.test))
 
     # stored only now, so that a call that raises stores nothing

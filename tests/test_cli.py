@@ -396,7 +396,7 @@ SMALL_CONFIGS = {
     pytest.param("mixture", {"methods": "wkh:80", "pool_size": "50"},
                  id="mixture-workers-exceed-pool"),
     pytest.param("mixture", {"pool_size": "1"}, id="mixture-pool-size-one"),
-    pytest.param("summarize", {"lambda": "nan"}, id="summarize-lambda-nan"),
+    pytest.param("summarize", {"lambda": "1.0"}, id="summarize-lambda-unknown"),
     pytest.param("summarize", {"n": "0"}, id="summarize-n-zero"),
     pytest.param("summarize", {"dim": "0"}, id="summarize-dim-zero"),
     pytest.param("summarize", {"seeds": ","}, id="summarize-seeds-empty"),

@@ -95,12 +95,12 @@ def test_unknown_keys_fail_loudly():
     for config_cls in (MixtureConfig, SummarizeConfig):
         with pytest.raises(ConfigError, match=f"unknown config keys for {config_cls.__name__}"):
             build_config(config_cls, {"workers": "3"})
-    # the mixture family, the target, the bandwidth, the blob geometry and
-    # the split fractions are fixed, and grids run serially
+    # the mixture family, the target, the bandwidth, the blob geometry, the
+    # split fractions and the ridge strength are fixed, and grids run serially
     deleted = {MixtureConfig: ("mean_low", "mean_high", "cov_low", "cov_high",
                                "dirichlet_alpha", "target_form", "bandwidth", "threads"),
                SummarizeConfig: ("separation", "spread", "val_fraction", "test_fraction",
-                                 "threads")}
+                                 "threads", "lambda")}
     for config_cls, keys in deleted.items():
         for key in keys:
             with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):
@@ -122,16 +122,13 @@ def test_distributed_only_for_optimal_weights():
 
 
 def test_summarize_config_rules():
-    cfg = build_config(SummarizeConfig, {"k_grid": "5,10", "lambda": "0.5"})
+    cfg = build_config(SummarizeConfig, {"k_grid": "5,10"})
     assert cfg.k_grid == [5, 10]
-    assert cfg.lam == 0.5
     assert cfg.dim == 128
     with pytest.raises(ConfigError, match="WKH, SBQ and MC_RANDOM"):
         build_config(SummarizeConfig, {"methods": "kh_uniform"})
     with pytest.raises(ConfigError, match="k_grid"):
         build_config(SummarizeConfig, {"k_grid": "0,5"})
-    with pytest.raises(ConfigError, match="lambda"):
-        build_config(SummarizeConfig, {"lambda": "-1"})
 
 
 def test_defaults_construct_cleanly():

@@ -199,6 +199,24 @@ def test_a_target_at_the_floor_gives_empty_solutions(method):
     assert [sol.ids for sol in result.solutions] == [[], [], []]
     assert result.winner.label == "worker-0"
     assert [t.stop_reason for t in result.traces] == ["objective_floor"] * 3
+    aggregator = result.solutions[-1]
+    assert aggregator.label == "aggregator"
+    assert isinstance(aggregator.weights, np.ndarray) and aggregator.weights.shape == (0,)
+    assert aggregator.mmd_sq == target.self_energy()
+    assert result.traces[-1] is not result.traces[0]
+
+
+@pytest.mark.parametrize("entry", ["run_greedy", "run_distributed"])
+def test_a_budget_below_one_is_rejected_before_any_setup(entry):
+    pool, target, kern = make_problem(seed=18, n=400)
+    run = {"run_greedy": lambda: run_greedy(Method.WKH, pool, target, kern, 0),
+           "run_distributed": lambda: run_distributed(Method.WKH, pool, target, kern, 0, 2, 0)}
+    with mock.patch.object(type(target), "mean_embed_many",
+                           autospec=True, side_effect=type(target).mean_embed_many) as embed:
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            run[entry]()
+    assert embed.call_count == 0
+    assert pool._setup is None
 
 
 def assert_same_setup(expected, other):

@@ -383,7 +383,8 @@ def test_summarize_prepares_and_embeds_the_pool_once_per_dataset_fit(monkeypatch
     for method, k, s, seed in grid:
         summarize(ds, method, k, s=s, seed=seed)
     assert pool_calls() == (1, 1)
-    summarize(ds, "WKH", 6, lam=0.5, seed=0)  # another lam: a second fit
+    edited = LabeledDataset(ds.features * 2.0, ds.labels.copy(), ds.split.copy())
+    summarize(edited, "WKH", 6, seed=0)  # another dataset: a second fit
     assert pool_calls() == (2, 2)
 
 
@@ -422,27 +423,24 @@ def test_summarize_memo_hits_share_no_mutable_state(monkeypatch):
     assert_same_report(summarize(ds, "WKH", 8, seed=2), fresh_report(ds, "WKH", 8, seed=2))
 
 
-@pytest.mark.parametrize("edit", ["flip_labels", "scale_features", "new_lam", "weighted_retrain"])
+@pytest.mark.parametrize("edit", ["flip_labels", "scale_features", "weighted_retrain"])
 def test_summarize_memo_never_serves_stale_results(monkeypatch, edit):
     monkeypatch.setattr(summarization, "_memo", None)
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
     cached = summarize(ds, "SBQ", 8, seed=1)
-    lam, weighted = 1.0, False
+    weighted = False
     if edit == "flip_labels":
         rows = ds.indices("train")[:5]
         ds.labels[rows] = 1 - ds.labels[rows]
     elif edit == "scale_features":
         ds.features *= 2.0
-    elif edit == "new_lam":
-        lam = 0.5
     else:
         weighted = True
-    after = summarize(ds, "SBQ", 8, seed=1, lam=lam, weighted_retrain=weighted)
+    after = summarize(ds, "SBQ", 8, seed=1, weighted_retrain=weighted)
     # the weights change the retrained model only, the data all of the fit
     changed = "test_nll" if weighted else "full_nll"
     assert getattr(after, changed) != getattr(cached, changed)
-    assert_same_report(after, fresh_report(ds, "SBQ", 8, seed=1, lam=lam,
-                                           weighted_retrain=weighted))
+    assert_same_report(after, fresh_report(ds, "SBQ", 8, seed=1, weighted_retrain=weighted))
 
 
 def test_summarize_memo_keeps_nothing_from_a_failed_fit(monkeypatch):
