@@ -36,7 +36,6 @@ from .state import QuadratureState, new_state
 from .summarization import (
     LogisticModel,
     SummarizeReport,
-    fisher_embed,
     fisher_embed_many,
     summarize,
     train_logistic,
@@ -69,7 +68,6 @@ __all__ = [
     "brute_force_best_subset",
     "check_approx_guarantee",
     "estimate_rsc_rss",
-    "fisher_embed",
     "fisher_embed_many",
     "fit_rate",
     "mc_mean_embed",

@@ -17,27 +17,35 @@ class IngestError(ValueError):
     """Unreadable or malformed dataset file; the message cites the path or the offending line."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix, binary labels and a split tag per example."""
+    """Feature matrix, binary labels and a split tag per example.
+
+    The constructor copies its inputs into read-only arrays.  ``summarize``
+    keeps the dataset's fit in ``_fit``, which is not a field, so
+    ``dataclasses.replace`` starts with none.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     split: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.labels, dtype=int)
-        tags = np.asarray(self.split)
+        X = np.array(self.features, dtype=float)
+        y = np.array(self.labels)
+        tags = np.array(self.split)
         if X.ndim != 2:
             raise ValueError("features must form a 2-d array")
         if not np.all(np.isfinite(X)):
             raise ValueError("features must be finite")
+        # checked before the cast to int, which would truncate 0.7 to 0
         if y.shape != (X.shape[0],) or not np.all(np.isin(y, (0, 1))):
             raise ValueError("labels must be one binary value per example")
         if tags.shape != (X.shape[0],) or not np.all(np.isin(tags, SPLIT_TAGS)):
             raise ValueError(f"split tags must be one of {SPLIT_TAGS} per example")
-        self.features, self.labels, self.split = X, y, tags
+        y = y.astype(int)
+        X.flags.writeable = y.flags.writeable = tags.flags.writeable = False
+        vars(self).update(features=X, labels=y, split=tags, _fit=None)  # past the frozen setattr
 
     def indices(self, tag: str) -> np.ndarray:
         return np.flatnonzero(self.split == tag)
@@ -50,9 +58,7 @@ class LabeledDataset:
 def split_dataset(X, y, seed: int = 0) -> LabeledDataset:
     """Shuffle and tag examples as validation (``VAL_FRACTION``, at least
     one), test (``TEST_FRACTION``) and train (the rest)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    n = X.shape[0]
+    n = np.shape(X)[0]
     order = np.random.default_rng(seed).permutation(n)
     n_val = max(1, int(round(VAL_FRACTION * n)))
     n_test = int(round(TEST_FRACTION * n))

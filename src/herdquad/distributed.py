@@ -31,6 +31,7 @@ measured in the README's Performance section.
 
 from __future__ import annotations
 
+import heapq
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -52,8 +53,10 @@ def partition(pool: CandidatePool, s: int, seed: int) -> np.ndarray:
     """The worker index of each pool row, an int array.
 
     Shards are disjoint and cover the pool.  Assignment is i.i.d. uniform
-    over workers; if a worker ends up empty it receives the largest id from
-    the currently largest shard (deterministic under the seed).
+    over workers; then each empty worker, lowest index first, receives the
+    largest id from the currently largest shard (lowest index on ties), so
+    the result is deterministic under the seed.  A stable sort of the
+    assignment and a heap of shard sizes make this O(n log n + s log s).
     """
     if s < 1:
         raise ValueError("need at least one worker")
@@ -62,12 +65,19 @@ def partition(pool: CandidatePool, s: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     assignment = rng.integers(0, s, size=len(pool))
     sizes = np.bincount(assignment, minlength=s)
-    while np.any(sizes == 0):
-        empty = int(np.flatnonzero(sizes == 0)[0])
-        donor = int(np.argmax(sizes))
-        donor_rows = np.flatnonzero(assignment == donor)
-        assignment[donor_rows[-1]] = empty  # rows ascend by id: the largest id is last
-        sizes = np.bincount(assignment, minlength=s)
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        # rows by shard, ascending within each, so a shard's largest id ends its run
+        by_shard = np.argsort(assignment, kind="stable")
+        ends = np.cumsum(sizes).tolist()
+        heap = [(-size, w) for w, size in enumerate(sizes.tolist()) if size]
+        heapq.heapify(heap)
+        for w in empty.tolist():
+            # the largest shard holds 2+ rows while a worker is empty: no filled worker donates
+            neg_size, donor = heap[0]
+            ends[donor] -= 1
+            assignment[by_shard[ends[donor]]] = w
+            heapq.heapreplace(heap, (neg_size + 1, donor))
     return assignment
 
 

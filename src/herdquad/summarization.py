@@ -11,28 +11,27 @@ on the held-out test split.
 A grid of ``summarize`` calls on one dataset shares the full-data fit, the
 embeddings, target and pool, and through the pool its selection setup (its
 prepared features and target embedding, see ``selectors.setup_pool``),
-and the random baseline of each (seed, size): they are computed once and
-kept in a one-entry memo that is checked against the dataset's contents
-on every call.  Every fit uses the ridge strength ``LAM``.  WKH and SBQ
-on one machine (``s = 1``) never read ``seed``, so the memo also keeps
-their per-cell result, keyed by (method, k, weighted_retrain), and serves
-it to every other seed.  MC_RANDOM and ``s > 1``, where the seed drives
-the draws or the partition, are computed in every call; both select from
-the pool's one setup, the shards of ``s > 1`` from their rows of it,
-which ``CandidatePool.take`` carries over.
+and the random baseline of each (seed, size): the dataset keeps them in
+its fit, computed on its first call.  Its arrays are read-only, so the
+fit is never checked against them.  Every fit uses the ridge strength
+``LAM``.  WKH and SBQ on one machine (``s = 1``) never read ``seed``, so
+the fit also keeps their per-cell result, keyed by (method, k,
+weighted_retrain), and serves it to every other seed.  MC_RANDOM and
+``s > 1``, where the seed drives the draws or the partition, are computed
+in every call; both select from the pool's one setup, the shards of
+``s > 1`` from their rows of it, which ``CandidatePool.take`` carries over.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 import warnings
-from dataclasses import dataclass, replace
-from types import SimpleNamespace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
 
+from .datasets import LabeledDataset
 from .distributed import run_distributed
 from .kernels import CandidatePool, NormalizedFeatureKernel
 from .selectors import OPTIMAL_WEIGHT_METHODS, Method, RunTrace, run_greedy
@@ -48,10 +47,6 @@ LAM = 1.0  # the ridge strength of every fit summarize makes
 
 class BothClassesRequired(ValueError):
     """Training data contains a single class."""
-
-
-class DegenerateEmbedding(ValueError):
-    """Zero gradient vector: the example is fit exactly."""
 
 
 class NonConvergence(UserWarning):
@@ -138,21 +133,6 @@ def train_logistic(X, y, lam: float = LAM, sample_weights=None) -> LogisticModel
     return LogisticModel(theta=theta)
 
 
-def fisher_embed(model: LogisticModel, x, y) -> np.ndarray:
-    """Unit-normalized log-likelihood gradient (y - p(x)) * [x, 1].
-
-    The information matrix is taken as the identity, so normalization is
-    plain Euclidean.  A zero gradient (example fit exactly) raises
-    ``DegenerateEmbedding``.
-    """
-    xd = _design(np.atleast_2d(x))[0]
-    g = (float(y) - float(expit(xd @ model.theta))) * xd
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
-        raise DegenerateEmbedding("zero score vector")
-    return g / norm
-
-
 def fisher_embed_many(model: LogisticModel, X, y):
     """Unit-normalized embeddings for a batch; returns (embeddings, kept_row_indices).
 
@@ -198,43 +178,46 @@ def _draw_baseline_rows(rng, train_rows, labels, size: int) -> np.ndarray:
     raise BothClassesRequired("no two-class baseline subset found after 1000 draws")
 
 
-_memo_lock = threading.Lock()
-_memo: SimpleNamespace | None = None
-
-
-def _fit_dataset(data) -> SimpleNamespace:
+@dataclass
+class _DatasetFit:
     """The part of ``summarize`` that depends on the dataset alone.
 
-    The entry's ``key`` holds private copies of the features, labels and
-    split tags, so an in-place edit or another dataset recomputes.
     ``random_nll`` maps (seed, subset size) to the random baseline's test
-    NLL, ``pool`` and ``target`` are what every cell selects from and
-    against, and ``cells`` maps (method, k, weighted_retrain) to the
-    seed-free part of a WKH or SBQ report at ``s = 1``: the trace, the
-    final g, the selected rows and the test NLL.  A failed fit stores nothing.
+    NLL, and ``cells`` maps (method, k, weighted_retrain) to the seed-free
+    part of a WKH or SBQ report at ``s = 1``: the trace, the final g, the
+    selected rows and the test NLL.
     """
-    global _memo
-    key = (data.features, data.labels, data.split)
-    with _memo_lock:
-        if _memo is not None and all(map(np.array_equal, _memo.key, key)):
-            return _memo
-    Xtr, ytr = data.subset("train")
-    Xval, yval = data.subset("validation")
-    test = data.subset("test")
-    full_model = train_logistic(Xtr, ytr)
-    E_tr, kept_tr = fisher_embed_many(full_model, Xtr, ytr)
-    E_val, _ = fisher_embed_many(full_model, Xval, yval)
-    fit = SimpleNamespace(
-        key=tuple(np.array(v) for v in key), test=test, full_nll=full_model.mean_nll(*test),
-        kept_tr=kept_tr, n_degenerate=Xtr.shape[0] - kept_tr.size,
-        pool=CandidatePool.from_points(E_tr),
-        target=DiscreteTarget.uniform(E_val, NormalizedFeatureKernel()), random_nll={}, cells={})
-    with _memo_lock:
-        _memo = fit
+
+    test: tuple
+    full_nll: float
+    kept_tr: np.ndarray
+    pool: CandidatePool
+    target: DiscreteTarget
+    random_nll: dict = field(default_factory=dict)
+    cells: dict = field(default_factory=dict)
+
+
+def _fit_dataset(data: LabeledDataset) -> _DatasetFit:
+    """The dataset's fit, computed on first use and kept in ``data._fit``.
+
+    Two threads that both find the slot empty both fit, bit for bit
+    alike, and the later fit stays.  A fit that raises stores nothing.
+    """
+    fit = data._fit  # read once: another thread may set it
+    if fit is None:
+        Xtr, ytr = data.subset("train")
+        full_model = train_logistic(Xtr, ytr)
+        E_tr, kept_tr = fisher_embed_many(full_model, Xtr, ytr)
+        E_val, _ = fisher_embed_many(full_model, *data.subset("validation"))
+        test = data.subset("test")
+        fit = _DatasetFit(test, full_model.mean_nll(*test), kept_tr,
+                          CandidatePool.from_points(E_tr),
+                          DiscreteTarget.uniform(E_val, NormalizedFeatureKernel()))
+        object.__setattr__(data, "_fit", fit)
     return fit
 
 
-def summarize(data, method, k: int, *, s: int = 1, seed: int = 0,
+def summarize(data: LabeledDataset, method, k: int, *, s: int = 1, seed: int = 0,
               weighted_retrain: bool = False) -> SummarizeReport:
     """Select ``k`` training examples whose score embeddings match validation.
 
@@ -247,14 +230,16 @@ def summarize(data, method, k: int, *, s: int = 1, seed: int = 0,
     draws, see :func:`_draw_baseline_rows`; a selection of one class raises
     ``BothClassesRequired`` naming the method, ``k`` and ``seed``.
 
-    The full-data fit and the random baselines are memoized per dataset,
-    see :func:`_fit_dataset`.  So is the selection and retraining of WKH
-    and SBQ at ``s = 1``, which do not read ``seed``: the first call for a
-    (method, k, weighted_retrain) computes it and every later call, with
-    any seed, is served a copy, bit for bit the same report with its own
-    ``selected_indices`` and trace row list.  Such a report carries the
-    trace of the call that computed it, wall-clock ``elapsed_ms`` included.
-    MC_RANDOM and ``s > 1`` select afresh in every call.
+    The dataset keeps its full-data fit and random baselines, see
+    :func:`_fit_dataset`, so a grid of calls on one dataset fits it once,
+    and calls on another dataset leave that fit in place.  It also keeps
+    the selection and retraining of WKH and SBQ at ``s = 1``, which do not
+    read ``seed``: the first call for a (method, k, weighted_retrain)
+    computes it and every later call, with any seed, is served a copy, bit
+    for bit the same report with its own ``selected_indices`` and trace row
+    list.  Such a report carries the trace of the call that computed it,
+    wall-clock ``elapsed_ms`` included.  MC_RANDOM and ``s > 1`` select
+    afresh in every call.
     """
     method = Method(method)
     if method is Method.KH_UNIFORM:
@@ -271,8 +256,7 @@ def summarize(data, method, k: int, *, s: int = 1, seed: int = 0,
     # WKH and SBQ on one machine read no seed: one call per (method, k,
     # weighted_retrain) serves every seed
     cell_key = (method, k, weighted_retrain) if s == 1 and method in OPTIMAL_WEIGHT_METHODS else None
-    with _memo_lock:
-        cell = fit.cells.get(cell_key)
+    cell = fit.cells.get(cell_key)
     if cell is None:
         if s == 1:
             result, trace = run_greedy(method, fit.pool, fit.target, fit.target.kernel, k, seed)
@@ -291,13 +275,12 @@ def summarize(data, method, k: int, *, s: int = 1, seed: int = 0,
         # the weights are in selection order, like the selected indices
         sample_weights = np.abs(result.weights) if weighted_retrain else None
         summary_model = train_logistic(sub_X, sub_y, sample_weights=sample_weights)
-        cell = SimpleNamespace(trace=trace, final_mmd_sq=float(result.mmd_sq),
-                               selected_indices=selected_indices,
-                               test_nll=float(summary_model.mean_nll(*fit.test)))
-    size = cell.selected_indices.size
+        cell = (trace, float(result.mmd_sq), selected_indices,
+                float(summary_model.mean_nll(*fit.test)))
+    trace, final_mmd_sq, selected_indices, test_nll = cell
+    size = selected_indices.size
 
-    with _memo_lock:
-        random_nll = fit.random_nll.get((seed, size))
+    random_nll = fit.random_nll.get((seed, size))
     if random_nll is None:
         rng = np.random.default_rng(seed)
         rand_rows = _draw_baseline_rows(rng, train_rows, data.labels, size)
@@ -305,15 +288,14 @@ def summarize(data, method, k: int, *, s: int = 1, seed: int = 0,
         random_nll = float(random_model.mean_nll(*fit.test))
 
     # stored only now, so that a call that raises stores nothing
-    with _memo_lock:
-        fit.random_nll[(seed, size)] = random_nll
-        if cell_key is not None:
-            fit.cells[cell_key] = cell
+    fit.random_nll[(seed, size)] = random_nll
+    if cell_key is not None:
+        fit.cells[cell_key] = cell
 
     # each report owns its row list and indices, so editing one edits no other
     return SummarizeReport(
-        method=method.value, trace=replace(cell.trace, rows=list(cell.trace.rows)),
-        final_mmd_sq=cell.final_mmd_sq, selected_indices=cell.selected_indices.copy(),
-        test_nll=cell.test_nll, random_nll=random_nll, full_nll=float(fit.full_nll),
-        n_degenerate=int(fit.n_degenerate),
+        method=method.value, trace=replace(trace, rows=list(trace.rows)),
+        final_mmd_sq=final_mmd_sq, selected_indices=selected_indices.copy(),
+        test_nll=test_nll, random_nll=random_nll, full_nll=float(fit.full_nll),
+        n_degenerate=int(train_rows.size - fit.kept_tr.size),
     )

@@ -57,6 +57,30 @@ def test_labeled_dataset_validation():
         LabeledDataset(features=bad, labels=y, split=tags)
 
 
+@pytest.mark.parametrize("bad_label", [0.7, np.nan])
+def test_labels_that_are_not_exactly_binary_raise(bad_label):
+    X = np.zeros((3, 2))
+    tags = np.array(["train", "validation", "test"])
+    with pytest.raises(ValueError, match="labels must be one binary value per example"):
+        LabeledDataset(features=X, labels=[bad_label, 1.0, 0.0], split=tags)
+    ds = LabeledDataset(features=X, labels=[True, False, True], split=tags)
+    np.testing.assert_array_equal(ds.labels, [1, 0, 1])
+    assert ds.labels.dtype.kind == "i"
+
+
+def test_labeled_dataset_owns_read_only_copies():
+    X = np.zeros((4, 2))
+    y = np.array([0, 1, 0, 1])
+    tags = np.array(["train", "train", "validation", "test"])
+    ds = LabeledDataset(features=X, labels=y, split=tags)
+    for mine, theirs in ((ds.features, X), (ds.labels, y), (ds.split, tags)):
+        assert not np.shares_memory(mine, theirs)
+        with pytest.raises(ValueError, match="read-only"):
+            mine[0] = mine[1]
+    X[0, 0] = 5.0
+    assert ds.features[0, 0] == 0.0
+
+
 def test_make_blobs_geometry():
     X, y = make_blobs(4000, dim=16, seed=5, separation=2.0, spread=0.5)
     assert X.shape == (4000, 16)

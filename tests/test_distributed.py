@@ -1,5 +1,6 @@
 import pickle
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -42,6 +43,41 @@ def test_partition_rebalances_empty_workers():
     # with s close to n some assignments leave a worker empty before rebalance
     for seed in range(30):
         assert np.all(np.bincount(partition(pool, 5, seed=seed), minlength=5) > 0)
+
+
+def quadratic_partition(n, s, seed):
+    """The rebalancing loop ``partition`` ran before it kept shard stacks and a
+    size heap: one whole-pool ``bincount`` and ``flatnonzero`` per empty worker."""
+    assignment = np.random.default_rng(seed).integers(0, s, size=n)
+    sizes = np.bincount(assignment, minlength=s)
+    while np.any(sizes == 0):
+        empty = int(np.flatnonzero(sizes == 0)[0])
+        donor = int(np.argmax(sizes))
+        donor_rows = np.flatnonzero(assignment == donor)
+        assignment[donor_rows[-1]] = empty
+        sizes = np.bincount(assignment, minlength=s)
+    return assignment
+
+
+def test_partition_matches_the_whole_pool_loop():
+    rng = np.random.default_rng(0)
+    cases = [(n, s) for n in range(1, 13) for s in range(1, n + 1)]
+    cases += [(int(n), int(rng.integers(1, n + 1))) for n in rng.integers(13, 400, size=40)]
+    cases += [(n, n) for n in (50, 257, 1000)]
+    for n, s in cases:
+        pool = CandidatePool.from_points(np.zeros((n, 1)))
+        for seed in range(5):
+            np.testing.assert_array_equal(partition(pool, s, seed), quadratic_partition(n, s, seed))
+
+
+def test_partition_of_one_point_per_worker_is_fast():
+    n = 100_000
+    pool = CandidatePool.from_points(np.zeros((n, 1)))
+    start = time.perf_counter()
+    assignment = partition(pool, n, seed=0)
+    # the whole-pool loop took 14.7 s at this size on 2 cores
+    assert time.perf_counter() - start < 5.0
+    np.testing.assert_array_equal(np.bincount(assignment, minlength=n), np.ones(n))
 
 
 def test_partition_rejects_more_workers_than_points():

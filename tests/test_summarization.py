@@ -1,6 +1,8 @@
+import gc
 import warnings
+import weakref
 from collections import Counter
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -12,10 +14,8 @@ from herdquad.kernels import NormalizedFeatureKernel
 from herdquad.selectors import setup_pool
 from herdquad.summarization import (
     BothClassesRequired,
-    DegenerateEmbedding,
     NonConvergence,
     _draw_baseline_rows,
-    fisher_embed,
     fisher_embed_many,
     summarize,
     train_logistic,
@@ -115,24 +115,18 @@ def test_nonconvergence_warns(monkeypatch):
     assert np.max(np.abs(objective_grad(model.theta, X, y, 1.0))) > 1e-6
 
 
+def unit_score(model, x, y):
+    """The closed form of one example's unit score: sign(y - p(x)) [x, 1] / ||[x, 1]||."""
+    xd = np.append(x, 1.0)
+    return np.sign(y - expit(xd @ model.theta)) * xd / np.linalg.norm(xd)
+
+
 def test_fisher_embed_direction_and_norm():
     X, y = blob_training_set(n=50)
     model = train_logistic(X, y)
-    x = X[0]
-    e = fisher_embed(model, x, y[0])
-    assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-12)
-    xd = np.append(x, 1.0)
-    residual = y[0] - expit(xd @ model.theta)
-    expected = np.sign(residual) * xd / np.linalg.norm(xd)
-    np.testing.assert_allclose(e, expected, atol=1e-12)
-
-
-def test_fisher_embed_degenerate_raises():
-    from herdquad.summarization import LogisticModel
-    # a huge weight saturates the sigmoid exactly in float arithmetic
-    model = LogisticModel(theta=np.array([100.0, 0.0]))
-    with pytest.raises(DegenerateEmbedding):
-        fisher_embed(model, np.array([5.0]), 1)
+    E, _ = fisher_embed_many(model, X[:1], y[:1])
+    assert np.linalg.norm(E[0]) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(E[0], unit_score(model, X[0], y[0]), atol=1e-12)
 
 
 def test_fisher_embed_many_matches_scalar_and_drops_degenerates():
@@ -141,9 +135,10 @@ def test_fisher_embed_many_matches_scalar_and_drops_degenerates():
     E, kept = fisher_embed_many(model, X, y)
     assert kept.size == 40  # generic blobs never produce an exact fit
     for row in (0, 7, 39):
-        np.testing.assert_allclose(E[row], fisher_embed(model, X[row], y[row]), atol=1e-12)
+        np.testing.assert_allclose(E[row], unit_score(model, X[row], y[row]), atol=1e-12)
 
     from herdquad.summarization import LogisticModel
+    # a huge weight saturates the sigmoid exactly in float arithmetic
     model = LogisticModel(theta=np.array([100.0, 0.0]))
     X2 = np.array([[5.0], [-5.0], [0.1]])
     y2 = np.array([1, 0, 1])
@@ -281,10 +276,8 @@ def assert_same_report(a, b):
 
 
 def fresh_report(data, *args, **kwargs):
-    """The report of a new dataset with copied arrays, computed with an empty memo."""
-    summarization._memo = None
-    copy = LabeledDataset(data.features.copy(), data.labels.copy(), data.split.copy())
-    return summarize(copy, *args, **kwargs)
+    """The report of a new dataset built from the same arrays, which starts with no fit."""
+    return summarize(LabeledDataset(data.features, data.labels, data.split), *args, **kwargs)
 
 
 def test_summarize_grid_fits_each_dataset_once(monkeypatch):
@@ -296,7 +289,6 @@ def test_summarize_grid_fits_each_dataset_once(monkeypatch):
         fitted.append(tuple(sorted(row_of[row.tobytes()] for row in np.asarray(X))))
         return train_logistic(X, y, **kwargs)
 
-    monkeypatch.setattr(summarization, "_memo", None)
     monkeypatch.setattr(summarization, "train_logistic", counting_train_logistic)
     grid = [(m, k, seed) for m in ("WKH", "SBQ", "MC_RANDOM") for k in (6, 10) for seed in (0, 1)]
     reports = {cell: summarize(ds, cell[0], cell[1], seed=cell[2]) for cell in grid}
@@ -331,7 +323,6 @@ def test_summarize_selects_once_per_seed_free_cell(monkeypatch):
         distributed_calls[(method.value, k, seed)] += 1
         return real_distributed(method, pool, target, kernel, k, s, seed)
 
-    monkeypatch.setattr(summarization, "_memo", None)
     monkeypatch.setattr(summarization, "run_greedy", counting_greedy)
     monkeypatch.setattr(summarization, "run_distributed", counting_distributed)
     grid = [(m, s, k, seed, wr) for m in ("WKH", "SBQ") for s in (1, 2) for k in (6, 10)
@@ -354,6 +345,52 @@ def test_summarize_selects_once_per_seed_free_cell(monkeypatch):
         assert_same_report(rep, fresh_report(ds, method, k, s=s, seed=seed, weighted_retrain=wr))
 
 
+def test_alternating_datasets_fit_each_once(monkeypatch):
+    a = synthetic_blob_dataset(n=200, dim=16, seed=0)
+    b = synthetic_blob_dataset(n=200, dim=16, seed=1)
+    full_fits = Counter()
+
+    def counting_train_logistic(X, y, **kwargs):
+        for name, ds in (("a", a), ("b", b)):
+            if np.array_equal(X, ds.subset("train")[0]):
+                full_fits[name] += 1
+        return train_logistic(X, y, **kwargs)
+
+    monkeypatch.setattr(summarization, "train_logistic", counting_train_logistic)
+    reports = [summarize(ds, "WKH", 8, seed=0) for ds in (a, b, a, b)]
+    assert full_fits == Counter(a=1, b=1)
+    monkeypatch.setattr(summarization, "train_logistic", train_logistic)
+    for ds, rep in zip((a, b), reports[2:]):
+        assert_same_report(rep, fresh_report(ds, "WKH", 8, seed=0))
+
+
+def test_a_replaced_dataset_gets_a_fit_of_its_own():
+    ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
+    before = summarize(ds, "SBQ", 8, seed=0)
+    fit = ds._fit
+    moved = replace(ds, features=ds.features[:, ::-1] * 2.0)
+    assert moved._fit is None
+    after = summarize(moved, "SBQ", 8, seed=0)
+    assert moved._fit is not fit and ds._fit is fit
+    assert moved._fit.pool is not fit.pool and after.full_nll != before.full_nll
+    assert_same_report(after, fresh_report(moved, "SBQ", 8, seed=0))
+
+
+def test_a_dropped_dataset_frees_its_fit_without_the_cycle_collector():
+    ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
+    summarize(ds, "SBQ", 8, seed=0)
+    summarize(ds, "WKH", 8, s=2, seed=0)
+    fit = ds._fit
+    setup = setup_pool(fit.pool, fit.target, fit.target.kernel)
+    refs = [weakref.ref(obj) for obj in (ds, fit, fit.pool, fit.target, setup, setup.embeds)]
+    gc.disable()
+    try:
+        del ds, fit, setup
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 def test_summarize_prepares_and_embeds_the_pool_once_per_dataset_fit(monkeypatch):
     rows_seen = Counter()  # (layer, rows of its argument) -> calls
     real_embed, real_prepare = DiscreteTarget.mean_embed_many, NormalizedFeatureKernel.prepare
@@ -366,13 +403,12 @@ def test_summarize_prepares_and_embeds_the_pool_once_per_dataset_fit(monkeypatch
         rows_seen[("prepare", len(X))] += 1
         return real_prepare(self, X)
 
-    monkeypatch.setattr(summarization, "_memo", None)
     monkeypatch.setattr(DiscreteTarget, "mean_embed_many", counting_embed)
     monkeypatch.setattr(NormalizedFeatureKernel, "prepare", counting_prepare)
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
 
     def pool_calls():
-        n_pool = len(summarization._memo.pool)
+        n_pool = len(ds._fit.pool)
         return rows_seen[("mean_embed_many", n_pool)], rows_seen[("prepare", n_pool)]
 
     summarize(ds, "MC_RANDOM", 6, seed=0)
@@ -389,17 +425,16 @@ def test_summarize_prepares_and_embeds_the_pool_once_per_dataset_fit(monkeypatch
 
 
 def test_summarize_cells_cannot_write_into_the_shared_setup(monkeypatch):
-    monkeypatch.setattr(summarization, "_memo", None)
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
     summarize(ds, "MC_RANDOM", 8, seed=0)
-    fit = summarization._memo
+    fit = ds._fit
     setup = setup_pool(fit.pool, fit.target, fit.target.kernel)
     arrays = (fit.pool.points, fit.pool.ids, setup.prepared, setup.diag, setup.embeds)
     kept = [arr.copy() for arr in arrays]
     for method in ("WKH", "SBQ", "MC_RANDOM"):
         for seed in (1, 2):
             summarize(ds, method, 8, seed=seed)
-    assert summarization._memo is fit
+    assert ds._fit is fit
     assert setup_pool(fit.pool, fit.target, fit.target.kernel).embeds is setup.embeds
     for arr, before in zip(arrays, kept):
         assert not arr.flags.writeable
@@ -409,7 +444,6 @@ def test_summarize_cells_cannot_write_into_the_shared_setup(monkeypatch):
 
 
 def test_summarize_memo_hits_share_no_mutable_state(monkeypatch):
-    monkeypatch.setattr(summarization, "_memo", None)
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
     first = summarize(ds, "WKH", 8, seed=0)
     second = summarize(ds, "WKH", 8, seed=1)
@@ -424,18 +458,25 @@ def test_summarize_memo_hits_share_no_mutable_state(monkeypatch):
 
 
 @pytest.mark.parametrize("edit", ["flip_labels", "scale_features", "weighted_retrain"])
-def test_summarize_memo_never_serves_stale_results(monkeypatch, edit):
-    monkeypatch.setattr(summarization, "_memo", None)
+def test_summarize_memo_never_serves_stale_results(edit):
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
     cached = summarize(ds, "SBQ", 8, seed=1)
-    weighted = False
-    if edit == "flip_labels":
+    weighted = edit == "weighted_retrain"
+    if not weighted:
+        # the arrays are read-only, so the fit kept on ``ds`` cannot go stale;
+        # an edited copy is another dataset, with a fit of its own
+        X, y = ds.features.copy(), ds.labels.copy()
         rows = ds.indices("train")[:5]
-        ds.labels[rows] = 1 - ds.labels[rows]
-    elif edit == "scale_features":
-        ds.features *= 2.0
-    else:
-        weighted = True
+        with pytest.raises(ValueError, match="read-only"):
+            if edit == "flip_labels":
+                ds.labels[rows] = 1 - ds.labels[rows]
+            else:
+                ds.features *= 2.0
+        if edit == "flip_labels":
+            y[rows] = 1 - y[rows]
+        else:
+            X *= 2.0
+        ds = LabeledDataset(X, y, ds.split)
     after = summarize(ds, "SBQ", 8, seed=1, weighted_retrain=weighted)
     # the weights change the retrained model only, the data all of the fit
     changed = "test_nll" if weighted else "full_nll"
@@ -443,16 +484,18 @@ def test_summarize_memo_never_serves_stale_results(monkeypatch, edit):
     assert_same_report(after, fresh_report(ds, "SBQ", 8, seed=1, weighted_retrain=weighted))
 
 
-def test_summarize_memo_keeps_nothing_from_a_failed_fit(monkeypatch):
-    monkeypatch.setattr(summarization, "_memo", None)
+def test_summarize_memo_keeps_nothing_from_a_failed_fit():
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
     summarize(ds, "WKH", 8, seed=0)
-    entry = summarization._memo
+    fit = ds._fit
+    cells, baselines = dict(fit.cells), dict(fit.random_nll)
     one_class = LabeledDataset(ds.features, np.zeros_like(ds.labels), ds.split)
     for _ in range(2):
         with pytest.raises(BothClassesRequired):
             summarize(one_class, "WKH", 8, seed=0)
-    assert summarization._memo is entry
+        assert one_class._fit is None
+    assert ds._fit is fit
+    assert (fit.cells, fit.random_nll) == (cells, baselines)
 
 
 def test_summarize_memo_under_concurrent_misses(monkeypatch):
@@ -461,7 +504,6 @@ def test_summarize_memo_under_concurrent_misses(monkeypatch):
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
     grid = [(m, k, seed) for m in ("WKH", "SBQ", "MC_RANDOM") for k in (6, 10) for seed in (0, 1)]
     serial = {cell: fresh_report(ds, cell[0], cell[1], seed=cell[2]) for cell in grid}
-    monkeypatch.setattr(summarization, "_memo", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
