@@ -17,13 +17,15 @@ class IngestError(ValueError):
     """Unreadable or malformed dataset file; the message cites the path or the offending line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Feature matrix, binary labels and a split tag per example.
 
-    The constructor copies its inputs into read-only arrays.  ``summarize``
-    keeps the dataset's fit in ``_fit``, which is not a field, so
-    ``dataclasses.replace`` starts with none.
+    The constructor copies its inputs into read-only arrays and finds the
+    rows of each split tag once; ``indices`` returns them read-only.
+    ``summarize`` keeps the dataset's fit in ``_fit``, which is not a field,
+    so ``dataclasses.replace`` starts with none.  A dataset equals and
+    hashes as itself only, since its fields are arrays.
     """
 
     features: np.ndarray
@@ -44,11 +46,15 @@ class LabeledDataset:
         if tags.shape != (X.shape[0],) or not np.all(np.isin(tags, SPLIT_TAGS)):
             raise ValueError(f"split tags must be one of {SPLIT_TAGS} per example")
         y = y.astype(int)
-        X.flags.writeable = y.flags.writeable = tags.flags.writeable = False
-        vars(self).update(features=X, labels=y, split=tags, _fit=None)  # past the frozen setattr
+        rows = {tag: np.flatnonzero(tags == tag) for tag in SPLIT_TAGS}
+        for arr in (X, y, tags, *rows.values()):
+            arr.flags.writeable = False
+        # past the frozen setattr
+        vars(self).update(features=X, labels=y, split=tags, _rows=rows, _fit=None)
 
     def indices(self, tag: str) -> np.ndarray:
-        return np.flatnonzero(self.split == tag)
+        """The rows tagged ``tag``, ascending; a tag outside ``SPLIT_TAGS`` raises ``KeyError``."""
+        return self._rows[tag]
 
     def subset(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
         idx = self.indices(tag)

@@ -133,7 +133,7 @@ class NormalizedFeatureKernel(Kernel):
         return self.cross(self.prepare(X), self.prepare(Y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidatePool:
     """A finite indexed candidate set: (n, d) coordinates plus integer ids.
 
@@ -146,7 +146,8 @@ class CandidatePool:
     ``selectors.PoolSetup`` of its latest target in ``_setup``, and
     ``take`` hands a sub-pool its rows of it.  The read-only flags hold in
     the calling process only: a process worker of ``run_distributed``
-    unpickles writeable copies, and nothing writes into them.
+    unpickles writeable copies, and nothing writes into them.  A pool
+    equals and hashes as itself only, since its fields are arrays.
     """
 
     points: np.ndarray

@@ -215,7 +215,7 @@ class UniformAccumulator:
     def add(self, pool_id: int, embed: float, k_atoms: np.ndarray, k_self: float) -> None:
         """Append point ``pool_id`` with its embedding z(x), its kernel entries
         k(x, x_i) at the atoms so far, in atom order, and k(x, x)."""
-        self._pair_sum += 2.0 * float(np.sum(k_atoms)) + float(k_self)
+        self._pair_sum += 2.0 * float(k_atoms.sum()) + float(k_self)
         n = self.size
         if n == self._embeds.size:
             self._embeds = np.concatenate([self._embeds, np.empty(n)])
@@ -358,11 +358,12 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     # dependent draws included.
     order = np.random.default_rng(seed).permutation(n)[:k]
     drawn = prepared[order]
-    for it, row in enumerate(order, start=1):
+    draws = zip(pool.ids[order].tolist(), z_all[order].tolist())  # Python numbers, converted once
+    for it, (pool_id, embed) in enumerate(draws, start=1):
         # one kernel row against every draw so far, this one last
         k_row = kernel.cross(drawn[it - 1:it], drawn[:it])[0]
-        acc.add(pool.ids[row], embed=z_all[row], k_atoms=k_row[:-1], k_self=k_row[-1])
-        trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq, elapsed_ms()))
+        acc.add(pool_id, embed, k_row[:-1], k_row[-1])
+        trace.rows.append(TraceRow(it, pool_id, acc.mmd_sq, elapsed_ms()))
     if n < k:
         trace.stop_reason = "pool_exhausted"
     return acc, trace

@@ -20,6 +20,19 @@ weighted_retrain), and serves it to every other seed.  MC_RANDOM and
 ``s > 1``, where the seed drives the draws or the partition, are computed
 in every call; both select from the pool's one setup, the shards of
 ``s > 1`` from their rows of it, which ``CandidatePool.take`` carries over.
+
+So a call costs what its dataset's fit leaves to do.  A seed-free WKH or
+SBQ cell served from the fit costs a lookup and a copy of its trace row
+list.  An MC_RANDOM cell draws k rows and takes one kernel row per draw
+against the draws so far, O(k^2 d) for d-dimensional embeddings; it then
+retrains on the k rows, O(k d) per objective evaluation over some tens of
+evaluations, and scores the test split through the design matrix the fit
+keeps.  ``s > 1`` adds the distributed run.  At a grid's sizes (k up to
+50, d + 1 = 129 on the benchmark's blobs) a numpy call costs more in its
+Python wrapper than in arithmetic, so these paths make few calls: ndarray
+reductions instead of the ``np.sum`` and ``np.max`` functions (the same
+reductions, so every result keeps its bits), the split rows found once per
+dataset and the test design matrix built once per fit.
 """
 
 from __future__ import annotations
@@ -58,6 +71,12 @@ def _design(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
+def _mean_nll(theta, Xd, y) -> float:
+    """Mean logistic loss of the design matrix ``Xd`` and float labels ``y`` at ``theta``."""
+    t = Xd @ theta
+    return float((np.logaddexp(0.0, t) - y * t).mean())
+
+
 @dataclass
 class LogisticModel:
     """Fitted logistic model; theta carries the bias in its last slot."""
@@ -68,15 +87,13 @@ class LogisticModel:
         return _design(X) @ self.theta
 
     def mean_nll(self, X, y) -> float:
-        t = self.logits(X)
-        y = np.asarray(y, dtype=float)
-        return float(np.mean(np.logaddexp(0.0, t) - y * t))
+        return _mean_nll(self.theta, _design(X), np.asarray(y, dtype=float))
 
 
 def _objective(theta, Xd, y, lam, wts):
     """Training objective at ``theta`` and the logits t = Xd theta it was computed from."""
     t = Xd @ theta
-    loss = float(np.sum(wts * (np.logaddexp(0.0, t) - y * t)))
+    loss = float((wts * (np.logaddexp(0.0, t) - y * t)).sum())
     return loss + 0.5 * lam * float(theta @ theta), t
 
 
@@ -114,7 +131,7 @@ def train_logistic(X, y, lam: float = LAM, sample_weights=None) -> LogisticModel
     obj, t = _objective(theta, Xd, y, lam, wts)
     grad = _gradient(theta, t, Xd, y, lam, wts)
     for _ in range(MAX_ITERS):
-        if float(np.max(np.abs(grad))) <= GRAD_TOL:
+        if float(np.abs(grad).max()) <= GRAD_TOL:
             return LogisticModel(theta=theta)
         step = 1.0
         gsq = float(grad @ grad)
@@ -126,7 +143,7 @@ def train_logistic(X, y, lam: float = LAM, sample_weights=None) -> LogisticModel
             step *= 0.5
         theta, obj = candidate, cand_obj
         grad = _gradient(theta, cand_t, Xd, y, lam, wts)
-    gnorm = float(np.max(np.abs(grad)))
+    gnorm = float(np.abs(grad).max())
     if gnorm > GRAD_TOL:
         warnings.warn(f"gradient descent stopped at grad norm {gnorm:.3e} "
                       f"after {MAX_ITERS} iterations", NonConvergence)
@@ -182,10 +199,12 @@ def _draw_baseline_rows(rng, train_rows, labels, size: int) -> np.ndarray:
 class _DatasetFit:
     """The part of ``summarize`` that depends on the dataset alone.
 
-    ``random_nll`` maps (seed, subset size) to the random baseline's test
-    NLL, and ``cells`` maps (method, k, weighted_retrain) to the seed-free
-    part of a WKH or SBQ report at ``s = 1``: the trace, the final g, the
-    selected rows and the test NLL.
+    ``test`` holds the test split's design matrix and float labels, the
+    arguments of ``_mean_nll`` after theta.  ``random_nll`` maps (seed,
+    subset size) to the random baseline's test NLL, and ``cells`` maps
+    (method, k, weighted_retrain) to the seed-free part of a WKH or SBQ
+    report at ``s = 1``: the trace, the final g, the selected rows and the
+    test NLL.
     """
 
     test: tuple
@@ -209,8 +228,9 @@ def _fit_dataset(data: LabeledDataset) -> _DatasetFit:
         full_model = train_logistic(Xtr, ytr)
         E_tr, kept_tr = fisher_embed_many(full_model, Xtr, ytr)
         E_val, _ = fisher_embed_many(full_model, *data.subset("validation"))
-        test = data.subset("test")
-        fit = _DatasetFit(test, full_model.mean_nll(*test), kept_tr,
+        Xte, yte = data.subset("test")
+        test = (_design(Xte), yte.astype(float))
+        fit = _DatasetFit(test, _mean_nll(full_model.theta, *test), kept_tr,
                           CandidatePool.from_points(E_tr),
                           DiscreteTarget.uniform(E_val, NormalizedFeatureKernel()))
         object.__setattr__(data, "_fit", fit)
@@ -276,7 +296,7 @@ def summarize(data: LabeledDataset, method, k: int, *, s: int = 1, seed: int = 0
         sample_weights = np.abs(result.weights) if weighted_retrain else None
         summary_model = train_logistic(sub_X, sub_y, sample_weights=sample_weights)
         cell = (trace, float(result.mmd_sq), selected_indices,
-                float(summary_model.mean_nll(*fit.test)))
+                _mean_nll(summary_model.theta, *fit.test))
     trace, final_mmd_sq, selected_indices, test_nll = cell
     size = selected_indices.size
 
@@ -285,7 +305,7 @@ def summarize(data: LabeledDataset, method, k: int, *, s: int = 1, seed: int = 0
         rng = np.random.default_rng(seed)
         rand_rows = _draw_baseline_rows(rng, train_rows, data.labels, size)
         random_model = train_logistic(data.features[rand_rows], data.labels[rand_rows])
-        random_nll = float(random_model.mean_nll(*fit.test))
+        random_nll = _mean_nll(random_model.theta, *fit.test)
 
     # stored only now, so that a call that raises stores nothing
     fit.random_nll[(seed, size)] = random_nll

@@ -1,9 +1,11 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from herdquad.datasets import (
+    SPLIT_TAGS,
     IngestError,
     LabeledDataset,
     load_csv,
@@ -79,6 +81,28 @@ def test_labeled_dataset_owns_read_only_copies():
             mine[0] = mine[1]
     X[0, 0] = 5.0
     assert ds.features[0, 0] == 0.0
+
+
+def test_split_rows_are_found_once_and_cannot_be_written():
+    ds = synthetic_blob_dataset(n=120, dim=3, seed=4)
+    for tag in SPLIT_TAGS:
+        rows = ds.indices(tag)
+        np.testing.assert_array_equal(rows, np.flatnonzero(ds.split == tag))
+        assert ds.indices(tag) is rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = rows[-1]
+        X, y = ds.subset(tag)
+        np.testing.assert_array_equal(X, ds.features[rows])
+        np.testing.assert_array_equal(y, ds.labels[rows])
+    with pytest.raises(KeyError):
+        ds.indices("holdout")
+
+
+def test_a_dataset_equals_and_hashes_as_itself_only():
+    ds = synthetic_blob_dataset(n=40, dim=2, seed=1)
+    twin = replace(ds)
+    assert ds == ds and ds != twin and not ds != ds
+    assert {ds: "ds", twin: "twin"}[ds] == "ds"
 
 
 def test_make_blobs_geometry():

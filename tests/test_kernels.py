@@ -123,6 +123,13 @@ def test_pool_ids_survive_take():
         pool.take(np.array([4, 1]))
 
 
+def test_a_pool_equals_and_hashes_as_itself_only():
+    pool = CandidatePool.from_points(np.arange(12.0).reshape(-1, 2))
+    sub, twin = pool.take([0, 1, 2]), CandidatePool(points=pool.points, ids=pool.ids)
+    assert pool == pool and pool != sub and pool != twin and not pool != pool
+    assert {pool: "pool", sub: "sub", twin: "twin"}[pool] == "pool"
+
+
 def test_pool_owns_read_only_copies_of_its_arrays():
     points, ids = np.arange(10.0).reshape(-1, 2), np.arange(5)
     pool = CandidatePool(points=points, ids=ids)

@@ -115,6 +115,87 @@ def test_nonconvergence_warns(monkeypatch):
     assert np.max(np.abs(objective_grad(model.theta, X, y, 1.0))) > 1e-6
 
 
+def frozen_objective(theta, Xd, y, lam, wts):
+    t = Xd @ theta
+    loss = float(np.sum(wts * (np.logaddexp(0.0, t) - y * t)))
+    return loss + 0.5 * lam * float(theta @ theta), t
+
+
+def frozen_design(X, y, sample_weights):
+    """The design matrix, float labels and normalized weights ``train_logistic`` descends on."""
+    n = X.shape[0]
+    wts = np.full(n, 1.0 / n) if sample_weights is None else sample_weights / sample_weights.sum()
+    return np.hstack([X, np.ones((n, 1))]), np.asarray(y, dtype=float), wts
+
+
+def frozen_train_logistic(X, y, lam=1.0, sample_weights=None):
+    """The descent of ``train_logistic`` as it read before its reductions
+    became ndarray methods, with ``np.sum`` and ``np.max``; returns theta."""
+    Xd, y, wts = frozen_design(X, y, sample_weights)
+
+    def objective(theta):
+        return frozen_objective(theta, Xd, y, lam, wts)
+
+    def gradient(theta, t):
+        return Xd.T @ (wts * (expit(t) - y)) + lam * theta
+
+    theta = np.zeros(Xd.shape[1])
+    obj, t = objective(theta)
+    grad = gradient(theta, t)
+    for _ in range(summarization.MAX_ITERS):
+        if float(np.max(np.abs(grad))) <= summarization.GRAD_TOL:
+            return theta
+        step = 1.0
+        gsq = float(grad @ grad)
+        for _ in range(60):
+            candidate = theta - step * grad
+            cand_obj, cand_t = objective(candidate)
+            if cand_obj <= obj - 1e-4 * step * gsq:
+                break
+            step *= 0.5
+        theta, obj = candidate, cand_obj
+        grad = gradient(theta, cand_t)
+    return theta
+
+
+def logistic_problems(count, seed):
+    """Two-class problems in 2-12 dimensions; even cases have fewer examples
+    than d + 1 parameters, odd ones more, and every other pair is weighted."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = int(rng.integers(2, 13))
+        n = int(rng.integers(2, d + 1)) if i % 2 == 0 else int(rng.integers(d + 2, 80))
+        X = rng.normal(size=(n, d)) + rng.normal(size=d)
+        y = rng.permutation(np.arange(n) % 2)
+        wts = rng.uniform(0.05, 3.0, size=n) if i % 4 >= 2 else None
+        yield X, y, wts
+
+
+def test_train_logistic_matches_the_frozen_loop_bit_for_bit():
+    cases = list(logistic_problems(16, seed=27))
+    assert sum(X.shape[0] < X.shape[1] + 1 for X, _, _ in cases) == 8
+    assert sum(wts is not None for _, _, wts in cases) == 8
+    rng = np.random.default_rng(29)
+    for X, y, wts in cases:
+        model = train_logistic(X, y, sample_weights=wts)
+        assert model.theta.tobytes() == frozen_train_logistic(X, y, sample_weights=wts).tobytes()
+        # a last-bit change in the objective rarely moves theta, so it is compared apart
+        Xd, yf, w = frozen_design(X, y, wts)
+        for theta in (model.theta, rng.normal(size=Xd.shape[1])):
+            assert summarization._objective(theta, Xd, yf, 1.0, w)[0] == \
+                frozen_objective(theta, Xd, yf, 1.0, w)[0]
+        t = Xd @ model.theta
+        assert model.mean_nll(X, y) == float(np.mean(np.logaddexp(0.0, t) - y * t))
+
+
+def test_train_logistic_matches_the_frozen_loop_when_it_stops_early(monkeypatch):
+    monkeypatch.setattr(summarization, "MAX_ITERS", 4)
+    for X, y, wts in logistic_problems(4, seed=28):
+        with pytest.warns(NonConvergence):
+            model = train_logistic(X, y, sample_weights=wts)
+        assert model.theta.tobytes() == frozen_train_logistic(X, y, sample_weights=wts).tobytes()
+
+
 def unit_score(model, x, y):
     """The closed form of one example's unit score: sign(y - p(x)) [x, 1] / ||[x, 1]||."""
     xd = np.append(x, 1.0)
