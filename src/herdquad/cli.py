@@ -47,20 +47,13 @@ from .datasets import (
     split_dataset,
     synthetic_blob_dataset,
 )
-from .diagnostics import (
-    InsufficientPoints,
-    check_approx_guarantee,
-    fit_rate,
-    orthogonality_residual,
-    realizability_fixtures,
-    verify_realizability,
-)
+from .diagnostics import CHECKS, InsufficientPoints, fit_rate
 from .distributed import run_distributed
 from .kernels import CandidatePool, RBFKernel
 from .selectors import RunTrace, run_greedy
-from .state import G_ROUNDOFF
+from .state import reported_g
 from .summarization import LAM, BothClassesRequired, summarize
-from .targets import DiscreteTarget, GaussianMixtureTarget
+from .targets import GaussianMixtureTarget
 
 SCHEMA_VERSION = 1
 TRACE_COLUMNS = ["method", "s", "seed", "iteration", "chosen_id", "g", "elapsed_ms"]
@@ -128,18 +121,6 @@ def sample_mixture_params(rng: np.random.Generator, components: int, dim: int,
     diag = rng.uniform(cov_low, cov_high, size=(components, dim))
     covs = np.stack([np.diag(d) for d in diag])
     return weights, means, covs
-
-
-def reported_g(g: float, method: str, iteration: int) -> float:
-    """g as an artifact reports it: round-off in [-G_ROUNDOFF, 0) reads as 0.
-
-    Every g an artifact writes passes through here.  A squared MMD below
-    -``state.G_ROUNDOFF`` is a fault, not round-off, and raises
-    ``ValueError`` naming the method and the iteration.
-    """
-    if not g >= -G_ROUNDOFF:
-        raise ValueError(f"{method} iteration {iteration}: g = {g!r} is negative beyond round-off")
-    return max(g, 0.0)
 
 
 def trace_rows_for_csv(method: str, s: int, seed: int, trace: RunTrace,
@@ -328,71 +309,22 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
     return 0
 
 
-DIAGNOSE_CHECKS = ["realizability:line_segment", "realizability:two_clusters",
-                   "rate_fit", "approx_guarantee", "orthogonality"]
-
-
-def _diagnose_payload(inject_fault: bool = False) -> dict:
-    rng = np.random.default_rng(11)
-    checks = []
-
-    for fixture in realizability_fixtures():
-        rep = verify_realizability(fixture)
-        for key in rep:
-            if key.endswith("_mmd_sq"):
-                rep[key] = reported_g(rep[key], f"oracle on {fixture.name}", fixture.expected_r)
-        checks.append({"name": f"realizability:{fixture.name}", "passes": rep.pop("passes"),
-                       "details": rep})
-
-    # log-linear decay of the optimal-weight methods on a generic instance
-    pts = rng.standard_normal((80, 2))
-    kernel = RBFKernel(1.0)
-    target = DiscreteTarget.uniform(pts, kernel)
-    pool = CandidatePool.from_points(pts)
-    rate_details = {}
-    rate_ok = True
-    for method in ("WKH", "SBQ"):
-        _, trace = run_greedy(method, pool, target, kernel, k=12, seed=0)
-        rf = fit_rate(trace)
-        ok = rf.slope < 0 and rf.r_squared >= 0.9
-        rate_ok = rate_ok and ok
-        rate_details[method] = {"slope": rf.slope, "r_squared": rf.r_squared,
-                                "n_points": rf.n_points}
-    checks.append({"name": "rate_fit", "passes": rate_ok, "details": rate_details})
-
-    inst = rng.standard_normal((10, 2))
-    kern2 = RBFKernel(1.0)
-    target2 = DiscreteTarget.uniform(inst, kern2)
-    pool2 = CandidatePool.from_points(inst)
-    guarantee = check_approx_guarantee(pool2, target2, kern2, r=2, epsilon=0.1)
-    guarantee["oracle"]["mmd_sq"] = reported_g(guarantee["oracle"]["mmd_sq"], "oracle", 2)
-    for method, entry in guarantee["methods"].items():
-        entry["mmd_sq_at_k"] = reported_g(entry["mmd_sq_at_k"], method, entry["k_used"])
-    checks.append({"name": "approx_guarantee", "passes": guarantee.pop("holds"),
-                   "details": guarantee})
-
-    state, _ = run_greedy("WKH", pool2, target2, kern2, k=6, seed=0)
-    if inject_fault:
-        state.weights = state.weights + 1e-3  # deliberately break optimality
-    resid = orthogonality_residual(state)
-    checks.append({"name": "orthogonality", "passes": bool(resid <= 1e-8),
-                   "details": {"max_residual": resid, "fault_injected": inject_fault}})
-
-    return {"schema_version": SCHEMA_VERSION, "experiment": "diagnose",
-            "checks": checks, "all_pass": all(c["passes"] for c in checks)}
-
-
 def cmd_diagnose(out: str, list_only: bool = False, inject_fault: bool = False) -> int:
+    """Run ``diagnostics.CHECKS`` in order and write their report; ``list_only``
+    prints their names and runs none."""
     if list_only:
-        for name in DIAGNOSE_CHECKS:
-            print(name)
+        print("\n".join(CHECKS))
         return 0
-    payload = _diagnose_payload(inject_fault=inject_fault)
-    write_json(os.path.join(out, "diagnose_report.json"), payload)
-    for check in payload["checks"]:
-        print(f"{'PASS' if check['passes'] else 'FAIL'} {check['name']}")
-    if not payload["all_pass"]:
-        failing = [c["name"] for c in payload["checks"] if not c["passes"]]
+    checks = []
+    for name, check in CHECKS.items():
+        passes, details = check(inject_fault)
+        checks.append({"name": name, "passes": passes, "details": details})
+        print(f"{'PASS' if passes else 'FAIL'} {name}")
+    failing = [c["name"] for c in checks if not c["passes"]]
+    write_json(os.path.join(out, "diagnose_report.json"),
+               {"schema_version": SCHEMA_VERSION, "experiment": "diagnose",
+                "checks": checks, "all_pass": not failing})
+    if failing:
         print(f"diagnose: failing checks: {', '.join(failing)}", file=sys.stderr)
         return 1
     print(f"diagnose: all checks passed; report in {out}/diagnose_report.json")

@@ -9,7 +9,8 @@ into testable statements on concrete instances:
                                curvature constants,
 * ``estimate_rsc_rss``         spectrum surrogate for those constants,
 * ``orthogonality_residual``   weight-optimality audit,
-* ``realizability_fixtures``   instances where one or two atoms suffice.
+* ``realizability_fixtures``   instances where one or two atoms suffice,
+* ``CHECKS``                   the ordered checks of ``herdquad diagnose``.
 
 Dense solves here deliberately avoid the incremental Cholesky path of
 ``QuadratureState`` so the two routes stay independent checks of each
@@ -21,12 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .kernels import CandidatePool, Kernel, NormalizedFeatureKernel
+from .kernels import CandidatePool, Kernel, NormalizedFeatureKernel, RBFKernel
 from .selectors import Method, RunTrace, run_greedy
-from .state import G_ROUNDOFF, TAU_DEP, QuadratureState, check_kernel
+from .state import G_ROUNDOFF, TAU_DEP, QuadratureState, check_kernel, reported_g
 from .targets import DiscreteTarget, TargetEmbedding
 
 SUBSET_BUDGET = 10**6
@@ -180,6 +182,10 @@ def check_approx_guarantee(pool: CandidatePool, target: TargetEmbedding,
     spectrum over the union of greedy and oracle atoms is reported next to
     the selected-atom one since the analysis constants live on supersets.
     ``KernelMismatch`` is raised when ``kernel`` is not ``target.kernel``.
+
+    Cost: besides the oracle's at most C(n, r) subsets, two greedy runs to
+    k = n = len(pool) and, per method, two eigenvalue problems of up to
+    n x n, so O(n^3) however small the k it reads g at.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -230,6 +236,27 @@ class RealizabilityFixture:
     expected_r: int
 
 
+def _line_segment() -> tuple[CandidatePool, TargetEmbedding, int]:
+    grid = np.linspace(-1.0, 1.0, 40).reshape(-1, 1)  # even count avoids the zero point
+    dens = np.exp(-0.5 * ((grid[:, 0] - 0.25) / 0.1) ** 2)
+    target = DiscreteTarget(support=grid, probs=dens / dens.sum(), kernel=NormalizedFeatureKernel())
+    return CandidatePool.from_points(grid), target, 1
+
+
+def _two_clusters() -> tuple[CandidatePool, TargetEmbedding, int]:
+    rng = np.random.default_rng(7)
+    ang_a = 0.3 + 0.08 * rng.standard_normal(12)
+    ang_b = 2.2 + 0.08 * rng.standard_normal(12)
+    radii = 0.5 + rng.random(24)
+    angles = np.concatenate([ang_a, ang_b])
+    pts = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    return CandidatePool.from_points(pts), DiscreteTarget.uniform(pts, NormalizedFeatureKernel()), 2
+
+
+# fixture name -> builder of its (pool, target, expected_r)
+_FIXTURES = {"line_segment": _line_segment, "two_clusters": _two_clusters}
+
+
 def realizability_fixtures() -> list[RealizabilityFixture]:
     """Two instances pinning the minimal exactly-representing subset size.
 
@@ -244,33 +271,7 @@ def realizability_fixtures() -> list[RealizabilityFixture]:
     atom's span contains it, but any two atoms that are not collinear span
     the whole 2-d feature space (r = 2).
     """
-    fixtures = []
-
-    grid = np.linspace(-1.0, 1.0, 40).reshape(-1, 1)  # even count avoids the zero point
-    dens = np.exp(-0.5 * ((grid[:, 0] - 0.25) / 0.1) ** 2)
-    target_a = DiscreteTarget(support=grid, probs=dens / dens.sum(),
-                              kernel=NormalizedFeatureKernel())
-    fixtures.append(RealizabilityFixture(
-        name="line_segment",
-        pool=CandidatePool.from_points(grid),
-        target=target_a,
-        expected_r=1,
-    ))
-
-    rng = np.random.default_rng(7)
-    ang_a = 0.3 + 0.08 * rng.standard_normal(12)
-    ang_b = 2.2 + 0.08 * rng.standard_normal(12)
-    radii = 0.5 + rng.random(24)
-    angles = np.concatenate([ang_a, ang_b])
-    pts = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
-    target_b = DiscreteTarget.uniform(pts, NormalizedFeatureKernel())
-    fixtures.append(RealizabilityFixture(
-        name="two_clusters",
-        pool=CandidatePool.from_points(pts),
-        target=target_b,
-        expected_r=2,
-    ))
-    return fixtures
+    return [RealizabilityFixture(name, *build()) for name, build in _FIXTURES.items()]
 
 
 def verify_realizability(fixture: RealizabilityFixture) -> dict:
@@ -289,3 +290,58 @@ def verify_realizability(fixture: RealizabilityFixture) -> dict:
     report["best_pair_mmd_sq"] = best_pair.mmd_sq
     report["passes"] = bool(best_single.mmd_sq > REALIZED_G and best_pair.mmd_sq <= REALIZED_G)
     return report
+
+
+def _rbf_instance(rows: slice) -> tuple[CandidatePool, DiscreteTarget]:
+    """Pool of, and uniform RBF target over, ``rows`` of one seeded 90-point draw:
+    rows 0-79 for the rate check, 80-89 for the guarantee and weight checks."""
+    pts = np.random.default_rng(11).standard_normal((90, 2))[rows]
+    return CandidatePool.from_points(pts), DiscreteTarget.uniform(pts, RBFKernel(1.0))
+
+
+def _check_realizability(name: str, inject_fault: bool) -> tuple[bool, dict]:
+    fixture = RealizabilityFixture(name, *_FIXTURES[name]())
+    rep = verify_realizability(fixture)
+    for key in rep:
+        if key.endswith("_mmd_sq"):
+            rep[key] = reported_g(rep[key], f"oracle on {name}", fixture.expected_r)
+    return rep.pop("passes"), rep
+
+
+def _check_rate(inject_fault: bool) -> tuple[bool, dict]:
+    """WKH and SBQ decay log-linearly (slope < 0, R^2 >= 0.9) over 12 atoms."""
+    pool, target = _rbf_instance(slice(80))
+    details = {}
+    for method in ("WKH", "SBQ"):
+        _, trace = run_greedy(method, pool, target, target.kernel, k=12, seed=0)
+        rf = fit_rate(trace)
+        details[method] = {"slope": rf.slope, "r_squared": rf.r_squared, "n_points": rf.n_points}
+    return all(d["slope"] < 0 and d["r_squared"] >= 0.9 for d in details.values()), details
+
+
+def _check_guarantee(inject_fault: bool) -> tuple[bool, dict]:
+    pool, target = _rbf_instance(slice(80, 90))
+    report = check_approx_guarantee(pool, target, target.kernel, r=2, epsilon=0.1)
+    report["oracle"]["mmd_sq"] = reported_g(report["oracle"]["mmd_sq"], "oracle", 2)
+    for method, entry in report["methods"].items():
+        entry["mmd_sq_at_k"] = reported_g(entry["mmd_sq_at_k"], method, entry["k_used"])
+    return report.pop("holds"), report
+
+
+def _check_weights(inject_fault: bool) -> tuple[bool, dict]:
+    pool, target = _rbf_instance(slice(80, 90))
+    state, _ = run_greedy("WKH", pool, target, target.kernel, k=6, seed=0)
+    if inject_fault:
+        state.weights = state.weights + 1e-3  # deliberately break optimality
+    resid = orthogonality_residual(state)
+    return bool(resid <= 1e-8), {"max_residual": resid, "fault_injected": inject_fault}
+
+
+# ``herdquad diagnose``'s checks in report order: name -> check(inject_fault),
+# which returns (passes, details); only the weight check has a fault to inject
+CHECKS = {
+    **{f"realizability:{name}": partial(_check_realizability, name) for name in _FIXTURES},
+    "rate_fit": _check_rate,
+    "approx_guarantee": _check_guarantee,
+    "orthogonality": _check_weights,
+}

@@ -17,16 +17,11 @@ shard and the aggregator's pool its rows of that setup.  On a pool never
 set up before, the caller embeds the whole pool before the workers start.
 Workers run serially, on a thread pool (the default) or on a process
 pool; all three return the same result bit for bit.  A pool runs at most
-one worker per core by default: with one BLAS thread on 2 cores, WKH with
-s = 32 and k = 100 on 200 000 points took 1.8-2.9 s on 32 threads and
-0.8 s on 2.  On the mixture_d8_distributed benchmark inputs (two workers)
-the benchmark's four distributed calls took 0.36 s serially, 0.33 s on
-threads and 0.34 s on processes (medians of 10 interleaved rounds on a
-pool already set up).  Processes stay for large s, where they avoid the
-GIL: SBQ with s = 32 on 200 000 points and two workers took 0.58 s on
-processes and 0.79-0.81 s on threads.  A lone worker runs in the caller
-under every executor.  Where sharding pays, in wall time and peak RSS, is
-measured in the README's Performance section.
+one worker per core by default, since more threads than cores only
+contend for them.  Processes stay for large s, where they avoid the GIL.
+A lone worker runs in the caller under every executor.  Where sharding
+pays, in wall time and peak RSS, is measured in the README's Performance
+section.
 """
 
 from __future__ import annotations

@@ -223,7 +223,7 @@ class UniformAccumulator:
         self.atom_ids.append(int(pool_id))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoolSetup:
     """A pool's setup for selection against one target, kept by the pool.
 
@@ -235,7 +235,8 @@ class PoolSetup:
     ``CandidatePool.take`` hands a sub-pool its rows of it.  The setup
     holds no reference to its pool, so pool and setup form no cycle.  The
     flags hold in the calling process only: a process worker unpickles
-    writeable copies, and nothing writes into them.
+    writeable copies, and nothing writes into them.  A setup equals and
+    hashes as itself only.
     """
 
     target: TargetEmbedding

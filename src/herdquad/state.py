@@ -69,6 +69,14 @@ INITIAL_CAPACITY = 32
 G_ROUNDOFF = 1e-12
 
 
+def reported_g(g: float, method: str, iteration: int) -> float:
+    """g as every CLI artifact and report writes it: round-off in [-G_ROUNDOFF, 0)
+    reads as 0, and a fault below that raises ``ValueError`` naming method and iteration."""
+    if not g >= -G_ROUNDOFF:
+        raise ValueError(f"{method} iteration {iteration}: g = {g!r} is negative beyond round-off")
+    return max(g, 0.0)
+
+
 class NearDependentAtom(Exception):
     """Candidate is numerically dependent on the selected atoms."""
 

@@ -10,7 +10,8 @@ Closed forms are implemented for Gaussian mixtures with diagonal
 covariances under an RBF kernel and for discrete targets under any
 kernel.  ``mc_mean_embed`` / ``mc_self_energy`` are the sampling oracles
 used to verify the mixture's closed forms; a discrete target's closed
-form is a finite sum, so it has no sampler.
+form is a finite sum, so it has no sampler.  A target equals and hashes
+as itself only, since its fields are arrays.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class TargetEmbedding:
         raise SamplerUnavailable(f"{type(self).__name__} cannot draw samples")
 
 
-@dataclass
+@dataclass(eq=False)
 class GaussianMixtureTarget(TargetEmbedding):
     """Gaussian mixture p = sum_j pi_j N(m_j, diag(v_j)) under an RBF kernel.
 
@@ -156,7 +157,7 @@ class GaussianMixtureTarget(TargetEmbedding):
         return self.means[comps] + np.sqrt(self._variances)[comps] * normals
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteTarget(TargetEmbedding):
     """Discrete target sum_i q_i delta(y_i) under any standardized kernel.
 

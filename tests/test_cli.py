@@ -3,6 +3,7 @@ import json
 import os
 import stat
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +21,8 @@ from herdquad.cli import (
     median_bandwidth,
     trace_rows_for_csv,
 )
-from herdquad.diagnostics import fit_rate
+from herdquad import diagnostics
+from herdquad.diagnostics import CHECKS, fit_rate
 from herdquad.selectors import RunTrace, TraceRow
 from herdquad.targets import GaussianMixtureTarget
 
@@ -444,7 +446,7 @@ def test_diagnose_list_and_report(tmp_path, capsys):
     assert captured.count("PASS") == len(listed)
     report = json.loads((out / "diagnose_report.json").read_text())
     assert report["all_pass"] is True
-    assert {c["name"] for c in report["checks"]} == set(listed)
+    assert [c["name"] for c in report["checks"]] == listed == list(CHECKS)
     # every g the report writes, the oracle's included, went through
     # reported_g, which reads round-off below 0 as 0
     reported = list(_values_under_keys_with(report, "mmd_sq"))
@@ -487,6 +489,66 @@ def test_diagnose_fault_injection_fails_orthogonality(tmp_path, capsys):
     ortho = next(c for c in report["checks"] if c["name"] == "orthogonality")
     assert ortho["passes"] is False
     assert ortho["details"]["fault_injected"] is True
+
+
+def _flip_expected_r(fixture, monkeypatch):
+    """The fixture claims two atoms where one suffices, or one where two are needed."""
+    build = diagnostics._FIXTURES[fixture]
+
+    def wrong():
+        pool, target, expected_r = build()
+        return pool, target, 3 - expected_r
+    monkeypatch.setitem(diagnostics._FIXTURES, fixture, wrong)
+    return ()
+
+
+def _rising_rate_traces(monkeypatch):
+    """The rate check's traces (its pool alone has 80 points) list their g reversed."""
+    run = diagnostics.run_greedy
+
+    def reversed_g(method, pool, target, kernel, k, seed):
+        result, trace = run(method, pool, target, kernel, k, seed=seed)
+        if len(pool) == 80:
+            for row, g in zip(trace.rows, [row.mmd_sq for row in reversed(trace.rows)]):
+                row.mmd_sq = g
+        return result, trace
+    monkeypatch.setattr(diagnostics, "run_greedy", reversed_g)
+    return ()
+
+
+def _guarantee_read_after_one_atom(monkeypatch):
+    """The guarantee's runs (the only ones to k = len(pool)) stop after one atom,
+    where g is 0.0771 against a bound of 0.0729 for both methods."""
+    run = diagnostics.run_greedy
+
+    def one_atom(method, pool, target, kernel, k, seed):
+        return run(method, pool, target, kernel, 1 if k == len(pool) else k, seed=seed)
+    monkeypatch.setattr(diagnostics, "run_greedy", one_atom)
+    return ()
+
+
+# per diagnose check: set up an input that must fail it, return extra CLI flags
+DIAGNOSE_FAULTS = {
+    "realizability:line_segment": partial(_flip_expected_r, "line_segment"),
+    "realizability:two_clusters": partial(_flip_expected_r, "two_clusters"),
+    "rate_fit": _rising_rate_traces,
+    "approx_guarantee": _guarantee_read_after_one_atom,
+    "orthogonality": lambda monkeypatch: ("--inject-fault",),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_every_diagnose_check_fails_alone_on_an_input_built_to_fail_it(name, tmp_path,
+                                                                      monkeypatch, capsys):
+    flags = DIAGNOSE_FAULTS[name](monkeypatch)
+    rc = run_cli("diagnose", "--out", str(tmp_path / "out"), *flags)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"FAIL {name}" in captured.out.splitlines()
+    assert captured.out.count("FAIL") == 1
+    assert captured.err == f"diagnose: failing checks: {name}\n"
+    report = json.loads((tmp_path / "out" / "diagnose_report.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passes"]] == [name]
 
 
 def test_environment_variable_fallbacks(tmp_path, monkeypatch, capsys):

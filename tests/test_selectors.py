@@ -1,6 +1,7 @@
 import gc
 import warnings
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -550,6 +551,20 @@ def test_one_setup_serves_many_runs_without_being_written(method):
         assert trace.mmd_values.tobytes() == expected_trace.mmd_values.tobytes()
         assert result.mmd_sq == expected.mmd_sq
     assert setup_pool(pool, target, kern) is setup
+
+
+def test_targets_and_setups_equal_and_hash_as_themselves_only():
+    discrete = DiscreteTarget.uniform(np.arange(1.0, 9.0).reshape(-1, 2), NormalizedFeatureKernel())
+    mixture = random_mixture(np.random.default_rng(0))
+    setup = setup_pool(CandidatePool.from_points(np.arange(1.0, 11.0).reshape(-1, 2)),
+                       discrete, discrete.kernel)
+    twins = ((discrete, DiscreteTarget.uniform(discrete.support, discrete.kernel)),
+             (mixture, GaussianMixtureTarget(mixture.weights, mixture.means, mixture.covs,
+                                             mixture.kernel)),
+             (setup, replace(setup)))
+    for obj, twin in twins:
+        assert obj == obj and obj != twin and not obj != obj
+        assert {obj: "obj", twin: "twin"}[obj] == "obj"
 
 
 @pytest.mark.parametrize("method", [Method.WKH, Method.SBQ])
