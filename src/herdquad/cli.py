@@ -311,13 +311,17 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
 
 def cmd_diagnose(out: str, list_only: bool = False, inject_fault: bool = False) -> int:
     """Run ``diagnostics.CHECKS`` in order and write their report; ``list_only``
-    prints their names and runs none."""
+    prints their names and runs none.  A check that raises fails alone: its
+    entry names the exception, and the later checks still run."""
     if list_only:
         print("\n".join(CHECKS))
         return 0
     checks = []
     for name, check in CHECKS.items():
-        passes, details = check(inject_fault)
+        try:
+            passes, details = check(inject_fault)
+        except Exception as err:
+            passes, details = False, {"exception": type(err).__name__, "message": str(err)}
         checks.append({"name": name, "passes": passes, "details": details})
         print(f"{'PASS' if passes else 'FAIL'} {name}")
     failing = [c["name"] for c in checks if not c["passes"]]

@@ -25,6 +25,16 @@ once per run, so the kernel row is a step's only allocation of the pool's
 length; ``wkh_select`` and ``sbq_select`` recompute the pair from scratch
 for one step.
 
+A pool of at least twice ``BLOCK_MIN_COLUMNS`` candidates splits into one
+column block per core, at most.  Each block keeps its own best score, and
+the pick is the first block's row of the largest of them, which is the
+whole pool's ``argmax``.  A step runs the O(n i / B) product of each block
+but the first on a helper thread of the run while the caller steps the
+first block, then folds the other blocks in on the caller; the helpers
+cost one lock handoff each per step.  ``_sharing_cores`` keeps the runs
+of one thread in one block; ``run_distributed`` enters it in workers that
+run at the same time.
+
 ``run_greedy`` reads the pool's setup from ``setup_pool``, which checks
 the kernel against the target, prepares the pool once (``Kernel.prepare``:
 the unit features of a feature kernel), checks the kernel's diagonal on it
@@ -50,7 +60,10 @@ pool (``StandardizationError`` otherwise).
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -274,6 +287,146 @@ def setup_pool(pool: CandidatePool, target: TargetEmbedding, kernel: Kernel) -> 
     return setup
 
 
+# Fewest pool columns a block of a WKH/SBQ run takes, so a pool below twice
+# this stays one block: the crossover measured on a 2-core host, where two
+# blocks first beat one at about 4 000 candidates in 8-d and 5 500 in 2-d,
+# since a step's handoff to a helper costs 25-30 us.
+BLOCK_MIN_COLUMNS = 3000
+
+_sharing = threading.local()  # .cores: this thread's runs share the cores with other runs
+
+
+@contextlib.contextmanager
+def _sharing_cores():
+    """Inside this context, ``run_greedy`` calls on this thread keep their
+    pool in one column block.
+
+    ``run_distributed`` enters it in workers that run at the same time,
+    which already take one core each.
+    """
+    before = getattr(_sharing, "cores", False)
+    _sharing.cores = True
+    try:
+        yield
+    finally:
+        _sharing.cores = before
+
+
+def _block_count(n: int) -> int:
+    """Column blocks of a WKH/SBQ run on n candidates: at most one per core,
+    with n / B at least ``BLOCK_MIN_COLUMNS``, and one inside ``_sharing_cores``."""
+    if getattr(_sharing, "cores", False):
+        return 1
+    return max(1, min(os.cpu_count() or 1, n // BLOCK_MIN_COLUMNS))
+
+
+class _BlockScores:
+    """Selection scores over the column blocks of a ``PoolScores``, and each
+    block's best candidate: ``best[b]`` at pool row ``best_rows[b]``."""
+
+    def __init__(self, method: Method, core: PoolScores):
+        n = len(core.resid)
+        scores, mask = np.empty(n), np.empty(n, dtype=bool)
+        self.method = method
+        self._views = [(start, scores[start:stop], mask[start:stop],
+                        core.resid[start:stop], core.schur[start:stop])
+                       for start, stop in zip(core.bounds, core.bounds[1:])]
+        self.best = [0.0] * len(self._views)
+        self.best_rows = [0] * len(self._views)
+        for b in range(len(self._views)):
+            self.rescore(b)
+
+    def rescore(self, b: int) -> None:
+        start, scores, mask, resid, schur = self._views[b]
+        selection_scores(self.method, resid, schur, out=scores, mask=mask)
+        j = int(np.argmax(scores))
+        self.best[b], self.best_rows[b] = float(scores[j]), start + j
+
+    def pick(self) -> int | None:
+        """np.argmax of the whole pool's scores, from the blocks' maxima; None
+        when every score is -inf.
+
+        Scores are never NaN (a NaN s is masked, and r is finite wherever s
+        is), so the first block of the largest maximum holds the pick.
+        """
+        best = max(self.best)
+        return None if best == -np.inf else self.best_rows[self.best.index(best)]
+
+
+@contextlib.contextmanager
+def _block_steps(core: PoolScores, scores: _BlockScores):
+    """Yield ``step(row, k_row)``, which folds the state's newest atom into
+    every block of ``core`` and rescores it.
+
+    Each block but the first has a helper thread, started here and joined
+    on exit, that runs the block's O(n i / B) product, ``core.project``, while
+    the caller steps the first block; the caller then folds the other
+    blocks in.  The rest of a block's step is a dozen short numpy calls,
+    which on a helper would hand the GIL back and forth for longer than
+    they take.  A helper waits on one lock for a step and releases another
+    when done; ``step`` re-raises the first exception a helper raised.
+    """
+    blocks = range(len(core.proj))
+
+    def fold(b: int, row: int, k_row: np.ndarray) -> None:
+        core.fold(b, row, k_row)
+        scores.rescore(b)
+
+    if len(blocks) == 1:
+        def step(row: int, k_row: np.ndarray) -> None:
+            core.extend(row, k_row)
+            scores.rescore(0)
+
+        yield step
+        return
+    stopping = False
+    errors: list[BaseException] = []
+    go = [threading.Lock() for _ in blocks[1:]]
+    done = [threading.Lock() for _ in blocks[1:]]
+    for lock in go + done:
+        lock.acquire()
+
+    def serve(b: int, go: threading.Lock, done: threading.Lock) -> None:
+        while True:
+            go.acquire()
+            if stopping:
+                return
+            try:
+                core.project(b)
+            except BaseException as err:  # re-raised by the caller's step
+                errors.append(err)
+            done.release()
+
+    def step(row: int, k_row: np.ndarray) -> None:
+        for lock in go:
+            lock.release()
+        try:
+            core.project(0)
+            fold(0, row, k_row)
+        finally:
+            for lock in done:
+                lock.acquire()
+        if errors:
+            raise errors[0]
+        for b in blocks[1:]:
+            fold(b, row, k_row)
+
+    threads = []
+    try:
+        for args in zip(blocks[1:], go, done):
+            thread = threading.Thread(target=serve, args=args, name="herdquad-block", daemon=True)
+            thread.start()
+            threads.append(thread)
+        yield step
+    finally:
+        stopping = True
+        for lock, _ in zip(go, threads):
+            if lock.locked():  # else the helper has yet to take its last step's go
+                lock.release()
+        for thread in threads:
+            thread.join()
+
+
 def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Kernel, k: int,
                seed: int = 0):
     """Run ``k`` selection iterations of the given method over the pool.
@@ -303,34 +456,36 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
 
     if method in OPTIMAL_WEIGHT_METHODS:
         state = new_state(target, kernel)
-        core = PoolScores(state, z_all, setup.diag, capacity=k)
+        core = PoolScores(state, z_all, setup.diag, capacity=k, blocks=_block_count(n))
+        scores = _BlockScores(method, core)
         atom_rows = np.empty(min(k, n), dtype=int)
-        scores, mask = np.empty(n), np.empty(n, dtype=bool)
-        while state.size < k:
-            if state.mmd_sq <= G_ROUNDOFF:
-                trace.stop_reason = "objective_floor"
-                break
-            if state.size == n:
-                trace.stop_reason = "pool_exhausted"
-                break
-            selection_scores(method, core.resid, core.schur, out=scores, mask=mask)
-            row = int(np.argmax(scores))
-            if scores[row] == -np.inf:
-                trace.stop_reason = "all_dependent"
-                break
-            k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
-            try:
-                state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row],
-                               k_atoms=k_row[atom_rows[:state.size]], k_self=k_row[row])
-            except NearDependentAtom as err:
-                # add_atom's own Schur complement outranks the pool-wide
-                # one; recording it masks the row from now on.
-                core.schur[row] = err.schur
-                continue
-            core.extend(row, k_row)
-            atom_rows[state.size - 1] = row
-            trace.rows.append(TraceRow(state.size, int(pool.ids[row]), state.mmd_sq,
-                                       elapsed_ms()))
+        with _block_steps(core, scores) as step:
+            while state.size < k:
+                if state.mmd_sq <= G_ROUNDOFF:
+                    trace.stop_reason = "objective_floor"
+                    break
+                if state.size == n:
+                    trace.stop_reason = "pool_exhausted"
+                    break
+                row = scores.pick()
+                if row is None:
+                    trace.stop_reason = "all_dependent"
+                    break
+                k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
+                try:
+                    state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row],
+                                   k_atoms=k_row[atom_rows[:state.size]], k_self=k_row[row])
+                except NearDependentAtom as err:
+                    # add_atom's own Schur complement outranks the pool-wide
+                    # one; recording it masks the row from now on.
+                    core.schur[row] = err.schur
+                    for b in range(len(core.proj)):
+                        scores.rescore(b)
+                    continue
+                step(row, k_row)
+                atom_rows[state.size - 1] = row
+                trace.rows.append(TraceRow(state.size, int(pool.ids[row]), state.mmd_sq,
+                                           elapsed_ms()))
         return state, trace
 
     acc = UniformAccumulator(target.self_energy())

@@ -28,8 +28,8 @@ state as it was and no step copies L.  ``chol``, ``atoms``, ``embeds`` and
 never written again, so an array read from them keeps its values while
 the state grows; ``copy`` copies the buffers.
 
-``PoolScores`` carries the same factorization over a whole candidate pool
-of n points: Y = L^{-1} K(atoms, pool), the Schur complements
+``PoolScores`` carries the same factorization over a candidate pool of n
+points: Y = L^{-1} K(atoms, pool), the Schur complements
 s = diag - colsum(Y^2) and the residual correlations r = z - Y^T alpha.
 Each accepted atom adds one row of Y from one kernel row and an O(n i)
 product, so a greedy step costs O(n (i + d)) in d dimensions instead of
@@ -39,6 +39,15 @@ updated in place, through one scratch vector of length n per run, so a
 step allocates nothing of the pool's length.  Candidates with
 s < ``TAU_DEP`` are masked in bulk by the selection scores rather than
 tried and rejected one at a time.
+
+``PoolScores`` may split the pool's columns into B contiguous blocks, each
+with its own (min(k, n), n / B) part of Y carved from one allocation of
+Y's size, so each block's step reads only contiguous memory and can run
+on its own core.  A column of Y, s and r depends only on its own column of
+the kernel row and of Y, and the blocks split at multiples of
+``BLOCK_ALIGN`` columns, where the BLAS product groups columns as it does
+over the whole pool; so the blocks hold the whole pool's values bit for
+bit.  A step still costs O(n (i + d)) in all, O(n i / B) of it per block.
 
 The state keeps its own forward solve for L rather than reading L from
 the pool's Y: a row of Y comes out of a product whose length is the pool's
@@ -67,6 +76,10 @@ INITIAL_CAPACITY = 32
 # Round-off floor of g, read by every "is g zero?" test: kernels are
 # standardized, so 0 <= g <= c <= 1, and the bench checker's floor is -1e-12.
 G_ROUNDOFF = 1e-12
+# PoolScores splits a pool's columns into blocks at multiples of this many
+# columns: the BLAS products then group each block's columns as they group
+# the whole pool's, and every column of Y rounds alike.
+BLOCK_ALIGN = 64
 
 
 def reported_g(g: float, method: str, iteration: int) -> float:
@@ -289,33 +302,63 @@ class PoolScores:
     exact Schur complement, 0, so the dependence mask that keeps
     near-dependent candidates out also keeps atoms from being picked again.
     ``capacity`` bounds the number of atoms the state may take.
+
+    The pool's columns fall into ``blocks`` contiguous blocks, [bounds[b],
+    bounds[b + 1]), split at multiples of ``BLOCK_ALIGN``.  ``proj[b]`` is
+    block b's (min(capacity, n), width) part of Y, carved from one
+    allocation of Y's size, and ``extend`` is ``project(b)`` then
+    ``fold(b, ...)`` for every block, so each block's step can run apart
+    from the others.
     """
 
     def __init__(self, state: QuadratureState, embeds: np.ndarray, diag: np.ndarray,
-                 capacity: int):
+                 capacity: int, blocks: int = 1):
         if state.size:
             raise ValueError("PoolScores starts from an empty state")
         self.state = state
         n = len(embeds)
-        self.proj = np.empty((min(capacity, n), n))
+        rows = min(capacity, n)
+        self.bounds = [0] + [n * b // blocks // BLOCK_ALIGN * BLOCK_ALIGN
+                             for b in range(1, blocks)] + [n]
+        buf = np.empty(rows * n)
+        self.proj = [buf[rows * start:rows * stop].reshape(rows, stop - start)
+                     for start, stop in zip(self.bounds, self.bounds[1:])]
         self.schur = np.array(diag, dtype=float)
         self.resid = np.array(embeds, dtype=float)
-        self._scratch = np.empty(n)
+        scratch = np.empty(n)
+        # each block's (start, stop) and views of s, r and the scratch vector
+        self._views = [(start, stop, self.schur[start:stop], self.resid[start:stop],
+                        scratch[start:stop]) for start, stop in zip(self.bounds, self.bounds[1:])]
 
     def extend(self, row: int, k_row: np.ndarray) -> None:
         """Fold the state's newest atom, pool row ``row``, into every candidate."""
+        for b in range(len(self.proj)):
+            self.project(b)
+            self.fold(b, row, k_row)
+
+    def project(self, b: int) -> None:
+        """Block b's O(n i) product L[i, :i] @ Y[:i] into its row i of Y.
+
+        It reads only the state's factor and the block's Y, and numpy
+        releases the GIL for it, so ``run_greedy`` runs it on a helper thread.
+        """
+        i = self.state.size - 1
+        Y = self.proj[b]
+        np.dot(self.state._chol[i, :i], Y[:i], out=Y[i])
+
+    def fold(self, b: int, row: int, k_row: np.ndarray) -> None:
+        """Rest of block b's step, once ``project(b)`` has run: its row of Y, s and r."""
         st = self.state
         i = st.size - 1
-        lrow = st.chol[i]
-        # y = (k_row - lrow[:i] @ Y[:i]) / lrow[i], written straight into Y's row i
-        y = self.proj[i]
-        np.dot(lrow[:i], self.proj[:i], out=y)
-        np.subtract(k_row, y, out=y)
-        y /= lrow[i]
-        tmp = self._scratch
-        self.schur -= np.multiply(y, y, out=tmp)
-        self.resid -= np.multiply(st.alpha[i], y, out=tmp)
-        self.schur[row] = 0.0
+        start, stop, schur, resid, tmp = self._views[b]
+        # y = (k_row - L[i, :i] @ Y[:i]) / L[i, i], in place of the product
+        y = self.proj[b][i]
+        np.subtract(k_row[start:stop], y, out=y)
+        y /= st._chol[i, i]
+        schur -= np.multiply(y, y, out=tmp)
+        resid -= np.multiply(st._alpha[i], y, out=tmp)
+        if start <= row < stop:
+            self.schur[row] = 0.0
 
 
 def new_state(target: TargetEmbedding, kernel: Kernel) -> QuadratureState:

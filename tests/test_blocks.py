@@ -1,0 +1,331 @@
+"""WKH/SBQ runs on pools split into column blocks, one per core.
+
+A pool of at least twice ``BLOCK_MIN_COLUMNS`` rows splits into blocks
+whose products run on helper threads.  Every test here pins the core count,
+so the pools block on any host, and compares with the same run kept in one
+block by ``_sharing_cores``, the switch ``run_distributed``'s concurrent
+workers use.
+"""
+
+import multiprocessing
+import sys
+import threading
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from herdquad import selectors, state
+from herdquad.distributed import run_distributed
+from herdquad.kernels import CandidatePool, NormalizedFeatureKernel, RBFKernel
+from herdquad.selectors import BLOCK_MIN_COLUMNS, _sharing_cores, run_greedy, setup_pool
+from herdquad.state import BLOCK_ALIGN, NearDependentAtom, PoolScores, QuadratureState
+from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
+from tests.conftest import random_mixture
+
+N = 3 * BLOCK_MIN_COLUMNS + 100  # three blocks at most, and a remainder
+
+
+@pytest.fixture(params=[2, 3], ids=["2cores", "3cores"])
+def cores(request, monkeypatch):
+    monkeypatch.setattr(selectors.os, "cpu_count", lambda: request.param)
+    return request.param
+
+
+class _Spy(PoolScores):
+    """PoolScores that records itself for the test."""
+
+    seen: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _Spy.seen.append(self)
+
+
+class Run:
+    """One run_greedy call: its result, trace and pool-wide scores."""
+
+    def __init__(self, method, pool, target, k, one_block=False):
+        _Spy.seen = []
+        with mock.patch.object(selectors, "PoolScores", _Spy):
+            if one_block:
+                with _sharing_cores():
+                    self.state, self.trace = run_greedy(method, pool, target, target.kernel, k)
+            else:
+                self.state, self.trace = run_greedy(method, pool, target, target.kernel, k)
+        (self.core,) = _Spy.seen
+        self.bounds = self.core.bounds
+
+
+def assert_same_bits(a: Run, b: Run):
+    """Picks, g, weights and the factor, and also r and s over the whole
+    pool, which only a pick they flip would carry into the state."""
+    assert a.trace.chosen_ids == b.trace.chosen_ids
+    assert a.trace.mmd_values.tobytes() == b.trace.mmd_values.tobytes()
+    assert a.state.weights.tobytes() == b.state.weights.tobytes()
+    assert a.state.chol.tobytes() == b.state.chol.tobytes()
+    assert a.trace.stop_reason == b.trace.stop_reason
+    assert a.core.resid.tobytes() == b.core.resid.tobytes()
+    assert a.core.schur.tobytes() == b.core.schur.tobytes()
+
+
+def blocked_and_one_block(method, pool, target, k, cores) -> Run:
+    blocked = Run(method, pool, target, k)
+    one = Run(method, pool, target, k, one_block=True)
+    assert len(blocked.bounds) == cores + 1 and len(one.bounds) == 2
+    assert_same_bits(blocked, one)
+    return blocked
+
+
+def rbf_problem(dim, n=N, seed=3):
+    rng = np.random.default_rng(seed)
+    target = random_mixture(rng, components=4, dim=dim)
+    return CandidatePool.from_points(target.sample(n, rng)), target
+
+
+def feature_problem(n=N, dim=64, seed=4):
+    rng = np.random.default_rng(seed)
+    kern = NormalizedFeatureKernel()
+    target = DiscreteTarget.uniform(rng.normal(size=(40, dim)), kern)
+    return CandidatePool.from_points(rng.normal(size=(n, dim))), target
+
+
+def saturating_problem(n=N, seed=5):
+    """Wide kernel, pool drawn from the target: g reaches round-off."""
+    rng = np.random.default_rng(seed)
+    kern = RBFKernel(3.0)
+    target = GaussianMixtureTarget(
+        rng.dirichlet(np.ones(3)), rng.uniform(-2.0, 2.0, size=(3, 2)),
+        np.stack([np.diag(rng.uniform(0.1, 0.6, size=2)) for _ in range(3)]), kern)
+    return CandidatePool.from_points(target.sample(n, rng)), target
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+@pytest.mark.parametrize("problem", ["rbf_d2", "rbf_d8", "feature_discrete"])
+def test_blocked_runs_match_one_block_bit_for_bit(method, problem, cores):
+    pool, target = {"rbf_d2": lambda: rbf_problem(2), "rbf_d8": lambda: rbf_problem(8),
+                    "feature_discrete": feature_problem}[problem]()
+    blocked = blocked_and_one_block(method, pool, target, 40, cores)
+    assert len(blocked.trace.rows) == 40
+    assert all(b % BLOCK_ALIGN == 0 for b in blocked.bounds[1:-1])
+    assert min(np.diff(blocked.bounds)) >= BLOCK_MIN_COLUMNS - BLOCK_ALIGN
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_objective_floor_stop_matches_one_block(method, cores):
+    pool, target = saturating_problem()
+    trace = blocked_and_one_block(method, pool, target, 200, cores).trace
+    assert trace.stop_reason == "objective_floor"
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_all_dependent_pool_matches_one_block(method, cores):
+    """Eight distinct points, each repeated across every block."""
+    rng = np.random.default_rng(6)
+    target = random_mixture(rng, components=2)
+    distinct = rng.normal(size=(8, 2), scale=2.0)
+    pool = CandidatePool.from_points(distinct[np.arange(N) % 8])
+    trace = blocked_and_one_block(method, pool, target, 20, cores).trace
+    assert trace.stop_reason == "all_dependent"
+    assert sorted(trace.chosen_ids) == list(range(8))
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_rejected_picks_in_any_block_match_one_block(method, cores):
+    """add_atom's own Schur complement rejects the 2nd pick and the first
+    pick from a block after the first."""
+    pool, target = rbf_problem(2)
+    original = QuadratureState.add_atom
+    bounds = PoolScores(state.new_state(target, target.kernel), np.zeros(N), np.ones(N), 1,
+                        blocks=cores).bounds
+    rejected = []
+
+    def add_atom(self, x, pool_id, *args, **kwargs):
+        if (self.size == 1 and not rejected) or (len(rejected) == 1 and pool_id >= bounds[1]):
+            rejected.append(pool_id)
+            raise NearDependentAtom(pool_id, 0.0)
+        return original(self, x, pool_id, *args, **kwargs)
+
+    with mock.patch.object(QuadratureState, "add_atom", add_atom):
+        blocked = Run(method, pool, target, 40)
+        first_rejections = list(rejected)
+        rejected.clear()
+        one = Run(method, pool, target, 40, one_block=True)
+    assert len(first_rejections) == 2 and first_rejections[1] >= bounds[1]
+    assert rejected == first_rejections
+    assert not set(rejected) & set(blocked.trace.chosen_ids)
+    assert_same_bits(blocked, one)
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_a_tie_across_a_block_boundary_goes_to_the_lower_row(method, cores):
+    """The best point sits on both sides of the first boundary: block 0's
+    last row and block 1's first row tie for the first pick."""
+    pool, target = rbf_problem(2)
+    bound = PoolScores(state.new_state(target, target.kernel), np.zeros(N), np.ones(N), 1,
+                       blocks=cores).bounds[1]
+    z = target.mean_embed_many(pool.points)
+    best = int(np.argmax(z))
+    points = np.array(pool.points)
+    points[[best, bound - 1]] = points[[bound - 1, best]]
+    points[bound] = points[bound - 1]
+    pool = CandidatePool.from_points(points)
+    z = target.mean_embed_many(pool.points)
+    assert z[bound - 1] == z[bound] == z.max()
+    trace = blocked_and_one_block(method, pool, target, 10, cores).trace
+    assert trace.chosen_ids[0] == bound - 1
+    assert bound not in trace.chosen_ids
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_one_kernel_row_per_pick_on_a_blocked_pool(method, cores):
+    """A blocked run also makes one kernel call per add_atom call: the whole
+    kernel row of the pick, which every block reads its columns of."""
+    pool, target = rbf_problem(2)
+    setup_pool(pool, target, target.kernel)
+    original = RBFKernel.cross
+    calls, picks = [], []
+    original_add = QuadratureState.add_atom
+
+    def cross(self, A, B):
+        calls.append(B.shape[0])
+        return original(self, A, B)
+
+    def add_atom(self, x, pool_id, *args, **kwargs):
+        picks.append(pool_id)
+        return original_add(self, x, pool_id, *args, **kwargs)
+
+    with mock.patch.object(RBFKernel, "cross", cross), \
+            mock.patch.object(QuadratureState, "add_atom", add_atom):
+        blocked = Run(method, pool, target, 30)
+    assert len(blocked.bounds) == cores + 1
+    assert len(picks) == len(blocked.trace.rows) == 30
+    assert calls == [N] * len(picks)
+
+
+def test_blocked_runs_keep_their_bits_under_fast_thread_switching(monkeypatch):
+    """Three blocks, so more threads than cores on a 2-core host, with the
+    interpreter asked to switch threads every microsecond."""
+    monkeypatch.setattr(selectors.os, "cpu_count", lambda: 3)
+    pool, target = rbf_problem(8)
+    one = Run("SBQ", pool, target, 40, one_block=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [Run("SBQ", pool, target, 40) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for blocked in runs:
+        assert len(blocked.bounds) == 4
+        assert_same_bits(blocked, one)
+
+
+# ------------------------------------------------------- helper threads
+
+def _helpers_started(monkeypatch) -> list:
+    """Record the name of every block helper thread started from now on."""
+    started = []
+    original = threading.Thread.start
+
+    def start(self):
+        if self.name == "herdquad-block":
+            started.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def test_helper_threads_are_joined_when_a_run_returns(cores, monkeypatch):
+    pool, target = rbf_problem(2)
+    started = _helpers_started(monkeypatch)
+    before = threading.active_count()
+    run_greedy("SBQ", pool, target, target.kernel, 20)
+    assert len(started) == cores - 1
+    assert threading.active_count() == before
+
+
+def test_an_exception_on_a_helper_propagates_out_of_run_greedy(cores):
+    """A helper's product raises at the fifth atom: run_greedy re-raises it,
+    joins its helpers, and hangs on nothing."""
+    pool, target = rbf_problem(2)
+    original = PoolScores.project
+
+    def project(self, b):
+        if threading.current_thread().name == "herdquad-block" and self.state.size == 5:
+            raise RuntimeError("helper failed")
+        return original(self, b)
+
+    outcome = []
+
+    def call():
+        try:
+            run_greedy("WKH", pool, target, target.kernel, 20)
+        except RuntimeError as err:
+            outcome.append(err)
+
+    before = threading.active_count()
+    with mock.patch.object(PoolScores, "project", project):
+        runner = threading.Thread(target=call)
+        runner.start()
+        runner.join(timeout=60)
+    assert not runner.is_alive(), "run_greedy hung after a helper raised"
+    assert [str(err) for err in outcome] == ["helper failed"]
+    assert threading.active_count() == before
+
+
+def test_an_exception_on_the_caller_joins_the_helpers(cores):
+    pool, target = rbf_problem(2)
+    original = PoolScores.fold
+
+    def fold(self, b, row, k_row):
+        if self.state.size == 3:
+            raise ValueError("caller failed")
+        return original(self, b, row, k_row)
+
+    before = threading.active_count()
+    with mock.patch.object(PoolScores, "fold", fold), pytest.raises(ValueError, match="caller"):
+        run_greedy("SBQ", pool, target, target.kernel, 20)
+    assert threading.active_count() == before
+
+
+def test_small_pools_start_no_helper_threads(cores, monkeypatch):
+    pool, target = rbf_problem(2, n=2 * BLOCK_MIN_COLUMNS - 1)
+    started = _helpers_started(monkeypatch)
+    assert Run("WKH", pool, target, 10).bounds == [0, len(pool)]
+    assert started == []
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_concurrent_distributed_workers_start_no_helper_threads(executor, cores, monkeypatch):
+    """Shards of 2 * BLOCK_MIN_COLUMNS rows and more would block on their own.
+
+    A helper thread started in a worker raises there, and the worker's
+    exception fails run_distributed; process workers see the patch only
+    when forked.
+    """
+    if executor == "process" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("process workers inherit the patched Thread.start only when forked")
+    pool, target = rbf_problem(2, n=4 * BLOCK_MIN_COLUMNS + 600)
+    original = threading.Thread.start
+
+    def start(self):
+        if self.name == "herdquad-block":
+            raise AssertionError("a concurrent worker started a helper thread")
+        return original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    res = run_distributed("WKH", pool, target, target.kernel, 5, s=2, seed=0,
+                          executor=executor, max_workers=2)
+    assert all(len(sol.ids) == 5 for sol in res.solutions)
+
+
+def test_a_lone_distributed_worker_starts_helper_threads(cores, monkeypatch):
+    pool, target = rbf_problem(2)
+    started = _helpers_started(monkeypatch)
+    before = threading.active_count()
+    res = run_distributed("WKH", pool, target, target.kernel, 5, s=1, seed=0)
+    assert len(started) == cores - 1
+    assert threading.active_count() == before
+    single, _ = run_greedy("WKH", pool, target, target.kernel, 5)
+    assert res.solutions[0].ids == single.atom_ids

@@ -551,6 +551,24 @@ def test_every_diagnose_check_fails_alone_on_an_input_built_to_fail_it(name, tmp
     assert [c["name"] for c in report["checks"] if not c["passes"]] == [name]
 
 
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_a_diagnose_check_that_raises_fails_alone(name, tmp_path, monkeypatch, capsys):
+    def raises(inject_fault):
+        raise RuntimeError("check broke")
+    monkeypatch.setitem(CHECKS, name, raises)
+    rc = run_cli("diagnose", "--out", str(tmp_path / "out"))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert [line for line in captured.out.splitlines() if line.startswith("FAIL")] == [f"FAIL {name}"]
+    assert captured.err == f"diagnose: failing checks: {name}\n"
+    report = json.loads((tmp_path / "out" / "diagnose_report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == list(CHECKS)
+    failing = [c for c in report["checks"] if not c["passes"]]
+    assert [c["name"] for c in failing] == [name]
+    assert failing[0]["details"] == {"exception": "RuntimeError", "message": "check broke"}
+    assert report["all_pass"] is False
+
+
 def test_environment_variable_fallbacks(tmp_path, monkeypatch, capsys):
     out = tmp_path / "env_out"
     monkeypatch.setenv("HERDQUAD_OUT", str(out))
