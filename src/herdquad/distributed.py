@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import heapq
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -46,6 +45,7 @@ from .selectors import (
     RunTrace,
     run_greedy,
     setup_pool,
+    usable_cpus,
     _sharing_cores,
 )
 from .state import check_kernel
@@ -139,7 +139,8 @@ def run_distributed(
     are collected by worker index and every pool lists its rows by id.
     ``KernelMismatch`` is raised when ``kernel`` is not ``target.kernel``.
     A thread or process pool runs ``max_workers`` shards at a time, by
-    default one per core and at most ``s``.
+    default one per usable CPU and at most ``s``; ``max_workers`` must be
+    ``None`` or an int of at least 1 under every executor.
     """
     method = Method(method)
     check_kernel(target, kernel)
@@ -149,6 +150,10 @@ def run_distributed(
         raise ValueError(f"unknown executor {executor!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
+    if max_workers is not None and (isinstance(max_workers, bool)
+                                    or not isinstance(max_workers, (int, np.integer))
+                                    or max_workers < 1):
+        raise ValueError(f"max_workers must be None or an int of at least 1, got {max_workers!r}")
 
     t_start = time.perf_counter()
     assignment = partition(pool, s, seed)
@@ -165,7 +170,7 @@ def run_distributed(
     else:
         pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
         # workers that run at the same time take one core, and one block, each
-        with pool_cls(max_workers=max_workers or min(s, os.cpu_count() or 1)) as ex:
+        with pool_cls(max_workers=max_workers or min(s, usable_cpus())) as ex:
             outcomes = list(ex.map(functools.partial(_run_shard, shares_cores=True), *zip(*jobs)))
     t_workers = time.perf_counter()
 

@@ -312,12 +312,22 @@ def _sharing_cores():
         _sharing.cores = before
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, which a cpuset or ``taskset`` can make smaller than the host's
+    CPU count, and otherwise that count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _block_count(n: int) -> int:
-    """Column blocks of a WKH/SBQ run on n candidates: at most one per core,
-    with n / B at least ``BLOCK_MIN_COLUMNS``, and one inside ``_sharing_cores``."""
+    """Column blocks of a WKH/SBQ run on n candidates: at most one per usable
+    CPU, with n / B at least ``BLOCK_MIN_COLUMNS``, and one inside
+    ``_sharing_cores``."""
     if getattr(_sharing, "cores", False):
         return 1
-    return max(1, min(os.cpu_count() or 1, n // BLOCK_MIN_COLUMNS))
+    return max(1, min(usable_cpus(), n // BLOCK_MIN_COLUMNS))
 
 
 class _BlockScores:

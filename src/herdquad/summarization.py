@@ -33,6 +33,11 @@ Python wrapper than in arithmetic, so these paths make few calls: ndarray
 reductions instead of the ``np.sum`` and ``np.max`` functions (the same
 reductions, so every result keeps its bits), the split rows found once per
 dataset and the test design matrix built once per fit.
+
+``import herdquad`` does not load ``scipy.special``: ``_gradient`` and
+``fisher_embed_many`` reach ``expit`` as ``scipy.special.expit`` when they
+run, so the submodule loads at a process's first fit.  Summarization uses
+the feature kernel only, so it never loads ``scipy.spatial`` either.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
+import scipy
 
 from .datasets import LabeledDataset
 from .distributed import run_distributed
@@ -98,7 +103,7 @@ def _objective(theta, Xd, y, lam, wts):
 
 
 def _gradient(theta, t, Xd, y, lam, wts):
-    return Xd.T @ (wts * (expit(t) - y)) + lam * theta
+    return Xd.T @ (wts * (scipy.special.expit(t) - y)) + lam * theta
 
 
 def train_logistic(X, y, lam: float = LAM, sample_weights=None) -> LogisticModel:
@@ -157,7 +162,7 @@ def fisher_embed_many(model: LogisticModel, X, y):
     """
     Xd = _design(X)
     y = np.asarray(y, dtype=float)
-    G = (y - expit(Xd @ model.theta))[:, None] * Xd
+    G = (y - scipy.special.expit(Xd @ model.theta))[:, None] * Xd
     norms = np.linalg.norm(G, axis=1)
     kept = np.flatnonzero(norms > 0.0)
     dropped = Xd.shape[0] - kept.size

@@ -1,13 +1,14 @@
 """WKH/SBQ runs on pools split into column blocks, one per core.
 
 A pool of at least twice ``BLOCK_MIN_COLUMNS`` rows splits into blocks
-whose products run on helper threads.  Every test here pins the core count,
-so the pools block on any host, and compares with the same run kept in one
-block by ``_sharing_cores``, the switch ``run_distributed``'s concurrent
-workers use.
+whose products run on helper threads.  Every test here pins the usable CPU
+count, so the pools block on any host, and compares with the same run kept
+in one block by ``_sharing_cores``, the switch ``run_distributed``'s
+concurrent workers use.
 """
 
 import multiprocessing
+import os
 import sys
 import threading
 from unittest import mock
@@ -28,7 +29,7 @@ N = 3 * BLOCK_MIN_COLUMNS + 100  # three blocks at most, and a remainder
 
 @pytest.fixture(params=[2, 3], ids=["2cores", "3cores"])
 def cores(request, monkeypatch):
-    monkeypatch.setattr(selectors.os, "cpu_count", lambda: request.param)
+    monkeypatch.setattr(selectors, "usable_cpus", lambda: request.param)
     return request.param
 
 
@@ -206,7 +207,7 @@ def test_one_kernel_row_per_pick_on_a_blocked_pool(method, cores):
 def test_blocked_runs_keep_their_bits_under_fast_thread_switching(monkeypatch):
     """Three blocks, so more threads than cores on a 2-core host, with the
     interpreter asked to switch threads every microsecond."""
-    monkeypatch.setattr(selectors.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(selectors, "usable_cpus", lambda: 3)
     pool, target = rbf_problem(8)
     one = Run("SBQ", pool, target, 40, one_block=True)
     interval = sys.getswitchinterval()
@@ -294,6 +295,22 @@ def test_small_pools_start_no_helper_threads(cores, monkeypatch):
     started = _helpers_started(monkeypatch)
     assert Run("WKH", pool, target, 10).bounds == [0, len(pool)]
     assert started == []
+
+
+def test_blocks_count_the_cpus_this_process_may_run_on(monkeypatch):
+    """A cpuset or taskset allowing 2 of the host's 64 CPUs gives 2 blocks."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert selectors.usable_cpus() == 2
+    assert selectors._block_count(64 * BLOCK_MIN_COLUMNS) == 2
+
+
+def test_without_an_affinity_call_blocks_count_the_hosts_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert selectors.usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert selectors.usable_cpus() == 1
 
 
 @pytest.mark.parametrize("executor", ["thread", "process"])

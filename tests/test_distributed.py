@@ -153,13 +153,35 @@ def test_default_pool_has_one_worker_per_core(monkeypatch):
         return ThreadPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(distributed, "ThreadPoolExecutor", recording_pool)
-    monkeypatch.setattr(distributed.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(distributed, "usable_cpus", lambda: 2)
     pool, target, kern = make_problem(seed=14)
     kwargs = dict(k=5, s=5, seed=15)
     default = run_distributed(Method.WKH, pool, target, kern, **kwargs)
     one_per_shard = run_distributed(Method.WKH, pool, target, kern, **kwargs, max_workers=5)
     assert requested == [2, 5]
     assert_same_result(one_per_shard, default)
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("max_workers", [0, -1, 1.5, 2.0, "2", True])
+def test_bad_max_workers_is_rejected_before_partitioning(executor, max_workers, monkeypatch):
+    def no_partition(*args):
+        raise AssertionError("partition ran")
+
+    monkeypatch.setattr(distributed, "partition", no_partition)
+    pool, target, kern = make_problem(seed=16)
+    with pytest.raises(ValueError, match="max_workers"):
+        run_distributed(Method.WKH, pool, target, kern, k=3, s=3, seed=0,
+                        executor=executor, max_workers=max_workers)
+
+
+@pytest.mark.parametrize("max_workers", [1, np.int64(2)])
+def test_integer_max_workers_is_accepted(max_workers):
+    pool, target, kern = make_problem(seed=17)
+    kwargs = dict(k=3, s=3, seed=0)
+    assert_same_result(run_distributed(Method.WKH, pool, target, kern, **kwargs, executor="serial"),
+                       run_distributed(Method.WKH, pool, target, kern, **kwargs,
+                                       max_workers=max_workers))
 
 
 def test_distributed_reproducible_across_calls():
