@@ -271,7 +271,7 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
     random_rows: dict[tuple, list] = {}
     trace_rows: dict[int, list] = {k: [] for k in cfg.k_grid}
     for (method, s), k, seed in product(cfg.methods, cfg.k_grid, cfg.seeds):
-        rep = summarize(data, method, k, s=s, seed=seed, weighted_retrain=cfg.weighted_retrain)
+        rep = summarize(data, method, k, s=s, seed=seed)
         g_final = reported_g(rep.final_mmd_sq, method, len(rep.trace.rows))
         rows.append([method, s, k, seed, fmt(g_final), fmt(rep.test_nll)])
         size = rep.selected_indices.size
@@ -299,7 +299,6 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
             "seeds": list(cfg.seeds), "dataset": cfg.dataset, "n": data.features.shape[0],
             "dim": data.features.shape[1], "lambda": LAM,
             "val_fraction": VAL_FRACTION, "test_fraction": TEST_FRACTION,
-            "weighted_retrain": cfg.weighted_retrain,
         },
         "runs": records,
     })
@@ -354,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--list", action="store_true", help="print check names and exit")
             p.add_argument("--inject-fault", action="store_true",
-                           help="corrupt weights before the orthogonality audit (self-test)")
+                           help="self-test: corrupt the weights before the orthogonality "
+                                "audit and fit the rate check's g traces in reverse order")
     return parser
 
 

@@ -125,7 +125,6 @@ class SummarizeConfig:
     dataset: str = "blobs"
     n: int = 500
     dim: int = 128
-    weighted_retrain: bool = False
     out: str = "out"
     timing: bool = False
 

@@ -309,12 +309,14 @@ def _check_realizability(name: str, inject_fault: bool) -> tuple[bool, dict]:
 
 
 def _check_rate(inject_fault: bool) -> tuple[bool, dict]:
-    """WKH and SBQ decay log-linearly (slope < 0, R^2 >= 0.9) over 12 atoms."""
+    """WKH and SBQ decay log-linearly (slope < 0, R^2 >= 0.9) over 12 atoms;
+    the fault fits each trace's g in reverse order, so g rises."""
     pool, target = _rbf_instance(slice(80))
     details = {}
     for method in ("WKH", "SBQ"):
         _, trace = run_greedy(method, pool, target, target.kernel, k=12, seed=0)
-        rf = fit_rate(trace)
+        g = [row.mmd_sq for row in trace.rows]
+        rf = fit_rate(enumerate(g[::-1] if inject_fault else g, start=1))
         details[method] = {"slope": rf.slope, "r_squared": rf.r_squared, "n_points": rf.n_points}
     return all(d["slope"] < 0 and d["r_squared"] >= 0.9 for d in details.values()), details
 
@@ -338,7 +340,7 @@ def _check_weights(inject_fault: bool) -> tuple[bool, dict]:
 
 
 # ``herdquad diagnose``'s checks in report order: name -> check(inject_fault),
-# which returns (passes, details); only the weight check has a fault to inject
+# which returns (passes, details); the rate and weight checks have a fault to inject
 CHECKS = {
     **{f"realizability:{name}": partial(_check_realizability, name) for name in _FIXTURES},
     "rate_fit": _check_rate,

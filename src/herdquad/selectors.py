@@ -26,12 +26,12 @@ length; ``wkh_select`` and ``sbq_select`` recompute the pair from scratch
 for one step.
 
 A pool of at least twice ``BLOCK_MIN_COLUMNS`` candidates splits into one
-column block per core, at most.  Each block keeps its own best score, and
-the pick is the first block's row of the largest of them, which is the
-whole pool's ``argmax``.  A step runs the O(n i / B) product of each block
-but the first on a helper thread of the run while the caller steps the
-first block, then folds the other blocks in on the caller; the helpers
-cost one lock handoff each per step.  ``_sharing_cores`` keeps the runs
+column block per core, at most.  A step runs the O(n i / B) product of
+each block but the first on a helper thread of the run while the caller
+steps the first block, then folds the other blocks in on the caller; the
+helpers cost one lock handoff each per step.  The blocks only split Y's
+updates: each pick scores the whole pool at once and takes one ``argmax``,
+whatever the block count.  ``_sharing_cores`` keeps the runs
 of one thread in one block; ``run_distributed`` enters it in workers that
 run at the same time.
 
@@ -330,43 +330,10 @@ def _block_count(n: int) -> int:
     return max(1, min(usable_cpus(), n // BLOCK_MIN_COLUMNS))
 
 
-class _BlockScores:
-    """Selection scores over the column blocks of a ``PoolScores``, and each
-    block's best candidate: ``best[b]`` at pool row ``best_rows[b]``."""
-
-    def __init__(self, method: Method, core: PoolScores):
-        n = len(core.resid)
-        scores, mask = np.empty(n), np.empty(n, dtype=bool)
-        self.method = method
-        self._views = [(start, scores[start:stop], mask[start:stop],
-                        core.resid[start:stop], core.schur[start:stop])
-                       for start, stop in zip(core.bounds, core.bounds[1:])]
-        self.best = [0.0] * len(self._views)
-        self.best_rows = [0] * len(self._views)
-        for b in range(len(self._views)):
-            self.rescore(b)
-
-    def rescore(self, b: int) -> None:
-        start, scores, mask, resid, schur = self._views[b]
-        selection_scores(self.method, resid, schur, out=scores, mask=mask)
-        j = int(np.argmax(scores))
-        self.best[b], self.best_rows[b] = float(scores[j]), start + j
-
-    def pick(self) -> int | None:
-        """np.argmax of the whole pool's scores, from the blocks' maxima; None
-        when every score is -inf.
-
-        Scores are never NaN (a NaN s is masked, and r is finite wherever s
-        is), so the first block of the largest maximum holds the pick.
-        """
-        best = max(self.best)
-        return None if best == -np.inf else self.best_rows[self.best.index(best)]
-
-
 @contextlib.contextmanager
-def _block_steps(core: PoolScores, scores: _BlockScores):
+def _block_steps(core: PoolScores):
     """Yield ``step(row, k_row)``, which folds the state's newest atom into
-    every block of ``core`` and rescores it.
+    every block of ``core``.
 
     Each block but the first has a helper thread, started here and joined
     on exit, that runs the block's O(n i / B) product, ``core.project``, while
@@ -374,21 +341,10 @@ def _block_steps(core: PoolScores, scores: _BlockScores):
     blocks in.  The rest of a block's step is a dozen short numpy calls,
     which on a helper would hand the GIL back and forth for longer than
     they take.  A helper waits on one lock for a step and releases another
-    when done; ``step`` re-raises the first exception a helper raised.
+    when done; ``step`` re-raises the first exception a helper raised.  A
+    pool of one block starts no thread and takes no lock.
     """
     blocks = range(len(core.proj))
-
-    def fold(b: int, row: int, k_row: np.ndarray) -> None:
-        core.fold(b, row, k_row)
-        scores.rescore(b)
-
-    if len(blocks) == 1:
-        def step(row: int, k_row: np.ndarray) -> None:
-            core.extend(row, k_row)
-            scores.rescore(0)
-
-        yield step
-        return
     stopping = False
     errors: list[BaseException] = []
     go = [threading.Lock() for _ in blocks[1:]]
@@ -412,14 +368,14 @@ def _block_steps(core: PoolScores, scores: _BlockScores):
             lock.release()
         try:
             core.project(0)
-            fold(0, row, k_row)
+            core.fold(0, row, k_row)
         finally:
             for lock in done:
                 lock.acquire()
         if errors:
             raise errors[0]
         for b in blocks[1:]:
-            fold(b, row, k_row)
+            core.fold(b, row, k_row)
 
     threads = []
     try:
@@ -467,9 +423,9 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     if method in OPTIMAL_WEIGHT_METHODS:
         state = new_state(target, kernel)
         core = PoolScores(state, z_all, setup.diag, capacity=k, blocks=_block_count(n))
-        scores = _BlockScores(method, core)
+        scores, mask = np.empty(n), np.empty(n, dtype=bool)
         atom_rows = np.empty(min(k, n), dtype=int)
-        with _block_steps(core, scores) as step:
+        with _block_steps(core) as step:
             while state.size < k:
                 if state.mmd_sq <= G_ROUNDOFF:
                     trace.stop_reason = "objective_floor"
@@ -477,8 +433,9 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
                 if state.size == n:
                     trace.stop_reason = "pool_exhausted"
                     break
-                row = scores.pick()
-                if row is None:
+                selection_scores(method, core.resid, core.schur, out=scores, mask=mask)
+                row = int(np.argmax(scores))
+                if scores[row] == -np.inf:
                     trace.stop_reason = "all_dependent"
                     break
                 k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
@@ -489,8 +446,6 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
                     # add_atom's own Schur complement outranks the pool-wide
                     # one; recording it masks the row from now on.
                     core.schur[row] = err.schur
-                    for b in range(len(core.proj)):
-                        scores.rescore(b)
                     continue
                 step(row, k_row)
                 atom_rows[state.size - 1] = row

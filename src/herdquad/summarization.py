@@ -15,8 +15,8 @@ and the random baseline of each (seed, size): the dataset keeps them in
 its fit, computed on its first call.  Its arrays are read-only, so the
 fit is never checked against them.  Every fit uses the ridge strength
 ``LAM``.  WKH and SBQ on one machine (``s = 1``) never read ``seed``, so
-the fit also keeps their per-cell result, keyed by (method, k,
-weighted_retrain), and serves it to every other seed.  MC_RANDOM and
+the fit also keeps their per-cell result, keyed by (method, k), and
+serves it to every other seed.  MC_RANDOM and
 ``s > 1``, where the seed drives the draws or the partition, are computed
 in every call; both select from the pool's one setup, the shards of
 ``s > 1`` from their rows of it, which ``CandidatePool.take`` carries over.
@@ -106,10 +106,10 @@ def _gradient(theta, t, Xd, y, lam, wts):
     return Xd.T @ (wts * (scipy.special.expit(t) - y)) + lam * theta
 
 
-def train_logistic(X, y, lam: float = LAM, sample_weights=None) -> LogisticModel:
+def train_logistic(X, y, lam: float = LAM) -> LogisticModel:
     """Deterministic full-batch gradient descent with backtracking.
 
-    Minimizes the weighted mean logistic loss plus (lam/2) ||theta||^2
+    Minimizes the mean logistic loss plus (lam/2) ||theta||^2
     (bias included), starting from zero.  A trial step of the backtracking
     search evaluates the objective alone; the gradient is taken once per
     accepted step, from that step's logits.  Converged means the gradient
@@ -124,13 +124,7 @@ def train_logistic(X, y, lam: float = LAM, sample_weights=None) -> LogisticModel
         raise BothClassesRequired("training data must contain both classes")
     if lam < 0:
         raise ValueError("regularization strength must be nonnegative")
-    if sample_weights is None:
-        wts = np.full(y.shape[0], 1.0 / y.shape[0])
-    else:
-        wts = np.asarray(sample_weights, dtype=float)
-        if wts.shape != y.shape or np.any(wts < 0) or wts.sum() <= 0:
-            raise ValueError("sample weights must be nonnegative with positive total")
-        wts = wts / wts.sum()
+    wts = np.full(y.shape[0], 1.0 / y.shape[0])
 
     theta = np.zeros(Xd.shape[1])
     obj, t = _objective(theta, Xd, y, lam, wts)
@@ -207,7 +201,7 @@ class _DatasetFit:
     ``test`` holds the test split's design matrix and float labels, the
     arguments of ``_mean_nll`` after theta.  ``random_nll`` maps (seed,
     subset size) to the random baseline's test NLL, and ``cells`` maps
-    (method, k, weighted_retrain) to the seed-free part of a WKH or SBQ
+    (method, k) to the seed-free part of a WKH or SBQ
     report at ``s = 1``: the trace, the final g, the selected rows and the
     test NLL.
     """
@@ -242,35 +236,32 @@ def _fit_dataset(data: LabeledDataset) -> _DatasetFit:
     return fit
 
 
-def summarize(data: LabeledDataset, method, k: int, *, s: int = 1, seed: int = 0,
-              weighted_retrain: bool = False) -> SummarizeReport:
+def summarize(data: LabeledDataset, method, k: int, *, s: int = 1,
+              seed: int = 0) -> SummarizeReport:
     """Select ``k`` training examples whose score embeddings match validation.
 
     The selection pool holds the training examples' embeddings under the
     full-data model; the target is the uniform discrete distribution over
     the validation embeddings.  ``s > 1`` routes the selection through the
-    distributed driver (WKH / SBQ only).  ``weighted_retrain`` feeds the
-    magnitude of the quadrature weights into the retraining loss instead of
-    uniform weights.  The size-matched random baseline rejects single-class
-    draws, see :func:`_draw_baseline_rows`; a selection of one class raises
-    ``BothClassesRequired`` naming the method, ``k`` and ``seed``.
+    distributed driver (WKH / SBQ only).  The size-matched random baseline
+    rejects single-class draws, see :func:`_draw_baseline_rows`; a selection
+    of one class raises ``BothClassesRequired`` naming the method, ``k`` and
+    ``seed``.
 
     The dataset keeps its full-data fit and random baselines, see
     :func:`_fit_dataset`, so a grid of calls on one dataset fits it once,
     and calls on another dataset leave that fit in place.  It also keeps
     the selection and retraining of WKH and SBQ at ``s = 1``, which do not
-    read ``seed``: the first call for a (method, k, weighted_retrain)
-    computes it and every later call, with any seed, is served a copy, bit
-    for bit the same report with its own ``selected_indices`` and trace row
-    list.  Such a report carries the trace of the call that computed it,
-    wall-clock ``elapsed_ms`` included.  MC_RANDOM and ``s > 1`` select
-    afresh in every call.
+    read ``seed``: the first call for a (method, k) computes it and every
+    later call, with any seed, is served a copy, bit for bit the same report
+    with its own ``selected_indices`` and trace row list.  Such a report
+    carries the trace of the call that computed it, wall-clock
+    ``elapsed_ms`` included.  MC_RANDOM and ``s > 1`` select afresh in every
+    call.
     """
     method = Method(method)
     if method is Method.KH_UNIFORM:
         raise ValueError("summarize supports WKH, SBQ and MC_RANDOM")
-    if weighted_retrain and method not in OPTIMAL_WEIGHT_METHODS:
-        raise ValueError("weighted retraining needs quadrature weights (WKH or SBQ)")
     train_rows = data.indices("train")
     if k < 1 or k > train_rows.size:
         raise ValueError(f"k must lie in [1, {train_rows.size}]")
@@ -278,9 +269,9 @@ def summarize(data: LabeledDataset, method, k: int, *, s: int = 1, seed: int = 0
     if fit.kept_tr.size < k:
         raise ValueError(f"only {fit.kept_tr.size} nondegenerate training embeddings for k={k}")
 
-    # WKH and SBQ on one machine read no seed: one call per (method, k,
-    # weighted_retrain) serves every seed
-    cell_key = (method, k, weighted_retrain) if s == 1 and method in OPTIMAL_WEIGHT_METHODS else None
+    # WKH and SBQ on one machine read no seed: one call per (method, k)
+    # serves every seed
+    cell_key = (method, k) if s == 1 and method in OPTIMAL_WEIGHT_METHODS else None
     cell = fit.cells.get(cell_key)
     if cell is None:
         if s == 1:
@@ -297,9 +288,7 @@ def summarize(data: LabeledDataset, method, k: int, *, s: int = 1, seed: int = 0
             raise BothClassesRequired(f"{method.value} at k={k}, seed {seed} selected "
                                       "a single class")
 
-        # the weights are in selection order, like the selected indices
-        sample_weights = np.abs(result.weights) if weighted_retrain else None
-        summary_model = train_logistic(sub_X, sub_y, sample_weights=sample_weights)
+        summary_model = train_logistic(sub_X, sub_y)
         cell = (trace, float(result.mmd_sq), selected_indices,
                 _mean_nll(summary_model.theta, *fit.test))
     trace, final_mmd_sq, selected_indices, test_nll = cell

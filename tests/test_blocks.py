@@ -131,6 +131,35 @@ def test_all_dependent_pool_matches_one_block(method, cores):
     assert sorted(trace.chosen_ids) == list(range(8))
 
 
+@pytest.mark.parametrize("one_block", [False, True], ids=["blocked", "one_block"])
+def test_each_pick_attempt_scores_the_whole_pool_once(one_block, cores, monkeypatch):
+    """One ``selection_scores`` call per ``add_atom`` attempt, a rejected one
+    included, over the pool's own r and s, into the same two buffers."""
+    pool, target = rbf_problem(2)
+    calls, attempts = [], []
+    score, add_atom = selectors.selection_scores, QuadratureState.add_atom
+
+    def counting_score(method, resid, schur, out=None, mask=None):
+        calls.append((resid, schur, out, mask))
+        return score(method, resid, schur, out=out, mask=mask)
+
+    def counting_add_atom(self, x, pool_id, *args, **kwargs):
+        attempts.append(pool_id)
+        if len(attempts) == 2:
+            raise NearDependentAtom(pool_id, 0.0)
+        return add_atom(self, x, pool_id, *args, **kwargs)
+
+    monkeypatch.setattr(selectors, "selection_scores", counting_score)
+    monkeypatch.setattr(QuadratureState, "add_atom", counting_add_atom)
+    run = Run("WKH", pool, target, 20, one_block=one_block)
+    assert len(run.bounds) == (2 if one_block else cores + 1)
+    assert len(calls) == len(attempts) == len(run.trace.rows) + 1 == 21
+    first = calls[0]
+    assert first[0] is run.core.resid and first[1] is run.core.schur
+    assert first[2].shape == first[3].shape == (len(pool),)
+    assert all(all(a is b for a, b in zip(call, first)) for call in calls)
+
+
 @pytest.mark.parametrize("method", ["WKH", "SBQ"])
 def test_rejected_picks_in_any_block_match_one_block(method, cores):
     """add_atom's own Schur complement rejects the 2nd pick and the first

@@ -489,6 +489,11 @@ def test_diagnose_fault_injection_fails_orthogonality(tmp_path, capsys):
     ortho = next(c for c in report["checks"] if c["name"] == "orthogonality")
     assert ortho["passes"] is False
     assert ortho["details"]["fault_injected"] is True
+    # the rate check fits its traces' g in reverse order, so g rises
+    assert [c["name"] for c in report["checks"] if not c["passes"]] == ["rate_fit", "orthogonality"]
+    passes, details = CHECKS["rate_fit"](True)
+    assert passes is False
+    assert all(d["slope"] > 0 for d in details.values())
 
 
 def _flip_expected_r(fixture, monkeypatch):
@@ -527,13 +532,21 @@ def _guarantee_read_after_one_atom(monkeypatch):
     return ()
 
 
+def _weights_corrupted(monkeypatch):
+    """The weight check runs with its fault injected; ``--inject-fault``
+    would inject the rate check's fault too."""
+    monkeypatch.setitem(CHECKS, "orthogonality",
+                        lambda inject_fault: diagnostics._check_weights(True))
+    return ()
+
+
 # per diagnose check: set up an input that must fail it, return extra CLI flags
 DIAGNOSE_FAULTS = {
     "realizability:line_segment": partial(_flip_expected_r, "line_segment"),
     "realizability:two_clusters": partial(_flip_expected_r, "two_clusters"),
     "rate_fit": _rising_rate_traces,
     "approx_guarantee": _guarantee_read_after_one_atom,
-    "orthogonality": lambda monkeypatch: ("--inject-fault",),
+    "orthogonality": _weights_corrupted,
 }
 
 

@@ -96,11 +96,12 @@ def test_unknown_keys_fail_loudly():
         with pytest.raises(ConfigError, match=f"unknown config keys for {config_cls.__name__}"):
             build_config(config_cls, {"workers": "3"})
     # the mixture family, the target, the bandwidth, the blob geometry, the
-    # split fractions and the ridge strength are fixed, and grids run serially
+    # split fractions and the ridge strength are fixed, grids run serially
+    # and retraining weights every selected example alike
     deleted = {MixtureConfig: ("mean_low", "mean_high", "cov_low", "cov_high",
                                "dirichlet_alpha", "target_form", "bandwidth", "threads"),
                SummarizeConfig: ("separation", "spread", "val_fraction", "test_fraction",
-                                 "threads", "lambda")}
+                                 "threads", "lambda", "weighted_retrain")}
     for config_cls, keys in deleted.items():
         for key in keys:
             with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):

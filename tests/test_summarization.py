@@ -44,10 +44,10 @@ def test_train_logistic_reaches_tolerance_on_blobs():
     assert np.mean((p > 0.5) == (y == 1)) > 0.7
 
 
-def finite_difference_grad(theta, X, y, lam, sample_weights, h=1e-5):
+def finite_difference_grad(theta, X, y, lam, weights, h=1e-5):
     """Central-difference gradient of the weighted training objective, from its definition."""
     Xd = np.hstack([X, np.ones((X.shape[0], 1))])
-    w = sample_weights / sample_weights.sum()
+    w = weights / weights.sum()
 
     def objective(th):
         t = Xd @ th
@@ -72,11 +72,12 @@ def test_train_logistic_gradient_matches_finite_differences():
             y[0], y[1] = 0, 1
         lam = float(rng.uniform(0.01, 2.0))
         wts = rng.uniform(0.1, 1.0, size=n)
-        model = train_logistic(X, y, lam=lam, sample_weights=wts)
-        fd = finite_difference_grad(model.theta, X, y, lam, sample_weights=wts)
+        model = train_logistic(X, y, lam=lam)
+        fd = finite_difference_grad(model.theta, X, y, lam, np.ones(n))
         assert np.max(np.abs(fd)) <= 1e-4  # the analytic optimum kills the numeric gradient
+        # the objective and gradient take any example weights
         theta = rng.normal(size=d + 1)
-        fd = finite_difference_grad(theta, X, y, lam, sample_weights=wts)
+        fd = finite_difference_grad(theta, X, y, lam, wts)
         from herdquad.summarization import _design, _gradient, _objective
         Xd, yf, w = _design(X), y.astype(float), wts / wts.sum()
         _, t = _objective(theta, Xd, yf, lam, w)
@@ -93,18 +94,6 @@ def test_train_logistic_input_validation():
     y = np.array([0, 1, 0, 1])
     with pytest.raises(ValueError):
         train_logistic(X, y, lam=-1.0)
-    with pytest.raises(ValueError):
-        train_logistic(X, y, sample_weights=np.array([1.0, -1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        train_logistic(X, y, sample_weights=np.zeros(4))
-
-
-def test_sample_weight_scale_invariance():
-    X, y = blob_training_set(n=60)
-    w = np.random.default_rng(1).uniform(0.5, 2.0, size=60)
-    a = train_logistic(X, y, sample_weights=w)
-    b = train_logistic(X, y, sample_weights=10.0 * w)
-    np.testing.assert_allclose(a.theta, b.theta, atol=1e-9)
 
 
 def test_nonconvergence_warns(monkeypatch):
@@ -121,17 +110,16 @@ def frozen_objective(theta, Xd, y, lam, wts):
     return loss + 0.5 * lam * float(theta @ theta), t
 
 
-def frozen_design(X, y, sample_weights):
-    """The design matrix, float labels and normalized weights ``train_logistic`` descends on."""
+def frozen_design(X, y):
+    """The design matrix, float labels and uniform weights ``train_logistic`` descends on."""
     n = X.shape[0]
-    wts = np.full(n, 1.0 / n) if sample_weights is None else sample_weights / sample_weights.sum()
-    return np.hstack([X, np.ones((n, 1))]), np.asarray(y, dtype=float), wts
+    return np.hstack([X, np.ones((n, 1))]), np.asarray(y, dtype=float), np.full(n, 1.0 / n)
 
 
-def frozen_train_logistic(X, y, lam=1.0, sample_weights=None):
+def frozen_train_logistic(X, y, lam=1.0):
     """The descent of ``train_logistic`` as it read before its reductions
     became ndarray methods, with ``np.sum`` and ``np.max``; returns theta."""
-    Xd, y, wts = frozen_design(X, y, sample_weights)
+    Xd, y, wts = frozen_design(X, y)
 
     def objective(theta):
         return frozen_objective(theta, Xd, y, lam, wts)
@@ -160,27 +148,27 @@ def frozen_train_logistic(X, y, lam=1.0, sample_weights=None):
 
 def logistic_problems(count, seed):
     """Two-class problems in 2-12 dimensions; even cases have fewer examples
-    than d + 1 parameters, odd ones more, and every other pair is weighted."""
+    than d + 1 parameters, odd ones more."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         d = int(rng.integers(2, 13))
         n = int(rng.integers(2, d + 1)) if i % 2 == 0 else int(rng.integers(d + 2, 80))
         X = rng.normal(size=(n, d)) + rng.normal(size=d)
         y = rng.permutation(np.arange(n) % 2)
-        wts = rng.uniform(0.05, 3.0, size=n) if i % 4 >= 2 else None
-        yield X, y, wts
+        if i % 4 >= 2:
+            rng.uniform(size=n)  # the draw of the weights these cases once had, so X and y stay
+        yield X, y
 
 
 def test_train_logistic_matches_the_frozen_loop_bit_for_bit():
     cases = list(logistic_problems(16, seed=27))
-    assert sum(X.shape[0] < X.shape[1] + 1 for X, _, _ in cases) == 8
-    assert sum(wts is not None for _, _, wts in cases) == 8
+    assert sum(X.shape[0] < X.shape[1] + 1 for X, _ in cases) == 8
     rng = np.random.default_rng(29)
-    for X, y, wts in cases:
-        model = train_logistic(X, y, sample_weights=wts)
-        assert model.theta.tobytes() == frozen_train_logistic(X, y, sample_weights=wts).tobytes()
+    for X, y in cases:
+        model = train_logistic(X, y)
+        assert model.theta.tobytes() == frozen_train_logistic(X, y).tobytes()
         # a last-bit change in the objective rarely moves theta, so it is compared apart
-        Xd, yf, w = frozen_design(X, y, wts)
+        Xd, yf, w = frozen_design(X, y)
         for theta in (model.theta, rng.normal(size=Xd.shape[1])):
             assert summarization._objective(theta, Xd, yf, 1.0, w)[0] == \
                 frozen_objective(theta, Xd, yf, 1.0, w)[0]
@@ -190,10 +178,10 @@ def test_train_logistic_matches_the_frozen_loop_bit_for_bit():
 
 def test_train_logistic_matches_the_frozen_loop_when_it_stops_early(monkeypatch):
     monkeypatch.setattr(summarization, "MAX_ITERS", 4)
-    for X, y, wts in logistic_problems(4, seed=28):
+    for X, y in logistic_problems(4, seed=28):
         with pytest.warns(NonConvergence):
-            model = train_logistic(X, y, sample_weights=wts)
-        assert model.theta.tobytes() == frozen_train_logistic(X, y, sample_weights=wts).tobytes()
+            model = train_logistic(X, y)
+        assert model.theta.tobytes() == frozen_train_logistic(X, y).tobytes()
 
 
 def unit_score(model, x, y):
@@ -266,16 +254,6 @@ def test_summarize_full_budget_mc_recovers_full_model():
     assert rep.selected_indices.size == n_train
     np.testing.assert_array_equal(np.sort(rep.selected_indices), ds.indices("train"))
     assert rep.test_nll == pytest.approx(rep.full_nll, abs=1e-9)
-
-
-def test_summarize_weighted_retrain_paths():
-    ds = small_dataset()
-    rep = summarize(ds, "SBQ", k=10, seed=1, weighted_retrain=True)
-    assert np.isfinite(rep.test_nll)
-    # the quadrature weights reach the retraining loss
-    assert rep.test_nll != summarize(ds, "SBQ", k=10, seed=1).test_nll
-    with pytest.raises(ValueError, match="quadrature weights"):
-        summarize(ds, "MC_RANDOM", k=10, seed=1, weighted_retrain=True)
 
 
 def test_summarize_distributed_route(monkeypatch):
@@ -406,24 +384,23 @@ def test_summarize_selects_once_per_seed_free_cell(monkeypatch):
 
     monkeypatch.setattr(summarization, "run_greedy", counting_greedy)
     monkeypatch.setattr(summarization, "run_distributed", counting_distributed)
-    grid = [(m, s, k, seed, wr) for m in ("WKH", "SBQ") for s in (1, 2) for k in (6, 10)
-            for seed in (0, 1, 3) for wr in (False, True)]
-    grid += [("MC_RANDOM", 1, k, seed, False) for k in (6, 10) for seed in (0, 1, 3)]
-    reports = {cell: summarize(ds, cell[0], cell[2], s=cell[1], seed=cell[3],
-                               weighted_retrain=cell[4]) for cell in grid}
+    grid = [(m, s, k, seed) for m in ("WKH", "SBQ") for s in (1, 2) for k in (6, 10)
+            for seed in (0, 1, 3)]
+    grid += [("MC_RANDOM", 1, k, seed) for k in (6, 10) for seed in (0, 1, 3)]
+    reports = {cell: summarize(ds, cell[0], cell[2], s=cell[1], seed=cell[3]) for cell in grid}
 
-    # one greedy run per (method, k, weighted_retrain), made by the first seed
-    expected = Counter({(m, k, 0): 2 for m in ("WKH", "SBQ") for k in (6, 10)})
+    # one greedy run per (method, k), made by the first seed
+    expected = Counter({(m, k, 0): 1 for m in ("WKH", "SBQ") for k in (6, 10)})
     expected.update((("MC_RANDOM", k, seed) for k in (6, 10) for seed in (0, 1, 3)))
     assert greedy_calls == expected
     # every s = 2 cell partitions afresh, since its seed drives the partition
-    assert distributed_calls == Counter({(m, k, seed): 2 for m in ("WKH", "SBQ")
+    assert distributed_calls == Counter({(m, k, seed): 1 for m in ("WKH", "SBQ")
                                          for k in (6, 10) for seed in (0, 1, 3)})
 
     monkeypatch.setattr(summarization, "run_greedy", real_greedy)
     monkeypatch.setattr(summarization, "run_distributed", real_distributed)
-    for (method, s, k, seed, wr), rep in reports.items():
-        assert_same_report(rep, fresh_report(ds, method, k, s=s, seed=seed, weighted_retrain=wr))
+    for (method, s, k, seed), rep in reports.items():
+        assert_same_report(rep, fresh_report(ds, method, k, s=s, seed=seed))
 
 
 def test_alternating_datasets_fit_each_once(monkeypatch):
@@ -538,31 +515,27 @@ def test_summarize_memo_hits_share_no_mutable_state(monkeypatch):
     assert_same_report(summarize(ds, "WKH", 8, seed=2), fresh_report(ds, "WKH", 8, seed=2))
 
 
-@pytest.mark.parametrize("edit", ["flip_labels", "scale_features", "weighted_retrain"])
+@pytest.mark.parametrize("edit", ["flip_labels", "scale_features"])
 def test_summarize_memo_never_serves_stale_results(edit):
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
     cached = summarize(ds, "SBQ", 8, seed=1)
-    weighted = edit == "weighted_retrain"
-    if not weighted:
-        # the arrays are read-only, so the fit kept on ``ds`` cannot go stale;
-        # an edited copy is another dataset, with a fit of its own
-        X, y = ds.features.copy(), ds.labels.copy()
-        rows = ds.indices("train")[:5]
-        with pytest.raises(ValueError, match="read-only"):
-            if edit == "flip_labels":
-                ds.labels[rows] = 1 - ds.labels[rows]
-            else:
-                ds.features *= 2.0
+    # the arrays are read-only, so the fit kept on ``ds`` cannot go stale;
+    # an edited copy is another dataset, with a fit of its own
+    X, y = ds.features.copy(), ds.labels.copy()
+    rows = ds.indices("train")[:5]
+    with pytest.raises(ValueError, match="read-only"):
         if edit == "flip_labels":
-            y[rows] = 1 - y[rows]
+            ds.labels[rows] = 1 - ds.labels[rows]
         else:
-            X *= 2.0
-        ds = LabeledDataset(X, y, ds.split)
-    after = summarize(ds, "SBQ", 8, seed=1, weighted_retrain=weighted)
-    # the weights change the retrained model only, the data all of the fit
-    changed = "test_nll" if weighted else "full_nll"
-    assert getattr(after, changed) != getattr(cached, changed)
-    assert_same_report(after, fresh_report(ds, "SBQ", 8, seed=1, weighted_retrain=weighted))
+            ds.features *= 2.0
+    if edit == "flip_labels":
+        y[rows] = 1 - y[rows]
+    else:
+        X *= 2.0
+    ds = LabeledDataset(X, y, ds.split)
+    after = summarize(ds, "SBQ", 8, seed=1)
+    assert after.full_nll != cached.full_nll
+    assert_same_report(after, fresh_report(ds, "SBQ", 8, seed=1))
 
 
 def test_summarize_memo_keeps_nothing_from_a_failed_fit():
