@@ -353,8 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--list", action="store_true", help="print check names and exit")
             p.add_argument("--inject-fault", action="store_true",
-                           help="self-test: corrupt the weights before the orthogonality "
-                                "audit and fit the rate check's g traces in reverse order")
+                           help="self-test: claim one atom fewer than each realizability "
+                                "fixture needs, fit the rate check's g traces in reverse "
+                                "order and corrupt the weights before the orthogonality audit")
     return parser
 
 

@@ -11,6 +11,8 @@ SPLIT_TAGS = ("train", "validation", "test")
 # the shares of every dataset that ``split_dataset`` tags validation and test
 VAL_FRACTION = 0.1
 TEST_FRACTION = 0.2
+BLOB_SEPARATION = 2.5  # distance between the class means of ``make_blobs``
+BLOB_SPREAD = 1.0  # standard deviation of each of its classes along every coordinate
 
 
 class IngestError(ValueError):
@@ -75,26 +77,25 @@ def split_dataset(X, y, seed: int = 0) -> LabeledDataset:
     return LabeledDataset(features=X, labels=y, split=tags.astype(str))
 
 
-def make_blobs(n: int, dim: int = 2, seed: int = 0, separation: float = 2.5,
-               spread: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def make_blobs(n: int, dim: int = 2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Two overlapping Gaussian blobs labeled 0 / 1.
 
-    The class means sit ``separation`` apart along the all-ones diagonal,
-    so the offset is spread evenly over every coordinate and each feature
-    carries part of the signal.  The default geometry keeps the classes
+    The class means sit ``BLOB_SEPARATION`` apart along the all-ones
+    diagonal, so the offset is spread evenly over every coordinate and each
+    feature carries part of the signal.  This geometry keeps the classes
     moderately entangled so subset choice visibly moves the downstream
     model quality.
     """
     rng = np.random.default_rng(seed)
     y = (rng.random(n) < 0.5).astype(int)
-    offset = separation / (2.0 * np.sqrt(dim))
+    offset = BLOB_SEPARATION / (2.0 * np.sqrt(dim))
     centers = np.stack([np.full(dim, -offset), np.full(dim, offset)])
-    X = centers[y] + spread * rng.standard_normal((n, dim))
+    X = centers[y] + BLOB_SPREAD * rng.standard_normal((n, dim))
     return X, y
 
 
 def synthetic_blob_dataset(n: int = 500, dim: int = 2, seed: int = 0) -> LabeledDataset:
-    """``make_blobs`` in its default geometry, split by ``split_dataset``."""
+    """``make_blobs``, split by ``split_dataset``."""
     X, y = make_blobs(n, dim=dim, seed=seed)
     return split_dataset(X, y, seed=seed)
 

@@ -300,7 +300,9 @@ def _rbf_instance(rows: slice) -> tuple[CandidatePool, DiscreteTarget]:
 
 
 def _check_realizability(name: str, inject_fault: bool) -> tuple[bool, dict]:
-    fixture = RealizabilityFixture(name, *_FIXTURES[name]())
+    """The fixture's exhaustive check; the fault claims one atom fewer than it needs."""
+    pool, target, expected_r = _FIXTURES[name]()
+    fixture = RealizabilityFixture(name, pool, target, expected_r - int(inject_fault))
     rep = verify_realizability(fixture)
     for key in rep:
         if key.endswith("_mmd_sq"):
@@ -340,7 +342,7 @@ def _check_weights(inject_fault: bool) -> tuple[bool, dict]:
 
 
 # ``herdquad diagnose``'s checks in report order: name -> check(inject_fault),
-# which returns (passes, details); the rate and weight checks have a fault to inject
+# which returns (passes, details); every check but the guarantee has a fault to inject
 CHECKS = {
     **{f"realizability:{name}": partial(_check_realizability, name) for name in _FIXTURES},
     "rate_fit": _check_rate,

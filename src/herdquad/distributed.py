@@ -20,17 +20,15 @@ pool; all three return the same result bit for bit.  A pool runs at most
 one worker per core by default, since more threads than cores only
 contend for them.  Processes stay for large s, where they avoid the GIL.
 Workers on a thread or process pool keep their shard in one column block
-(``selectors._sharing_cores``), since they already take a core each.  A
-lone worker runs in the caller under every executor and, like the serial
-executor's workers, splits a large shard into one block per core.  Where
-sharding pays, in wall time and peak RSS, is measured in the README's
-Performance section.
+(the pool's initializer is ``selectors._share_cores``), since they already
+take a core each.  A lone worker runs in the caller under every executor
+and, like the serial executor's workers, splits a large shard into one
+block per core.  Where sharding pays, in wall time and peak RSS, is
+measured in the README's Performance section.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import heapq
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -46,7 +44,7 @@ from .selectors import (
     run_greedy,
     setup_pool,
     usable_cpus,
-    _sharing_cores,
+    _share_cores,
 )
 from .state import check_kernel
 from .targets import TargetEmbedding
@@ -112,10 +110,8 @@ class DistributedResult:
         return np.array([s.mmd_sq for s in self.solutions])
 
 
-def _run_shard(label, method, shard, target, kernel, k,
-               shares_cores: bool = False) -> tuple[Solution, RunTrace]:
-    with _sharing_cores() if shares_cores else contextlib.nullcontext():
-        state, trace = run_greedy(method, shard, target, kernel, k)
+def _run_shard(label, method, shard, target, kernel, k) -> tuple[Solution, RunTrace]:
+    state, trace = run_greedy(method, shard, target, kernel, k)
     return Solution(label, list(state.atom_ids), state.weights, float(state.mmd_sq)), trace
 
 
@@ -170,8 +166,9 @@ def run_distributed(
     else:
         pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
         # workers that run at the same time take one core, and one block, each
-        with pool_cls(max_workers=max_workers or min(s, usable_cpus())) as ex:
-            outcomes = list(ex.map(functools.partial(_run_shard, shares_cores=True), *zip(*jobs)))
+        with pool_cls(max_workers=max_workers or min(s, usable_cpus()),
+                      initializer=_share_cores) as ex:
+            outcomes = list(ex.map(_run_shard, *zip(*jobs)))
     t_workers = time.perf_counter()
 
     union_ids = sorted({int(i) for sol, _ in outcomes for i in sol.ids})

@@ -29,11 +29,11 @@ A pool of at least twice ``BLOCK_MIN_COLUMNS`` candidates splits into one
 column block per core, at most.  A step runs the O(n i / B) product of
 each block but the first on a helper thread of the run while the caller
 steps the first block, then folds the other blocks in on the caller; the
-helpers cost one lock handoff each per step.  The blocks only split Y's
-updates: each pick scores the whole pool at once and takes one ``argmax``,
-whatever the block count.  ``_sharing_cores`` keeps the runs
-of one thread in one block; ``run_distributed`` enters it in workers that
-run at the same time.
+helpers cost one queue round trip each per step.  The blocks only split
+Y's updates: each pick scores the whole pool at once and takes one
+``argmax``, whatever the block count.  ``_share_cores`` keeps the runs of
+its thread in one block; ``run_distributed`` starts the workers of its
+thread and process pools with it, since they run at the same time.
 
 ``run_greedy`` reads the pool's setup from ``setup_pool``, which checks
 the kernel against the target, prepares the pool once (``Kernel.prepare``:
@@ -63,6 +63,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import os
+import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -296,20 +297,11 @@ BLOCK_MIN_COLUMNS = 3000
 _sharing = threading.local()  # .cores: this thread's runs share the cores with other runs
 
 
-@contextlib.contextmanager
-def _sharing_cores():
-    """Inside this context, ``run_greedy`` calls on this thread keep their
-    pool in one column block.
-
-    ``run_distributed`` enters it in workers that run at the same time,
-    which already take one core each.
-    """
-    before = getattr(_sharing, "cores", False)
+def _share_cores() -> None:
+    """Keep the pool of every later ``run_greedy`` call on this thread in one
+    column block: the initializer of ``run_distributed``'s thread and process
+    pools, whose workers run at the same time and take a core each."""
     _sharing.cores = True
-    try:
-        yield
-    finally:
-        _sharing.cores = before
 
 
 def usable_cpus() -> int:
@@ -323,8 +315,8 @@ def usable_cpus() -> int:
 
 def _block_count(n: int) -> int:
     """Column blocks of a WKH/SBQ run on n candidates: at most one per usable
-    CPU, with n / B at least ``BLOCK_MIN_COLUMNS``, and one inside
-    ``_sharing_cores``."""
+    CPU, with n / B at least ``BLOCK_MIN_COLUMNS``, and one on a thread that
+    ran ``_share_cores``."""
     if getattr(_sharing, "cores", False):
         return 1
     return max(1, min(usable_cpus(), n // BLOCK_MIN_COLUMNS))
@@ -340,55 +332,46 @@ def _block_steps(core: PoolScores):
     the caller steps the first block; the caller then folds the other
     blocks in.  The rest of a block's step is a dozen short numpy calls,
     which on a helper would hand the GIL back and forth for longer than
-    they take.  A helper waits on one lock for a step and releases another
-    when done; ``step`` re-raises the first exception a helper raised.  A
-    pool of one block starts no thread and takes no lock.
+    they take.  A helper takes its steps from a queue of its own and
+    answers each on a shared queue with ``None`` or the exception it
+    raised, which ``step`` re-raises once every helper has answered.  A
+    pool of one block starts no thread.
     """
-    blocks = range(len(core.proj))
-    stopping = False
-    errors: list[BaseException] = []
-    go = [threading.Lock() for _ in blocks[1:]]
-    done = [threading.Lock() for _ in blocks[1:]]
-    for lock in go + done:
-        lock.acquire()
+    blocks = range(1, len(core.proj))
+    todos = [queue.SimpleQueue() for _ in blocks]
+    answers = queue.SimpleQueue()
 
-    def serve(b: int, go: threading.Lock, done: threading.Lock) -> None:
-        while True:
-            go.acquire()
-            if stopping:
-                return
+    def serve(b: int, todo: queue.SimpleQueue) -> None:
+        while todo.get():  # False stops the helper
             try:
                 core.project(b)
+                answers.put(None)
             except BaseException as err:  # re-raised by the caller's step
-                errors.append(err)
-            done.release()
+                answers.put(err)
 
     def step(row: int, k_row: np.ndarray) -> None:
-        for lock in go:
-            lock.release()
+        for todo in todos:
+            todo.put(True)
         try:
             core.project(0)
             core.fold(0, row, k_row)
         finally:
-            for lock in done:
-                lock.acquire()
+            errors = [err for err in [answers.get() for _ in todos] if err is not None]
         if errors:
             raise errors[0]
-        for b in blocks[1:]:
+        for b in blocks:
             core.fold(b, row, k_row)
 
     threads = []
     try:
-        for args in zip(blocks[1:], go, done):
+        for args in zip(blocks, todos):
             thread = threading.Thread(target=serve, args=args, name="herdquad-block", daemon=True)
             thread.start()
             threads.append(thread)
         yield step
     finally:
-        stopping = True
-        for lock, _ in zip(go, threads):
-            if lock.locked():  # else the helper has yet to take its last step's go
-                lock.release()
+        for todo in todos:
+            todo.put(False)
         for thread in threads:
             thread.join()
 

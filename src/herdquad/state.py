@@ -293,10 +293,11 @@ class PoolScores:
     """Residual correlations and Schur complements of a pool, kept in step with a state.
 
     Starts from an empty ``state``, the embeddings ``embeds`` and kernel
-    diagonal ``diag`` of a pool of n ``points``; call ``extend(row, k_row)``
-    right after each accepted ``state.add_atom(points[row], ...)``, with
-    ``k_row`` the kernel row k(points[row], points).  ``resid`` and ``schur``
-    then equal ``state.residual_correlations(points)`` and
+    diagonal ``diag`` of a pool of n ``points``; right after each accepted
+    ``state.add_atom(points[row], ...)``, call ``project(b)`` and then
+    ``fold(b, row, k_row)`` for every block b, with ``k_row`` the kernel
+    row k(points[row], points).  ``resid`` and ``schur`` then equal
+    ``state.residual_correlations(points)`` and
     ``state.schur_complements(points)`` up to round-off, at O(n (i + d))
     per atom instead of O(n i (i + d)).  An atom's own row is set to its
     exact Schur complement, 0, so the dependence mask that keeps
@@ -306,9 +307,8 @@ class PoolScores:
     The pool's columns fall into ``blocks`` contiguous blocks, [bounds[b],
     bounds[b + 1]), split at multiples of ``BLOCK_ALIGN``.  ``proj[b]`` is
     block b's (min(capacity, n), width) part of Y, carved from one
-    allocation of Y's size, and ``extend`` is ``project(b)`` then
-    ``fold(b, ...)`` for every block, so each block's step can run apart
-    from the others.
+    allocation of Y's size, so each block's step can run apart from the
+    others.
     """
 
     def __init__(self, state: QuadratureState, embeds: np.ndarray, diag: np.ndarray,
@@ -329,12 +329,6 @@ class PoolScores:
         # each block's (start, stop) and views of s, r and the scratch vector
         self._views = [(start, stop, self.schur[start:stop], self.resid[start:stop],
                         scratch[start:stop]) for start, stop in zip(self.bounds, self.bounds[1:])]
-
-    def extend(self, row: int, k_row: np.ndarray) -> None:
-        """Fold the state's newest atom, pool row ``row``, into every candidate."""
-        for b in range(len(self.proj)):
-            self.project(b)
-            self.fold(b, row, k_row)
 
     def project(self, b: int) -> None:
         """Block b's O(n i) product L[i, :i] @ Y[:i] into its row i of Y.

@@ -3,14 +3,15 @@
 A pool of at least twice ``BLOCK_MIN_COLUMNS`` rows splits into blocks
 whose products run on helper threads.  Every test here pins the usable CPU
 count, so the pools block on any host, and compares with the same run kept
-in one block by ``_sharing_cores``, the switch ``run_distributed``'s
-concurrent workers use.
+in one block on a worker thread started with ``_share_cores``, the
+initializer ``run_distributed`` gives its concurrent workers.
 """
 
 import multiprocessing
 import os
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from herdquad import selectors, state
 from herdquad.distributed import run_distributed
 from herdquad.kernels import CandidatePool, NormalizedFeatureKernel, RBFKernel
-from herdquad.selectors import BLOCK_MIN_COLUMNS, _sharing_cores, run_greedy, setup_pool
+from herdquad.selectors import BLOCK_MIN_COLUMNS, _share_cores, run_greedy, setup_pool
 from herdquad.state import BLOCK_ALIGN, NearDependentAtom, PoolScores, QuadratureState
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
 from tests.conftest import random_mixture
@@ -50,8 +51,9 @@ class Run:
         _Spy.seen = []
         with mock.patch.object(selectors, "PoolScores", _Spy):
             if one_block:
-                with _sharing_cores():
-                    self.state, self.trace = run_greedy(method, pool, target, target.kernel, k)
+                with ThreadPoolExecutor(1, initializer=_share_cores) as worker:
+                    self.state, self.trace = worker.submit(
+                        run_greedy, method, pool, target, target.kernel, k).result()
             else:
                 self.state, self.trace = run_greedy(method, pool, target, target.kernel, k)
         (self.core,) = _Spy.seen
@@ -375,3 +377,30 @@ def test_a_lone_distributed_worker_starts_helper_threads(cores, monkeypatch):
     assert threading.active_count() == before
     single, _ = run_greedy("WKH", pool, target, target.kernel, 5)
     assert res.solutions[0].ids == single.atom_ids
+
+
+def _blocks_of_a_large_pool() -> int:
+    """Column blocks this thread would give a pool of ``4 * BLOCK_MIN_COLUMNS``
+    on four usable CPUs."""
+    with mock.patch.object(selectors, "usable_cpus", lambda: 4):
+        return selectors._block_count(4 * BLOCK_MIN_COLUMNS)
+
+
+@pytest.mark.parametrize("executor", ["thread", "spawn"])
+def test_workers_started_with_share_cores_count_one_block(executor):
+    assert _blocks_of_a_large_pool() == 4
+    if executor == "thread":
+        workers = ThreadPoolExecutor(1, initializer=_share_cores)
+    else:
+        workers = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn"),
+                                      initializer=_share_cores)
+    with workers:
+        assert workers.submit(_blocks_of_a_large_pool).result(timeout=60) == 1
+    assert _blocks_of_a_large_pool() == 4
+
+
+def test_the_caller_keeps_its_blocks_after_a_thread_executor_run(cores):
+    pool, target = rbf_problem(2, n=400)
+    run_distributed("WKH", pool, target, target.kernel, 5, s=2, seed=0, executor="thread",
+                    max_workers=2)
+    assert selectors._block_count(4 * BLOCK_MIN_COLUMNS) == cores

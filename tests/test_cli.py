@@ -489,8 +489,13 @@ def test_diagnose_fault_injection_fails_orthogonality(tmp_path, capsys):
     ortho = next(c for c in report["checks"] if c["name"] == "orthogonality")
     assert ortho["passes"] is False
     assert ortho["details"]["fault_injected"] is True
-    # the rate check fits its traces' g in reverse order, so g rises
-    assert [c["name"] for c in report["checks"] if not c["passes"]] == ["rate_fit", "orthogonality"]
+    # each fixture claims one atom fewer than it needs, and the rate check
+    # fits its traces' g in reverse order, so g rises
+    assert [c["name"] for c in report["checks"] if not c["passes"]] == [
+        "realizability:line_segment", "realizability:two_clusters", "rate_fit", "orthogonality"]
+    for name, needed in (("line_segment", 1), ("two_clusters", 2)):
+        passes, details = CHECKS[f"realizability:{name}"](True)
+        assert passes is False and details["expected_r"] == needed - 1
     passes, details = CHECKS["rate_fit"](True)
     assert passes is False
     assert all(d["slope"] > 0 for d in details.values())

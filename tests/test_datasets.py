@@ -106,14 +106,14 @@ def test_a_dataset_equals_and_hashes_as_itself_only():
 
 
 def test_make_blobs_geometry():
-    X, y = make_blobs(4000, dim=16, seed=5, separation=2.0, spread=0.5)
+    X, y = make_blobs(4000, dim=16, seed=5)
     assert X.shape == (4000, 16)
     assert set(np.unique(y)) == {0, 1}
     mean_gap = X[y == 1].mean(axis=0) - X[y == 0].mean(axis=0)
-    # the class means sit `separation` apart along the all-ones diagonal
-    assert np.linalg.norm(mean_gap) == pytest.approx(2.0, abs=0.1)
-    assert mean_gap.std() < 0.05  # every coordinate carries an equal share
-    X2, y2 = make_blobs(4000, dim=16, seed=5, separation=2.0, spread=0.5)
+    # the class means sit 2.5 apart along the all-ones diagonal
+    assert np.linalg.norm(mean_gap) == pytest.approx(2.5, abs=0.1)
+    assert mean_gap.std() < 0.1  # every coordinate carries an equal share
+    X2, y2 = make_blobs(4000, dim=16, seed=5)
     np.testing.assert_array_equal(X, X2)
     np.testing.assert_array_equal(y, y2)
 

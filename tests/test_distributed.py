@@ -148,9 +148,9 @@ def test_executors_agree_bit_for_bit():
 def test_default_pool_has_one_worker_per_core(monkeypatch):
     requested = []
 
-    def recording_pool(max_workers):
+    def recording_pool(max_workers, **kwargs):
         requested.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(distributed, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(distributed, "usable_cpus", lambda: 2)

@@ -265,7 +265,8 @@ def test_pool_scores_mask_every_atom_from_later_picks(rng):
     rows = []
     for row in rng.permutation(40)[:12]:
         state.add_atom(pts[row], int(row), k_atoms=K[row, rows], k_self=K[row, row])
-        core.extend(row, K[row])
+        core.project(0)
+        core.fold(0, row, K[row])
         rows.append(row)
         assert np.all(core.schur[rows] <= 0.0)
         scores = selection_scores(Method.SBQ, core.resid, core.schur)
