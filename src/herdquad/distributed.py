@@ -20,11 +20,11 @@ pool; all three return the same result bit for bit.  A pool runs at most
 one worker per core by default, since more threads than cores only
 contend for them.  Processes stay for large s, where they avoid the GIL.
 Workers on a thread or process pool keep their shard in one column block
-(the pool's initializer is ``selectors._share_cores``), since they already
-take a core each.  A lone worker runs in the caller under every executor
-and, like the serial executor's workers, splits a large shard into one
-block per core.  Where sharding pays, in wall time and peak RSS, is
-measured in the README's Performance section.
+of ``state.PoolScores`` (the pool's initializer is ``state.share_cores``),
+since they already take a core each.  A lone worker runs in the caller
+under every executor and, like the serial executor's workers, splits a
+large shard into one block per core.  Where sharding pays, in wall time
+and peak RSS, is measured in the README's Performance section.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ from .selectors import (
     RunTrace,
     run_greedy,
     setup_pool,
-    usable_cpus,
-    _share_cores,
 )
-from .state import check_kernel
+from .state import check_kernel, share_cores, usable_cpus
 from .targets import TargetEmbedding
 
 
@@ -167,7 +165,7 @@ def run_distributed(
         pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
         # workers that run at the same time take one core, and one block, each
         with pool_cls(max_workers=max_workers or min(s, usable_cpus()),
-                      initializer=_share_cores) as ex:
+                      initializer=share_cores) as ex:
             outcomes = list(ex.map(_run_shard, *zip(*jobs)))
     t_workers = time.perf_counter()
 

@@ -25,15 +25,9 @@ once per run, so the kernel row is a step's only allocation of the pool's
 length; ``wkh_select`` and ``sbq_select`` recompute the pair from scratch
 for one step.
 
-A pool of at least twice ``BLOCK_MIN_COLUMNS`` candidates splits into one
-column block per core, at most.  A step runs the O(n i / B) product of
-each block but the first on a helper thread of the run while the caller
-steps the first block, then folds the other blocks in on the caller; the
-helpers cost one queue round trip each per step.  The blocks only split
-Y's updates: each pick scores the whole pool at once and takes one
-``argmax``, whatever the block count.  ``_share_cores`` keeps the runs of
-its thread in one block; ``run_distributed`` starts the workers of its
-thread and process pools with it, since they run at the same time.
+On a large pool ``PoolScores`` steps its column blocks on helper threads,
+one per core, as its docstring describes; ``run_greedy`` only hands it
+each accepted atom.
 
 ``run_greedy`` reads the pool's setup from ``setup_pool``, which checks
 the kernel against the target, prepares the pool once (``Kernel.prepare``:
@@ -60,11 +54,7 @@ pool (``StandardizationError`` otherwise).
 
 from __future__ import annotations
 
-import contextlib
 import enum
-import os
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -274,11 +264,11 @@ def setup_pool(pool: CandidatePool, target: TargetEmbedding, kernel: Kernel) -> 
     kernel's diagonal on the pool is not 1.
     """
     check_kernel(target, kernel)
+    if len(pool) == 0:
+        raise EmptyPool("empty candidate pool")
     setup = pool._setup  # read once: another thread may replace it
     if setup is not None and setup.target is target:
         return setup
-    if len(pool) == 0:
-        raise EmptyPool("empty candidate pool")
     prepared = kernel.prepare(pool.points)
     diag = kernel.diagonal(prepared)
     if not unit_diagonal(diag):
@@ -286,94 +276,6 @@ def setup_pool(pool: CandidatePool, target: TargetEmbedding, kernel: Kernel) -> 
     setup = PoolSetup(target, prepared, diag, target.mean_embed_many(prepared, prepared=True))
     object.__setattr__(pool, "_setup", setup)
     return setup
-
-
-# Fewest pool columns a block of a WKH/SBQ run takes, so a pool below twice
-# this stays one block: the crossover measured on a 2-core host, where two
-# blocks first beat one at about 4 000 candidates in 8-d and 5 500 in 2-d,
-# since a step's handoff to a helper costs 25-30 us.
-BLOCK_MIN_COLUMNS = 3000
-
-_sharing = threading.local()  # .cores: this thread's runs share the cores with other runs
-
-
-def _share_cores() -> None:
-    """Keep the pool of every later ``run_greedy`` call on this thread in one
-    column block: the initializer of ``run_distributed``'s thread and process
-    pools, whose workers run at the same time and take a core each."""
-    _sharing.cores = True
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one, which a cpuset or ``taskset`` can make smaller than the host's
-    CPU count, and otherwise that count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _block_count(n: int) -> int:
-    """Column blocks of a WKH/SBQ run on n candidates: at most one per usable
-    CPU, with n / B at least ``BLOCK_MIN_COLUMNS``, and one on a thread that
-    ran ``_share_cores``."""
-    if getattr(_sharing, "cores", False):
-        return 1
-    return max(1, min(usable_cpus(), n // BLOCK_MIN_COLUMNS))
-
-
-@contextlib.contextmanager
-def _block_steps(core: PoolScores):
-    """Yield ``step(row, k_row)``, which folds the state's newest atom into
-    every block of ``core``.
-
-    Each block but the first has a helper thread, started here and joined
-    on exit, that runs the block's O(n i / B) product, ``core.project``, while
-    the caller steps the first block; the caller then folds the other
-    blocks in.  The rest of a block's step is a dozen short numpy calls,
-    which on a helper would hand the GIL back and forth for longer than
-    they take.  A helper takes its steps from a queue of its own and
-    answers each on a shared queue with ``None`` or the exception it
-    raised, which ``step`` re-raises once every helper has answered.  A
-    pool of one block starts no thread.
-    """
-    blocks = range(1, len(core.proj))
-    todos = [queue.SimpleQueue() for _ in blocks]
-    answers = queue.SimpleQueue()
-
-    def serve(b: int, todo: queue.SimpleQueue) -> None:
-        while todo.get():  # False stops the helper
-            try:
-                core.project(b)
-                answers.put(None)
-            except BaseException as err:  # re-raised by the caller's step
-                answers.put(err)
-
-    def step(row: int, k_row: np.ndarray) -> None:
-        for todo in todos:
-            todo.put(True)
-        try:
-            core.project(0)
-            core.fold(0, row, k_row)
-        finally:
-            errors = [err for err in [answers.get() for _ in todos] if err is not None]
-        if errors:
-            raise errors[0]
-        for b in blocks:
-            core.fold(b, row, k_row)
-
-    threads = []
-    try:
-        for args in zip(blocks, todos):
-            thread = threading.Thread(target=serve, args=args, name="herdquad-block", daemon=True)
-            thread.start()
-            threads.append(thread)
-        yield step
-    finally:
-        for todo in todos:
-            todo.put(False)
-        for thread in threads:
-            thread.join()
 
 
 def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Kernel, k: int,
@@ -405,10 +307,10 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
 
     if method in OPTIMAL_WEIGHT_METHODS:
         state = new_state(target, kernel)
-        core = PoolScores(state, z_all, setup.diag, capacity=k, blocks=_block_count(n))
+        core = PoolScores(state, z_all, setup.diag, capacity=k)
         scores, mask = np.empty(n), np.empty(n, dtype=bool)
         atom_rows = np.empty(min(k, n), dtype=int)
-        with _block_steps(core) as step:
+        with core.steps() as step:
             while state.size < k:
                 if state.mmd_sq <= G_ROUNDOFF:
                     trace.stop_reason = "objective_floor"

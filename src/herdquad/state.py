@@ -40,14 +40,8 @@ step allocates nothing of the pool's length.  Candidates with
 s < ``TAU_DEP`` are masked in bulk by the selection scores rather than
 tried and rejected one at a time.
 
-``PoolScores`` may split the pool's columns into B contiguous blocks, each
-with its own (min(k, n), n / B) part of Y carved from one allocation of
-Y's size, so each block's step reads only contiguous memory and can run
-on its own core.  A column of Y, s and r depends only on its own column of
-the kernel row and of Y, and the blocks split at multiples of
-``BLOCK_ALIGN`` columns, where the BLAS product groups columns as it does
-over the whole pool; so the blocks hold the whole pool's values bit for
-bit.  A step still costs O(n (i + d)) in all, O(n i / B) of it per block.
+On a large pool ``PoolScores`` splits Y, s and r into column blocks and
+steps them on helper threads, one per core; its docstring describes them.
 
 The state keeps its own forward solve for L rather than reading L from
 the pool's Y: a row of Y comes out of a product whose length is the pool's
@@ -63,6 +57,11 @@ the pool's length.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
+import queue
+import threading
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
@@ -80,6 +79,38 @@ G_ROUNDOFF = 1e-12
 # columns: the BLAS products then group each block's columns as they group
 # the whole pool's, and every column of Y rounds alike.
 BLOCK_ALIGN = 64
+# Fewest pool columns a block of PoolScores takes, so a pool below twice
+# this stays one block: the crossover measured on a 2-core host, where two
+# blocks first beat one at about 4 000 candidates in 8-d and 5 500 in 2-d,
+# since a step's handoff to a helper costs 25-30 us.
+BLOCK_MIN_COLUMNS = 3000
+
+_sharing = threading.local()  # .cores: this thread's runs share the cores with other runs
+
+
+def share_cores() -> None:
+    """Keep every ``PoolScores`` built later on this thread in one column
+    block: the initializer of ``run_distributed``'s thread and process
+    pools, whose workers run at the same time and take a core each."""
+    _sharing.cores = True
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, which a cpuset or ``taskset`` can make smaller than the host's
+    CPU count, and otherwise that count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_count(n: int) -> int:
+    """Column blocks of ``PoolScores`` on n candidates: at most one per usable
+    CPU, with n / B at least ``BLOCK_MIN_COLUMNS``, and one on a thread that
+    ran ``share_cores``."""
+    if getattr(_sharing, "cores", False):
+        return 1
+    return max(1, min(usable_cpus(), n // BLOCK_MIN_COLUMNS))
 
 
 def reported_g(g: float, method: str, iteration: int) -> float:
@@ -293,9 +324,9 @@ class PoolScores:
     """Residual correlations and Schur complements of a pool, kept in step with a state.
 
     Starts from an empty ``state``, the embeddings ``embeds`` and kernel
-    diagonal ``diag`` of a pool of n ``points``; right after each accepted
-    ``state.add_atom(points[row], ...)``, call ``project(b)`` and then
-    ``fold(b, row, k_row)`` for every block b, with ``k_row`` the kernel
+    diagonal ``diag`` of a pool of n ``points``; inside ``with
+    scores.steps() as step``, call ``step(row, k_row)`` right after each
+    accepted ``state.add_atom(points[row], ...)``, with ``k_row`` the kernel
     row k(points[row], points).  ``resid`` and ``schur`` then equal
     ``state.residual_correlations(points)`` and
     ``state.schur_complements(points)`` up to round-off, at O(n (i + d))
@@ -304,20 +335,36 @@ class PoolScores:
     near-dependent candidates out also keeps atoms from being picked again.
     ``capacity`` bounds the number of atoms the state may take.
 
-    The pool's columns fall into ``blocks`` contiguous blocks, [bounds[b],
-    bounds[b + 1]), split at multiples of ``BLOCK_ALIGN``.  ``proj[b]`` is
-    block b's (min(capacity, n), width) part of Y, carved from one
-    allocation of Y's size, so each block's step can run apart from the
-    others.
+    The pool's columns fall into B contiguous blocks [bounds[b],
+    bounds[b + 1]): at most one per CPU the process may run on
+    (``usable_cpus``) with n / B at least ``BLOCK_MIN_COLUMNS``, and one on
+    a thread that ran ``share_cores``.  ``proj[b]`` is block b's
+    (min(capacity, n), width) part of Y, carved from one allocation of Y's
+    size, so each block's step reads only contiguous memory and can run on
+    its own core.  A column of Y, s and r depends only on its own column of
+    the kernel row and of Y, and the blocks split at multiples of
+    ``BLOCK_ALIGN`` columns, where the BLAS product groups columns as it
+    does over the whole pool; so the blocks hold the whole pool's values
+    bit for bit, and a pick still scores the whole pool at once.
+
+    ``steps`` gives each block but the first a helper thread, joined on
+    exit, that runs the block's O(n i / B) product L[i, :i] @ Y[:i] (numpy
+    releases the GIL for it) while the caller steps the first block; the
+    caller then folds the other blocks in, since the rest of a block's step
+    is a dozen short numpy calls that would hand the GIL back and forth for
+    longer than they take.  A helper takes its steps from a queue of its
+    own and answers each on a shared queue with ``None`` or the exception
+    it raised, which the step re-raises once every helper has answered.
     """
 
     def __init__(self, state: QuadratureState, embeds: np.ndarray, diag: np.ndarray,
-                 capacity: int, blocks: int = 1):
+                 capacity: int):
         if state.size:
             raise ValueError("PoolScores starts from an empty state")
         self.state = state
         n = len(embeds)
         rows = min(capacity, n)
+        blocks = _block_count(n)
         self.bounds = [0] + [n * b // blocks // BLOCK_ALIGN * BLOCK_ALIGN
                              for b in range(1, blocks)] + [n]
         buf = np.empty(rows * n)
@@ -330,18 +377,14 @@ class PoolScores:
         self._views = [(start, stop, self.schur[start:stop], self.resid[start:stop],
                         scratch[start:stop]) for start, stop in zip(self.bounds, self.bounds[1:])]
 
-    def project(self, b: int) -> None:
-        """Block b's O(n i) product L[i, :i] @ Y[:i] into its row i of Y.
-
-        It reads only the state's factor and the block's Y, and numpy
-        releases the GIL for it, so ``run_greedy`` runs it on a helper thread.
-        """
+    def _project(self, b: int) -> None:
+        """Block b's product L[i, :i] @ Y[:i] into its row i of Y."""
         i = self.state.size - 1
         Y = self.proj[b]
         np.dot(self.state._chol[i, :i], Y[:i], out=Y[i])
 
-    def fold(self, b: int, row: int, k_row: np.ndarray) -> None:
-        """Rest of block b's step, once ``project(b)`` has run: its row of Y, s and r."""
+    def _fold(self, b: int, row: int, k_row: np.ndarray) -> None:
+        """Rest of block b's step, once ``_project(b)`` has run: its row of Y, s and r."""
         st = self.state
         i = st.size - 1
         start, stop, schur, resid, tmp = self._views[b]
@@ -353,6 +396,49 @@ class PoolScores:
         resid -= np.multiply(st._alpha[i], y, out=tmp)
         if start <= row < stop:
             self.schur[row] = 0.0
+
+    @contextlib.contextmanager
+    def steps(self):
+        """Yield ``step(row, k_row)``, which folds the state's newest atom,
+        pool row ``row``, into every block."""
+        blocks = range(1, len(self.proj))
+        todos = [queue.SimpleQueue() for _ in blocks]
+        answers = queue.SimpleQueue()
+
+        def serve(b: int, todo: queue.SimpleQueue) -> None:
+            while todo.get():  # False stops the helper
+                try:
+                    self._project(b)
+                    answers.put(None)
+                except BaseException as err:  # re-raised by the caller's step
+                    answers.put(err)
+
+        def step(row: int, k_row: np.ndarray) -> None:
+            for todo in todos:
+                todo.put(True)
+            try:
+                self._project(0)
+                self._fold(0, row, k_row)
+            finally:
+                errors = [err for err in [answers.get() for _ in todos] if err is not None]
+            if errors:
+                raise errors[0]
+            for b in blocks:
+                self._fold(b, row, k_row)
+
+        threads = []
+        try:
+            for args in zip(blocks, todos):
+                thread = threading.Thread(target=serve, args=args, name="herdquad-block",
+                                          daemon=True)
+                thread.start()
+                threads.append(thread)
+            yield step
+        finally:
+            for todo in todos:
+                todo.put(False)
+            for thread in threads:
+                thread.join()
 
 
 def new_state(target: TargetEmbedding, kernel: Kernel) -> QuadratureState:

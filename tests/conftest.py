@@ -21,6 +21,15 @@ def rng():
     return np.random.default_rng(2026)
 
 
+@pytest.fixture(params=[2, 3], ids=["2cores", "3cores"])
+def cores(request, monkeypatch):
+    """The CPU count ``PoolScores`` reads, pinned so a large pool blocks on any host."""
+    from herdquad import state
+
+    monkeypatch.setattr(state, "usable_cpus", lambda: request.param)
+    return request.param
+
+
 @pytest.fixture
 def rbf_unit():
     from herdquad.kernels import RBFKernel

@@ -3,7 +3,7 @@
 A pool of at least twice ``BLOCK_MIN_COLUMNS`` rows splits into blocks
 whose products run on helper threads.  Every test here pins the usable CPU
 count, so the pools block on any host, and compares with the same run kept
-in one block on a worker thread started with ``_share_cores``, the
+in one block on a worker thread started with ``share_cores``, the
 initializer ``run_distributed`` gives its concurrent workers.
 """
 
@@ -20,18 +20,19 @@ import pytest
 from herdquad import selectors, state
 from herdquad.distributed import run_distributed
 from herdquad.kernels import CandidatePool, NormalizedFeatureKernel, RBFKernel
-from herdquad.selectors import BLOCK_MIN_COLUMNS, _share_cores, run_greedy, setup_pool
-from herdquad.state import BLOCK_ALIGN, NearDependentAtom, PoolScores, QuadratureState
+from herdquad.selectors import run_greedy, setup_pool
+from herdquad.state import (
+    BLOCK_ALIGN,
+    BLOCK_MIN_COLUMNS,
+    NearDependentAtom,
+    PoolScores,
+    QuadratureState,
+    share_cores,
+)
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
 from tests.conftest import random_mixture
 
 N = 3 * BLOCK_MIN_COLUMNS + 100  # three blocks at most, and a remainder
-
-
-@pytest.fixture(params=[2, 3], ids=["2cores", "3cores"])
-def cores(request, monkeypatch):
-    monkeypatch.setattr(selectors, "usable_cpus", lambda: request.param)
-    return request.param
 
 
 class _Spy(PoolScores):
@@ -51,7 +52,7 @@ class Run:
         _Spy.seen = []
         with mock.patch.object(selectors, "PoolScores", _Spy):
             if one_block:
-                with ThreadPoolExecutor(1, initializer=_share_cores) as worker:
+                with ThreadPoolExecutor(1, initializer=share_cores) as worker:
                     self.state, self.trace = worker.submit(
                         run_greedy, method, pool, target, target.kernel, k).result()
             else:
@@ -168,8 +169,7 @@ def test_rejected_picks_in_any_block_match_one_block(method, cores):
     pick from a block after the first."""
     pool, target = rbf_problem(2)
     original = QuadratureState.add_atom
-    bounds = PoolScores(state.new_state(target, target.kernel), np.zeros(N), np.ones(N), 1,
-                        blocks=cores).bounds
+    bounds = PoolScores(state.new_state(target, target.kernel), np.zeros(N), np.ones(N), 1).bounds
     rejected = []
 
     def add_atom(self, x, pool_id, *args, **kwargs):
@@ -194,8 +194,7 @@ def test_a_tie_across_a_block_boundary_goes_to_the_lower_row(method, cores):
     """The best point sits on both sides of the first boundary: block 0's
     last row and block 1's first row tie for the first pick."""
     pool, target = rbf_problem(2)
-    bound = PoolScores(state.new_state(target, target.kernel), np.zeros(N), np.ones(N), 1,
-                       blocks=cores).bounds[1]
+    bound = PoolScores(state.new_state(target, target.kernel), np.zeros(N), np.ones(N), 1).bounds[1]
     z = target.mean_embed_many(pool.points)
     best = int(np.argmax(z))
     points = np.array(pool.points)
@@ -238,7 +237,7 @@ def test_one_kernel_row_per_pick_on_a_blocked_pool(method, cores):
 def test_blocked_runs_keep_their_bits_under_fast_thread_switching(monkeypatch):
     """Three blocks, so more threads than cores on a 2-core host, with the
     interpreter asked to switch threads every microsecond."""
-    monkeypatch.setattr(selectors, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(state, "usable_cpus", lambda: 3)
     pool, target = rbf_problem(8)
     one = Run("SBQ", pool, target, 40, one_block=True)
     interval = sys.getswitchinterval()
@@ -281,7 +280,7 @@ def test_an_exception_on_a_helper_propagates_out_of_run_greedy(cores):
     """A helper's product raises at the fifth atom: run_greedy re-raises it,
     joins its helpers, and hangs on nothing."""
     pool, target = rbf_problem(2)
-    original = PoolScores.project
+    original = PoolScores._project
 
     def project(self, b):
         if threading.current_thread().name == "herdquad-block" and self.state.size == 5:
@@ -297,7 +296,7 @@ def test_an_exception_on_a_helper_propagates_out_of_run_greedy(cores):
             outcome.append(err)
 
     before = threading.active_count()
-    with mock.patch.object(PoolScores, "project", project):
+    with mock.patch.object(PoolScores, "_project", project):
         runner = threading.Thread(target=call)
         runner.start()
         runner.join(timeout=60)
@@ -308,7 +307,7 @@ def test_an_exception_on_a_helper_propagates_out_of_run_greedy(cores):
 
 def test_an_exception_on_the_caller_joins_the_helpers(cores):
     pool, target = rbf_problem(2)
-    original = PoolScores.fold
+    original = PoolScores._fold
 
     def fold(self, b, row, k_row):
         if self.state.size == 3:
@@ -316,7 +315,7 @@ def test_an_exception_on_the_caller_joins_the_helpers(cores):
         return original(self, b, row, k_row)
 
     before = threading.active_count()
-    with mock.patch.object(PoolScores, "fold", fold), pytest.raises(ValueError, match="caller"):
+    with mock.patch.object(PoolScores, "_fold", fold), pytest.raises(ValueError, match="caller"):
         run_greedy("SBQ", pool, target, target.kernel, 20)
     assert threading.active_count() == before
 
@@ -332,16 +331,16 @@ def test_blocks_count_the_cpus_this_process_may_run_on(monkeypatch):
     """A cpuset or taskset allowing 2 of the host's 64 CPUs gives 2 blocks."""
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert selectors.usable_cpus() == 2
-    assert selectors._block_count(64 * BLOCK_MIN_COLUMNS) == 2
+    assert state.usable_cpus() == 2
+    assert state._block_count(64 * BLOCK_MIN_COLUMNS) == 2
 
 
 def test_without_an_affinity_call_blocks_count_the_hosts_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert selectors.usable_cpus() == 64
+    assert state.usable_cpus() == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert selectors.usable_cpus() == 1
+    assert state.usable_cpus() == 1
 
 
 @pytest.mark.parametrize("executor", ["thread", "process"])
@@ -382,18 +381,18 @@ def test_a_lone_distributed_worker_starts_helper_threads(cores, monkeypatch):
 def _blocks_of_a_large_pool() -> int:
     """Column blocks this thread would give a pool of ``4 * BLOCK_MIN_COLUMNS``
     on four usable CPUs."""
-    with mock.patch.object(selectors, "usable_cpus", lambda: 4):
-        return selectors._block_count(4 * BLOCK_MIN_COLUMNS)
+    with mock.patch.object(state, "usable_cpus", lambda: 4):
+        return state._block_count(4 * BLOCK_MIN_COLUMNS)
 
 
 @pytest.mark.parametrize("executor", ["thread", "spawn"])
 def test_workers_started_with_share_cores_count_one_block(executor):
     assert _blocks_of_a_large_pool() == 4
     if executor == "thread":
-        workers = ThreadPoolExecutor(1, initializer=_share_cores)
+        workers = ThreadPoolExecutor(1, initializer=share_cores)
     else:
         workers = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn"),
-                                      initializer=_share_cores)
+                                      initializer=share_cores)
     with workers:
         assert workers.submit(_blocks_of_a_large_pool).result(timeout=60) == 1
     assert _blocks_of_a_large_pool() == 4
@@ -403,4 +402,4 @@ def test_the_caller_keeps_its_blocks_after_a_thread_executor_run(cores):
     pool, target = rbf_problem(2, n=400)
     run_distributed("WKH", pool, target, target.kernel, 5, s=2, seed=0, executor="thread",
                     max_workers=2)
-    assert selectors._block_count(4 * BLOCK_MIN_COLUMNS) == cores
+    assert state._block_count(4 * BLOCK_MIN_COLUMNS) == cores

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from herdquad.diagnostics import (
     realizability_fixtures,
     verify_realizability,
 )
-from herdquad.kernels import CandidatePool, RBFKernel
+from herdquad.kernels import CandidatePool, NormalizedFeatureKernel, RBFKernel
 from herdquad.selectors import Method, run_greedy
 from herdquad.state import G_ROUNDOFF, KernelMismatch, new_state
 from herdquad.targets import DiscreteTarget
@@ -179,6 +180,34 @@ def test_realizability_fixtures_verify():
     pair_report = verify_realizability(fixtures[1])
     assert pair_report["best_singleton_mmd_sq"] > 1e-6
     assert pair_report["best_pair_mmd_sq"] <= 1e-6
+
+
+@pytest.mark.parametrize("name, claim, keys", [
+    ("two_clusters", 3, ["best_pair_mmd_sq", "best_3_subset_mmd_sq"]),
+    ("two_clusters", 1, ["best_singleton_mmd_sq"]),
+    ("line_segment", 2, ["best_singleton_mmd_sq", "best_pair_mmd_sq"]),
+    ("line_segment", 0, ["empty_mmd_sq"]),
+])
+def test_realizability_fails_any_wrong_claimed_size(name, claim, keys):
+    """A claim above the true size fails because one atom fewer is enough,
+    one below it because the claimed atoms are not; the empty subset's g is c."""
+    fixture = next(f for f in realizability_fixtures() if f.name == name)
+    report = verify_realizability(replace(fixture, expected_r=claim))
+    assert report["passes"] is False
+    assert list(report) == ["name", "expected_r", *keys, "passes"]
+    if claim == 0:
+        assert report["empty_mmd_sq"] == fixture.target.self_energy()
+    assert verify_realizability(replace(fixture, expected_r=-1))["passes"] is False
+
+
+def test_a_one_atom_claim_fails_when_no_atom_is_needed():
+    """c <= REALIZED_G: the empty subset already represents the target."""
+    fixture = realizability_fixtures()[0]
+    target = DiscreteTarget.uniform(np.array([[-1.0], [1.0]]), NormalizedFeatureKernel())
+    assert target.self_energy() <= 1e-6
+    assert verify_realizability(replace(fixture, target=target, expected_r=0))["passes"]
+    report = verify_realizability(replace(fixture, target=target, expected_r=1))
+    assert report["passes"] is False and report["best_singleton_mmd_sq"] <= 1e-6
 
 
 def test_oracle_returns_the_first_subset_at_the_floor():

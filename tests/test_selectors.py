@@ -159,6 +159,21 @@ def test_run_greedy_rejects_bad_k_and_empty_pool():
         run_greedy(Method.WKH, empty, target, kern, 3)
 
 
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "set_up"])
+def test_an_empty_sub_pool_raises_empty_pool(method, fresh, rng):
+    """An empty sub-pool of a pool already set up carries the setup's empty
+    rows, and still raises like a fresh empty pool."""
+    target = random_mixture(rng)
+    pool = CandidatePool.from_points(target.sample(20, rng))
+    if not fresh:
+        setup_pool(pool, target, target.kernel)
+    empty = pool.take(np.zeros(0, dtype=int))
+    assert (empty._setup is not None) is not fresh
+    with pytest.raises(EmptyPool):
+        run_greedy(method, empty, target, target.kernel, 3)
+
+
 def test_run_greedy_requires_standardized_kernel():
     M = np.array([[0.5, 0.0], [0.0, 1.0]])
     kern = unchecked_matrix_kernel(M)

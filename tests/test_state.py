@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from herdquad.diagnostics import orthogonality_residual
 from herdquad.kernels import CandidatePool, RBFKernel
 from herdquad.selectors import Method, run_greedy, selection_scores
 from herdquad.state import (
+    BLOCK_MIN_COLUMNS,
     INITIAL_CAPACITY,
     TAU_DEP,
     DuplicateAtom,
@@ -252,42 +254,70 @@ def test_pool_scores_need_an_empty_state(rng):
         PoolScores(state, target.mean_embed_many(pts), np.ones(4), capacity=3)
 
 
+# a pool that splits into one column block per pinned CPU, 2 or 3
+BLOCKED_N = 3 * BLOCK_MIN_COLUMNS + 100
+
+
+def assert_atoms_masked(rng, n, blocks):
+    """Step 12 random atoms into a PoolScores on n target draws, checking
+    after each that no atom can be picked again."""
+    target = random_mixture(rng)
+    kern = target.kernel
+    pts = target.sample(n, rng)
+    state = new_state(target, kern)
+    core = PoolScores(state, target.mean_embed_many(pts), np.ones(n), capacity=12)
+    assert len(core.bounds) - 1 == blocks
+    rows = []
+    with core.steps() as step:
+        for row in rng.permutation(n)[:12]:
+            k_row = kern.gram(pts[row], pts)[0]
+            state.add_atom(pts[row], int(row), k_atoms=k_row[rows], k_self=k_row[row])
+            step(row, k_row)
+            rows.append(row)
+            assert np.all(core.schur[rows] <= 0.0)
+            scores = selection_scores(Method.SBQ, core.resid, core.schur)
+            assert np.all(scores[rows] == -np.inf)
+
+
 def test_pool_scores_mask_every_atom_from_later_picks(rng):
     """Every atom's own Schur complement is at most 0, never a round-off
     residue above it, so the dependence mask alone keeps it from being
     picked again."""
-    target = random_mixture(rng)
-    kern = target.kernel
-    pts = target.sample(40, rng)
-    state = new_state(target, kern)
-    core = PoolScores(state, target.mean_embed_many(pts), np.ones(40), capacity=12)
-    K = kern.gram(pts, pts)
-    rows = []
-    for row in rng.permutation(40)[:12]:
-        state.add_atom(pts[row], int(row), k_atoms=K[row, rows], k_self=K[row, row])
-        core.project(0)
-        core.fold(0, row, K[row])
-        rows.append(row)
-        assert np.all(core.schur[rows] <= 0.0)
-        scores = selection_scores(Method.SBQ, core.resid, core.schur)
-        assert np.all(scores[rows] == -np.inf)
+    assert_atoms_masked(rng, 40, blocks=1)
+
+
+def test_blocked_pool_scores_mask_every_atom_from_later_picks(rng, cores):
+    """The same in whichever column block the atom sits."""
+    assert_atoms_masked(rng, BLOCKED_N, blocks=cores)
 
 
 class _CheckedScores(PoolScores):
-    """PoolScores that compares itself with the from-scratch routes after every atom."""
+    """PoolScores that compares itself with the from-scratch routes after every step."""
 
     points = None  # the pool's points, set by the test
-    steps = 0
+    checked = 0
+    blocks = 0
 
-    def fold(self, b, row, k_row):
-        super().fold(b, row, k_row)
-        if b < len(self.proj) - 1:
-            return
-        np.testing.assert_allclose(self.resid, self.state.residual_correlations(self.points),
-                                   rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose(self.schur, self.state.schur_complements(self.points),
-                                   rtol=0.0, atol=1e-10)
-        _CheckedScores.steps += 1
+    @contextlib.contextmanager
+    def steps(self):
+        _CheckedScores.blocks = len(self.bounds) - 1
+        with super().steps() as step:
+            def checked_step(row, k_row):
+                step(row, k_row)
+                np.testing.assert_allclose(
+                    self.resid, self.state.residual_correlations(self.points), rtol=0.0, atol=1e-10)
+                np.testing.assert_allclose(
+                    self.schur, self.state.schur_complements(self.points), rtol=0.0, atol=1e-10)
+                _CheckedScores.checked += 1
+            yield checked_step
+
+
+def assert_pool_scores_match_from_scratch(method, pool, target, k):
+    _CheckedScores.points = pool.points
+    _CheckedScores.checked = 0
+    with mock.patch("herdquad.selectors.PoolScores", _CheckedScores):
+        _, trace = run_greedy(method, pool, target, target.kernel, k)
+    assert _CheckedScores.checked == len(trace.rows) > 0
 
 
 @settings(max_examples=20)
@@ -296,12 +326,18 @@ def test_pool_scores_match_from_scratch_recomputation(seed, method):
     """Incremental r and s agree with the dense routes at every step of a run."""
     rng = np.random.default_rng(seed)
     target = random_mixture(rng, components=2)
-    pool = CandidatePool.from_points(target.sample(60, rng))
-    _CheckedScores.points = pool.points
-    _CheckedScores.steps = 0
-    with mock.patch("herdquad.selectors.PoolScores", _CheckedScores):
-        _, trace = run_greedy(method, pool, target, target.kernel, 25)
-    assert _CheckedScores.steps == len(trace.rows)
+    assert_pool_scores_match_from_scratch(
+        method, CandidatePool.from_points(target.sample(60, rng)), target, 25)
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_blocked_pool_scores_match_from_scratch_recomputation(method, cores):
+    """The same on a pool split into one column block per pinned CPU."""
+    rng = np.random.default_rng(7)
+    target = random_mixture(rng, components=2)
+    pool = CandidatePool.from_points(target.sample(BLOCKED_N, rng))
+    assert_pool_scores_match_from_scratch(method, pool, target, 25)
+    assert _CheckedScores.blocks == cores
 
 
 def test_add_atom_with_kernel_entries_makes_no_kernel_call(rng):
