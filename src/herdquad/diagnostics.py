@@ -36,7 +36,7 @@ REALIZED_G = 1e-6  # a subset with g at or below this represents the target exac
 
 
 class InsufficientPoints(ValueError):
-    """Fewer than three trace points above the numerical floor."""
+    """Fewer than three trace points above the numerical floor, or one iteration for all."""
 
 
 class CombinatorialBudgetExceeded(ValueError):
@@ -64,7 +64,8 @@ def fit_rate(trace) -> RateFit:
     Accepts a ``RunTrace`` or an iterable of (iteration, value) pairs.
     Values at or below ``state.G_ROUNDOFF``, where greedy runs stop, carry
     no rate information (they are round-off) and are excluded; fewer than
-    three usable points raise ``InsufficientPoints``.
+    three usable points, or usable points that share one iteration and so
+    fix no slope, raise ``InsufficientPoints``.
     """
     if isinstance(trace, RunTrace):
         pairs = [(row.iteration, row.mmd_sq) for row in trace.rows]
@@ -73,6 +74,8 @@ def fit_rate(trace) -> RateFit:
     usable = [(i, v) for i, v in pairs if np.isfinite(v) and v > G_ROUNDOFF]
     if len(usable) < 3:
         raise InsufficientPoints(f"need >= 3 points above {G_ROUNDOFF:g}, got {len(usable)}")
+    if len({i for i, _ in usable}) < 2:
+        raise InsufficientPoints(f"all {len(usable)} usable points sit at one iteration")
     x = np.array([i for i, _ in usable], dtype=float)
     y = np.log(np.array([v for _, v in usable]))
     xc = x - x.mean()

@@ -10,11 +10,9 @@ step: WKH and SBQ are deterministic, so the workers and the aggregator
 take no seed.
 
 Every worker, and the aggregator, is one ``run_greedy`` call on a
-smaller pool.  ``run_distributed`` sets the pool up once
-(``selectors.setup_pool``, kept on the pool, so later calls on the same
-pool and target embed nothing), and ``CandidatePool.take`` hands every
-shard and the aggregator's pool its rows of that setup.  On a pool never
-set up before, the caller embeds the whole pool before the workers start.
+smaller pool.  ``run_distributed`` sets up the whole pool before the
+workers start, and every shard and the aggregator's pool select from
+their rows of that setup (``selectors.PoolSetup``).
 Workers run serially, on a thread pool (the default) or on a process
 pool; all three return the same result bit for bit.  A pool runs at most
 one worker per core by default, since more threads than cores only
@@ -44,7 +42,7 @@ from .selectors import (
     run_greedy,
     setup_pool,
 )
-from .state import check_kernel, share_cores, usable_cpus
+from .state import check_count, check_kernel, share_cores, usable_cpus
 from .targets import TargetEmbedding
 
 
@@ -61,8 +59,7 @@ def partition(pool: CandidatePool, s: int, seed: int) -> np.ndarray:
     the result is deterministic under the seed.  A stable sort of the
     assignment and a heap of shard sizes make this O(n log n + s log s).
     """
-    if s < 1:
-        raise ValueError("need at least one worker")
+    check_count("s", s)
     if len(pool) < s:
         raise PoolTooSmall(f"cannot spread {len(pool)} points over {s} workers")
     rng = np.random.default_rng(seed)
@@ -142,12 +139,9 @@ def run_distributed(
         raise ValueError("distributed runs support WKH and SBQ only")
     if executor not in ("serial", "thread", "process"):
         raise ValueError(f"unknown executor {executor!r}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if max_workers is not None and (isinstance(max_workers, bool)
-                                    or not isinstance(max_workers, (int, np.integer))
-                                    or max_workers < 1):
-        raise ValueError(f"max_workers must be None or an int of at least 1, got {max_workers!r}")
+    check_count("k", k)
+    if max_workers is not None:
+        check_count("max_workers", max_workers)
 
     t_start = time.perf_counter()
     assignment = partition(pool, s, seed)
@@ -190,6 +184,5 @@ def run_distributed(
             "partition": t_partition - t_start,
             "workers": t_workers - t_partition,
             "aggregate": t_agg - t_workers,
-            "total": t_agg - t_start,
         },
     )

@@ -149,12 +149,11 @@ class CandidatePool:
     ``run_distributed``, keep the original ids so that selections remain
     traceable across shards.  Rows are listed by strictly increasing id.
     The pool owns read-only arrays: the constructor copies its inputs once
-    and ``take`` keeps the fresh rows it gathers.  The pool keeps the
-    ``selectors.PoolSetup`` of its latest target in ``_setup``, and
-    ``take`` hands a sub-pool its rows of it.  The read-only flags hold in
-    the calling process only: a process worker of ``run_distributed``
-    unpickles writeable copies, and nothing writes into them.  A pool
-    equals and hashes as itself only, since its fields are arrays.
+    and ``take`` keeps the fresh rows it gathers.  The read-only flags hold
+    in the calling process only: a process worker of ``run_distributed``
+    unpickles writeable copies, and nothing writes into them.  ``_setup``
+    holds the pool's ``selectors.PoolSetup``.  A pool equals and hashes as
+    itself only, since its fields are arrays.
     """
 
     points: np.ndarray
@@ -186,12 +185,8 @@ class CandidatePool:
         return self.points.shape[0]
 
     def take(self, rows) -> "CandidatePool":
-        """Sub-pool of the given rows, which must ascend so that the ids do.
-
-        The rows of this pool's setup need no kernel or target call; they are
-        the sub-pool's own setup bit for bit under RBF and a Gaussian mixture,
-        to round-off where the embedding is a BLAS product.
-        """
+        """Sub-pool of the given rows, which must ascend so that the ids do;
+        it keeps its rows of this pool's ``selectors.PoolSetup``."""
         sub = object.__new__(CandidatePool)
         sub._own(self.points[rows], self.ids[rows])
         setup = self._setup  # read once: another thread may replace it

@@ -29,20 +29,16 @@ On a large pool ``PoolScores`` steps its column blocks on helper threads,
 one per core, as its docstring describes; ``run_greedy`` only hands it
 each accepted atom.
 
-``run_greedy`` reads the pool's setup from ``setup_pool``, which checks
-the kernel against the target, prepares the pool once (``Kernel.prepare``:
-the unit features of a feature kernel), checks the kernel's diagonal on it
-and embeds the pool under the target.  The ``PoolSetup`` depends on no
-method, budget or seed, and the pool keeps it, so every selection from one
-(pool, target) shares one setup; ``CandidatePool.take`` hands a sub-pool,
-like a shard of ``run_distributed``, its rows of it.  Each step takes one
-kernel row, the chosen point's k(x, pool), as one cross product of slices
-of the prepared pool, and hands it to both the state and the pool; the
-baselines likewise reuse the pool's embeddings and one kernel row per pick
-instead of evaluating the target point by point.  Their bookkeeping is
-O(1) per step besides that row: the ``UniformAccumulator`` keeps its
-embeddings in a doubling buffer, KH_UNIFORM scores into a buffer of the
-run and MC_RANDOM gathers its prepared draws once.
+``run_greedy`` reads the pool's ``PoolSetup`` (its prepared points,
+kernel diagonal and target embeddings, described there) from
+``setup_pool``.  Each step takes one kernel row, the chosen point's
+k(x, pool), as one cross product of slices of the prepared pool, and
+hands it to both the state and the pool; the baselines likewise reuse the
+pool's embeddings and one kernel row per pick instead of evaluating the
+target point by point.  Their bookkeeping is O(1) per step besides that
+row: the ``UniformAccumulator`` keeps its embeddings in a doubling buffer,
+KH_UNIFORM scores into a buffer of the run and MC_RANDOM gathers its
+prepared draws once.
 
 Selection is deterministic: ties always go to the lowest pool id (pools
 list their rows by ascending id and ``argmax`` takes the first maximum), and a
@@ -67,6 +63,7 @@ from .state import (
     NearDependentAtom,
     PoolScores,
     QuadratureState,
+    check_count,
     check_kernel,
     new_state,
 )
@@ -102,7 +99,6 @@ class TraceRow:
 
 @dataclass
 class RunTrace:
-    method: str
     rows: list[TraceRow] = field(default_factory=list)
     stop_reason: str | None = None
 
@@ -204,11 +200,6 @@ class UniformAccumulator:
         return len(self.atom_ids)
 
     @property
-    def embeds(self) -> np.ndarray:
-        """z(x_i) at the atoms, in atom order; a view of the buffer."""
-        return self._embeds[:self.size]
-
-    @property
     def mmd_sq(self) -> float:
         n = self.size
         if n == 0:
@@ -229,18 +220,28 @@ class UniformAccumulator:
 
 @dataclass(frozen=True, eq=False)
 class PoolSetup:
-    """A pool's setup for selection against one target, kept by the pool.
+    """What every selection from a pool against one target reads of the pool.
 
-    ``prepared`` is ``kernel.prepare(pool.points)``, ``diag`` the kernel's
-    diagonal on it (all ones within ``STANDARDIZATION_TOL``) and ``embeds``
-    the target's mean embedding z at every pool point; the three arrays are
-    made read-only on construction.  None of them depends on the method,
-    the budget or the seed, so one setup serves every run on the pool, and
-    ``CandidatePool.take`` hands a sub-pool its rows of it.  The setup
-    holds no reference to its pool, so pool and setup form no cycle.  The
-    flags hold in the calling process only: a process worker unpickles
-    writeable copies, and nothing writes into them.  A setup equals and
-    hashes as itself only.
+    ``setup_pool`` builds it: ``prepared`` is ``kernel.prepare(pool.points)``,
+    ``diag`` the kernel's diagonal on it, all ones within
+    ``STANDARDIZATION_TOL``, and ``embeds`` the target's mean embedding z at
+    every pool point, computed from the prepared rows.  The three arrays are
+    read-only in the calling process; a process worker unpickles writeable
+    copies, and nothing writes into them.
+
+    None of it depends on the method, the budget or the seed, so one setup
+    serves every run on the pool.  The pool keeps the setup of its latest
+    target in ``_setup``: a call with that target object reuses it with no
+    kernel or target call, and one with another target replaces it.  The
+    setup holds no reference to its pool, so the two form no cycle.
+
+    ``CandidatePool.take`` hands a sub-pool, like a shard or the aggregator's
+    pool of ``run_distributed``, its rows of the setup with no kernel or
+    target call.  Under RBF with a Gaussian mixture they are bit for bit the
+    setup the sub-pool would build itself; under the feature kernel with a
+    discrete target the embedding is a BLAS product, which rounds with the
+    pool's length, so they agree to round-off.  A setup equals and hashes as
+    itself only.
     """
 
     target: TargetEmbedding
@@ -254,12 +255,11 @@ class PoolSetup:
 
 
 def setup_pool(pool: CandidatePool, target: TargetEmbedding, kernel: Kernel) -> PoolSetup:
-    """Check and prepare ``pool`` for selections against ``target`` under ``kernel``.
+    """Check and prepare ``pool`` for selections against ``target`` under
+    ``kernel``: its kept ``PoolSetup`` when that is for ``target``, else a
+    new one, which the pool then keeps.
 
-    The pool keeps its setup against its latest target, so a call with the
-    same target object returns it with no kernel or target call; the target
-    embeds the prepared rows without preparing them again.  Raises
-    ``KernelMismatch`` when ``kernel`` is not ``target.kernel``,
+    Raises ``KernelMismatch`` when ``kernel`` is not ``target.kernel``,
     ``EmptyPool`` for an empty pool and ``StandardizationError`` when the
     kernel's diagonal on the pool is not 1.
     """
@@ -295,11 +295,10 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     not ``target.kernel``.
     """
     method = Method(method)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_count("k", k)
     setup = setup_pool(pool, target, kernel)
     prepared, z_all, n = setup.prepared, setup.embeds, len(pool)
-    trace = RunTrace(method=method.value)
+    trace = RunTrace()
     t0 = time.perf_counter()
 
     def elapsed_ms() -> float:

@@ -148,6 +148,13 @@ def check_kernel(target: TargetEmbedding, kernel: Kernel) -> None:
         raise KernelMismatch(f"run kernel {kernel!r} differs from the target's {target.kernel!r}")
 
 
+def check_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value``, the count argument ``name``, is
+    an int of at least 1: a Python or numpy int, never a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be at least 1 and an int, got {value!r}")
+
+
 class QuadratureState:
     """Mutable selection state for one (target, kernel) pair."""
 

@@ -9,17 +9,14 @@ on the chosen subset.  Reported quality is the mean negative log-likelihood
 on the held-out test split.
 
 A grid of ``summarize`` calls on one dataset shares the full-data fit, the
-embeddings, target and pool, and through the pool its selection setup (its
-prepared features and target embedding, see ``selectors.setup_pool``),
+embeddings, target and pool (and so the pool's ``selectors.PoolSetup``),
 and the random baseline of each (seed, size): the dataset keeps them in
 its fit, computed on its first call.  Its arrays are read-only, so the
 fit is never checked against them.  Every fit uses the ridge strength
 ``LAM``.  WKH and SBQ on one machine (``s = 1``) never read ``seed``, so
 the fit also keeps their per-cell result, keyed by (method, k), and
-serves it to every other seed.  MC_RANDOM and
-``s > 1``, where the seed drives the draws or the partition, are computed
-in every call; both select from the pool's one setup, the shards of
-``s > 1`` from their rows of it, which ``CandidatePool.take`` carries over.
+serves it to every other seed.  MC_RANDOM and ``s > 1``, where the seed
+drives the draws or the partition, are computed in every call.
 
 So a call costs what its dataset's fit leaves to do.  A seed-free WKH or
 SBQ cell served from the fit costs a lookup and a copy of its trace row
@@ -53,6 +50,7 @@ from .datasets import LabeledDataset
 from .distributed import run_distributed
 from .kernels import CandidatePool, NormalizedFeatureKernel
 from .selectors import OPTIMAL_WEIGHT_METHODS, Method, RunTrace, run_greedy
+from .state import check_count
 from .targets import DiscreteTarget
 
 log = logging.getLogger(__name__)
@@ -87,12 +85,6 @@ class LogisticModel:
     """Fitted logistic model; theta carries the bias in its last slot."""
 
     theta: np.ndarray
-
-    def logits(self, X) -> np.ndarray:
-        return _design(X) @ self.theta
-
-    def mean_nll(self, X, y) -> float:
-        return _mean_nll(self.theta, _design(X), np.asarray(y, dtype=float))
 
 
 def _objective(theta, Xd, y, lam, wts):
@@ -262,8 +254,9 @@ def summarize(data: LabeledDataset, method, k: int, *, s: int = 1,
     method = Method(method)
     if method is Method.KH_UNIFORM:
         raise ValueError("summarize supports WKH, SBQ and MC_RANDOM")
+    check_count("k", k)
     train_rows = data.indices("train")
-    if k < 1 or k > train_rows.size:
+    if k > train_rows.size:
         raise ValueError(f"k must lie in [1, {train_rows.size}]")
     fit = _fit_dataset(data)
     if fit.kept_tr.size < k:

@@ -304,7 +304,7 @@ def test_summarize_single_class_selection_names_its_cell(tmp_path, capsys):
 
 
 def planted_trace(*gs):
-    return RunTrace("SBQ", [TraceRow(i, i, g, 0.0) for i, g in enumerate(gs, start=1)])
+    return RunTrace([TraceRow(i, i, g, 0.0) for i, g in enumerate(gs, start=1)])
 
 
 def test_trace_rows_clamp_round_off_and_reject_a_negative_g():

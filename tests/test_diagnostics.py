@@ -46,6 +46,14 @@ def test_fit_rate_drops_floor_values_and_needs_three():
     assert fit.slope == pytest.approx(math.log(0.5), rel=1e-12)
 
 
+def test_fit_rate_needs_two_distinct_iterations():
+    with pytest.raises(InsufficientPoints, match="one iteration"):
+        fit_rate([(1, 0.5), (1, 0.4), (1, 0.3)])
+    with pytest.raises(InsufficientPoints, match="one iteration"):
+        fit_rate([(2, 0.5), (2, 0.4), (3, 1e-15), (2, 0.3)])
+    assert fit_rate([(1, 0.5), (1, 0.4), (2, 0.25)]).n_points == 3
+
+
 def test_fit_rate_accepts_run_trace():
     rng = np.random.default_rng(0)
     target = random_mixture(rng, components=2, dim=2)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from herdquad import distributed
+from herdquad.datasets import synthetic_blob_dataset
 from herdquad.distributed import (
     PoolTooSmall,
     partition,
@@ -16,6 +17,7 @@ from herdquad.distributed import (
 from herdquad.kernels import CandidatePool, Kernel, NormalizedFeatureKernel, RBFKernel
 from herdquad.selectors import Method, run_greedy, setup_pool
 from herdquad.state import G_ROUNDOFF, KernelMismatch
+from herdquad.summarization import summarize
 from herdquad.targets import DiscreteTarget
 from tests.conftest import random_mixture
 
@@ -190,7 +192,7 @@ def test_distributed_reproducible_across_calls():
     second = run_distributed(Method.SBQ, pool, target, kern, k=4, s=4, seed=21)
     assert first.winner.ids == second.winner.ids
     np.testing.assert_array_equal(first.mmd_values, second.mmd_values)
-    assert first.phase_seconds.keys() == {"partition", "workers", "aggregate", "total"}
+    assert first.phase_seconds.keys() == {"partition", "workers", "aggregate"}
 
 
 def criterion_6_problem(seed):
@@ -275,6 +277,35 @@ def test_a_budget_below_one_is_rejected_before_any_setup(entry):
             run[entry]()
     assert embed.call_count == 0
     assert pool._setup is None
+
+
+COUNT_ENTRIES = [("run_greedy", "k"), ("summarize", "k"), ("partition", "s")] + [
+    (executor, name) for executor in ("serial", "thread", "process") for name in ("k", "s")]
+
+
+@pytest.mark.parametrize("entry, name", COUNT_ENTRIES)
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), True, "2"],
+                         ids=["float", "whole_float", "numpy_float", "bool", "str"])
+def test_a_count_that_is_not_an_int_is_rejected_where_it_enters(entry, name, bad):
+    pool, target, kern = make_problem(seed=18)
+    data = synthetic_blob_dataset(n=60, dim=2, seed=0)
+    counts = {"k": 2, "s": 2, name: bad}
+    run = {"run_greedy": lambda: run_greedy(Method.WKH, pool, target, kern, counts["k"]),
+           "summarize": lambda: summarize(data, Method.WKH, counts["k"]),
+           "partition": lambda: partition(pool, counts["s"], seed=0)}.get(
+        entry, lambda: run_distributed(Method.WKH, pool, target, kern, counts["k"], counts["s"], 0,
+                                       executor=entry))
+    with pytest.raises(ValueError, match=f"{name} must be at least 1 and an int"):
+        run()
+    assert pool._setup is None and data._fit is None
+
+
+def test_numpy_int_counts_are_accepted():
+    pool, target, kern = make_problem(seed=19)
+    assert_same_result(run_distributed(Method.WKH, pool, target, kern, np.int64(3), np.int64(2), 0),
+                       run_distributed(Method.WKH, pool, target, kern, 3, 2, 0))
+    data = synthetic_blob_dataset(n=60, dim=2, seed=0)
+    assert summarize(data, Method.WKH, np.int64(3)).selected_indices.size == 3
 
 
 def assert_same_setup(expected, other):

@@ -548,8 +548,6 @@ def test_uniform_baselines_match_the_plain_loops_bit_for_bit(problem, method, k)
     assert trace.mmd_values.tobytes() == np.array(g).tobytes()
     assert acc.mmd_sq == g[-1]
     assert trace.stop_reason == ("pool_exhausted" if k > len(pool) else None)
-    z = target.mean_embed_many(pool.points)
-    np.testing.assert_array_equal(acc.embeds, z[np.asarray(ids)])
 
 
 @pytest.mark.parametrize("method", list(Method))

@@ -39,8 +39,10 @@ def test_train_logistic_reaches_tolerance_on_blobs():
         warnings.simplefilter("error", NonConvergence)
         model = train_logistic(X, y, lam=1.0)
     assert np.max(np.abs(objective_grad(model.theta, X, y, 1.0))) <= 1e-6
-    assert model.mean_nll(X, y) < np.log(2.0)  # beats the coin-flip model
-    p = expit(model.logits(X))
+    Xd = summarization._design(X)
+    # beats the coin-flip model
+    assert summarization._mean_nll(model.theta, Xd, y.astype(float)) < np.log(2.0)
+    p = expit(Xd @ model.theta)
     assert np.mean((p > 0.5) == (y == 1)) > 0.7
 
 
@@ -173,7 +175,8 @@ def test_train_logistic_matches_the_frozen_loop_bit_for_bit():
             assert summarization._objective(theta, Xd, yf, 1.0, w)[0] == \
                 frozen_objective(theta, Xd, yf, 1.0, w)[0]
         t = Xd @ model.theta
-        assert model.mean_nll(X, y) == float(np.mean(np.logaddexp(0.0, t) - y * t))
+        assert summarization._mean_nll(model.theta, Xd, yf) == \
+            float(np.mean(np.logaddexp(0.0, t) - y * t))
 
 
 def test_train_logistic_matches_the_frozen_loop_when_it_stops_early(monkeypatch):
@@ -325,7 +328,7 @@ def assert_same_report(a, b):
     for f in fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "trace":
-            assert (x.method, x.stop_reason) == (y.method, y.stop_reason)
+            assert x.stop_reason == y.stop_reason
             assert [astuple(r)[:-1] for r in x.rows] == [astuple(r)[:-1] for r in y.rows]
         elif isinstance(x, np.ndarray):
             assert x.dtype == y.dtype
