@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernels import CandidatePool, Kernel, NormalizedFeatureKernel, RBFKernel
+from .kernels import CandidatePool, Kernel, NormalizedFeatureKernel, RBFKernel, check_count
 from .selectors import Method, RunTrace, run_greedy
 from .state import G_ROUNDOFF, TAU_DEP, QuadratureState, check_kernel, reported_g
 from .targets import DiscreteTarget, TargetEmbedding
@@ -121,8 +121,7 @@ def brute_force_best_subset(pool: CandidatePool, target: TargetEmbedding,
     """
     check_kernel(target, kernel)
     n = len(pool)
-    if r < 1:
-        raise ValueError("subset size must be at least 1")
+    check_count("r", r)
     if math.comb(n, min(r, n)) > SUBSET_BUDGET:
         raise CombinatorialBudgetExceeded(
             f"C({n}, {r}) = {math.comb(n, min(r, n))} exceeds the {SUBSET_BUDGET} budget")

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import CandidatePool, Kernel
+from .kernels import CandidatePool, Kernel, check_count
 from .selectors import (
     OPTIMAL_WEIGHT_METHODS,
     Method,
@@ -42,7 +42,7 @@ from .selectors import (
     run_greedy,
     setup_pool,
 )
-from .state import check_count, check_kernel, share_cores, usable_cpus
+from .state import check_kernel, share_cores, usable_cpus
 from .targets import TargetEmbedding
 
 

@@ -52,6 +52,13 @@ def as_point_matrix(X) -> np.ndarray:
     return A
 
 
+def check_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value``, the count argument ``name``, is
+    an int of at least 1: a Python or numpy int, never a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be at least 1 and an int, got {value!r}")
+
+
 def _check_same_dim(X: np.ndarray, Y: np.ndarray) -> None:
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")

@@ -25,6 +25,14 @@ once per run, so the kernel row is a step's only allocation of the pool's
 length; ``wkh_select`` and ``sbq_select`` recompute the pair from scratch
 for one step.
 
+On a shard of a few thousand candidates most of a step is Python that
+holds the GIL, so the Python work of a step bounds how far the thread
+workers of ``run_distributed`` overlap.  ``run_greedy`` keeps it small: it
+counts the atoms in a local, reads the pool's arrays and ``PoolScores``'
+r and s once per run, picks with ``scores.argmax()``, and enters the
+``np.errstate`` that silences SBQ's division by a dependent s once per
+run; ``selection_scores`` enters its own for a direct caller.
+
 On a large pool ``PoolScores`` steps its column blocks on helper threads,
 one per core, as its docstring describes; ``run_greedy`` only hands it
 each accepted atom.
@@ -56,14 +64,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import CandidatePool, Kernel, StandardizationError, unit_diagonal
+from .kernels import CandidatePool, Kernel, StandardizationError, check_count, unit_diagonal
 from .state import (
     G_ROUNDOFF,
     TAU_DEP,
     NearDependentAtom,
     PoolScores,
     QuadratureState,
-    check_count,
     check_kernel,
     new_state,
 )
@@ -115,6 +122,11 @@ class RunTrace:
         return self.rows[-1].mmd_sq if self.rows else float("nan")
 
 
+# dependent rows divide by a tiny, zero, negative or NaN s; their scores are
+# overwritten with -inf, so the warnings of the division are noise
+_SCORE_ERRSTATE = dict(divide="ignore", invalid="ignore", over="ignore")
+
+
 def selection_scores(method: Method, resid: np.ndarray, schur: np.ndarray,
                      out: np.ndarray | None = None, mask: np.ndarray | None = None) -> np.ndarray:
     """Greedy scores, -inf for every dependent candidate.
@@ -126,12 +138,18 @@ def selection_scores(method: Method, resid: np.ndarray, schur: np.ndarray,
     are written into ``out`` (float) and the mask into ``mask`` (bool) when
     given, arrays shaped like ``resid``; otherwise both are allocated.
     """
+    with np.errstate(**_SCORE_ERRSTATE):
+        return _scores(method, resid, schur, out, mask)
+
+
+def _scores(method: Method, resid: np.ndarray, schur: np.ndarray, out: np.ndarray | None,
+            mask: np.ndarray | None) -> np.ndarray:
+    """``selection_scores`` under the caller's ``np.errstate``, which must
+    ignore what ``_SCORE_ERRSTATE`` ignores; ``run_greedy`` enters it once
+    per run rather than once per pick."""
     if method is Method.SBQ:
         out = np.square(resid, out=out)
-        # dependent rows divide by a tiny, zero, negative or NaN s; they are
-        # overwritten below, so their warnings are noise
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(out, schur, out=out)
+        np.divide(out, schur, out=out)
     elif out is None:
         out = np.array(resid, dtype=float)
     else:
@@ -307,34 +325,36 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     if method in OPTIMAL_WEIGHT_METHODS:
         state = new_state(target, kernel)
         core = PoolScores(state, z_all, setup.diag, capacity=k)
+        resid, schur, ids, points = core.resid, core.schur, pool.ids, pool.points
         scores, mask = np.empty(n), np.empty(n, dtype=bool)
         atom_rows = np.empty(min(k, n), dtype=int)
-        with core.steps() as step:
-            while state.size < k:
+        size = 0  # state.size, kept here: the loop reads it several times a step
+        with core.steps() as step, np.errstate(**_SCORE_ERRSTATE):
+            while size < k:
                 if state.mmd_sq <= G_ROUNDOFF:
                     trace.stop_reason = "objective_floor"
                     break
-                if state.size == n:
+                if size == n:
                     trace.stop_reason = "pool_exhausted"
                     break
-                selection_scores(method, core.resid, core.schur, out=scores, mask=mask)
-                row = int(np.argmax(scores))
+                _scores(method, resid, schur, scores, mask)
+                row = int(scores.argmax())
                 if scores[row] == -np.inf:
                     trace.stop_reason = "all_dependent"
                     break
                 k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
                 try:
-                    state.add_atom(pool.points[row], pool.ids[row], embed=z_all[row],
-                                   k_atoms=k_row[atom_rows[:state.size]], k_self=k_row[row])
+                    state.add_atom(points[row], ids[row], embed=z_all[row],
+                                   k_atoms=k_row[atom_rows[:size]], k_self=k_row[row])
                 except NearDependentAtom as err:
                     # add_atom's own Schur complement outranks the pool-wide
                     # one; recording it masks the row from now on.
-                    core.schur[row] = err.schur
+                    schur[row] = err.schur
                     continue
                 step(row, k_row)
-                atom_rows[state.size - 1] = row
-                trace.rows.append(TraceRow(state.size, int(pool.ids[row]), state.mmd_sq,
-                                           elapsed_ms()))
+                atom_rows[size] = row
+                size += 1
+                trace.rows.append(TraceRow(size, int(ids[row]), state.mmd_sq, elapsed_ms()))
         return state, trace
 
     acc = UniformAccumulator(target.self_energy())

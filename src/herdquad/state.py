@@ -59,6 +59,7 @@ the pool's length.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import queue
 import threading
@@ -146,13 +147,6 @@ def check_kernel(target: TargetEmbedding, kernel: Kernel) -> None:
     """
     if kernel is not target.kernel and kernel != target.kernel:
         raise KernelMismatch(f"run kernel {kernel!r} differs from the target's {target.kernel!r}")
-
-
-def check_count(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value``, the count argument ``name``, is
-    an int of at least 1: a Python or numpy int, never a bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be at least 1 and an int, got {value!r}")
 
 
 class QuadratureState:
@@ -356,12 +350,15 @@ class PoolScores:
 
     ``steps`` gives each block but the first a helper thread, joined on
     exit, that runs the block's O(n i / B) product L[i, :i] @ Y[:i] (numpy
-    releases the GIL for it) while the caller steps the first block; the
-    caller then folds the other blocks in, since the rest of a block's step
-    is a dozen short numpy calls that would hand the GIL back and forth for
-    longer than they take.  A helper takes its steps from a queue of its
-    own and answers each on a shared queue with ``None`` or the exception
-    it raised, which the step re-raises once every helper has answered.
+    releases the GIL for it) while the caller steps the first block, its
+    product and its fold in one ``_fold`` call; the caller then folds the
+    other blocks in, since the rest of a block's step is a dozen short
+    numpy calls that would hand the GIL back and forth for longer than they
+    take.  A helper takes its steps from a queue of its own and answers
+    each on a shared queue with ``None`` or the exception it raised, which
+    the step re-raises once every helper has answered.  With one block, as
+    on a small pool or a concurrent worker of ``run_distributed``, the step
+    is that one ``_fold`` call, with no thread, queue or ``try``.
     """
 
     def __init__(self, state: QuadratureState, embeds: np.ndarray, diag: np.ndarray,
@@ -385,18 +382,22 @@ class PoolScores:
                         scratch[start:stop]) for start, stop in zip(self.bounds, self.bounds[1:])]
 
     def _project(self, b: int) -> None:
-        """Block b's product L[i, :i] @ Y[:i] into its row i of Y."""
+        """Block b's product L[i, :i] @ Y[:i] into its row i of Y: a helper's part of a step."""
         i = self.state.size - 1
         Y = self.proj[b]
         np.dot(self.state._chol[i, :i], Y[:i], out=Y[i])
 
-    def _fold(self, b: int, row: int, k_row: np.ndarray) -> None:
-        """Rest of block b's step, once ``_project(b)`` has run: its row of Y, s and r."""
+    def _fold(self, b: int, row: int, k_row: np.ndarray, project: bool = False) -> None:
+        """Rest of block b's step, its row of Y, s and r, once ``_project(b)``
+        has run; with ``project``, block b's whole step, its product first."""
         st = self.state
         i = st.size - 1
         start, stop, schur, resid, tmp = self._views[b]
+        Y = self.proj[b]
+        y = Y[i]
+        if project:
+            np.dot(st._chol[i, :i], Y[:i], out=y)
         # y = (k_row - L[i, :i] @ Y[:i]) / L[i, i], in place of the product
-        y = self.proj[b][i]
         np.subtract(k_row[start:stop], y, out=y)
         y /= st._chol[i, i]
         schur -= np.multiply(y, y, out=tmp)
@@ -408,6 +409,10 @@ class PoolScores:
     def steps(self):
         """Yield ``step(row, k_row)``, which folds the state's newest atom,
         pool row ``row``, into every block."""
+        own_step = functools.partial(self._fold, 0, project=True)
+        if len(self.proj) == 1:
+            yield own_step
+            return
         blocks = range(1, len(self.proj))
         todos = [queue.SimpleQueue() for _ in blocks]
         answers = queue.SimpleQueue()
@@ -424,8 +429,7 @@ class PoolScores:
             for todo in todos:
                 todo.put(True)
             try:
-                self._project(0)
-                self._fold(0, row, k_row)
+                own_step(row, k_row)
             finally:
                 errors = [err for err in [answers.get() for _ in todos] if err is not None]
             if errors:

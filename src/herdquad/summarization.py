@@ -48,9 +48,8 @@ import scipy
 
 from .datasets import LabeledDataset
 from .distributed import run_distributed
-from .kernels import CandidatePool, NormalizedFeatureKernel
+from .kernels import CandidatePool, NormalizedFeatureKernel, check_count
 from .selectors import OPTIMAL_WEIGHT_METHODS, Method, RunTrace, run_greedy
-from .state import check_count
 from .targets import DiscreteTarget
 
 log = logging.getLogger(__name__)

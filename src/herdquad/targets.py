@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, RBFKernel, as_point_matrix
+from .kernels import Kernel, RBFKernel, as_point_matrix, check_count
 
 EMBED_CHUNK_BYTES = 1 << 19  # one (J, rows, d) float block of mean_embed_many
 
@@ -216,8 +216,7 @@ def mc_mean_embed(target: TargetEmbedding, x, n_samples: int, seed: int) -> tupl
     ``SamplerUnavailable``.  With a single sample the standard error is
     reported as ``inf`` (no spread information).
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    check_count("n_samples", n_samples)
     draws = target.sample(n_samples, np.random.default_rng(seed))
     vals = target.kernel.gram(as_point_matrix(x), draws)[0]
     est = float(vals.mean())
@@ -228,8 +227,7 @@ def mc_mean_embed(target: TargetEmbedding, x, n_samples: int, seed: int) -> tupl
 
 def mc_self_energy(target: TargetEmbedding, n_pairs: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the self-energy from independent sample pairs."""
-    if n_pairs < 1:
-        raise ValueError("need at least one pair")
+    check_count("n_pairs", n_pairs)
     draws = target.sample(2 * n_pairs, np.random.default_rng(seed))
     vals = target.kernel.pairwise(draws[:n_pairs], draws[n_pairs:])
     est = float(vals.mean())

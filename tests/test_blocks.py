@@ -123,6 +123,19 @@ def test_objective_floor_stop_matches_one_block(method, cores):
 
 
 @pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_a_callers_raising_errstate_leaves_the_run_unchanged(method, cores):
+    """SBQ divides by the zero s of every atom's row, and past the floor by
+    tiny and negative ones; the run's own errstate keeps a caller's
+    ``all="raise"`` from turning that into an error or another pick."""
+    pool, target = saturating_problem()
+    plain = Run(method, pool, target, 200)
+    with np.errstate(all="raise"):
+        strict = Run(method, pool, target, 200)
+    assert strict.trace.stop_reason == "objective_floor"
+    assert_same_bits(strict, plain)
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
 def test_all_dependent_pool_matches_one_block(method, cores):
     """Eight distinct points, each repeated across every block."""
     rng = np.random.default_rng(6)
@@ -136,15 +149,15 @@ def test_all_dependent_pool_matches_one_block(method, cores):
 
 @pytest.mark.parametrize("one_block", [False, True], ids=["blocked", "one_block"])
 def test_each_pick_attempt_scores_the_whole_pool_once(one_block, cores, monkeypatch):
-    """One ``selection_scores`` call per ``add_atom`` attempt, a rejected one
-    included, over the pool's own r and s, into the same two buffers."""
+    """One scoring call per ``add_atom`` attempt, a rejected one included,
+    over the pool's own r and s, into the same two buffers."""
     pool, target = rbf_problem(2)
     calls, attempts = [], []
-    score, add_atom = selectors.selection_scores, QuadratureState.add_atom
+    score, add_atom = selectors._scores, QuadratureState.add_atom
 
-    def counting_score(method, resid, schur, out=None, mask=None):
+    def counting_score(method, resid, schur, out, mask):
         calls.append((resid, schur, out, mask))
-        return score(method, resid, schur, out=out, mask=mask)
+        return score(method, resid, schur, out, mask)
 
     def counting_add_atom(self, x, pool_id, *args, **kwargs):
         attempts.append(pool_id)
@@ -152,7 +165,7 @@ def test_each_pick_attempt_scores_the_whole_pool_once(one_block, cores, monkeypa
             raise NearDependentAtom(pool_id, 0.0)
         return add_atom(self, x, pool_id, *args, **kwargs)
 
-    monkeypatch.setattr(selectors, "selection_scores", counting_score)
+    monkeypatch.setattr(selectors, "_scores", counting_score)
     monkeypatch.setattr(QuadratureState, "add_atom", counting_add_atom)
     run = Run("WKH", pool, target, 20, one_block=one_block)
     assert len(run.bounds) == (2 if one_block else cores + 1)
@@ -309,10 +322,10 @@ def test_an_exception_on_the_caller_joins_the_helpers(cores):
     pool, target = rbf_problem(2)
     original = PoolScores._fold
 
-    def fold(self, b, row, k_row):
+    def fold(self, b, row, k_row, project=False):
         if self.state.size == 3:
             raise ValueError("caller failed")
-        return original(self, b, row, k_row)
+        return original(self, b, row, k_row, project)
 
     before = threading.active_count()
     with mock.patch.object(PoolScores, "_fold", fold), pytest.raises(ValueError, match="caller"):

@@ -96,6 +96,14 @@ def test_brute_force_budget_guard():
         brute_force_best_subset(pool, target, kern, r=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "2"], ids=["float", "bool", "str"])
+def test_brute_force_rejects_a_subset_size_that_is_not_an_int(bad):
+    """A bool is not read as r = 1, and a float or string fails as ``ValueError``."""
+    pool, target, kern = brute_problem(seed=2, n=6)
+    with pytest.raises(ValueError, match="r must be at least 1 and an int"):
+        brute_force_best_subset(pool, target, kern, r=bad)
+
+
 @pytest.mark.parametrize("method", [Method.WKH, Method.SBQ])
 def test_greedy_never_beats_the_oracle_at_equal_size(method):
     for seed in range(5):

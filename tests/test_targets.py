@@ -183,6 +183,21 @@ def test_mc_mean_embed_single_sample_has_inf_se(std_normal_target):
     assert np.isinf(se)
 
 
+BAD_COUNTS = pytest.mark.parametrize("bad", [0, 2.5, True, "2"], ids=["zero", "float", "bool", "str"])
+
+
+@BAD_COUNTS
+def test_mc_mean_embed_rejects_a_sample_count_that_is_not_a_positive_int(std_normal_target, bad):
+    with pytest.raises(ValueError, match="n_samples must be at least 1 and an int"):
+        mc_mean_embed(std_normal_target, np.array([0.0]), n_samples=bad, seed=0)
+
+
+@BAD_COUNTS
+def test_mc_self_energy_rejects_a_pair_count_that_is_not_a_positive_int(std_normal_target, bad):
+    with pytest.raises(ValueError, match="n_pairs must be at least 1 and an int"):
+        mc_self_energy(std_normal_target, n_pairs=bad, seed=0)
+
+
 def test_base_target_cannot_sample():
     class Bare(TargetEmbedding):
         def mean_embed_many(self, X):
