@@ -72,7 +72,15 @@ class Kernel:
     ``cross(prepare(X), prepare(Y))``).  By default ``prepare`` (the
     per-point part of a batch) only coerces the points to a matrix and
     ``diagonal`` (k(x, x) per prepared point) is 1.
+
+    ``entrywise`` says whether ``cross`` computes each entry from its own
+    pair of points alone, so that a cross over any subset of B's rows
+    equals those entries of the cross over all of them, bit for bit.  It is
+    false unless a subclass sets it: a BLAS product rounds an entry with
+    the length of the batch.
     """
+
+    entrywise = False
 
     def prepare(self, X) -> np.ndarray:
         return as_point_matrix(X)
@@ -89,8 +97,13 @@ class Kernel:
 
 @dataclass(frozen=True)
 class RBFKernel(Kernel):
-    """Gaussian kernel exp(-||x - y||^2 / (2 * bandwidth^2))."""
+    """Gaussian kernel exp(-||x - y||^2 / (2 * bandwidth^2)).
 
+    Entrywise: ``cdist`` computes each squared distance alone, and the
+    divide and ``exp`` act element by element.
+    """
+
+    entrywise = True
     bandwidth: float
 
     def __post_init__(self):

@@ -33,20 +33,22 @@ r and s once per run, picks with ``scores.argmax()``, and enters the
 ``np.errstate`` that silences SBQ's division by a dependent s once per
 run; ``selection_scores`` enters its own for a direct caller.
 
-On a large pool ``PoolScores`` steps its column blocks on helper threads,
-one per core, as its docstring describes; ``run_greedy`` only hands it
-each accepted atom.
-
 ``run_greedy`` reads the pool's ``PoolSetup`` (its prepared points,
 kernel diagonal and target embeddings, described there) from
-``setup_pool``.  Each step takes one kernel row, the chosen point's
-k(x, pool), as one cross product of slices of the prepared pool, and
-hands it to both the state and the pool; the baselines likewise reuse the
-pool's embeddings and one kernel row per pick instead of evaluating the
-target point by point.  Their bookkeeping is O(1) per step besides that
-row: the ``UniformAccumulator`` keeps its embeddings in a doubling buffer,
-KH_UNIFORM scores into a buffer of the run and MC_RANDOM gathers its
-prepared draws once.
+``setup_pool`` and hands the prepared points to ``PoolScores``, which owns
+each pick's kernel row k(x, pool): ``PoolScores.entries`` gives the state
+its entries at the atoms and at x, and the step folds the row into the
+pool.  On a small pool, or under the feature kernel, the row is one cross
+of slices of the prepared pool, computed before ``add_atom``.  On a large
+pool under the RBF kernel ``PoolScores`` steps column blocks on helper
+threads, one per core; ``entries`` then crosses x with the atoms alone,
+and each block computes its own columns of the row inside the step, in
+the order its docstring gives with the timings that chose it.  The
+baselines likewise reuse the pool's embeddings and one kernel row per
+pick instead of evaluating the target point by point.  Their bookkeeping
+is O(1) per step besides that row: the ``UniformAccumulator`` keeps its
+embeddings in a doubling buffer, KH_UNIFORM scores into a buffer of the
+run and MC_RANDOM gathers its prepared draws once.
 
 Selection is deterministic: ties always go to the lowest pool id (pools
 list their rows by ascending id and ``argmax`` takes the first maximum), and a
@@ -324,10 +326,10 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
 
     if method in OPTIMAL_WEIGHT_METHODS:
         state = new_state(target, kernel)
-        core = PoolScores(state, z_all, setup.diag, capacity=k)
+        core = PoolScores(state, prepared, z_all, setup.diag, capacity=k)
         resid, schur, ids, points = core.resid, core.schur, pool.ids, pool.points
+        entries = core.entries
         scores, mask = np.empty(n), np.empty(n, dtype=bool)
-        atom_rows = np.empty(min(k, n), dtype=int)
         size = 0  # state.size, kept here: the loop reads it several times a step
         with core.steps() as step, np.errstate(**_SCORE_ERRSTATE):
             while size < k:
@@ -342,17 +344,16 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
                 if scores[row] == -np.inf:
                     trace.stop_reason = "all_dependent"
                     break
-                k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
+                k_atoms, k_self = entries(row)
                 try:
                     state.add_atom(points[row], ids[row], embed=z_all[row],
-                                   k_atoms=k_row[atom_rows[:size]], k_self=k_row[row])
+                                   k_atoms=k_atoms, k_self=k_self)
                 except NearDependentAtom as err:
                     # add_atom's own Schur complement outranks the pool-wide
                     # one; recording it masks the row from now on.
                     schur[row] = err.schur
                     continue
-                step(row, k_row)
-                atom_rows[size] = row
+                step(row)
                 size += 1
                 trace.rows.append(TraceRow(size, int(ids[row]), state.mmd_sq, elapsed_ms()))
         return state, trace

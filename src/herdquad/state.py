@@ -11,14 +11,15 @@ with z the mean embedding at the atoms and c the target self-energy.
 Adding an atom extends L and alpha by one row with one O(i^2) forward
 solve and subtracts the new alpha_i^2 from mmd_sq, so the objective never
 rises, not even by round-off.  The caller may pass the atom's kernel
-entries k(atoms, x) and k(x, x); ``run_greedy`` takes them from the pool's
-kernel row of the chosen point, so a greedy step makes one kernel call in
-all.  The weights are solved from L and alpha by one back-substitution on
-their first read after a change, not after every atom.  K itself is not
-stored: ``gram`` recomputes it from the kernel, so audits of the weights
-do not trust a cached copy.  An atom whose Schur complement falls below
-``TAU_DEP`` would make the factor numerically singular and is rejected
-instead of jittered.
+entries k(atoms, x) and k(x, x); ``run_greedy`` takes them from
+``PoolScores.entries``, so a greedy step computes one kernel row of the
+pool and, on a blocked RBF pool, the i + 1 entries at the atoms and x
+once more.  The weights are solved from L and alpha by one
+back-substitution on their first read after a change, not after every
+atom.  K itself is not stored: ``gram`` recomputes it from the kernel, so
+audits of the weights do not trust a cached copy.  An atom whose Schur
+complement falls below ``TAU_DEP`` would make the factor numerically
+singular and is rejected instead of jittered.
 
 L, the atoms, z and alpha live in buffers whose row count doubles when
 they fill, from ``INITIAL_CAPACITY``; an accepted atom writes one row of
@@ -41,12 +42,17 @@ s < ``TAU_DEP`` are masked in bulk by the selection scores rather than
 tried and rejected one at a time.
 
 On a large pool ``PoolScores`` splits Y, s and r into column blocks and
-steps them on helper threads, one per core; its docstring describes them.
+steps them on helper threads, one per core; under an entrywise kernel each
+block computes its own columns of the kernel row inside the step.  Its
+docstring describes the blocks, the order of a step's calls and the
+timings that chose it.
 
 The state keeps its own forward solve for L rather than reading L from
 the pool's Y: a row of Y comes out of a product whose length is the pool's
 length, and BLAS rounds such products differently at different lengths.
-``RBFKernel`` computes its entries pair by pair and the Gaussian mixture
+``RBFKernel`` computes its entries pair by pair (``Kernel.entrywise``),
+so the entries of a cross against the atoms equal those of the pool's
+row, and the Gaussian mixture
 embeds a point alike in any batch of two rows or more, so under them the
 state's L, alpha and mmd_sq depend only on the atoms and their order, not
 on the pool they were picked from; a distributed aggregator that re-picks
@@ -324,11 +330,14 @@ class QuadratureState:
 class PoolScores:
     """Residual correlations and Schur complements of a pool, kept in step with a state.
 
-    Starts from an empty ``state``, the embeddings ``embeds`` and kernel
-    diagonal ``diag`` of a pool of n ``points``; inside ``with
-    scores.steps() as step``, call ``step(row, k_row)`` right after each
-    accepted ``state.add_atom(points[row], ...)``, with ``k_row`` the kernel
-    row k(points[row], points).  ``resid`` and ``schur`` then equal
+    Starts from an empty ``state`` and a pool of n points: the kernel's
+    prepared rows ``prepared`` (``state.kernel.prepare`` of the points), the
+    embeddings ``embeds`` and the kernel diagonal ``diag``.  A pick of pool
+    row ``row`` takes two calls inside ``with scores.steps() as step``:
+    ``k_atoms, k_self = scores.entries(row)`` gives the kernel entries
+    k(atoms, x) and k(x, x) that ``state.add_atom(points[row], ...)`` takes,
+    and ``step(row)``, right after that call has accepted the atom, folds it
+    into the pool.  ``resid`` and ``schur`` then equal
     ``state.residual_correlations(points)`` and
     ``state.schur_complements(points)`` up to round-off, at O(n (i + d))
     per atom instead of O(n i (i + d)).  An atom's own row is set to its
@@ -345,27 +354,46 @@ class PoolScores:
     its own core.  A column of Y, s and r depends only on its own column of
     the kernel row and of Y, and the blocks split at multiples of
     ``BLOCK_ALIGN`` columns, where the BLAS product groups columns as it
-    does over the whole pool; so the blocks hold the whole pool's values
-    bit for bit, and a pick still scores the whole pool at once.
+    does over the whole pool; so the blocks hold the whole pool's values bit
+    for bit, and a pick still scores the whole pool at once.
 
     ``steps`` gives each block but the first a helper thread, joined on
     exit, that runs the block's O(n i / B) product L[i, :i] @ Y[:i] (numpy
-    releases the GIL for it) while the caller steps the first block, its
-    product and its fold in one ``_fold`` call; the caller then folds the
-    other blocks in, since the rest of a block's step is a dozen short
-    numpy calls that would hand the GIL back and forth for longer than they
-    take.  A helper takes its steps from a queue of its own and answers
-    each on a shared queue with ``None`` or the exception it raised, which
-    the step re-raises once every helper has answered.  With one block, as
-    on a small pool or a concurrent worker of ``run_distributed``, the step
-    is that one ``_fold`` call, with no thread, queue or ``try``.
+    releases the GIL for it) while the caller steps the first block; the
+    caller then folds the other blocks in, since the rest of a block's step
+    is a dozen short numpy calls that would hand the GIL back and forth for
+    longer than they take.  A helper takes the picked row from a queue of
+    its own and answers each on a shared queue with ``None`` or the
+    exception it raised, which the step re-raises once every helper has
+    answered.
+
+    Where the blocks are several and the kernel is ``entrywise``, no whole
+    kernel row is computed: ``entries`` takes its i + 1 entries from one
+    cross of the pick against the atoms' prepared rows, and each block
+    computes its own columns of the row in the thread that runs its
+    product, a helper before its product and the caller after its own,
+    then its fold.  Each thread's short calls, which hold the GIL, then
+    fall while the other thread is inside a long call that does not.  The
+    order was measured on the bench's d2 pool (WKH + SBQ, k = 100, n =
+    20 000, 2 cores, one BLAS thread, medians of 9 in each of 3 processes):
+    36.6-36.9 ms, against 38.0-38.7 ms for the whole row on the caller
+    before ``add_atom``, 36.9-37.9 ms for both threads' columns first,
+    and 38.1-38.3 ms for the caller's columns first and the helper's
+    product first.  Otherwise ``entries`` computes the whole row and reads
+    the state's entries from it: a feature kernel's cross over the atoms
+    alone would round some of them differently, and with one block, as on
+    a small pool or a concurrent worker of ``run_distributed``, the extra
+    cross costs more than it saves (the d8 bench's s = 5 calls: 87.8-88.8
+    -> 94.6-95.5 ms).  One block's step is one ``_fold`` call, with no
+    thread, queue or ``try``.
     """
 
-    def __init__(self, state: QuadratureState, embeds: np.ndarray, diag: np.ndarray,
-                 capacity: int):
+    def __init__(self, state: QuadratureState, prepared: np.ndarray, embeds: np.ndarray,
+                 diag: np.ndarray, capacity: int):
         if state.size:
             raise ValueError("PoolScores starts from an empty state")
         self.state = state
+        self.prepared = prepared
         n = len(embeds)
         rows = min(capacity, n)
         blocks = _block_count(n)
@@ -380,6 +408,36 @@ class PoolScores:
         # each block's (start, stop) and views of s, r and the scratch vector
         self._views = [(start, stop, self.schur[start:stop], self.resid[start:stop],
                         scratch[start:stop]) for start, stop in zip(self.bounds, self.bounds[1:])]
+        # The pool rows of the atoms, or under blocks that compute their own
+        # columns their prepared rows, and past them the latest pick's, which
+        # the next pick overwrites unless add_atom accepted it.  Copying each
+        # pick's prepared row once costs less than gathering the atoms' rows
+        # at every pick, which made the d2 bench's blocked calls 3 % slower.
+        self._atom_rows = np.empty(rows, dtype=int)
+        self._split = blocks > 1 and state.kernel.entrywise
+        self._picked = np.empty((rows,) + prepared.shape[1:]) if self._split else None
+        self._row = None  # the latest pick's whole kernel row, unless split
+        self._cols = [None] * blocks  # block b's columns of the latest atom's row, if split
+
+    def entries(self, row: int) -> tuple[np.ndarray, float]:
+        """k(atoms, x) and k(x, x), in atom order, for the point x at pool row
+        ``row``: the kernel entries ``state.add_atom`` takes for it."""
+        i = self.state.size
+        pick = self.prepared[row:row + 1]
+        if self._split:
+            atoms = self._picked
+            atoms[i] = pick[0]
+            k = self.state.kernel.cross(pick, atoms[:i + 1])[0]
+            return k[:i], k[i]
+        self._atom_rows[i] = row
+        k = self._row = self.state.kernel.cross(pick, self.prepared)[0]
+        return k[self._atom_rows[:i]], k[row]
+
+    def _columns(self, b: int, row: int) -> None:
+        """Block b's columns of pool row ``row``'s kernel row, into ``_cols[b]``."""
+        pick = self.prepared[row:row + 1]
+        self._cols[b] = self.state.kernel.cross(
+            pick, self.prepared[self.bounds[b]:self.bounds[b + 1]])[0]
 
     def _project(self, b: int) -> None:
         """Block b's product L[i, :i] @ Y[:i] into its row i of Y: a helper's part of a step."""
@@ -387,7 +445,7 @@ class PoolScores:
         Y = self.proj[b]
         np.dot(self.state._chol[i, :i], Y[:i], out=Y[i])
 
-    def _fold(self, b: int, row: int, k_row: np.ndarray, project: bool = False) -> None:
+    def _fold(self, b: int, row: int, project: bool = False) -> None:
         """Rest of block b's step, its row of Y, s and r, once ``_project(b)``
         has run; with ``project``, block b's whole step, its product first."""
         st = self.state
@@ -398,7 +456,7 @@ class PoolScores:
         if project:
             np.dot(st._chol[i, :i], Y[:i], out=y)
         # y = (k_row - L[i, :i] @ Y[:i]) / L[i, i], in place of the product
-        np.subtract(k_row[start:stop], y, out=y)
+        np.subtract(self._cols[b] if self._split else self._row[start:stop], y, out=y)
         y /= st._chol[i, i]
         schur -= np.multiply(y, y, out=tmp)
         resid -= np.multiply(st._alpha[i], y, out=tmp)
@@ -407,35 +465,42 @@ class PoolScores:
 
     @contextlib.contextmanager
     def steps(self):
-        """Yield ``step(row, k_row)``, which folds the state's newest atom,
-        pool row ``row``, into every block."""
-        own_step = functools.partial(self._fold, 0, project=True)
+        """Yield ``step(row)``, which folds the state's newest atom, pool row
+        ``row``, into every block."""
         if len(self.proj) == 1:
-            yield own_step
+            yield functools.partial(self._fold, 0, project=True)
             return
         blocks = range(1, len(self.proj))
         todos = [queue.SimpleQueue() for _ in blocks]
         answers = queue.SimpleQueue()
+        split = self._split
 
         def serve(b: int, todo: queue.SimpleQueue) -> None:
-            while todo.get():  # False stops the helper
+            while (row := todo.get()) is not None:  # None stops the helper
                 try:
+                    if split:
+                        self._columns(b, row)
                     self._project(b)
                     answers.put(None)
                 except BaseException as err:  # re-raised by the caller's step
                     answers.put(err)
 
-        def step(row: int, k_row: np.ndarray) -> None:
+        def step(row: int) -> None:
             for todo in todos:
-                todo.put(True)
+                todo.put(row)
             try:
-                own_step(row, k_row)
+                if split:
+                    self._project(0)
+                    self._columns(0, row)
+                    self._fold(0, row)
+                else:
+                    self._fold(0, row, project=True)
             finally:
                 errors = [err for err in [answers.get() for _ in todos] if err is not None]
             if errors:
                 raise errors[0]
             for b in blocks:
-                self._fold(b, row, k_row)
+                self._fold(b, row)
 
         threads = []
         try:
@@ -447,7 +512,7 @@ class PoolScores:
             yield step
         finally:
             for todo in todos:
-                todo.put(False)
+                todo.put(None)
             for thread in threads:
                 thread.join()
 

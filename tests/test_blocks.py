@@ -182,7 +182,8 @@ def test_rejected_picks_in_any_block_match_one_block(method, cores):
     pick from a block after the first."""
     pool, target = rbf_problem(2)
     original = QuadratureState.add_atom
-    bounds = PoolScores(state.new_state(target, target.kernel), np.zeros(N), np.ones(N), 1).bounds
+    bounds = PoolScores(state.new_state(target, target.kernel), pool.points, np.zeros(N),
+                        np.ones(N), 1).bounds
     rejected = []
 
     def add_atom(self, x, pool_id, *args, **kwargs):
@@ -207,7 +208,8 @@ def test_a_tie_across_a_block_boundary_goes_to_the_lower_row(method, cores):
     """The best point sits on both sides of the first boundary: block 0's
     last row and block 1's first row tie for the first pick."""
     pool, target = rbf_problem(2)
-    bound = PoolScores(state.new_state(target, target.kernel), np.zeros(N), np.ones(N), 1).bounds[1]
+    bound = PoolScores(state.new_state(target, target.kernel), pool.points, np.zeros(N),
+                        np.ones(N), 1).bounds[1]
     z = target.mean_embed_many(pool.points)
     best = int(np.argmax(z))
     points = np.array(pool.points)
@@ -221,30 +223,76 @@ def test_a_tie_across_a_block_boundary_goes_to_the_lower_row(method, cores):
     assert bound not in trace.chosen_ids
 
 
-@pytest.mark.parametrize("method", ["WKH", "SBQ"])
-def test_one_kernel_row_per_pick_on_a_blocked_pool(method, cores):
-    """A blocked run also makes one kernel call per add_atom call: the whole
-    kernel row of the pick, which every block reads its columns of."""
-    pool, target = rbf_problem(2)
-    setup_pool(pool, target, target.kernel)
-    original = RBFKernel.cross
+def _record_crosses(kernel_cls):
+    """Patch ``kernel_cls.cross`` and ``QuadratureState.add_atom`` to record
+    every cross call's (A, B), copied, and B itself, and every pick's pool id."""
+    original_cross, original_add = kernel_cls.cross, QuadratureState.add_atom
     calls, picks = [], []
-    original_add = QuadratureState.add_atom
 
     def cross(self, A, B):
-        calls.append(B.shape[0])
-        return original(self, A, B)
+        calls.append((A.copy(), B.copy(), B))
+        return original_cross(self, A, B)
 
     def add_atom(self, x, pool_id, *args, **kwargs):
         picks.append(pool_id)
         return original_add(self, x, pool_id, *args, **kwargs)
 
-    with mock.patch.object(RBFKernel, "cross", cross), \
-            mock.patch.object(QuadratureState, "add_atom", add_atom):
+    patches = (mock.patch.object(kernel_cls, "cross", cross),
+               mock.patch.object(QuadratureState, "add_atom", add_atom))
+    return patches, calls, picks
+
+
+def _first_row(B: np.ndarray, prepared: np.ndarray) -> int:
+    """The row of ``prepared`` where its view ``B`` starts."""
+    offset = B.__array_interface__["data"][0] - prepared.__array_interface__["data"][0]
+    return offset // prepared.strides[0]
+
+
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_one_kernel_row_per_pick_on_a_blocked_pool(method, cores):
+    """Per add_atom call, a blocked RBF run computes one kernel row of the
+    pick, in pieces: first one cross against the atoms' prepared rows and
+    its own, whose i + 1 entries add_atom takes, then one cross per block
+    over the block's columns of the prepared pool, which together compute
+    every pool column's entry exactly once."""
+    pool, target = rbf_problem(2)
+    prepared = setup_pool(pool, target, target.kernel).prepared
+    (patch_cross, patch_add), calls, picks = _record_crosses(RBFKernel)
+    with patch_cross, patch_add:
         blocked = Run(method, pool, target, 30)
     assert len(blocked.bounds) == cores + 1
     assert len(picks) == len(blocked.trace.rows) == 30
-    assert calls == [N] * len(picks)
+    assert len(calls) == len(picks) * (1 + cores)
+    rows = np.searchsorted(pool.ids, picks)
+    for i, row in enumerate(rows):
+        (A, atoms, _), *block_calls = calls[i * (1 + cores):(i + 1) * (1 + cores)]
+        assert np.array_equal(A, prepared[[row]])
+        assert np.array_equal(atoms, prepared[rows[:i + 1]])
+        computed = np.zeros(N, dtype=int)
+        for A, B, view in block_calls:
+            assert np.array_equal(A, prepared[[row]])
+            assert np.shares_memory(view, prepared)
+            first = _first_row(view, prepared)
+            assert np.array_equal(B, prepared[first:first + len(B)])
+            computed[first:first + len(B)] += 1
+        assert np.all(computed == 1)
+
+
+@pytest.mark.parametrize("problem", ["feature_discrete", "rbf_one_block"])
+def test_one_whole_kernel_row_per_pick_where_blocks_take_no_rows(problem, cores):
+    """A kernel that is not entrywise, on a blocked pool, and any kernel in
+    one block compute the pick's whole kernel row in one cross per add_atom
+    call, and read add_atom's entries from it."""
+    pool, target = feature_problem() if problem == "feature_discrete" else rbf_problem(2)
+    setup_pool(pool, target, target.kernel)
+    target.self_energy()  # kept on the target: a discrete one takes it from a cross
+    kernel_cls = type(target.kernel)
+    (patch_cross, patch_add), calls, picks = _record_crosses(kernel_cls)
+    with patch_cross, patch_add:
+        run = Run("SBQ", pool, target, 30, one_block=problem == "rbf_one_block")
+    assert len(run.bounds) == (cores + 1 if problem == "feature_discrete" else 2)
+    assert len(picks) == len(run.trace.rows) == 30
+    assert [B.shape[0] for _, B, _ in calls] == [N] * len(picks)
 
 
 def test_blocked_runs_keep_their_bits_under_fast_thread_switching(monkeypatch):
@@ -322,10 +370,10 @@ def test_an_exception_on_the_caller_joins_the_helpers(cores):
     pool, target = rbf_problem(2)
     original = PoolScores._fold
 
-    def fold(self, b, row, k_row, project=False):
+    def fold(self, b, row, project=False):
         if self.state.size == 3:
             raise ValueError("caller failed")
-        return original(self, b, row, k_row, project)
+        return original(self, b, row, project)
 
     before = threading.active_count()
     with mock.patch.object(PoolScores, "_fold", fold), pytest.raises(ValueError, match="caller"):

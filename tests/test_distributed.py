@@ -247,6 +247,48 @@ def test_lone_worker_under_the_feature_kernel_agrees_to_round_off(method):
         assert abs(aggregator.mmd_sq - worker.mmd_sq) <= 1e-14, seed
 
 
+def union_problem(kernel: str, seed: int):
+    """s = 3 workers of k = 5 on 90 points, whose atoms' union has 15."""
+    rng = np.random.default_rng(seed)
+    if kernel == "rbf":
+        target = random_mixture(rng, components=3, dim=2)
+        return CandidatePool.from_points(rng.normal(size=(90, 2), scale=2.0)), target
+    target = DiscreteTarget.uniform(rng.normal(size=(40, 33)), NormalizedFeatureKernel())
+    return CandidatePool.from_points(rng.normal(size=(90, 33))), target
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("kernel", ["rbf", "feature"])
+@pytest.mark.parametrize("method", ["WKH", "SBQ"])
+def test_the_aggregator_selects_from_the_union_of_every_workers_atoms(method, kernel, executor):
+    """The aggregator equals run_greedy on a fresh pool of the union's points
+    and ids: bit for bit under RBF, where a fresh setup equals the sliced
+    one, and to round-off under the feature kernel, whose discrete
+    embedding rounds with the pool's length."""
+    k = 5
+    for seed in range(3):
+        pool, target = union_problem(kernel, seed)
+        res = run_distributed(method, pool, target, target.kernel, k, s=3, seed=seed,
+                              executor=executor, max_workers=2)
+        *workers, aggregator = res.solutions
+        union = sorted({i for sol in workers for i in sol.ids})
+        # the atoms of worker 0 alone, or the first k of the union, are another pool
+        assert len(union) == 3 * k and not set(aggregator.ids) <= set(workers[0].ids)
+        assert aggregator.ids != union[:k]
+        rows = np.searchsorted(pool.ids, union)
+        fresh = CandidatePool(points=pool.points[rows], ids=pool.ids[rows])
+        state, trace = run_greedy(method, fresh, target, target.kernel, k)
+        assert aggregator.ids == state.atom_ids == trace.chosen_ids
+        assert res.traces[-1].chosen_ids == aggregator.ids
+        if kernel == "rbf":
+            assert aggregator.mmd_sq == state.mmd_sq
+            assert aggregator.weights.tobytes() == state.weights.tobytes()
+            assert res.traces[-1].mmd_values.tobytes() == trace.mmd_values.tobytes()
+        else:
+            assert abs(aggregator.mmd_sq - state.mmd_sq) <= 1e-14
+            np.testing.assert_allclose(aggregator.weights, state.weights, rtol=0.0, atol=1e-10)
+
+
 @pytest.mark.parametrize("method", [Method.WKH, Method.SBQ])
 def test_a_target_at_the_floor_gives_empty_solutions(method):
     # symmetric signs cancel in the mean embedding, so c = 0 and every

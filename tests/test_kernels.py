@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +17,7 @@ from herdquad.kernels import (
     ZeroNormFeature,
     unit_diagonal,
 )
+from herdquad.state import BLOCK_ALIGN, BLOCK_MIN_COLUMNS
 from tests.conftest import PrecomputedKernel, unchecked_matrix_kernel
 
 
@@ -203,3 +210,87 @@ def test_prepared_rows_equal_gram_rows_bit_for_bit(kern, pts):
                       (kern.cross(P[:1], kern.prepare(empty)), kern.gram(pts[:1], empty))):
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+
+# ------------------------------------------ kernel rows over parts of a pool
+# A blocked WKH/SBQ step (state.PoolScores) computes each block's columns of
+# a pick's kernel row on their own and, under an entrywise kernel, takes the
+# entries add_atom needs from one cross of the pick against the atoms.
+
+
+def test_only_the_rbf_kernel_computes_its_entries_pair_by_pair():
+    assert RBFKernel(0.8).entrywise
+    assert not NormalizedFeatureKernel().entrywise
+    assert not PrecomputedKernel(np.eye(2)).entrywise  # the base class's default
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 33])
+def test_an_rbf_row_over_any_subset_equals_those_entries_of_the_whole_row(dim):
+    """Ascending subsets, and the same rows in any order, of 1 to n points."""
+    rng = np.random.default_rng(dim)
+    kern = RBFKernel(0.9)
+    P = kern.prepare(rng.normal(size=(5 * BLOCK_ALIGN + 7, dim)))
+    for row in rng.choice(len(P), size=8, replace=False):
+        whole = kern.cross(P[row:row + 1], P)[0]
+        for size in (1, 2, 7, BLOCK_ALIGN, 101, len(P)):
+            subset = np.sort(rng.choice(len(P), size=size, replace=False))
+            np.testing.assert_array_equal(kern.cross(P[row:row + 1], P[subset])[0], whole[subset])
+            shuffled = rng.permutation(subset)
+            np.testing.assert_array_equal(kern.cross(P[row:row + 1], P[shuffled])[0],
+                                          whole[shuffled])
+
+
+def _aligned_ranges(n: int, rng) -> list:
+    """Column ranges [start, stop) with both ends multiples of BLOCK_ALIGN or
+    n: the blocks of 2 to 4 CPUs, as PoolScores bounds them, and 30 more."""
+    ranges = []
+    for blocks in (2, 3, 4):
+        bounds = [0] + [n * b // blocks // BLOCK_ALIGN * BLOCK_ALIGN
+                        for b in range(1, blocks)] + [n]
+        ranges += list(zip(bounds, bounds[1:]))
+    edges = list(range(0, n, BLOCK_ALIGN)) + [n]
+    for _ in range(30):
+        a, b = np.sort(rng.choice(len(edges), size=2, replace=False))
+        ranges.append((edges[a], edges[b]))
+    return ranges
+
+
+def _aligned_mismatches(kern, dim: int) -> list:
+    """(row, start, stop) of every aligned range where a row of a pool of
+    6 * BLOCK_MIN_COLUMNS + 77 points differs from that slice of the whole row."""
+    rng = np.random.default_rng(dim)
+    n = 6 * BLOCK_MIN_COLUMNS + 77
+    P = kern.prepare(rng.normal(size=(n, dim)))
+    ranges = _aligned_ranges(n, rng)
+    mismatches = []
+    for row in rng.choice(n, size=4, replace=False).tolist():
+        whole = kern.cross(P[row:row + 1], P)[0]
+        mismatches += [(row, start, stop) for start, stop in ranges
+                       if not np.array_equal(kern.cross(P[row:row + 1], P[start:stop])[0],
+                                             whole[start:stop])]
+    return mismatches
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_an_rbf_row_over_an_aligned_column_range_equals_that_slice_of_the_whole_row(dim):
+    assert _aligned_mismatches(RBFKernel(0.9), dim) == []
+
+
+@pytest.mark.parametrize("dim", [33, 64])
+def test_a_feature_row_over_an_aligned_column_range_equals_that_slice_under_one_blas_thread(dim):
+    """The feature kernel's BLAS product rounds an entry with the batch's
+    length, but one BLAS thread groups aligned columns alike.  Checked in a
+    fresh interpreter pinned to one BLAS thread: under two OpenBLAS threads
+    the whole row's product splits at column n // 2, which is not aligned,
+    and entries next to the split round otherwise; so no blocked step
+    computes a feature row in blocks."""
+    root = Path(__file__).resolve().parent.parent
+    code = ("import json, sys; from herdquad.kernels import NormalizedFeatureKernel; "
+            "from tests.test_kernels import _aligned_mismatches; "
+            "print(json.dumps(_aligned_mismatches(NormalizedFeatureKernel(), int(sys.argv[1]))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+               OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code, str(dim)], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == []

@@ -377,6 +377,18 @@ def test_budget_above_pool_size_exhausts_the_pool(method):
     assert sorted(trace.chosen_ids) == [0, 1] and state.size == 2
 
 
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["k=n-1", "k=n", "k=n+1"])
+def test_only_a_budget_above_the_pool_size_exhausts_the_pool(method, extra):
+    """A run that spends its whole budget stops with no reason, also when
+    the budget is the whole pool; one budget more reports ``pool_exhausted``."""
+    pool, target, kern = mixture_problem(seed=9, n=12)
+    k = len(pool) + extra
+    result, trace = run_greedy(method, pool, target, kern, k, seed=3)
+    assert len(trace.rows) == result.size == min(k, len(pool))
+    assert trace.stop_reason == ("pool_exhausted" if k > len(pool) else None)
+
+
 def counted(owner, name):
     """mock that passes calls on to ``owner.name`` and counts them."""
     return mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))

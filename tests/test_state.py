@@ -251,7 +251,7 @@ def test_pool_scores_need_an_empty_state(rng):
     pts = rng.normal(size=(4, 2))
     state.add_atom(pts[0], 0)
     with pytest.raises(ValueError):
-        PoolScores(state, target.mean_embed_many(pts), np.ones(4), capacity=3)
+        PoolScores(state, pts, target.mean_embed_many(pts), np.ones(4), capacity=3)
 
 
 # a pool that splits into one column block per pinned CPU, 2 or 3
@@ -265,14 +265,15 @@ def assert_atoms_masked(rng, n, blocks):
     kern = target.kernel
     pts = target.sample(n, rng)
     state = new_state(target, kern)
-    core = PoolScores(state, target.mean_embed_many(pts), np.ones(n), capacity=12)
+    core = PoolScores(state, kern.prepare(pts), target.mean_embed_many(pts), np.ones(n),
+                      capacity=12)
     assert len(core.bounds) - 1 == blocks
     rows = []
     with core.steps() as step:
         for row in rng.permutation(n)[:12]:
-            k_row = kern.gram(pts[row], pts)[0]
-            state.add_atom(pts[row], int(row), k_atoms=k_row[rows], k_self=k_row[row])
-            step(row, k_row)
+            k_atoms, k_self = core.entries(row)
+            state.add_atom(pts[row], int(row), k_atoms=k_atoms, k_self=k_self)
+            step(row)
             rows.append(row)
             assert np.all(core.schur[rows] <= 0.0)
             scores = selection_scores(Method.SBQ, core.resid, core.schur)
@@ -302,8 +303,8 @@ class _CheckedScores(PoolScores):
     def steps(self):
         _CheckedScores.blocks = len(self.bounds) - 1
         with super().steps() as step:
-            def checked_step(row, k_row):
-                step(row, k_row)
+            def checked_step(row):
+                step(row)
                 np.testing.assert_allclose(
                     self.resid, self.state.residual_correlations(self.points), rtol=0.0, atol=1e-10)
                 np.testing.assert_allclose(
