@@ -415,7 +415,8 @@ class PoolScores:
         # at every pick, which made the d2 bench's blocked calls 3 % slower.
         self._atom_rows = np.empty(rows, dtype=int)
         self._split = blocks > 1 and state.kernel.entrywise
-        self._picked = np.empty((rows,) + prepared.shape[1:]) if self._split else None
+        self._picked = (np.empty((rows,) + prepared.shape[1:], dtype=prepared.dtype)
+                        if self._split else None)
         self._row = None  # the latest pick's whole kernel row, unless split
         self._cols = [None] * blocks  # block b's columns of the latest atom's row, if split
 
