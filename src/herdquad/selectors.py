@@ -22,8 +22,8 @@ In ``run_greedy`` the pair comes from ``PoolScores``, which folds each
 accepted atom into the whole pool in O(n (i + d)) for n candidates in d
 dimensions at step i, and the scores are written into buffers allocated
 once per run, so the kernel row is a step's only allocation of the pool's
-length; ``wkh_select`` and ``sbq_select`` recompute the pair from scratch
-for one step.
+length; ``wkh_select`` and ``sbq_select`` compute the pair for one step
+from scratch, with ``QuadratureState.scores`` on the pool's ``PoolSetup``.
 
 On a shard of a few thousand candidates most of a step is Python that
 holds the GIL, so the Python work of a step bounds how far the thread
@@ -129,26 +129,24 @@ class RunTrace:
 _SCORE_ERRSTATE = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
-def selection_scores(method: Method, resid: np.ndarray, schur: np.ndarray,
-                     out: np.ndarray | None = None, mask: np.ndarray | None = None) -> np.ndarray:
+def selection_scores(method: Method, resid: np.ndarray, schur: np.ndarray) -> np.ndarray:
     """Greedy scores, -inf for every dependent candidate.
 
     WKH scores the residual correlation r, SBQ the one-step drop r^2 / s.
     A candidate whose Schur complement s is below ``TAU_DEP`` (or NaN) would
     make the Cholesky factor singular, so it scores -inf under either rule
-    and a maximum of -inf means no candidate is independent.  The scores
-    are written into ``out`` (float) and the mask into ``mask`` (bool) when
-    given, arrays shaped like ``resid``; otherwise both are allocated.
+    and a maximum of -inf means no candidate is independent.
     """
     with np.errstate(**_SCORE_ERRSTATE):
-        return _scores(method, resid, schur, out, mask)
+        return _scores(method, resid, schur, None, None)
 
 
 def _scores(method: Method, resid: np.ndarray, schur: np.ndarray, out: np.ndarray | None,
             mask: np.ndarray | None) -> np.ndarray:
     """``selection_scores`` under the caller's ``np.errstate``, which must
-    ignore what ``_SCORE_ERRSTATE`` ignores; ``run_greedy`` enters it once
-    per run rather than once per pick."""
+    ignore what ``_SCORE_ERRSTATE`` ignores, into the float buffer ``out``
+    and the bool buffer ``mask``, shaped like ``resid``, when given;
+    ``run_greedy`` enters the state and allocates the buffers once per run."""
     if method is Method.SBQ:
         out = np.square(resid, out=out)
         np.divide(out, schur, out=out)
@@ -166,8 +164,8 @@ def _select(method: Method, state: QuadratureState, pool: CandidatePool, exclude
     excluded = np.isin(pool.ids, np.asarray(list(excluded_ids), dtype=int))
     if excluded.all():
         raise EmptyPool("no candidates left")
-    scores = selection_scores(
-        method, state.residual_correlations(pool.points), state.schur_complements(pool.points))
+    setup = setup_pool(pool, state.target, state.kernel)
+    scores = selection_scores(method, *state.scores(setup.prepared, setup.embeds, setup.diag))
     scores[excluded] = -np.inf
     row = int(np.argmax(scores))
     if scores[row] == -np.inf:
@@ -176,21 +174,18 @@ def _select(method: Method, state: QuadratureState, pool: CandidatePool, exclude
 
 
 def wkh_select(state: QuadratureState, pool: CandidatePool, excluded_ids=()) -> int:
-    """Pool id with the largest residual correlation z(x) - k_x^T w.
-
-    Candidates whose Schur complement falls below the dependence threshold
-    are not eligible; if no candidate is eligible ``AllDependent`` is
-    raised.
-    """
+    """Pool id with the largest residual correlation z(x) - k_x^T w; else as ``sbq_select``."""
     return _select(Method.WKH, state, pool, excluded_ids)
 
 
 def sbq_select(state: QuadratureState, pool: CandidatePool, excluded_ids=()) -> int:
-    """Pool id with the largest one-step variance reduction.
+    """Pool id with the largest one-step variance reduction r^2 / s.
 
-    Candidates whose Schur complement falls below the dependence threshold
-    are not eligible; if no candidate is eligible ``AllDependent`` is
-    raised.
+    Neither selector picks an excluded id or a candidate whose Schur
+    complement falls below the dependence threshold.  ``EmptyPool`` is
+    raised when every id is excluded, ``AllDependent`` when no candidate is
+    eligible and ``StandardizationError`` when the kernel is not
+    standardized on the pool.
     """
     return _select(Method.SBQ, state, pool, excluded_ids)
 

@@ -29,17 +29,17 @@ state as it was and no step copies L.  ``chol``, ``atoms``, ``embeds`` and
 never written again, so an array read from them keeps its values while
 the state grows; ``copy`` copies the buffers.
 
-``PoolScores`` carries the same factorization over a candidate pool of n
-points: Y = L^{-1} K(atoms, pool), the Schur complements
-s = diag - colsum(Y^2) and the residual correlations r = z - Y^T alpha.
-Each accepted atom adds one row of Y from one kernel row and an O(n i)
-product, so a greedy step costs O(n (i + d)) in d dimensions instead of
-rebuilding an i x n Gram block.  Y holds at most min(k, n) rows, k n 8
-bytes for k atoms: 16 MB at n = 20 000 and k = 100.  Y, s and r are
-updated in place, through one scratch vector of length n per run, so a
-step allocates nothing of the pool's length.  Candidates with
-s < ``TAU_DEP`` are masked in bulk by the selection scores rather than
-tried and rejected one at a time.
+``scores`` gives candidates' residual correlations r = z - Y^T alpha and
+Schur complements s = diag - colsum(Y^2), with Y = L^{-1} K(atoms,
+candidates), from scratch.  ``PoolScores`` starts a pool of n points as
+its i = 0 case and steps Y, s and r: each accepted atom adds one row of
+Y from one kernel row and an O(n i) product, so a greedy step costs
+O(n (i + d)) in d dimensions instead of rebuilding an i x n Gram block.
+Y holds at most min(k, n) rows, k n 8 bytes for k atoms: 16 MB at
+n = 20 000 and k = 100.  Y, s and r are updated in place, through one
+scratch vector of length n per run, so a step allocates nothing of the
+pool's length.  Candidates with s < ``TAU_DEP`` are masked in bulk by
+the selection scores rather than tried and rejected one at a time.
 
 On a large pool ``PoolScores`` splits Y, s and r into column blocks and
 steps them on helper threads, one per core; under an entrywise kernel each
@@ -73,7 +73,7 @@ import threading
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
-from .kernels import Kernel, as_point_matrix
+from .kernels import Kernel
 from .targets import TargetEmbedding
 
 TAU_DEP = 1e-10
@@ -308,23 +308,29 @@ class QuadratureState:
         self._weights = None
         self.mmd_sq -= a * a
 
-    def residual_correlations(self, X) -> np.ndarray:
-        """z(x) - k_x^T w for a batch of points, recomputed from scratch."""
-        X = as_point_matrix(X)
-        z = self.target.mean_embed_many(X)
+    def scores(self, prepared: np.ndarray, embeds: np.ndarray,
+               diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """r = z - Y^T alpha and s = diag - colsum(Y^2) of candidates given by
+        their prepared rows, embeddings z and kernel diagonal, with one solve
+        Y = L^{-1} K(atoms, candidates); an empty state copies ``embeds`` and ``diag``."""
         if self.size == 0:
-            return z
-        return z - self.kernel.gram(X, self.atoms) @ self.weights
+            return np.array(embeds, dtype=float), np.array(diag, dtype=float)
+        C = self.kernel.cross(self.kernel.prepare(self.atoms), prepared)
+        Y = solve_triangular(self._factor(), C, lower=True)
+        return embeds - Y.T @ self.alpha, diag - np.einsum("ij,ij->j", Y, Y)
+
+    def _scores_at(self, X) -> tuple[np.ndarray, np.ndarray]:
+        prepared = self.kernel.prepare(X)
+        return self.scores(prepared, self.target.mean_embed_many(prepared, prepared=True),
+                           self.kernel.diagonal(prepared))
+
+    def residual_correlations(self, X) -> np.ndarray:
+        """``scores``' r at a batch of points, a read the bench's tracer names."""
+        return self._scores_at(X)[0]
 
     def schur_complements(self, X) -> np.ndarray:
-        """k(x, x) - k_x^T K^{-1} k_x per point, from scratch; 1 means fully novel."""
-        X = as_point_matrix(X)
-        diag = self.kernel.diagonal(self.kernel.prepare(X))
-        if self.size == 0:
-            return diag
-        C = self.kernel.gram(self.atoms, X)
-        Y = solve_triangular(self._factor(), C, lower=True)
-        return diag - np.einsum("ij,ij->j", Y, Y)
+        """``scores``' s at a batch of points, a read the bench's tracer names."""
+        return self._scores_at(X)[1]
 
 
 class PoolScores:
@@ -337,9 +343,8 @@ class PoolScores:
     ``k_atoms, k_self = scores.entries(row)`` gives the kernel entries
     k(atoms, x) and k(x, x) that ``state.add_atom(points[row], ...)`` takes,
     and ``step(row)``, right after that call has accepted the atom, folds it
-    into the pool.  ``resid`` and ``schur`` then equal
-    ``state.residual_correlations(points)`` and
-    ``state.schur_complements(points)`` up to round-off, at O(n (i + d))
+    into the pool.  ``resid`` and ``schur`` start as, and then equal up to
+    round-off, ``state.scores(prepared, embeds, diag)``, at O(n (i + d))
     per atom instead of O(n i (i + d)).  An atom's own row is set to its
     exact Schur complement, 0, so the dependence mask that keeps
     near-dependent candidates out also keeps atoms from being picked again.
@@ -402,8 +407,7 @@ class PoolScores:
         buf = np.empty(rows * n)
         self.proj = [buf[rows * start:rows * stop].reshape(rows, stop - start)
                      for start, stop in zip(self.bounds, self.bounds[1:])]
-        self.schur = np.array(diag, dtype=float)
-        self.resid = np.array(embeds, dtype=float)
+        self.resid, self.schur = state.scores(prepared, embeds, diag)
         scratch = np.empty(n)
         # each block's (start, stop) and views of s, r and the scratch vector
         self._views = [(start, stop, self.schur[start:stop], self.resid[start:stop],

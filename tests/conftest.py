@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.linalg import lu_factor, lu_solve
 
 from herdquad.kernels import STANDARDIZATION_TOL, CandidatePool, Kernel, as_point_matrix
 
@@ -131,3 +132,20 @@ def random_mixture(rng, components=3, dim=2):
     means = rng.uniform(-2.0, 2.0, size=(components, dim))
     covs = np.stack([np.diag(rng.uniform(0.1, 0.6, size=dim)) for _ in range(components)])
     return GaussianMixtureTarget(weights, means, covs, RBFKernel(1.0))
+
+
+def dense_scores(state, X):
+    """Residual correlations r and Schur complements s of points X, from LU
+    solves on K = k(atoms, atoms): an oracle that uses no triangular factor.
+
+    r = z - k_x^T K^{-1} z and s = k(x, x) - k_x^T K^{-1} k_x per point.
+    """
+    kern = state.kernel
+    X = as_point_matrix(X)
+    z = state.target.mean_embed_many(X)
+    diag = kern.diagonal(kern.prepare(X))
+    if state.size == 0:
+        return z, diag
+    lu = lu_factor(kern.gram(state.atoms, state.atoms))
+    C = kern.gram(state.atoms, X)
+    return z - C.T @ lu_solve(lu, state.embeds), diag - np.einsum("ij,ij->j", C, lu_solve(lu, C))

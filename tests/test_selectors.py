@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herdquad import selectors
 from herdquad.kernels import (
     CandidatePool,
     NormalizedFeatureKernel,
@@ -181,6 +182,27 @@ def test_run_greedy_requires_standardized_kernel():
     target = DiscreteTarget.uniform(pool.points, kern)
     with pytest.raises(StandardizationError):
         run_greedy(Method.WKH, pool, target, kern, 1)
+
+
+@pytest.mark.parametrize("select", [wkh_select, sbq_select])
+def test_from_scratch_selectors_require_standardized_kernel(select):
+    kern = unchecked_matrix_kernel(np.array([[0.5, 0.0], [0.0, 1.0]]))
+    pool = kern.index_pool()
+    state = new_state(DiscreteTarget.uniform(pool.points, kern), kern)
+    with pytest.raises(StandardizationError):
+        select(state, pool)
+
+
+@pytest.mark.parametrize("select", [wkh_select, sbq_select])
+def test_from_scratch_selectors_reuse_the_pool_setup(select):
+    """A second call on the same pool and target embeds no pool point again."""
+    pool, target, kern = mixture_problem(seed=5)
+    state = new_state(target, kern)
+    state.add_atom(pool.points[0], int(pool.ids[0]))
+    first = select(state, pool, excluded_ids=state.atom_ids)
+    with counted(GaussianMixtureTarget, "mean_embed_many") as embed:
+        assert select(state, pool, excluded_ids=state.atom_ids) == first
+    assert embed.call_count == 0
 
 
 @settings(max_examples=30)
@@ -602,7 +624,11 @@ def test_selection_scores_mask_every_s_that_is_not_above_the_threshold(method, b
     mask = np.empty(resid.size, dtype=bool) if buffers else None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the masked rows' divisions warn nothing
-        scores = selection_scores(method, resid, schur, out=out, mask=mask)
+        if buffers:  # run_greedy's route: its buffers, under its errstate
+            with np.errstate(**selectors._SCORE_ERRSTATE):
+                scores = selectors._scores(method, resid, schur, out, mask)
+        else:
+            scores = selection_scores(method, resid, schur)
     assert np.all(scores[:5] == -np.inf)
     kept = resid[5:] ** 2 / schur[5:] if method is Method.SBQ else resid[5:]
     assert scores[5:].tobytes() == kept.tobytes()
