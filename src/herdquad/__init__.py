@@ -4,19 +4,12 @@ Select a small weighted subset of a candidate pool whose kernel mean
 embedding matches a target distribution, by weighted herding (WKH),
 sequential Bayesian quadrature (SBQ), uniform-weight herding, or a random
 baseline, on one machine or partitioned across shared-nothing workers.
+
+The empirical audits (rate fits, the exhaustive oracle, the guarantee
+check) are read from ``herdquad.diagnostics``, which this package does not
+import, so that no selection process loads them.
 """
 
-from .diagnostics import (
-    OracleSubset,
-    RateFit,
-    brute_force_best_subset,
-    check_approx_guarantee,
-    estimate_rsc_rss,
-    fit_rate,
-    orthogonality_residual,
-    realizability_fixtures,
-    verify_realizability,
-)
 from .distributed import DistributedResult, partition, run_distributed
 from .kernels import (
     CandidatePool,
@@ -58,29 +51,20 @@ __all__ = [
     "LogisticModel",
     "Method",
     "NormalizedFeatureKernel",
-    "OracleSubset",
     "QuadratureState",
     "RBFKernel",
-    "RateFit",
     "RunTrace",
     "SummarizeReport",
     "UniformAccumulator",
-    "brute_force_best_subset",
-    "check_approx_guarantee",
-    "estimate_rsc_rss",
     "fisher_embed_many",
-    "fit_rate",
     "mc_mean_embed",
     "mc_self_energy",
     "new_state",
-    "orthogonality_residual",
     "partition",
-    "realizability_fixtures",
     "run_distributed",
     "run_greedy",
     "sbq_select",
     "summarize",
     "train_logistic",
-    "verify_realizability",
     "wkh_select",
 ]

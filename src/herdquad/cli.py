@@ -20,8 +20,10 @@ The mixture family, the RBF bandwidth (the median heuristic), the blob
 geometry, the split fractions and the ridge strength are fixed, see
 ``MIXTURE_FAMILY``, ``median_bandwidth``, ``datasets.make_blobs``,
 ``datasets.VAL_FRACTION`` / ``TEST_FRACTION`` and ``summarization.LAM``;
-``mixture`` builds one instance per seed for all methods.  Environment
-variable: HERDQUAD_OUT (default output directory).
+``mixture`` builds one instance per seed for all methods.
+``herdquad.diagnostics`` is imported by ``diagnose`` and by a mixture
+run's rate fit, its only readers.  Environment variable: HERDQUAD_OUT
+(default output directory).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .datasets import (
     split_dataset,
     synthetic_blob_dataset,
 )
-from .diagnostics import CHECKS, InsufficientPoints, fit_rate
 from .distributed import run_distributed
 from .kernels import CandidatePool, RBFKernel
 from .selectors import RunTrace, run_greedy
@@ -136,6 +137,7 @@ def trace_rows_for_csv(method: str, s: int, seed: int, trace: RunTrace,
 def _mixture_seed_runs(cfg: MixtureConfig, seed: int) -> dict:
     """``{(method, s): (trace, record)}`` for every method of ``cfg`` on the
     seed's one instance: mixture, pool, bandwidth and the pool's setup are shared."""
+    from .diagnostics import InsufficientPoints, fit_rate
     rng = np.random.default_rng(seed)
     weights, means, covs = sample_mixture_params(rng, cfg.components, cfg.dim, **MIXTURE_FAMILY)
     pool_points = GaussianMixtureTarget(weights, means, covs, RBFKernel(1.0)).sample(
@@ -312,6 +314,7 @@ def cmd_diagnose(out: str, list_only: bool = False, inject_fault: bool = False) 
     """Run ``diagnostics.CHECKS`` in order and write their report; ``list_only``
     prints their names and runs none.  A check that raises fails alone: its
     entry names the exception, and the later checks still run."""
+    from .diagnostics import CHECKS
     if list_only:
         print("\n".join(CHECKS))
         return 0

@@ -14,7 +14,9 @@ smaller pool.  ``run_distributed`` sets up the whole pool before the
 workers start, and every shard and the aggregator's pool select from
 their rows of that setup (``selectors.PoolSetup``).
 Workers run serially, on a thread pool (the default) or on a process
-pool; all three return the same result bit for bit.  A pool runs at most
+pool; all three return the same result bit for bit.  The process pool's
+``multiprocessing`` stack loads at a process's first ``executor="process"``
+call, since no other run needs it.  A pool runs at most
 one worker per core by default, since more threads than cores only
 contend for them.  Processes stay for large s, where they avoid the GIL.
 Workers on a thread or process pool keep their shard in one column block
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -156,7 +158,10 @@ def run_distributed(
         # about 10 MB of peak RSS at n = 200 000.
         outcomes = [_run_shard(*job) for job in jobs]
     else:
-        pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
+        if executor == "thread":
+            pool_cls = ThreadPoolExecutor
+        else:  # loads multiprocessing, which no serial or thread run needs
+            from concurrent.futures import ProcessPoolExecutor as pool_cls
         # workers that run at the same time take one core, and one block, each
         with pool_cls(max_workers=max_workers or min(s, usable_cpus()),
                       initializer=share_cores) as ex:

@@ -250,6 +250,21 @@ def test_summarize_rejects_uniform_method_and_bad_k():
         summarize(ds, "WKH", k=n_train + 1)
 
 
+@pytest.mark.parametrize("method", ["WKH", "MC_RANDOM"])
+@pytest.mark.parametrize("s", [True, 1.0, 2.0, 0])
+def test_summarize_checks_s_where_it_enters(method, s):
+    with pytest.raises(ValueError, match="s must be at least 1 and an int"):
+        summarize(synthetic_blob_dataset(200, 8, seed=0), method, 10, s=s)
+
+
+def test_summarize_takes_a_numpy_int_s():
+    data = synthetic_blob_dataset(200, 8, seed=0)
+    for s in (1, 2):
+        ints = [summarize(data, "WKH", 10, s=s_, seed=1) for s_ in (s, np.int64(s))]
+        np.testing.assert_array_equal(ints[0].selected_indices, ints[1].selected_indices)
+        assert ints[0].final_mmd_sq == ints[1].final_mmd_sq
+
+
 def test_summarize_full_budget_mc_recovers_full_model():
     ds = small_dataset(n=120)
     n_train = ds.indices("train").size
