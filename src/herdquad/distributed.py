@@ -21,7 +21,13 @@ one worker per core by default, since more threads than cores only
 contend for them.  Processes stay for large s, where they avoid the GIL.
 Workers on a thread or process pool keep their shard in one column block
 of ``state.PoolScores`` (the pool's initializer is ``state.share_cores``),
-since they already take a core each.  A lone worker runs in the caller
+since they already take a core each.  Thread workers carve Y, the
+shard's projected Gram rows, from buffers the caller allocates, one per
+thread and sized for the largest shard: Y's pages then come from the
+caller's malloc arena, which the next call reuses, rather than from an
+arena of each thread's own, which would keep one more Y per thread after
+the call.  Process workers allocate their own, since a buffer would be
+pickled to each child.  A lone worker runs in the caller
 under every executor and, like the serial executor's workers, splits a
 large shard into one block per core.  Where sharding pays, in wall time
 and peak RSS, is measured in the README's Performance section.
@@ -58,10 +64,12 @@ def partition(pool: CandidatePool, s: int, seed: int) -> np.ndarray:
     Shards are disjoint and cover the pool.  Assignment is i.i.d. uniform
     over workers; then each empty worker, lowest index first, receives the
     largest id from the currently largest shard (lowest index on ties), so
-    the result is deterministic under the seed.  A stable sort of the
-    assignment and a heap of shard sizes make this O(n log n + s log s).
+    the result is deterministic under the seed, an int of at least 0.  A
+    stable sort of the assignment and a heap of shard sizes make this
+    O(n log n + s log s).
     """
     check_count("s", s)
+    check_count("seed", seed, least=0)
     if len(pool) < s:
         raise PoolTooSmall(f"cannot spread {len(pool)} points over {s} workers")
     rng = np.random.default_rng(seed)
@@ -158,13 +166,18 @@ def run_distributed(
         # about 10 MB of peak RSS at n = 200 000.
         outcomes = [_run_shard(*job) for job in jobs]
     else:
+        workers = max_workers or min(s, usable_cpus())
         if executor == "thread":
-            pool_cls = ThreadPoolExecutor
+            # one Y buffer per thread, allocated here so that its pages come
+            # from, and go back to, the caller's malloc arena
+            m = max(map(len, shards))
+            buffers = [np.empty(min(k, m) * m) for _ in range(min(workers, s))]
+            pool_cls, initargs = ThreadPoolExecutor, (buffers,)
         else:  # loads multiprocessing, which no serial or thread run needs
             from concurrent.futures import ProcessPoolExecutor as pool_cls
+            initargs = ()
         # workers that run at the same time take one core, and one block, each
-        with pool_cls(max_workers=max_workers or min(s, usable_cpus()),
-                      initializer=share_cores) as ex:
+        with pool_cls(max_workers=workers, initializer=share_cores, initargs=initargs) as ex:
             outcomes = list(ex.map(_run_shard, *zip(*jobs)))
     t_workers = time.perf_counter()
 

@@ -52,11 +52,13 @@ def as_point_matrix(X) -> np.ndarray:
     return A
 
 
-def check_count(name: str, value) -> None:
+def check_count(name: str, value, least: int = 1) -> None:
     """Raise ``ValueError`` unless ``value``, the count argument ``name``, is
-    an int of at least 1: a Python or numpy int, never a bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be at least 1 and an int, got {value!r}")
+    an int of at least ``least``: a Python or numpy int, never a bool, float,
+    string or ``None``.  A seed is checked with ``least=0``, since ``None``
+    would draw fresh entropy and a float or bool would not name one seed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be at least {least} and an int, got {value!r}")
 
 
 def _check_same_dim(X: np.ndarray, Y: np.ndarray) -> None:

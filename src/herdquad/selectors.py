@@ -307,10 +307,12 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     once mmd_sq <= ``state.G_ROUNDOFF``, below which g is round-off
     (WKH/SBQ), ``all_dependent`` when no independent candidate remains, and
     ``pool_exhausted``.  ``KernelMismatch`` is raised when ``kernel`` is
-    not ``target.kernel``.
+    not ``target.kernel``; ``k`` must be an int of at least 1 and ``seed``
+    one of at least 0, under every method.
     """
     method = Method(method)
     check_count("k", k)
+    check_count("seed", seed, least=0)
     setup = setup_pool(pool, target, kernel)
     prepared, z_all, n = setup.prepared, setup.embeds, len(pool)
     trace = RunTrace()

@@ -92,14 +92,26 @@ BLOCK_ALIGN = 64
 # since a step's handoff to a helper costs 25-30 us.
 BLOCK_MIN_COLUMNS = 3000
 
-_sharing = threading.local()  # .cores: this thread's runs share the cores with other runs
+# .cores: this thread's runs share the cores with other runs; .buffer: memory for their Y
+_sharing = threading.local()
 
 
-def share_cores() -> None:
+def share_cores(buffers: list | None = None) -> None:
     """Keep every ``PoolScores`` built later on this thread in one column
     block: the initializer of ``run_distributed``'s thread and process
-    pools, whose workers run at the same time and take a core each."""
+    pools, whose workers run at the same time and take a core each.
+
+    A thread worker also takes one of ``buffers``, flat float arrays the
+    caller allocated, and every ``PoolScores`` built later on this thread
+    carves Y from it where it is large enough.  Y then lives in the caller's
+    malloc arena, which hands the same pages to the next call, rather than
+    in an arena of the worker thread's own that keeps them after the run.
+    A worker that finds no buffer left takes none and does not wait.
+    """
     _sharing.cores = True
+    if buffers is not None:
+        with contextlib.suppress(IndexError):
+            _sharing.buffer = buffers.pop()
 
 
 def usable_cpus() -> int:
@@ -356,7 +368,10 @@ class PoolScores:
     a thread that ran ``share_cores``.  ``proj[b]`` is block b's
     (min(capacity, n), width) part of Y, carved from one allocation of Y's
     size, so each block's step reads only contiguous memory and can run on
-    its own core.  A column of Y, s and r depends only on its own column of
+    its own core.  On a thread worker of ``run_distributed`` that allocation
+    is the front of the buffer ``share_cores`` handed the thread, where that
+    buffer holds Y; every run on the thread reuses it, since no Y outlives
+    its run.  A column of Y, s and r depends only on its own column of
     the kernel row and of Y, and the blocks split at multiples of
     ``BLOCK_ALIGN`` columns, where the BLAS product groups columns as it
     does over the whole pool; so the blocks hold the whole pool's values bit
@@ -404,7 +419,9 @@ class PoolScores:
         blocks = _block_count(n)
         self.bounds = [0] + [n * b // blocks // BLOCK_ALIGN * BLOCK_ALIGN
                              for b in range(1, blocks)] + [n]
-        buf = np.empty(rows * n)
+        buf = getattr(_sharing, "buffer", None)
+        if buf is None or buf.size < rows * n:
+            buf = np.empty(rows * n)
         self.proj = [buf[rows * start:rows * stop].reshape(rows, stop - start)
                      for start, stop in zip(self.bounds, self.bounds[1:])]
         self.resid, self.schur = state.scores(prepared, embeds, diag)

@@ -235,7 +235,7 @@ def summarize(data: LabeledDataset, method, k: int, *, s: int = 1,
     full-data model; the target is the uniform discrete distribution over
     the validation embeddings.  ``s > 1`` routes the selection through the
     distributed driver (WKH / SBQ only); ``k`` and ``s`` must be ints of at
-    least 1.  The size-matched random baseline
+    least 1 and ``seed`` one of at least 0.  The size-matched random baseline
     rejects single-class draws, see :func:`_draw_baseline_rows`; a selection
     of one class raises ``BothClassesRequired`` naming the method, ``k`` and
     ``seed``.
@@ -256,6 +256,7 @@ def summarize(data: LabeledDataset, method, k: int, *, s: int = 1,
         raise ValueError("summarize supports WKH, SBQ and MC_RANDOM")
     check_count("k", k)
     check_count("s", s)
+    check_count("seed", seed, least=0)
     train_rows = data.indices("train")
     if k > train_rows.size:
         raise ValueError(f"k must lie in [1, {train_rows.size}]")

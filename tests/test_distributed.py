@@ -462,3 +462,17 @@ def test_threads_sharing_one_pool_between_two_targets_agree_with_serial_runs():
         sys.setswitchinterval(interval)
     for (target, s), result in results:
         assert_same_result(expected[(id(target), s)], result)
+
+
+@pytest.mark.parametrize("entry", ["partition", "serial", "thread", "process"])
+@pytest.mark.parametrize("seed", [None, 1.5, np.float64(1.0), True, -1, "1"],
+                         ids=["none", "float", "numpy_float", "bool", "negative", "str"])
+def test_run_distributed_and_partition_check_seed_where_it_enters(entry, seed):
+    """``None`` would draw fresh entropy, so two equal calls would pick different winners."""
+    pool, target, kern = make_problem(seed=20)
+    run = {"partition": lambda: partition(pool, 2, seed)}.get(
+        entry, lambda: run_distributed(Method.WKH, pool, target, kern, 3, 2, seed, executor=entry))
+    with pytest.raises(ValueError, match="seed must be at least 0 and an int"):
+        run()
+    assert pool._setup is None
+    np.testing.assert_array_equal(partition(pool, 2, 0), partition(pool, 2, np.uint8(0)))

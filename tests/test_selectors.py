@@ -634,3 +634,16 @@ def test_selection_scores_mask_every_s_that_is_not_above_the_threshold(method, b
     assert scores[5:].tobytes() == kept.tobytes()
     if buffers:
         assert scores is out
+
+
+@pytest.mark.parametrize("method", ["WKH", "MC_RANDOM"])
+@pytest.mark.parametrize("seed", [None, 1.5, np.float64(1.0), True, -1, "1"],
+                         ids=["none", "float", "numpy_float", "bool", "negative", "str"])
+def test_run_greedy_checks_seed_where_it_enters(method, seed):
+    """``None`` would draw fresh entropy, so two equal MC_RANDOM calls would differ."""
+    pool, target, kern = mixture_problem(seed=1, n=30)
+    with pytest.raises(ValueError, match="seed must be at least 0 and an int"):
+        run_greedy(method, pool, target, kern, 5, seed=seed)
+    assert pool._setup is None
+    runs = [run_greedy(method, pool, target, kern, 5, seed=s)[1] for s in (0, np.int64(0))]
+    assert runs[0].chosen_ids == runs[1].chosen_ids

@@ -587,3 +587,18 @@ def test_summarize_memo_under_concurrent_misses(monkeypatch):
         sys.setswitchinterval(interval)
     for cell, rep in threaded:
         assert_same_report(rep, serial[cell])
+
+
+@pytest.mark.parametrize("method", ["WKH", "MC_RANDOM"])
+@pytest.mark.parametrize("seed", [None, 1.5, np.float64(1.0), True, -1, "1"],
+                         ids=["none", "float", "numpy_float", "bool", "negative", "str"])
+def test_summarize_checks_seed_where_it_enters(method, seed):
+    """Under ``seed=None`` the random baseline would be cached under the key
+    (None, k) and served next to later calls' fresh selections."""
+    data = synthetic_blob_dataset(200, 8, seed=0)
+    with pytest.raises(ValueError, match="seed must be at least 0 and an int"):
+        summarize(data, method, 10, seed=seed)
+    assert data._fit is None
+    reports = [summarize(data, method, 10, seed=s) for s in (0, np.int64(0))]
+    assert reports[0].random_nll == reports[1].random_nll
+    np.testing.assert_array_equal(reports[0].selected_indices, reports[1].selected_indices)
