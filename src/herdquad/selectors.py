@@ -25,9 +25,12 @@ once per run, so the kernel row is a step's only allocation of the pool's
 length; ``wkh_select`` and ``sbq_select`` compute the pair for one step
 from scratch, with ``QuadratureState.scores`` on the pool's ``PoolSetup``.
 
-On a shard of a few thousand candidates most of a step is Python that
-holds the GIL, so the Python work of a step bounds how far the thread
-workers of ``run_distributed`` overlap.  ``run_greedy`` keeps it small: it
+On a shard of a few thousand candidates a step is mostly short numpy calls
+over the shard.  numpy releases the GIL inside every ufunc call over more
+than 500 elements and takes it back at the call's end, so two thread
+workers of ``run_distributed`` hand the GIL to each other at almost every
+call; those handoffs, not arithmetic that holds the GIL, bound how far the
+workers overlap.  ``run_greedy`` keeps a step's calls and Python few: it
 counts the atoms in a local, reads the pool's arrays and ``PoolScores``'
 r and s once per run, picks with ``scores.argmax()``, and enters the
 ``np.errstate`` that silences SBQ's division by a dependent s once per
@@ -48,7 +51,10 @@ baselines likewise reuse the pool's embeddings and one kernel row per
 pick instead of evaluating the target point by point.  Their bookkeeping
 is O(1) per step besides that row: the ``UniformAccumulator`` keeps its
 embeddings in a doubling buffer, KH_UNIFORM scores into a buffer of the
-run and MC_RANDOM gathers its prepared draws once.
+run and MC_RANDOM gathers its prepared draws once.  MC_RANDOM's draws take
+one pass: ``UniformAccumulator.extend`` reads their kernel entries from a
+generator, one cross per draw, and computes g after each draw with no
+method or property call per draw.
 
 Selection is deterministic: ties always go to the lowest pool id (pools
 list their rows by ascending id and ``argmax`` takes the first maximum), and a
@@ -200,8 +206,10 @@ class UniformAccumulator:
 
     is available after every step.  ``run_greedy`` returns one for the
     uniform-weight baselines, KH_UNIFORM and MC_RANDOM.  The embeddings sit
-    in a buffer that doubles when it fills, so a step costs O(1) besides
-    the one sum of the mean, which is the sum ``np.mean`` takes.
+    in a buffer that doubles when it fills, so a point costs O(1) besides
+    its kernel row's sum and the one sum of the mean, which is the sum
+    ``np.mean`` takes.  ``extend`` is the one place that computes g;
+    ``add`` appends one point through it.
     """
 
     def __init__(self, self_energy: float):
@@ -209,6 +217,7 @@ class UniformAccumulator:
         self.atom_ids: list[int] = []
         self._embeds = np.empty(64)
         self._pair_sum = 0.0
+        self._mmd_sq = self.self_energy
 
     @property
     def size(self) -> int:
@@ -216,21 +225,43 @@ class UniformAccumulator:
 
     @property
     def mmd_sq(self) -> float:
-        n = self.size
-        if n == 0:
-            return self.self_energy
-        mean = float(np.add.reduce(self._embeds[:n])) / n
-        return self.self_energy - 2.0 * mean + self._pair_sum / n**2
+        return self._mmd_sq
 
     def add(self, pool_id: int, embed: float, k_atoms: np.ndarray, k_self: float) -> None:
         """Append point ``pool_id`` with its embedding z(x), its kernel entries
         k(x, x_i) at the atoms so far, in atom order, and k(x, x)."""
-        self._pair_sum += 2.0 * float(k_atoms.sum()) + float(k_self)
-        n = self.size
-        if n == self._embeds.size:
-            self._embeds = np.concatenate([self._embeds, np.empty(n)])
-        self._embeds[n] = embed
-        self.atom_ids.append(int(pool_id))
+        self.extend((pool_id,), (embed,), ((k_atoms, k_self),))
+
+    def extend(self, pool_ids: list[int], embeds: np.ndarray, entries) -> list[float]:
+        """Append the points ``pool_ids`` in order and return g after each.
+
+        ``embeds`` holds their embeddings z(x), and ``entries`` yields one
+        pair per point: its kernel entries k(x, x_i) at the atoms before
+        it, in atom order, and k(x, x).  It is read lazily, one pair per
+        point, so a generator may compute each pair when it is asked for
+        the next.  No state changes until the last pair is read.
+        """
+        n, m = len(self.atom_ids), len(pool_ids)
+        buf = self._embeds
+        if n + m > buf.size:
+            size = buf.size
+            while size < n + m:
+                size *= 2
+            buf = np.concatenate([buf[:n], np.empty(size - n)])
+        buf[n:n + m] = embeds
+        c, pair, reduce = self.self_energy, self._pair_sum, np.add.reduce
+        g = []
+        for k_atoms, k_self in entries:
+            n += 1
+            pair += 2.0 * float(reduce(k_atoms)) + float(k_self)
+            g.append(c - 2.0 * (float(reduce(buf[:n])) / n) + pair / n**2)
+        if len(g) != m:
+            raise ValueError(f"{m} points need {m} pairs of kernel entries, got {len(g)}")
+        self._embeds, self._pair_sum = buf, pair
+        if g:
+            self._mmd_sq = g[-1]
+        self.atom_ids += map(int, pool_ids)
+        return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,15 +409,21 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
         return acc, trace
 
     # MC_RANDOM: every draw counts as one iteration and as a selected point,
-    # dependent draws included.
+    # dependent draws included.  The accumulator reads one kernel row per
+    # draw, against every draw so far, this one last, from a generator that
+    # computes it when asked; a draw's time is read when the accumulator asks
+    # for the next draw's entries, so it counts the draw's g.
     order = np.random.default_rng(seed).permutation(n)[:k]
-    drawn = prepared[order]
-    draws = zip(pool.ids[order].tolist(), z_all[order].tolist())  # Python numbers, converted once
-    for it, (pool_id, embed) in enumerate(draws, start=1):
-        # one kernel row against every draw so far, this one last
-        k_row = kernel.cross(drawn[it - 1:it], drawn[:it])[0]
-        acc.add(pool_id, embed, k_row[:-1], k_row[-1])
-        trace.rows.append(TraceRow(it, pool_id, acc.mmd_sq, elapsed_ms()))
+    drawn, draw_ids, cross, elapsed = prepared[order], pool.ids[order].tolist(), kernel.cross, []
+
+    def rows():
+        for it in range(1, order.size + 1):
+            row = cross(drawn[it - 1:it], drawn[:it])[0]
+            yield row[:-1], row[-1]
+            elapsed.append(elapsed_ms())
+
+    g = acc.extend(draw_ids, z_all[order], rows())
+    trace.rows = list(map(TraceRow, range(1, order.size + 1), draw_ids, g, elapsed))
     if n < k:
         trace.stop_reason = "pool_exhausted"
     return acc, trace

@@ -392,8 +392,9 @@ class PoolScores:
     cross of the pick against the atoms' prepared rows, and each block
     computes its own columns of the row in the thread that runs its
     product, a helper before its product and the caller after its own,
-    then its fold.  Each thread's short calls, which hold the GIL, then
-    fall while the other thread is inside a long call that does not.  The
+    then its fold.  Each thread's short calls then fall while the other
+    thread is inside a long call, so the two seldom wait for the GIL, which
+    numpy drops and takes back in every call over more than 500 elements.  The
     order was measured on the bench's d2 pool (WKH + SBQ, k = 100, n =
     20 000, 2 cores, one BLAS thread, medians of 9 in each of 3 processes):
     36.6-36.9 ms, against 38.0-38.7 ms for the whole row on the caller

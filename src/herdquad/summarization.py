@@ -19,17 +19,24 @@ serves it to every other seed.  MC_RANDOM and ``s > 1``, where the seed
 drives the draws or the partition, are computed in every call.
 
 So a call costs what its dataset's fit leaves to do.  A seed-free WKH or
-SBQ cell served from the fit costs a lookup and a copy of its trace row
-list.  An MC_RANDOM cell draws k rows and takes one kernel row per draw
-against the draws so far, O(k^2 d) for d-dimensional embeddings; it then
-retrains on the k rows, O(k d) per objective evaluation over some tens of
-evaluations, and scores the test split through the design matrix the fit
-keeps.  ``s > 1`` adds the distributed run.  At a grid's sizes (k up to
-50, d + 1 = 129 on the benchmark's blobs) a numpy call costs more in its
-Python wrapper than in arithmetic, so these paths make few calls: ndarray
-reductions instead of the ``np.sum`` and ``np.max`` functions (the same
-reductions, so every result keeps its bits), the split rows found once per
-dataset and the test design matrix built once per fit.
+SBQ cell served from the fit costs a lookup and copies of its trace row
+list and selected rows.  An MC_RANDOM cell draws k rows and takes one
+kernel row per draw against the draws so far, O(k^2 d) for d-dimensional
+embeddings; it then retrains on the k rows, O(k d) per objective
+evaluation over some tens of evaluations, and scores the test split
+through the design matrix the fit keeps.  Its trace and rows go to its
+report uncopied, since nothing else holds them.  ``s > 1`` adds the
+distributed run.  At a grid's sizes (k up to 50, d + 1 = 129 on the
+benchmark's blobs) a numpy call costs more in its Python wrapper than in
+arithmetic, so these paths make few calls, each through its leanest entry
+for the same arithmetic: sums and maxima are ``np.add.reduce`` and
+``np.maximum.reduce``, the reductions ``ndarray.sum``, ``max`` and
+``mean`` delegate to; products are ``ndarray.dot``, the BLAS call (gemv or
+ddot) that ``@`` makes, without matmul's dispatch; the descent forms the
+transposed design matrix once per fit and takes its first trial step as
+theta - grad, which is exactly theta - 1.0 * grad.  The split rows are
+found once per dataset and the test design matrix is built once per fit.
+So every result keeps its bits.
 
 ``import herdquad`` does not load ``scipy.special``: ``_gradient`` and
 ``fisher_embed_many`` reach ``expit`` as ``scipy.special.expit`` when they
@@ -75,8 +82,8 @@ def _design(X: np.ndarray) -> np.ndarray:
 
 def _mean_nll(theta, Xd, y) -> float:
     """Mean logistic loss of the design matrix ``Xd`` and float labels ``y`` at ``theta``."""
-    t = Xd @ theta
-    return float((np.logaddexp(0.0, t) - y * t).mean())
+    t = Xd.dot(theta)
+    return float(np.add.reduce(np.logaddexp(0.0, t) - y * t)) / t.size
 
 
 @dataclass
@@ -88,13 +95,15 @@ class LogisticModel:
 
 def _objective(theta, Xd, y, lam, wts):
     """Training objective at ``theta`` and the logits t = Xd theta it was computed from."""
-    t = Xd @ theta
-    loss = float((wts * (np.logaddexp(0.0, t) - y * t)).sum())
-    return loss + 0.5 * lam * float(theta @ theta), t
+    t = Xd.dot(theta)
+    loss = float(np.add.reduce(wts * (np.logaddexp(0.0, t) - y * t)))
+    return loss + 0.5 * lam * float(theta.dot(theta)), t
 
 
-def _gradient(theta, t, Xd, y, lam, wts):
-    return Xd.T @ (wts * (scipy.special.expit(t) - y)) + lam * theta
+def _gradient(theta, t, XdT, y, lam, wts):
+    """Gradient of ``_objective`` at ``theta`` from its logits ``t``; ``XdT``
+    is the transposed design matrix."""
+    return XdT.dot(wts * (scipy.special.expit(t) - y)) + lam * theta
 
 
 def train_logistic(X, y, lam: float = LAM) -> LogisticModel:
@@ -117,23 +126,26 @@ def train_logistic(X, y, lam: float = LAM) -> LogisticModel:
         raise ValueError("regularization strength must be nonnegative")
     wts = np.full(y.shape[0], 1.0 / y.shape[0])
 
-    theta = np.zeros(Xd.shape[1])
+    theta, XdT = np.zeros(Xd.shape[1]), Xd.T
     obj, t = _objective(theta, Xd, y, lam, wts)
-    grad = _gradient(theta, t, Xd, y, lam, wts)
+    grad = _gradient(theta, t, XdT, y, lam, wts)
     for _ in range(MAX_ITERS):
-        if float(np.abs(grad).max()) <= GRAD_TOL:
+        if float(np.maximum.reduce(np.abs(grad))) <= GRAD_TOL:
             return LogisticModel(theta=theta)
-        step = 1.0
-        gsq = float(grad @ grad)
-        for _ in range(60):
-            candidate = theta - step * grad
-            cand_obj, cand_t = _objective(candidate, Xd, y, lam, wts)
+        gsq = float(grad.dot(grad))
+        # at most 60 trial steps, halving from 1; the first is theta - 1.0 * grad,
+        # which is theta - grad exactly
+        step, candidate = 1.0, theta - grad
+        cand_obj, cand_t = _objective(candidate, Xd, y, lam, wts)
+        for _ in range(59):
             if cand_obj <= obj - 1e-4 * step * gsq:
                 break
             step *= 0.5
+            candidate = theta - step * grad
+            cand_obj, cand_t = _objective(candidate, Xd, y, lam, wts)
         theta, obj = candidate, cand_obj
-        grad = _gradient(theta, cand_t, Xd, y, lam, wts)
-    gnorm = float(np.abs(grad).max())
+        grad = _gradient(theta, cand_t, XdT, y, lam, wts)
+    gnorm = float(np.maximum.reduce(np.abs(grad)))
     if gnorm > GRAD_TOL:
         warnings.warn(f"gradient descent stopped at grad norm {gnorm:.3e} "
                       f"after {MAX_ITERS} iterations", NonConvergence)
@@ -301,10 +313,13 @@ def summarize(data: LabeledDataset, method, k: int, *, s: int = 1,
     if cell_key is not None:
         fit.cells[cell_key] = cell
 
-    # each report owns its row list and indices, so editing one edits no other
+    # each report owns its row list and indices, so editing one edits no other;
+    # only a cell the fit keeps is shared, a fresh one is this report's alone
+    if cell_key is not None:
+        trace, selected_indices = replace(trace, rows=list(trace.rows)), selected_indices.copy()
     return SummarizeReport(
-        method=method.value, trace=replace(trace, rows=list(trace.rows)),
-        final_mmd_sq=final_mmd_sq, selected_indices=selected_indices.copy(),
+        method=method.value, trace=trace,
+        final_mmd_sq=final_mmd_sq, selected_indices=selected_indices,
         test_nll=test_nll, random_nll=random_nll, full_nll=float(fit.full_nll),
         n_degenerate=int(train_rows.size - fit.kept_tr.size),
     )

@@ -1,12 +1,14 @@
 """Seeded differential tests: WKH and SBQ against a dense recomputation.
 
-Twelve instances, each drawn from a fixed numpy seed, span both target
+Fourteen instances, each drawn from a fixed numpy seed, span both target
 kinds (RBF Gaussian mixtures and discrete targets under the feature
 kernel), dimensions 1 to 33, pool sizes on both sides of 64 (the block
-alignment) and pools with duplicated rows.  For WKH and SBQ at budgets
-1, n and n + 1 the tests check the trace of g, recompute the final g as
+alignment), pools with duplicated rows and pools with near-duplicate rows,
+copies perturbed by about 1e-9 relative.  For WKH and SBQ at budgets 1, n
+and n + 1 the tests check the trace of g, recompute the final g as
 c - 2 w'z + w'Kw from the atoms' points alone, and run the distributed
-driver on three workers under every executor.
+driver on three workers under every executor; the smallest instance also
+runs it on n workers of one point each.
 """
 
 import numpy as np
@@ -18,28 +20,32 @@ from herdquad.selectors import run_greedy
 from herdquad.state import G_ROUNDOFF
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
 
-# (target kind, d, n, duplicated rows): one instance each, drawn from seed 3800 + its index
+# (target kind, d, n, copied rows: "", "dup" exact or "near" perturbed copies):
+# one instance each, drawn from seed 3800 + its index
 INSTANCES = [
-    ("mixture", 1, 63, False),
-    ("mixture", 2, 64, True),
-    ("mixture", 8, 65, False),
-    ("mixture", 33, 129, False),
-    ("mixture", 2, 200, False),
-    ("mixture", 8, 129, True),
-    ("mixture", 1, 200, True),
-    ("feature", 1, 64, False),
-    ("feature", 2, 63, False),
-    ("feature", 8, 200, True),
-    ("feature", 33, 65, False),
-    ("feature", 33, 200, True),
+    ("mixture", 1, 63, ""),
+    ("mixture", 2, 64, "dup"),
+    ("mixture", 8, 65, ""),
+    ("mixture", 33, 129, ""),
+    ("mixture", 2, 200, ""),
+    ("mixture", 8, 129, "dup"),
+    ("mixture", 1, 200, "dup"),
+    ("feature", 1, 64, ""),
+    ("feature", 2, 63, ""),
+    ("feature", 8, 200, "dup"),
+    ("feature", 33, 65, ""),
+    ("feature", 33, 200, "dup"),
+    ("mixture", 2, 129, "near"),
+    ("feature", 8, 129, "near"),
 ]
-IDS = [f"{kind}-d{d}-n{n}{'-dup' if dup else ''}" for kind, d, n, dup in INSTANCES]
+IDS = [f"{kind}-d{d}-n{n}{'-' + copies if copies else ''}" for kind, d, n, copies in INSTANCES]
+SMALLEST = min(range(len(INSTANCES)), key=lambda i: INSTANCES[i][2])
 METHODS = ("WKH", "SBQ")
 WORKERS = 3
 
 
 def draw_instance(index):
-    kind, d, n, dup = INSTANCES[index]
+    kind, d, n, copies = INSTANCES[index]
     rng = np.random.default_rng(3800 + index)
     if kind == "mixture":
         components = 3
@@ -53,9 +59,12 @@ def draw_instance(index):
         kernel = NormalizedFeatureKernel()
         target = DiscreteTarget.uniform(center + rng.normal(size=(30, d)), kernel)
         points = center + rng.normal(size=(n, d))
-    if dup:
-        copies = n // 4
-        points[rng.choice(n, copies, replace=False)] = points[rng.choice(n, copies)]
+    if copies:
+        m = n // 4
+        copied = points[rng.choice(n, m)]
+        if copies == "near":
+            copied *= 1.0 + 1e-9 * rng.standard_normal(copied.shape)
+        points[rng.choice(n, m, replace=False)] = copied
     return CandidatePool.from_points(points), target
 
 
@@ -109,19 +118,32 @@ def assert_same_bits(a, b):
         assert x.mmd_values.tobytes() == y.mmd_values.tobytes()
 
 
+def check_distributed(pool, target, method, k, workers):
+    """The three executors agree bit for bit, the winner is no worse than any
+    worker, the aggregator picks from the workers' atoms and every solution's
+    g meets the dense objective."""
+    runs = {ex: run_distributed(method, pool, target, target.kernel, k, workers, seed=k,
+                                executor=ex, max_workers=2)
+            for ex in ("serial", "thread", "process")}
+    serial = runs["serial"]
+    assert_same_bits(serial, runs["thread"])
+    assert_same_bits(serial, runs["process"])
+    shards, aggregator = serial.solutions[:workers], serial.solutions[workers]
+    assert serial.winner.mmd_sq <= min(sol.mmd_sq for sol in shards)
+    assert set(aggregator.ids) <= {i for sol in shards for i in sol.ids}
+    for sol in serial.solutions:
+        assert sol.mmd_sq >= -G_ROUNDOFF
+        assert_dense_g(pool, target, sol.ids, sol.weights, sol.mmd_sq)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_distributed_executors_agree_and_the_winner_is_the_best(instance, method):
     pool, target = instance
     for k in budgets(pool):
-        runs = {ex: run_distributed(method, pool, target, target.kernel, k, WORKERS, seed=k,
-                                    executor=ex, max_workers=2)
-                for ex in ("serial", "thread", "process")}
-        serial = runs["serial"]
-        assert_same_bits(serial, runs["thread"])
-        assert_same_bits(serial, runs["process"])
-        workers, aggregator = serial.solutions[:WORKERS], serial.solutions[WORKERS]
-        assert serial.winner.mmd_sq <= min(sol.mmd_sq for sol in workers)
-        assert set(aggregator.ids) <= {i for sol in workers for i in sol.ids}
-        for sol in serial.solutions:
-            assert sol.mmd_sq >= -G_ROUNDOFF
-            assert_dense_g(pool, target, sol.ids, sol.weights, sol.mmd_sq)
+        check_distributed(pool, target, method, k, WORKERS)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_point_per_worker_on_the_smallest_instance(method):
+    pool, target = draw_instance(SMALLEST)
+    check_distributed(pool, target, method, len(pool), len(pool))

@@ -535,11 +535,13 @@ def test_zero_norm_feature_fails_before_any_selection(where):
 def reference_uniform_run(method, pool, target, kern, k, seed):
     """KH_UNIFORM and MC_RANDOM written plainly: Python lists, ``np.mean`` over
     every embedding at every step, a fresh score array per step and a fresh
-    gather of every draw so far.  Returns the chosen ids and the g trace."""
+    gather of every draw so far.  Returns the chosen ids, the g trace and
+    what each step added: the id, its embedding, its kernel entries at the
+    atoms before it and k(x, x)."""
     prepared = kern.prepare(pool.points)
     z_all = target.mean_embed_many(pool.points)
     c = target.self_energy()
-    ids, embeds, g = [], [], []
+    ids, embeds, g, added = [], [], [], []
     pair = 0.0
 
     def add(row, k_atoms, k_self):
@@ -548,6 +550,7 @@ def reference_uniform_run(method, pool, target, kern, k, seed):
         ids.append(int(pool.ids[row]))
         embeds.append(float(z_all[row]))
         g.append(c - 2.0 * float(np.mean(embeds)) + pair / len(ids) ** 2)
+        added.append((ids[-1], embeds[-1], k_atoms, k_self))
 
     if method is Method.KH_UNIFORM:
         ksum, chosen = np.zeros(len(pool)), []
@@ -564,24 +567,32 @@ def reference_uniform_run(method, pool, target, kern, k, seed):
         for it, row in enumerate(order[:k], start=1):
             k_row = kern.cross(prepared[row:row + 1], prepared[order[:it]])[0]
             add(row, k_row[:-1], k_row[-1])
-    return ids, g
+    return ids, g, added
 
 
 @pytest.mark.parametrize("problem", ["rbf", "feature"])
 @pytest.mark.parametrize("method", [Method.KH_UNIFORM, Method.MC_RANDOM])
-@pytest.mark.parametrize("k", [130, 260])
+@pytest.mark.parametrize("k", [10, 50, 130, 260])
 def test_uniform_baselines_match_the_plain_loops_bit_for_bit(problem, method, k):
-    """200 points and k > 100, so the accumulator's buffer grows at least once."""
+    """200 points; k = 10 and 50 stay below the accumulator's first buffer
+    growth at 64, and k > 100 grows it at least once.  While the pool has a
+    point left, one more ``add`` after the run gives the plain loop's next g."""
     if problem == "rbf":
         pool, target, kern = mixture_problem(seed=41, n=200, dim=3)
     else:
         pool, target, kern = feature_problem(seed=42, n=200, dim=30)
     acc, trace = run_greedy(method, pool, target, kern, k, seed=7)
-    ids, g = reference_uniform_run(method, pool, target, kern, k, seed=7)
+    ids, g, _ = reference_uniform_run(method, pool, target, kern, k, seed=7)
     assert trace.chosen_ids == ids == acc.atom_ids
     assert trace.mmd_values.tobytes() == np.array(g).tobytes()
     assert acc.mmd_sq == g[-1]
     assert trace.stop_reason == ("pool_exhausted" if k > len(pool) else None)
+    if k < len(pool):
+        ids, g, added = reference_uniform_run(method, pool, target, kern, k + 1, seed=7)
+        pool_id, embed, k_atoms, k_self = added[k]
+        acc.add(pool_id, embed, k_atoms, k_self)
+        assert acc.atom_ids == ids
+        assert acc.mmd_sq == g[k]
 
 
 @pytest.mark.parametrize("method", list(Method))

@@ -83,7 +83,7 @@ def test_train_logistic_gradient_matches_finite_differences():
         from herdquad.summarization import _design, _gradient, _objective
         Xd, yf, w = _design(X), y.astype(float), wts / wts.sum()
         _, t = _objective(theta, Xd, yf, lam, w)
-        g = _gradient(theta, t, Xd, yf, lam, w)
+        g = _gradient(theta, t, Xd.T, yf, lam, w)
         assert np.max(np.abs(fd - g)) <= 1e-4 * max(1.0, np.max(np.abs(g)))
 
 
@@ -162,11 +162,18 @@ def logistic_problems(count, seed):
         yield X, y
 
 
+def bench_shaped_problems():
+    """128-d blobs with 10, 25 and 50 examples, the shapes of the summarize
+    benchmark's fits: fewer examples than the 129 parameters."""
+    for n, seed in ((10, 30), (25, 31), (50, 32)):
+        yield make_blobs(n, dim=128, seed=seed)
+
+
 def test_train_logistic_matches_the_frozen_loop_bit_for_bit():
     cases = list(logistic_problems(16, seed=27))
     assert sum(X.shape[0] < X.shape[1] + 1 for X, _ in cases) == 8
     rng = np.random.default_rng(29)
-    for X, y in cases:
+    for X, y in cases + list(bench_shaped_problems()):
         model = train_logistic(X, y)
         assert model.theta.tobytes() == frozen_train_logistic(X, y).tobytes()
         # a last-bit change in the objective rarely moves theta, so it is compared apart
@@ -185,6 +192,20 @@ def test_train_logistic_matches_the_frozen_loop_when_it_stops_early(monkeypatch)
         with pytest.warns(NonConvergence):
             model = train_logistic(X, y)
         assert model.theta.tobytes() == frozen_train_logistic(X, y).tobytes()
+
+
+def test_train_logistic_takes_the_last_trial_step_when_backtracking_runs_out(monkeypatch):
+    """Features of order 1e12 make every step's search fail all 60 trial
+    steps, after which the descent moves by the 60th as the frozen loop does."""
+    monkeypatch.setattr(summarization, "MAX_ITERS", 4)
+    X, y = make_blobs(12, dim=3, seed=5)
+    X = X * 1e12
+    objective = summarization._objective
+    calls = []
+    monkeypatch.setattr(summarization, "_objective", lambda *a: calls.append(1) or objective(*a))
+    model = train_logistic(X, y)
+    assert len(calls) == 1 + 4 * 60
+    assert model.theta.tobytes() == frozen_train_logistic(X, y).tobytes()
 
 
 def unit_score(model, x, y):
@@ -419,6 +440,32 @@ def test_summarize_selects_once_per_seed_free_cell(monkeypatch):
     monkeypatch.setattr(summarization, "run_distributed", real_distributed)
     for (method, s, k, seed), rep in reports.items():
         assert_same_report(rep, fresh_report(ds, method, k, s=s, seed=seed))
+
+
+def test_random_cells_select_and_retrain_in_every_call(monkeypatch):
+    """MC_RANDOM cells are per-call work: a second pass of the benchmark's
+    3 budgets x 5 seeds grid makes one selection and one retraining per cell,
+    so no seeded cell is served from the dataset's fit."""
+    ds = synthetic_blob_dataset(n=200, dim=16, seed=0)
+    grid = [(k, seed) for k in (10, 25, 50) for seed in range(5)]
+    first = [summarize(ds, "MC_RANDOM", k, seed=seed) for k, seed in grid]
+    calls = Counter()
+    real_greedy, real_train = summarization.run_greedy, summarization.train_logistic
+
+    def counting_greedy(*args, **kwargs):
+        calls["run_greedy"] += 1
+        return real_greedy(*args, **kwargs)
+
+    def counting_train(*args, **kwargs):
+        calls["train_logistic"] += 1
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(summarization, "run_greedy", counting_greedy)
+    monkeypatch.setattr(summarization, "train_logistic", counting_train)
+    second = [summarize(ds, "MC_RANDOM", k, seed=seed) for k, seed in grid]
+    assert calls == Counter(run_greedy=len(grid), train_logistic=len(grid))
+    for a, b in zip(first, second):
+        assert_same_report(a, b)
 
 
 def test_alternating_datasets_fit_each_once(monkeypatch):
