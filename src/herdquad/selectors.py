@@ -232,7 +232,7 @@ class UniformAccumulator:
         k(x, x_i) at the atoms so far, in atom order, and k(x, x)."""
         self.extend((pool_id,), (embed,), ((k_atoms, k_self),))
 
-    def extend(self, pool_ids: list[int], embeds: np.ndarray, entries) -> list[float]:
+    def extend(self, pool_ids, embeds, entries) -> list[float]:
         """Append the points ``pool_ids`` in order and return g after each.
 
         ``embeds`` holds their embeddings z(x), and ``entries`` yields one
@@ -416,13 +416,13 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     order = np.random.default_rng(seed).permutation(n)[:k]
     drawn, draw_ids, cross, elapsed = prepared[order], pool.ids[order].tolist(), kernel.cross, []
 
-    def rows():
+    def entries():
         for it in range(1, order.size + 1):
             row = cross(drawn[it - 1:it], drawn[:it])[0]
             yield row[:-1], row[-1]
             elapsed.append(elapsed_ms())
 
-    g = acc.extend(draw_ids, z_all[order], rows())
+    g = acc.extend(draw_ids, z_all[order], entries())
     trace.rows = list(map(TraceRow, range(1, order.size + 1), draw_ids, g, elapsed))
     if n < k:
         trace.stop_reason = "pool_exhausted"

@@ -595,6 +595,17 @@ def test_uniform_baselines_match_the_plain_loops_bit_for_bit(problem, method, k)
         assert acc.mmd_sq == g[k]
 
 
+def test_accumulator_extend_with_too_few_entries_changes_nothing():
+    acc = UniformAccumulator(1.0)
+    acc.add(5, 0.5, np.empty(0), 1.0)
+    before = (list(acc.atom_ids), acc.mmd_sq)
+    with pytest.raises(ValueError, match="2 points need 2 pairs"):
+        acc.extend([6, 7], [0.4, 0.3], [(np.array([0.2]), 1.0)])
+    assert (acc.atom_ids, acc.mmd_sq) == before
+    acc.add(6, 0.4, np.array([0.2]), 1.0)
+    assert acc.mmd_sq == 1.0 - 2.0 * (0.9 / 2) + (1.0 + 2.0 * 0.2 + 1.0) / 4
+
+
 @pytest.mark.parametrize("method", list(Method))
 def test_one_setup_serves_many_runs_without_being_written(method):
     pool, target, kern = feature_problem(seed=9, n=80, dim=20)
