@@ -79,7 +79,9 @@ class Kernel:
     pair of points alone, so that a cross over any subset of B's rows
     equals those entries of the cross over all of them, bit for bit.  It is
     false unless a subclass sets it: a BLAS product rounds an entry with
-    the length of the batch.
+    the length of the batch.  It alone decides whether ``state.PoolScores``
+    may split a pool into column blocks that compute their own columns of a
+    kernel row; under any other kernel a pool is one block.
     """
 
     entrywise = False

@@ -41,11 +41,11 @@ scratch vector of length n per run, so a step allocates nothing of the
 pool's length.  Candidates with s < ``TAU_DEP`` are masked in bulk by
 the selection scores rather than tried and rejected one at a time.
 
-On a large pool ``PoolScores`` splits Y, s and r into column blocks and
-steps them on helper threads, one per core; under an entrywise kernel each
-block computes its own columns of the kernel row inside the step.  Its
-docstring describes the blocks, the order of a step's calls and the
-timings that chose it.
+herdquad splits a step only where BLAS cannot: on a large pool under an
+entrywise kernel ``PoolScores`` steps Y, s and r in column blocks on helper
+threads, one per core, each computing its own columns of the kernel row.
+Its docstring describes the blocks, the order of a step's calls and the
+timings that chose them.
 
 The state keeps its own forward solve for L rather than reading L from
 the pool's Y: a row of Y comes out of a product whose length is the pool's
@@ -124,9 +124,9 @@ def usable_cpus() -> int:
 
 
 def _block_count(n: int) -> int:
-    """Column blocks of ``PoolScores`` on n candidates: at most one per usable
-    CPU, with n / B at least ``BLOCK_MIN_COLUMNS``, and one on a thread that
-    ran ``share_cores``."""
+    """Column blocks of ``PoolScores`` on n candidates under an entrywise kernel:
+    at most one per usable CPU, with n / B at least ``BLOCK_MIN_COLUMNS``, and
+    one on a thread that ran ``share_cores``."""
     if getattr(_sharing, "cores", False):
         return 1
     return max(1, min(usable_cpus(), n // BLOCK_MIN_COLUMNS))
@@ -365,17 +365,18 @@ class PoolScores:
     The pool's columns fall into B contiguous blocks [bounds[b],
     bounds[b + 1]): at most one per CPU the process may run on
     (``usable_cpus``) with n / B at least ``BLOCK_MIN_COLUMNS``, and one on
-    a thread that ran ``share_cores``.  ``proj[b]`` is block b's
-    (min(capacity, n), width) part of Y, carved from one allocation of Y's
-    size, so each block's step reads only contiguous memory and can run on
-    its own core.  On a thread worker of ``run_distributed`` that allocation
-    is the front of the buffer ``share_cores`` handed the thread, where that
-    buffer holds Y; every run on the thread reuses it, since no Y outlives
-    its run.  A column of Y, s and r depends only on its own column of
-    the kernel row and of Y, and the blocks split at multiples of
-    ``BLOCK_ALIGN`` columns, where the BLAS product groups columns as it
-    does over the whole pool; so the blocks hold the whole pool's values bit
-    for bit, and a pick still scores the whole pool at once.
+    a thread that ran ``share_cores`` or under a kernel not ``entrywise``.
+    ``proj[b]`` is block b's (min(capacity, n), width) part of Y, carved
+    from one allocation of Y's size, so each block's step reads only
+    contiguous memory and can run on its own core.  On a thread worker of
+    ``run_distributed`` that allocation is the front of the buffer
+    ``share_cores`` handed the thread, where that buffer holds Y; every run
+    on the thread reuses it, since no Y outlives its run.  A column of Y, s
+    and r depends only on its own column of the kernel row and of Y, and
+    the blocks split at multiples of ``BLOCK_ALIGN`` columns, where the
+    BLAS product groups columns as it does over the whole pool; so the
+    blocks hold the whole pool's values bit for bit, and a pick still
+    scores the whole pool at once.
 
     ``steps`` gives each block but the first a helper thread, joined on
     exit, that runs the block's O(n i / B) product L[i, :i] @ Y[:i] (numpy
@@ -387,26 +388,31 @@ class PoolScores:
     exception it raised, which the step re-raises once every helper has
     answered.
 
-    Where the blocks are several and the kernel is ``entrywise``, no whole
-    kernel row is computed: ``entries`` takes its i + 1 entries from one
-    cross of the pick against the atoms' prepared rows, and each block
-    computes its own columns of the row in the thread that runs its
-    product, a helper before its product and the caller after its own,
-    then its fold.  Each thread's short calls then fall while the other
-    thread is inside a long call, so the two seldom wait for the GIL, which
-    numpy drops and takes back in every call over more than 500 elements.  The
-    order was measured on the bench's d2 pool (WKH + SBQ, k = 100, n =
-    20 000, 2 cores, one BLAS thread, medians of 9 in each of 3 processes):
-    36.6-36.9 ms, against 38.0-38.7 ms for the whole row on the caller
-    before ``add_atom``, 36.9-37.9 ms for both threads' columns first,
-    and 38.1-38.3 ms for the caller's columns first and the helper's
-    product first.  Otherwise ``entries`` computes the whole row and reads
-    the state's entries from it: a feature kernel's cross over the atoms
-    alone would round some of them differently, and with one block, as on
-    a small pool or a concurrent worker of ``run_distributed``, the extra
-    cross costs more than it saves (the d8 bench's s = 5 calls: 87.8-88.8
-    -> 94.6-95.5 ms).  One block's step is one ``_fold`` call, with no
-    thread, queue or ``try``.
+    Where the blocks are several, no whole kernel row is computed:
+    ``entries`` takes its i + 1 entries from one cross of the pick against
+    the atoms' prepared rows, and each block computes its own columns of
+    the row in the thread that runs its product, a helper before its
+    product and the caller after its own, then its fold.  Each thread's
+    short calls then fall while the other thread is inside a long call, so
+    the two seldom wait for the GIL, which numpy drops and takes back in
+    every call over more than 500 elements.  The order was measured on
+    the bench's d2 pool (WKH + SBQ, k = 100, n = 20 000, 2 cores, one BLAS
+    thread, medians of 9 in each of 3 processes): 36.6-36.9 ms, against
+    38.0-38.7 ms for the whole row on the caller before ``add_atom``,
+    36.9-37.9 ms for both threads' columns first, and 38.1-38.3 ms for the
+    caller's columns first and the helper's product first.  With one block
+    ``entries`` computes the whole row as ``_cols[0]`` and reads the
+    state's entries from it: on a small pool or a concurrent worker of
+    ``run_distributed`` the extra cross costs more than it saves (the d8
+    bench's s = 5 calls: 87.8-88.8 -> 94.6-95.5 ms).  One block's step is
+    one ``_fold`` call, with no thread, queue or ``try``.
+
+    Under a kernel not ``entrywise`` each long product of a step, the row
+    included, is one BLAS call that BLAS may thread itself and blocks could
+    not split with the same bits, so blocks would only contend with BLAS's
+    threads: on 20 000 x 129 feature pools (WKH + SBQ, 2 cores, k = 50 and
+    100) one block read 2-9 % slower than two with one BLAS thread and
+    1.3-1.6x faster with OpenBLAS's default two.
     """
 
     def __init__(self, state: QuadratureState, prepared: np.ndarray, embeds: np.ndarray,
@@ -417,7 +423,7 @@ class PoolScores:
         self.prepared = prepared
         n = len(embeds)
         rows = min(capacity, n)
-        blocks = _block_count(n)
+        blocks = _block_count(n) if state.kernel.entrywise else 1
         self.bounds = [0] + [n * b // blocks // BLOCK_ALIGN * BLOCK_ALIGN
                              for b in range(1, blocks)] + [n]
         buf = getattr(_sharing, "buffer", None)
@@ -430,30 +436,27 @@ class PoolScores:
         # each block's (start, stop) and views of s, r and the scratch vector
         self._views = [(start, stop, self.schur[start:stop], self.resid[start:stop],
                         scratch[start:stop]) for start, stop in zip(self.bounds, self.bounds[1:])]
-        # The pool rows of the atoms, or under blocks that compute their own
-        # columns their prepared rows, and past them the latest pick's, which
-        # the next pick overwrites unless add_atom accepted it.  Copying each
-        # pick's prepared row once costs less than gathering the atoms' rows
-        # at every pick, which made the d2 bench's blocked calls 3 % slower.
+        # The atoms' pool rows, or under blocks their prepared rows, then the
+        # latest pick's, which the next pick overwrites unless add_atom took it.
+        # Copying a pick's prepared row once costs less than gathering the
+        # atoms' rows at every pick (the d2 bench's blocked calls: 3 % slower).
         self._atom_rows = np.empty(rows, dtype=int)
-        self._split = blocks > 1 and state.kernel.entrywise
         self._picked = (np.empty((rows,) + prepared.shape[1:], dtype=prepared.dtype)
-                        if self._split else None)
-        self._row = None  # the latest pick's whole kernel row, unless split
-        self._cols = [None] * blocks  # block b's columns of the latest atom's row, if split
+                        if blocks > 1 else None)
+        self._cols = [None] * blocks  # block b's columns of the latest pick's kernel row
 
     def entries(self, row: int) -> tuple[np.ndarray, float]:
         """k(atoms, x) and k(x, x), in atom order, for the point x at pool row
         ``row``: the kernel entries ``state.add_atom`` takes for it."""
         i = self.state.size
         pick = self.prepared[row:row + 1]
-        if self._split:
+        if self._picked is not None:
             atoms = self._picked
             atoms[i] = pick[0]
             k = self.state.kernel.cross(pick, atoms[:i + 1])[0]
             return k[:i], k[i]
         self._atom_rows[i] = row
-        k = self._row = self.state.kernel.cross(pick, self.prepared)[0]
+        k = self._cols[0] = self.state.kernel.cross(pick, self.prepared)[0]
         return k[self._atom_rows[:i]], k[row]
 
     def _columns(self, b: int, row: int) -> None:
@@ -479,7 +482,7 @@ class PoolScores:
         if project:
             np.dot(st._chol[i, :i], Y[:i], out=y)
         # y = (k_row - L[i, :i] @ Y[:i]) / L[i, i], in place of the product
-        np.subtract(self._cols[b] if self._split else self._row[start:stop], y, out=y)
+        np.subtract(self._cols[b], y, out=y)
         y /= st._chol[i, i]
         schur -= np.multiply(y, y, out=tmp)
         resid -= np.multiply(st._alpha[i], y, out=tmp)
@@ -496,13 +499,11 @@ class PoolScores:
         blocks = range(1, len(self.proj))
         todos = [queue.SimpleQueue() for _ in blocks]
         answers = queue.SimpleQueue()
-        split = self._split
 
         def serve(b: int, todo: queue.SimpleQueue) -> None:
             while (row := todo.get()) is not None:  # None stops the helper
                 try:
-                    if split:
-                        self._columns(b, row)
+                    self._columns(b, row)
                     self._project(b)
                     answers.put(None)
                 except BaseException as err:  # re-raised by the caller's step
@@ -512,12 +513,9 @@ class PoolScores:
             for todo in todos:
                 todo.put(row)
             try:
-                if split:
-                    self._project(0)
-                    self._columns(0, row)
-                    self._fold(0, row)
-                else:
-                    self._fold(0, row, project=True)
+                self._project(0)
+                self._columns(0, row)
+                self._fold(0, row)
             finally:
                 errors = [err for err in [answers.get() for _ in todos] if err is not None]
             if errors:

@@ -289,13 +289,12 @@ def summarize(data: LabeledDataset, method, k: int, *, s: int = 1,
 
         # the winner's trace lists its atoms, like a single run's
         selected_indices = train_rows[fit.kept_tr[np.asarray(trace.chosen_ids, dtype=int)]]
-        sub_X = data.features[selected_indices]
-        sub_y = data.labels[selected_indices]
-        if np.unique(sub_y).size < 2:
+        try:
+            summary_model = train_logistic(data.features[selected_indices],
+                                           data.labels[selected_indices])
+        except BothClassesRequired as exc:
             raise BothClassesRequired(f"{method.value} at k={k}, seed {seed} selected "
-                                      "a single class")
-
-        summary_model = train_logistic(sub_X, sub_y)
+                                      "a single class") from exc
         cell = (trace, float(result.mmd_sq), selected_indices,
                 _mean_nll(summary_model.theta, *fit.test))
     trace, final_mmd_sq, selected_indices, test_nll = cell

@@ -1,7 +1,8 @@
 """WKH/SBQ runs on pools split into column blocks, one per core.
 
-A pool of at least twice ``BLOCK_MIN_COLUMNS`` rows splits into blocks
-whose products run on helper threads.  Every test here pins the usable CPU
+Under the RBF kernel, a pool of at least twice ``BLOCK_MIN_COLUMNS`` rows
+splits into blocks whose products run on helper threads; a feature-kernel
+pool stays one block at any size.  Every test here pins the usable CPU
 count, so the pools block on any host, and compares with the same run kept
 in one block on a worker thread started with ``share_cores``, the
 initializer ``run_distributed`` gives its concurrent workers.
@@ -46,11 +47,21 @@ class _Spy(PoolScores):
 
 
 class Run:
-    """One run_greedy call: its result, trace and pool-wide scores."""
+    """One run_greedy call: its result, trace, pool-wide scores and the
+    number of block helper threads it started."""
 
     def __init__(self, method, pool, target, k, one_block=False):
         _Spy.seen = []
-        with mock.patch.object(selectors, "PoolScores", _Spy):
+        helpers = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            if thread.name == "herdquad-block":
+                helpers.append(thread)
+            return start(thread)
+
+        with (mock.patch.object(selectors, "PoolScores", _Spy),
+              mock.patch.object(threading.Thread, "start", counting_start)):
             if one_block:
                 with ThreadPoolExecutor(1, initializer=share_cores) as worker:
                     self.state, self.trace = worker.submit(
@@ -59,6 +70,7 @@ class Run:
                 self.state, self.trace = run_greedy(method, pool, target, target.kernel, k)
         (self.core,) = _Spy.seen
         self.bounds = self.core.bounds
+        self.helpers = len(helpers)
 
 
 def assert_same_bits(a: Run, b: Run):
@@ -73,10 +85,13 @@ def assert_same_bits(a: Run, b: Run):
     assert a.core.schur.tobytes() == b.core.schur.tobytes()
 
 
-def blocked_and_one_block(method, pool, target, k, cores) -> Run:
+def blocked_and_one_block(method, pool, target, k, blocks) -> Run:
+    """A plain run, in ``blocks`` blocks with a helper thread for each but
+    the first, matching a ``share_cores`` worker's one-block run bit for bit."""
     blocked = Run(method, pool, target, k)
     one = Run(method, pool, target, k, one_block=True)
-    assert len(blocked.bounds) == cores + 1 and len(one.bounds) == 2
+    assert len(blocked.bounds) == blocks + 1 and blocked.helpers == blocks - 1
+    assert one.bounds == [0, len(pool)] and one.helpers == 0
     assert_same_bits(blocked, one)
     return blocked
 
@@ -104,12 +119,30 @@ def saturating_problem(n=N, seed=5):
     return CandidatePool.from_points(target.sample(n, rng)), target
 
 
+# problem: (pool and target, blocks at the pinned CPU count).  n // BLOCK_MIN_COLUMNS
+# caps the threshold pools at 2 blocks on 2 and 3 CPUs; the feature kernel never blocks.
+PROBLEMS = {
+    "rbf_d2": (lambda: rbf_problem(2), lambda cores: cores),
+    "rbf_d8": (lambda: rbf_problem(8), lambda cores: cores),
+    "feature_discrete": (feature_problem, lambda cores: 1),
+    "rbf_below_threshold": (lambda: rbf_problem(2, n=2 * BLOCK_MIN_COLUMNS - 1),
+                            lambda cores: 1),
+    "rbf_at_threshold": (lambda: rbf_problem(2, n=2 * BLOCK_MIN_COLUMNS), lambda cores: 2),
+    "rbf_past_threshold": (lambda: rbf_problem(2, n=2 * BLOCK_MIN_COLUMNS + BLOCK_ALIGN + 1),
+                           lambda cores: 2),
+    "feature_at_threshold": (lambda: feature_problem(n=2 * BLOCK_MIN_COLUMNS), lambda cores: 1),
+}
+
+
 @pytest.mark.parametrize("method", ["WKH", "SBQ"])
-@pytest.mark.parametrize("problem", ["rbf_d2", "rbf_d8", "feature_discrete"])
+@pytest.mark.parametrize("problem", list(PROBLEMS))
 def test_blocked_runs_match_one_block_bit_for_bit(method, problem, cores):
-    pool, target = {"rbf_d2": lambda: rbf_problem(2), "rbf_d8": lambda: rbf_problem(8),
-                    "feature_discrete": feature_problem}[problem]()
-    blocked = blocked_and_one_block(method, pool, target, 40, cores)
+    """A pool blocks only under the RBF kernel and from 2 * BLOCK_MIN_COLUMNS
+    rows, and its run matches a one-block run bit for bit; a feature pool
+    runs in one block, with no helper thread, at any size."""
+    make, blocks = PROBLEMS[problem]
+    pool, target = make()
+    blocked = blocked_and_one_block(method, pool, target, 40, blocks(cores))
     assert len(blocked.trace.rows) == 40
     assert all(b % BLOCK_ALIGN == 0 for b in blocked.bounds[1:-1])
     assert min(np.diff(blocked.bounds)) >= BLOCK_MIN_COLUMNS - BLOCK_ALIGN
@@ -280,19 +313,24 @@ def test_one_kernel_row_per_pick_on_a_blocked_pool(method, cores):
 
 @pytest.mark.parametrize("problem", ["feature_discrete", "rbf_one_block"])
 def test_one_whole_kernel_row_per_pick_where_blocks_take_no_rows(problem, cores):
-    """A kernel that is not entrywise, on a blocked pool, and any kernel in
-    one block compute the pick's whole kernel row in one cross per add_atom
-    call, and read add_atom's entries from it."""
+    """A kernel that is not entrywise, on a pool the RBF kernel would block,
+    and any kernel on a ``share_cores`` worker run in one block: they
+    compute the pick's whole kernel row in one cross per add_atom call, and
+    read add_atom's entries from it.  The feature run is a plain call, and
+    matches the worker's run bit for bit."""
     pool, target = feature_problem() if problem == "feature_discrete" else rbf_problem(2)
+    one_block = problem == "rbf_one_block"
     setup_pool(pool, target, target.kernel)
     target.self_energy()  # kept on the target: a discrete one takes it from a cross
     kernel_cls = type(target.kernel)
     (patch_cross, patch_add), calls, picks = _record_crosses(kernel_cls)
     with patch_cross, patch_add:
-        run = Run("SBQ", pool, target, 30, one_block=problem == "rbf_one_block")
-    assert len(run.bounds) == (cores + 1 if problem == "feature_discrete" else 2)
+        run = Run("SBQ", pool, target, 30, one_block=one_block)
+    assert run.bounds == [0, N] and run.helpers == 0
     assert len(picks) == len(run.trace.rows) == 30
     assert [B.shape[0] for _, B, _ in calls] == [N] * len(picks)
+    if not one_block:
+        assert_same_bits(run, Run("SBQ", pool, target, 30, one_block=True))
 
 
 def test_blocked_runs_keep_their_bits_under_fast_thread_switching(monkeypatch):
@@ -381,11 +419,10 @@ def test_an_exception_on_the_caller_joins_the_helpers(cores):
     assert threading.active_count() == before
 
 
-def test_small_pools_start_no_helper_threads(cores, monkeypatch):
+def test_small_pools_start_no_helper_threads(cores):
     pool, target = rbf_problem(2, n=2 * BLOCK_MIN_COLUMNS - 1)
-    started = _helpers_started(monkeypatch)
-    assert Run("WKH", pool, target, 10).bounds == [0, len(pool)]
-    assert started == []
+    run = Run("WKH", pool, target, 10)
+    assert run.bounds == [0, len(pool)] and run.helpers == 0
 
 
 def test_blocks_count_the_cpus_this_process_may_run_on(monkeypatch):

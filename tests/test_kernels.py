@@ -282,8 +282,8 @@ def test_a_feature_row_over_an_aligned_column_range_equals_that_slice_under_one_
     length, but one BLAS thread groups aligned columns alike.  Checked in a
     fresh interpreter pinned to one BLAS thread: under two OpenBLAS threads
     the whole row's product splits at column n // 2, which is not aligned,
-    and entries next to the split round otherwise; so no blocked step
-    computes a feature row in blocks."""
+    and entries next to the split round otherwise; so a feature-kernel
+    pool never splits into blocks."""
     root = Path(__file__).resolve().parent.parent
     code = ("import json, sys; from herdquad.kernels import NormalizedFeatureKernel; "
             "from tests.test_kernels import _aligned_mismatches; "

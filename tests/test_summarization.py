@@ -118,9 +118,11 @@ def frozen_design(X, y):
     return np.hstack([X, np.ones((n, 1))]), np.asarray(y, dtype=float), np.full(n, 1.0 / n)
 
 
-def frozen_train_logistic(X, y, lam=1.0):
+def frozen_train_logistic(X, y, lam=1.0, margin_rejects=None):
     """The descent of ``train_logistic`` as it read before its reductions
-    became ndarray methods, with ``np.sum`` and ``np.max``; returns theta."""
+    became ndarray methods, with ``np.sum`` and ``np.max``; returns theta.
+    A list ``margin_rejects`` collects every trial step that lowered the
+    objective by less than the Armijo margin, which rejected it."""
     Xd, y, wts = frozen_design(X, y)
 
     def objective(theta):
@@ -142,6 +144,8 @@ def frozen_train_logistic(X, y, lam=1.0):
             cand_obj, cand_t = objective(candidate)
             if cand_obj <= obj - 1e-4 * step * gsq:
                 break
+            if margin_rejects is not None and cand_obj <= obj:
+                margin_rejects.append(step)
             step *= 0.5
         theta, obj = candidate, cand_obj
         grad = gradient(theta, cand_t)
@@ -169,9 +173,20 @@ def bench_shaped_problems():
         yield make_blobs(n, dim=128, seed=seed)
 
 
+def armijo_margin_problem():
+    """Blobs on which one trial step lowers the objective, but by less than
+    the Armijo margin, so the margin alone rejects it."""
+    X, y = make_blobs(12, dim=3, seed=25)
+    return 3.0 * X, y
+
+
 def test_train_logistic_matches_the_frozen_loop_bit_for_bit():
     cases = list(logistic_problems(16, seed=27))
     assert sum(X.shape[0] < X.shape[1] + 1 for X, _ in cases) == 8
+    margin_rejects = []
+    frozen_train_logistic(*armijo_margin_problem(), margin_rejects=margin_rejects)
+    assert len(margin_rejects) == 1
+    cases.append(armijo_margin_problem())
     rng = np.random.default_rng(29)
     for X, y in cases + list(bench_shaped_problems()):
         model = train_logistic(X, y)
