@@ -20,7 +20,7 @@ from .kernels import (
 from .selectors import (
     Method,
     RunTrace,
-    UniformAccumulator,
+    UniformResult,
     run_greedy,
     sbq_select,
     wkh_select,
@@ -55,7 +55,7 @@ __all__ = [
     "RBFKernel",
     "RunTrace",
     "SummarizeReport",
-    "UniformAccumulator",
+    "UniformResult",
     "fisher_embed_many",
     "mc_mean_embed",
     "mc_self_energy",

@@ -22,8 +22,7 @@ geometry, the split fractions and the ridge strength are fixed, see
 ``datasets.VAL_FRACTION`` / ``TEST_FRACTION`` and ``summarization.LAM``;
 ``mixture`` builds one instance per seed for all methods.
 ``herdquad.diagnostics`` is imported by ``diagnose`` and by a mixture
-run's rate fit, its only readers.  Environment variable: HERDQUAD_OUT
-(default output directory).
+run's rate fit, its only readers.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from .datasets import (
     TEST_FRACTION,
     VAL_FRACTION,
     IngestError,
+    LabeledDataset,
     load_dataset,
     split_dataset,
     synthetic_blob_dataset,
@@ -266,6 +266,16 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
     n_train = int(np.sum(data.split == "train"))
     if max(cfg.k_grid + [s for _, s in cfg.methods]) > n_train:
         raise ConfigError(f"a budget or worker count exceeds the {n_train} training examples")
+    scaling = {}
+    if cfg.dataset != "blobs":
+        # train_logistic's steepest descent slows with the condition number, so
+        # a file's columns are standardized by the training split's mean and
+        # standard deviation; a column constant there is only centred
+        train = data.subset("train")[0]
+        mean, scale = train.mean(axis=0), train.std(axis=0)
+        scale[np.ptp(train, axis=0) == 0.0] = 1.0
+        data = LabeledDataset((data.features - mean) / scale, data.labels, data.split)
+        scaling = {"feature_scaling": {"mean": mean.tolist(), "scale": scale.tolist()}}
 
     rows, records = [], []
     # one random baseline per (subset size, seed): a cell that stops early
@@ -303,6 +313,7 @@ def cmd_summarize(cfg: SummarizeConfig) -> int:
             "val_fraction": VAL_FRACTION, "test_fraction": TEST_FRACTION,
         },
         "runs": records,
+        **scaling,
     })
     print(f"summarize: wrote summarize.csv, per-budget trace files and "
           f"summarize_summary.json to {cfg.out}")
@@ -372,15 +383,13 @@ def _assemble_config(args) -> object:
         mapping["methods"] = args.method
     if args.out is not None:
         mapping["out"] = args.out
-    elif "out" not in mapping and os.environ.get("HERDQUAD_OUT"):
-        mapping["out"] = os.environ["HERDQUAD_OUT"]
     return build_config(_CONFIG_CLASSES[args.command], mapping)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "diagnose":
-        out = args.out if args.out is not None else os.environ.get("HERDQUAD_OUT") or "out"
+        out = "out" if args.out is None else args.out
         return cmd_diagnose(out, list_only=args.list, inject_fault=args.inject_fault)
     try:
         cfg = _assemble_config(args)

@@ -10,8 +10,8 @@ Four methods share one driver:
 * ``MC_RANDOM``  uniform draws without replacement, uniform weights.
 
 The result type follows the weighting: WKH and SBQ return a
-``QuadratureState``, the two baselines the ``UniformAccumulator`` whose
-uniform-weight g their trace reports.
+``QuadratureState``, the two baselines a ``UniformResult`` of their ids and
+final g, whose trace ``uniform_g`` computes.
 
 WKH and SBQ read one pair of pool-wide arrays, the residual correlations
 r and the Schur complements s, and ``selection_scores`` turns them into
@@ -48,13 +48,11 @@ threads, one per core; ``entries`` then crosses x with the atoms alone,
 and each block computes its own columns of the row inside the step, in
 the order its docstring gives with the timings that chose it.  The
 baselines likewise reuse the pool's embeddings and one kernel row per
-pick instead of evaluating the target point by point.  Their bookkeeping
-is O(1) per step besides that row: the ``UniformAccumulator`` keeps its
-embeddings in a doubling buffer, KH_UNIFORM scores into a buffer of the
-run and MC_RANDOM gathers its prepared draws once.  MC_RANDOM's draws take
-one pass: ``UniformAccumulator.extend`` reads their kernel entries from a
-generator, one cross per draw, and computes g after each draw with no
-method or property call per draw.
+pick instead of evaluating the target point by point, and compute their g
+in one pass of ``uniform_g`` over one pair of kernel entries per point:
+KH_UNIFORM picks every point first and keeps its pairs, and MC_RANDOM
+gathers its prepared draws once and hands ``uniform_g`` a generator that
+computes each draw's kernel row when asked.
 
 Selection is deterministic: ties always go to the lowest pool id (pools
 list their rows by ascending id and ``argmax`` takes the first maximum), and a
@@ -196,72 +194,37 @@ def sbq_select(state: QuadratureState, pool: CandidatePool, excluded_ids=()) -> 
     return _select(Method.SBQ, state, pool, excluded_ids)
 
 
-class UniformAccumulator:
-    """Herding state under uniform weights 1/n, built from the self-energy c.
+@dataclass
+class UniformResult:
+    """The points of a uniform-weight run, KH_UNIFORM or MC_RANDOM, in
+    order, and g with weights 1/n after the last of them."""
 
-    Tracks the chosen ids (repeats allowed), their mean-embedding values and
-    the running pairwise similarity sum, so the uniform-weight squared MMD
-
-        c - 2 mean_i z_i + mean_{i,j} k(x_i, x_j)
-
-    is available after every step.  ``run_greedy`` returns one for the
-    uniform-weight baselines, KH_UNIFORM and MC_RANDOM.  The embeddings sit
-    in a buffer that doubles when it fills, so a point costs O(1) besides
-    its kernel row's sum and the one sum of the mean, which is the sum
-    ``np.mean`` takes.  ``extend`` is the one place that computes g;
-    ``add`` appends one point through it.
-    """
-
-    def __init__(self, self_energy: float):
-        self.self_energy = float(self_energy)
-        self.atom_ids: list[int] = []
-        self._embeds = np.empty(64)
-        self._pair_sum = 0.0
-        self._mmd_sq = self.self_energy
+    atom_ids: list[int]
+    mmd_sq: float
 
     @property
     def size(self) -> int:
         return len(self.atom_ids)
 
-    @property
-    def mmd_sq(self) -> float:
-        return self._mmd_sq
 
-    def add(self, pool_id: int, embed: float, k_atoms: np.ndarray, k_self: float) -> None:
-        """Append point ``pool_id`` with its embedding z(x), its kernel entries
-        k(x, x_i) at the atoms so far, in atom order, and k(x, x)."""
-        self.extend((pool_id,), (embed,), ((k_atoms, k_self),))
+def uniform_g(self_energy: float, embeds: np.ndarray, entries) -> list[float]:
+    """The uniform-weight squared MMD after each point of a run, in order,
 
-    def extend(self, pool_ids, embeds, entries) -> list[float]:
-        """Append the points ``pool_ids`` in order and return g after each.
+        c - 2 mean_i z_i + mean_{i,j} k(x_i, x_j)
 
-        ``embeds`` holds their embeddings z(x), and ``entries`` yields one
-        pair per point: its kernel entries k(x, x_i) at the atoms before
-        it, in atom order, and k(x, x).  It is read lazily, one pair per
-        point, so a generator may compute each pair when it is asked for
-        the next.  No state changes until the last pair is read.
-        """
-        n, m = len(self.atom_ids), len(pool_ids)
-        buf = self._embeds
-        if n + m > buf.size:
-            size = buf.size
-            while size < n + m:
-                size *= 2
-            buf = np.concatenate([buf[:n], np.empty(size - n)])
-        buf[n:n + m] = embeds
-        c, pair, reduce = self.self_energy, self._pair_sum, np.add.reduce
-        g = []
-        for k_atoms, k_self in entries:
-            n += 1
-            pair += 2.0 * float(reduce(k_atoms)) + float(k_self)
-            g.append(c - 2.0 * (float(reduce(buf[:n])) / n) + pair / n**2)
-        if len(g) != m:
-            raise ValueError(f"{m} points need {m} pairs of kernel entries, got {len(g)}")
-        self._embeds, self._pair_sum = buf, pair
-        if g:
-            self._mmd_sq = g[-1]
-        self.atom_ids += map(int, pool_ids)
-        return g
+    for the target's self-energy c.  ``embeds`` is the float array of the
+    points' embeddings z(x), and ``entries`` yields one pair per point: the
+    sum of k(x, x_i) over the points before it, and k(x, x).  It is read
+    lazily, one pair per point, so a generator may compute each pair when it
+    is asked for the next.  A point costs the sum of the mean, which is the
+    sum ``np.mean`` takes, and no method or property call.
+    """
+    c, pair, reduce = float(self_energy), 0.0, np.add.reduce
+    g = []
+    for n, (k_sum, k_self) in enumerate(entries, start=1):
+        pair += 2.0 * float(k_sum) + float(k_self)
+        g.append(c - 2.0 * (float(reduce(embeds[:n])) / n) + pair / n**2)
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,10 +292,11 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     """Run ``k`` selection iterations of the given method over the pool.
 
     Returns ``(result, trace)`` where ``result`` is a ``QuadratureState``
-    (WKH / SBQ) or a ``UniformAccumulator`` (KH_UNIFORM / MC_RANDOM).  The
+    (WKH / SBQ) or a ``UniformResult`` (KH_UNIFORM / MC_RANDOM).  The
     trace records one row per iteration with the chosen id, the objective
     value of ``result`` after the step and the wall time since the
-    selection began, the pool's setup excluded.  The g column is
+    selection began, the pool's setup excluded; KH_UNIFORM reads that time
+    at the pick, before the one pass that computes g.  The g column is
     guaranteed non-increasing only for WKH and SBQ; under uniform weights
     single steps can raise it.  Early-stop reasons: ``objective_floor``
     once mmd_sq <= ``state.G_ROUNDOFF``, below which g is round-off
@@ -386,44 +350,38 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
                 trace.rows.append(TraceRow(size, int(ids[row]), state.mmd_sq, elapsed_ms()))
         return state, trace
 
-    acc = UniformAccumulator(target.self_energy())
+    # KH_UNIFORM and MC_RANDOM: every point counts as one iteration and as a
+    # selected point, a dependent one included
     if method is Method.KH_UNIFORM:
-        ksum = np.zeros(n)
-        scores = np.empty(n)
-        chosen_rows = np.empty(min(k, n), dtype=int)
-        for it in range(1, k + 1):
-            size = acc.size
-            if size == n:
-                trace.stop_reason = "pool_exhausted"
-                break
-            # z - ksum / (size + 1), computed in the scores buffer
-            np.subtract(z_all, np.divide(ksum, size + 1, out=scores), out=scores)
-            scores[chosen_rows[:size]] = -np.inf  # the driver never picks a point twice
+        # ksum is the sum of the picked rows' kernel rows
+        ksum, rows, entries, elapsed = np.zeros(n), [], [], []
+        for _ in range(min(k, n)):
+            scores = z_all - ksum / (len(rows) + 1)
+            scores[rows] = -np.inf  # the driver never picks a point twice
             row = int(np.argmax(scores))
             k_row = kernel.cross(prepared[row:row + 1], prepared)[0]
-            acc.add(pool.ids[row], embed=z_all[row], k_atoms=k_row[chosen_rows[:size]],
-                    k_self=k_row[row])
-            chosen_rows[size] = row
+            entries.append((np.add.reduce(k_row[rows]), k_row[row]))
+            rows.append(row)
             ksum += k_row
-            trace.rows.append(TraceRow(it, int(pool.ids[row]), acc.mmd_sq, elapsed_ms()))
-        return acc, trace
-
-    # MC_RANDOM: every draw counts as one iteration and as a selected point,
-    # dependent draws included.  The accumulator reads one kernel row per
-    # draw, against every draw so far, this one last, from a generator that
-    # computes it when asked; a draw's time is read when the accumulator asks
-    # for the next draw's entries, so it counts the draw's g.
-    order = np.random.default_rng(seed).permutation(n)[:k]
-    drawn, draw_ids, cross, elapsed = prepared[order], pool.ids[order].tolist(), kernel.cross, []
-
-    def entries():
-        for it in range(1, order.size + 1):
-            row = cross(drawn[it - 1:it], drawn[:it])[0]
-            yield row[:-1], row[-1]
             elapsed.append(elapsed_ms())
+    else:
+        # one kernel row per draw, against every draw so far, this one last,
+        # from a generator that computes it when asked; a draw's time is read
+        # when ``uniform_g`` asks for the next draw's entries, so it counts
+        # the draw's g
+        rows = np.random.default_rng(seed).permutation(n)[:k]
+        drawn, cross, elapsed = prepared[rows], kernel.cross, []
 
-    g = acc.extend(draw_ids, z_all[order], entries())
-    trace.rows = list(map(TraceRow, range(1, order.size + 1), draw_ids, g, elapsed))
+        def draw_entries():
+            for it in range(1, rows.size + 1):
+                row = cross(drawn[it - 1:it], drawn[:it])[0]
+                yield np.add.reduce(row[:-1]), row[-1]
+                elapsed.append(elapsed_ms())
+
+        entries = draw_entries()
+    g = uniform_g(target.self_energy(), z_all[rows], entries)
+    atom_ids = pool.ids[rows].tolist()
+    trace.rows = list(map(TraceRow, range(1, len(g) + 1), atom_ids, g, elapsed))
     if n < k:
         trace.stop_reason = "pool_exhausted"
-    return acc, trace
+    return UniformResult(atom_ids, g[-1]), trace

@@ -22,6 +22,7 @@ from herdquad.cli import (
     trace_rows_for_csv,
 )
 from herdquad import diagnostics
+from herdquad.datasets import make_blobs, split_dataset
 from herdquad.diagnostics import CHECKS, fit_rate
 from herdquad.selectors import RunTrace, TraceRow
 from herdquad.targets import GaussianMixtureTarget
@@ -190,14 +191,12 @@ def _table_rows(stdout):
     return [line.split() for line in lines[rule + 1:]]
 
 
-def test_grid_commands_print_their_summary_as_a_table(tmp_path, monkeypatch, capsys):
-    # the configs name no output directory, so it comes from HERDQUAD_OUT
-    out = tmp_path / "env_out"
-    monkeypatch.setenv("HERDQUAD_OUT", str(out))
+def test_grid_commands_print_their_summary_as_a_table(tmp_path, capsys):
+    out = tmp_path / "out"
     cfg = tmp_path / "mixture.cfg"
     cfg.write_text("methods = wkh, wkh:2, mc_random\nk = 6\nseeds = 0..2\n"
                    "pool_size = 200\ncomponents = 3\n")
-    assert run_cli("mixture", "--config", str(cfg)) == 0
+    assert run_cli("mixture", "--config", str(cfg), "--out", str(out)) == 0
     runs = json.loads((out / "mixture_summary.json").read_text())["runs"]
     stdout = capsys.readouterr().out
     rows = _table_rows(stdout)
@@ -214,7 +213,7 @@ def test_grid_commands_print_their_summary_as_a_table(tmp_path, monkeypatch, cap
     cfg = tmp_path / "summ.cfg"
     cfg.write_text("methods = wkh, wkh:2, mc_random\nk_grid = 6, 10\nseeds = 0..1\n"
                    "n = 200\ndim = 16\n")
-    assert run_cli("summarize", "--config", str(cfg)) == 0
+    assert run_cli("summarize", "--config", str(cfg), "--out", str(out)) == 0
     runs = json.loads((out / "summarize_summary.json").read_text())["runs"]
     rows = _table_rows(capsys.readouterr().out)
     assert [tuple(r[:3]) for r in rows] == [(k, m, s) for k in ("6", "10") for m, s in
@@ -350,6 +349,26 @@ def test_summarize_ingests_csv_dataset(tmp_path):
     assert (out / "summarize.csv").exists()
     config = json.loads((out / "summarize_summary.json").read_text())["config"]
     assert (config["n"], config["dim"]) == (120, 3)  # the file's shape, not the config's 500 x 128
+
+
+def test_summarize_standardizes_a_dataset_file_by_its_training_split(tmp_path):
+    # column 0 at 10^4 times the others' scale: fed to train_logistic as it is,
+    # its descent runs out of iterations, and tier-1 makes the NonConvergence
+    # warning an error; column 7 is constant, so it is only centred
+    X, y = make_blobs(500, dim=8, seed=0)
+    X[:, 0] *= 1e4
+    X[:, 7] = 3.0
+    data = tmp_path / "data.csv"
+    data.write_text("f0,f1,f2,f3,f4,f5,f6,f7,label\n" + "".join(
+        ",".join(map(repr, [*map(float, x), int(t)])) + "\n" for x, t in zip(X, y)))
+    cfg = tmp_path / "summ.cfg"
+    cfg.write_text(f"dataset = {data}\nk_grid = 10\nmethods = wkh, mc_random\nseeds = 0\n")
+    out = tmp_path / "out"
+    assert run_cli("summarize", "--config", str(cfg), "--out", str(out)) == 0
+    scaling = json.loads((out / "summarize_summary.json").read_text())["feature_scaling"]
+    train = split_dataset(X, y, seed=0).subset("train")[0]
+    assert scaling == {"mean": train.mean(axis=0).tolist(),
+                       "scale": [*train.std(axis=0)[:7].tolist(), 1.0]}
 
 
 def test_summarize_malformed_dataset_exits_nonzero(tmp_path, capsys):
@@ -587,20 +606,19 @@ def test_a_diagnose_check_that_raises_fails_alone(name, tmp_path, monkeypatch, c
     assert report["all_pass"] is False
 
 
-def test_environment_variable_fallbacks(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "env_out"
-    monkeypatch.setenv("HERDQUAD_OUT", str(out))
-    rc = run_cli("mixture", "--seed", "0", "--k", "4", "--method", "WKH",
-                 "--config", _small_cfg(tmp_path))
-    assert rc == 0
+def test_output_directory_is_the_flag_else_the_config_out(tmp_path):
+    cfg_out, out = tmp_path / "cfg_out", tmp_path / "flag_out"
+    cfg = tmp_path / "mixture.cfg"
+    cfg.write_text(f"pool_size = 200\ncomponents = 3\nout = {cfg_out}\n")
+    # the flag beats the config
+    assert run_cli(*mixture_args(out, extra=("--config", str(cfg)))) == 0
     assert (out / "mixture_summary.json").exists()
-    assert run_cli("diagnose") == 0
-    assert (out / "diagnose_report.json").exists()
-    # explicit flags beat the environment
-    out2 = tmp_path / "flag_out"
-    rc = run_cli(*mixture_args(out2, extra=("--config", _small_cfg(tmp_path))))
+    assert not cfg_out.exists()
+    rc = run_cli("mixture", "--seed", "0", "--k", "4", "--method", "WKH", "--config", str(cfg))
     assert rc == 0
-    assert (out2 / "mixture_summary.json").exists()
+    assert sorted(p.name for p in cfg_out.iterdir()) == ["mixture_summary.json", "trace_wkh_s1.csv"]
+    assert run_cli("diagnose", "--out", str(out)) == 0
+    assert (out / "diagnose_report.json").exists()
 
 
 @pytest.mark.parametrize("name", ["mixture_small", "mixture_distributed"])

@@ -6,19 +6,24 @@ kernel), dimensions 1 to 33, pool sizes on both sides of 64 (the block
 alignment), pools with duplicated rows and pools with near-duplicate rows,
 copies perturbed by about 1e-9 relative.  For WKH and SBQ at budgets 1, n
 and n + 1 the tests check the trace of g, recompute the final g as
-c - 2 w'z + w'Kw from the atoms' points alone, and run the distributed
-driver on three workers under every executor; the smallest instance also
-runs it on n workers of one point each.
+c - 2 w'z + w'Kw from the atoms' points alone, check the orthogonality
+residual of the weights, and run the distributed driver on three workers
+under every executor; the smallest instance also runs it on n workers of
+one point each.  At budget n, every step's stepped r and s meet the
+state's from-scratch ``scores`` and the dense LU oracle of
+``conftest.dense_scores``.
 """
 
 import numpy as np
 import pytest
 
+from herdquad.diagnostics import orthogonality_residual
 from herdquad.distributed import run_distributed
 from herdquad.kernels import CandidatePool, NormalizedFeatureKernel, RBFKernel
 from herdquad.selectors import run_greedy
 from herdquad.state import G_ROUNDOFF
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
+from tests.conftest import assert_pool_scores_match_from_scratch
 
 # (target kind, d, n, copied rows: "", "dup" exact or "near" perturbed copies):
 # one instance each, drawn from seed 3800 + its index
@@ -94,6 +99,25 @@ def assert_dense_g(pool, target, ids, weights, g):
     assert abs(dense - g) <= tol, (dense, g, tol)
 
 
+def assert_orthogonal(state):
+    """The orthogonality residual max_j |z_j - (K w)_j| over the m atoms is
+    round-off: at most 4 m eps (1 + |w|_1).
+
+    Derived as ``assert_dense_g`` derives its bound: z_j and the kernel
+    values lie in [-1, 1], so the sum z_j - sum_i K_ji w_i rounds by at most
+    about m eps (1 + |w|_1).  The weights come from backward-stable
+    triangular solves on the Cholesky factor of K, whose rows have unit norm
+    for a unit diagonal, so their error moves K w by the same order, and
+    cond(K) does not enter: the bound is on the residual, not on the
+    weights.  So the check holds wherever a run ends, on every instance.
+    Across these runs, at cond(K) up to 7e16, the largest residual was 0.3
+    of m eps (1 + |w|_1), at one atom.
+    """
+    resid, w = orthogonality_residual(state), state.weights
+    tol = 4 * state.size * np.finfo(float).eps * (1.0 + np.abs(w).sum())
+    assert resid <= tol, (resid, tol)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_g_never_rises_and_matches_the_dense_objective(instance, method):
     pool, target = instance
@@ -106,6 +130,13 @@ def test_g_never_rises_and_matches_the_dense_objective(instance, method):
         assert state.atom_ids == trace.chosen_ids
         assert len(set(state.atom_ids)) == len(state.atom_ids)
         assert_dense_g(pool, target, state.atom_ids, state.weights, state.mmd_sq)
+        assert_orthogonal(state)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_stepped_scores_meet_the_dense_oracle_at_every_step(instance, method):
+    pool, target = instance
+    assert_pool_scores_match_from_scratch(method, pool, target, len(pool))
 
 
 def assert_same_bits(a, b):

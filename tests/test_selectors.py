@@ -21,11 +21,12 @@ from herdquad.selectors import (
     AllDependent,
     EmptyPool,
     Method,
-    UniformAccumulator,
+    UniformResult,
     run_greedy,
     sbq_select,
     selection_scores,
     setup_pool,
+    uniform_g,
     wkh_select,
 )
 from herdquad.state import (
@@ -271,10 +272,9 @@ def test_wkh_sbq_traces_strictly_decrease():
 def test_mc_random_trace_reports_uniform_weight_estimate():
     pool, target, kern = mixture_problem(seed=37, n=30)
     acc, trace = run_greedy(Method.MC_RANDOM, pool, target, kern, 10, seed=5)
-    # the result is the uniform-weight accumulator the trace reports
-    assert isinstance(acc, UniformAccumulator)
+    # the result holds the uniform-weight g the trace reports
+    assert isinstance(acc, UniformResult)
     assert acc.mmd_sq == trace.final_mmd_sq
-    assert UniformAccumulator(0.3).mmd_sq == 0.3  # no atoms: g is the target's self-energy
     assert acc.atom_ids == trace.chosen_ids
     # the trace carries the plain sample-average objective over all draws
     chosen = np.stack([pool.point_by_id(i) for i in trace.chosen_ids])
@@ -535,13 +535,11 @@ def test_zero_norm_feature_fails_before_any_selection(where):
 def reference_uniform_run(method, pool, target, kern, k, seed):
     """KH_UNIFORM and MC_RANDOM written plainly: Python lists, ``np.mean`` over
     every embedding at every step, a fresh score array per step and a fresh
-    gather of every draw so far.  Returns the chosen ids, the g trace and
-    what each step added: the id, its embedding, its kernel entries at the
-    atoms before it and k(x, x)."""
+    gather of every draw so far.  Returns the chosen ids and the g trace."""
     prepared = kern.prepare(pool.points)
     z_all = target.mean_embed_many(pool.points)
     c = target.self_energy()
-    ids, embeds, g, added = [], [], [], []
+    ids, embeds, g = [], [], []
     pair = 0.0
 
     def add(row, k_atoms, k_self):
@@ -550,7 +548,6 @@ def reference_uniform_run(method, pool, target, kern, k, seed):
         ids.append(int(pool.ids[row]))
         embeds.append(float(z_all[row]))
         g.append(c - 2.0 * float(np.mean(embeds)) + pair / len(ids) ** 2)
-        added.append((ids[-1], embeds[-1], k_atoms, k_self))
 
     if method is Method.KH_UNIFORM:
         ksum, chosen = np.zeros(len(pool)), []
@@ -567,43 +564,30 @@ def reference_uniform_run(method, pool, target, kern, k, seed):
         for it, row in enumerate(order[:k], start=1):
             k_row = kern.cross(prepared[row:row + 1], prepared[order[:it]])[0]
             add(row, k_row[:-1], k_row[-1])
-    return ids, g, added
+    return ids, g
 
 
 @pytest.mark.parametrize("problem", ["rbf", "feature"])
 @pytest.mark.parametrize("method", [Method.KH_UNIFORM, Method.MC_RANDOM])
 @pytest.mark.parametrize("k", [10, 50, 130, 260])
 def test_uniform_baselines_match_the_plain_loops_bit_for_bit(problem, method, k):
-    """200 points; k = 10 and 50 stay below the accumulator's first buffer
-    growth at 64, and k > 100 grows it at least once.  While the pool has a
-    point left, one more ``add`` after the run gives the plain loop's next g."""
+    """200 points; k = 260 exhausts the pool."""
     if problem == "rbf":
         pool, target, kern = mixture_problem(seed=41, n=200, dim=3)
     else:
         pool, target, kern = feature_problem(seed=42, n=200, dim=30)
     acc, trace = run_greedy(method, pool, target, kern, k, seed=7)
-    ids, g, _ = reference_uniform_run(method, pool, target, kern, k, seed=7)
+    ids, g = reference_uniform_run(method, pool, target, kern, k, seed=7)
     assert trace.chosen_ids == ids == acc.atom_ids
     assert trace.mmd_values.tobytes() == np.array(g).tobytes()
     assert acc.mmd_sq == g[-1]
     assert trace.stop_reason == ("pool_exhausted" if k > len(pool) else None)
-    if k < len(pool):
-        ids, g, added = reference_uniform_run(method, pool, target, kern, k + 1, seed=7)
-        pool_id, embed, k_atoms, k_self = added[k]
-        acc.add(pool_id, embed, k_atoms, k_self)
-        assert acc.atom_ids == ids
-        assert acc.mmd_sq == g[k]
 
 
-def test_accumulator_extend_with_too_few_entries_changes_nothing():
-    acc = UniformAccumulator(1.0)
-    acc.add(5, 0.5, np.empty(0), 1.0)
-    before = (list(acc.atom_ids), acc.mmd_sq)
-    with pytest.raises(ValueError, match="2 points need 2 pairs"):
-        acc.extend([6, 7], [0.4, 0.3], [(np.array([0.2]), 1.0)])
-    assert (acc.atom_ids, acc.mmd_sq) == before
-    acc.add(6, 0.4, np.array([0.2]), 1.0)
-    assert acc.mmd_sq == 1.0 - 2.0 * (0.9 / 2) + (1.0 + 2.0 * 0.2 + 1.0) / 4
+def test_uniform_g_gives_one_value_per_pair_of_kernel_entries():
+    # two points with z 0.5 and 0.4, k(x_1, x_2) = 0.2 and unit diagonal
+    g = uniform_g(1.0, np.array([0.5, 0.4]), iter([(0.0, 1.0), (0.2, 1.0)]))
+    assert g == [1.0 - 2.0 * 0.5 + 1.0, 1.0 - 2.0 * (0.9 / 2) + (1.0 + 2.0 * 0.2 + 1.0) / 4]
 
 
 @pytest.mark.parametrize("method", list(Method))

@@ -1,4 +1,3 @@
-import contextlib
 from unittest import mock
 
 import numpy as np
@@ -20,18 +19,13 @@ from herdquad.state import (
     new_state,
 )
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
-from tests.conftest import PrecomputedKernel, dense_scores, random_mixture
-
-
-def assert_dense_scores(state, X, resid, schur):
-    """r and s of points X agree with the dense oracle's LU solves to 1e-10
-    plus the oracle's own round-off, which grows with the condition number
-    of K: over 300 seeds of the hypothesis runs below it stayed under
-    1.6 eps cond(K), against the 4.5 eps cond(K) allowed here."""
-    atol = 1e-10 + (1e-15 * np.linalg.cond(state.gram) if state.size else 0.0)
-    dense_resid, dense_schur = dense_scores(state, X)
-    np.testing.assert_allclose(resid, dense_resid, rtol=0.0, atol=atol)
-    np.testing.assert_allclose(schur, dense_schur, rtol=0.0, atol=atol)
+from tests.conftest import (
+    CheckedScores,
+    PrecomputedKernel,
+    assert_dense_scores,
+    assert_pool_scores_match_from_scratch,
+    random_mixture,
+)
 
 
 def sbq_scores(state, X):
@@ -306,39 +300,6 @@ def test_blocked_pool_scores_mask_every_atom_from_later_picks(rng, cores):
     assert_atoms_masked(rng, BLOCKED_N, blocks=cores)
 
 
-class _CheckedScores(PoolScores):
-    """PoolScores that, after every step, compares its r and s with the
-    state's from-scratch ``scores`` on the pool's setup and with the dense
-    oracle."""
-
-    setup = points = None  # the pool's setup and points, set by the test
-    checked = 0
-    blocks = 0
-
-    @contextlib.contextmanager
-    def steps(self):
-        _CheckedScores.blocks = len(self.bounds) - 1
-        setup = _CheckedScores.setup
-        with super().steps() as step:
-            def checked_step(row):
-                step(row)
-                resid, schur = self.state.scores(setup.prepared, setup.embeds, setup.diag)
-                np.testing.assert_allclose(self.resid, resid, rtol=0.0, atol=1e-10)
-                np.testing.assert_allclose(self.schur, schur, rtol=0.0, atol=1e-10)
-                assert_dense_scores(self.state, _CheckedScores.points, self.resid, self.schur)
-                _CheckedScores.checked += 1
-            yield checked_step
-
-
-def assert_pool_scores_match_from_scratch(method, pool, target, k):
-    _CheckedScores.setup = setup_pool(pool, target, target.kernel)  # the one run_greedy reuses
-    _CheckedScores.points = pool.points
-    _CheckedScores.checked = 0
-    with mock.patch("herdquad.selectors.PoolScores", _CheckedScores):
-        _, trace = run_greedy(method, pool, target, target.kernel, k)
-    assert _CheckedScores.checked == len(trace.rows) > 0
-
-
 @settings(max_examples=20)
 @given(seed=st.integers(0, 10_000), method=st.sampled_from(["WKH", "SBQ"]))
 def test_pool_scores_match_from_scratch_recomputation(seed, method):
@@ -356,7 +317,7 @@ def test_blocked_pool_scores_match_from_scratch_recomputation(method, cores):
     target = random_mixture(rng, components=2)
     pool = CandidatePool.from_points(target.sample(BLOCKED_N, rng))
     assert_pool_scores_match_from_scratch(method, pool, target, 25)
-    assert _CheckedScores.blocks == cores
+    assert CheckedScores.blocks == cores
 
 
 @pytest.mark.parametrize("method", ["WKH", "SBQ"])
@@ -368,7 +329,7 @@ def test_feature_kernel_pool_scores_match_from_scratch_recomputation(method):
     target = DiscreteTarget.uniform(rng.normal(size=(50, 40)), kern)
     pool = CandidatePool.from_points(rng.normal(size=(80, 40)))
     assert_pool_scores_match_from_scratch(method, pool, target, 25)
-    assert _CheckedScores.blocks == 1
+    assert CheckedScores.blocks == 1
 
 
 def test_add_atom_with_kernel_entries_makes_no_kernel_call(rng):
