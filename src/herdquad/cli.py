@@ -51,7 +51,7 @@ from .datasets import (
 )
 from .distributed import run_distributed
 from .kernels import CandidatePool, RBFKernel
-from .selectors import RunTrace, run_greedy
+from .selectors import OPTIMAL_WEIGHT_METHODS, RunTrace, run_greedy
 from .state import reported_g
 from .summarization import LAM, BothClassesRequired, summarize
 from .targets import GaussianMixtureTarget
@@ -137,7 +137,7 @@ def trace_rows_for_csv(method: str, s: int, seed: int, trace: RunTrace,
 def _mixture_seed_runs(cfg: MixtureConfig, seed: int) -> dict:
     """``{(method, s): (trace, record)}`` for every method of ``cfg`` on the
     seed's one instance: mixture, pool, bandwidth and the pool's setup are shared."""
-    from .diagnostics import InsufficientPoints, fit_rate
+    from .diagnostics import InsufficientPoints, fit_rate, weight_summary
     rng = np.random.default_rng(seed)
     weights, means, covs = sample_mixture_params(rng, cfg.components, cfg.dim, **MIXTURE_FAMILY)
     pool_points = GaussianMixtureTarget(weights, means, covs, RBFKernel(1.0)).sample(
@@ -158,7 +158,9 @@ def _mixture_seed_runs(cfg: MixtureConfig, seed: int) -> dict:
                                     for sol in dist.solutions]
             record["winner"] = result.label
         record.update(final_g=reported_g(result.mmd_sq, method, len(trace.rows)),
-                      n_iterations=len(trace.rows), stop_reason=trace.stop_reason)
+                      n_iterations=len(trace.rows), stop_reason=trace.stop_reason,
+                      weights=(weight_summary(result.weights)
+                               if method in OPTIMAL_WEIGHT_METHODS else None))
         try:
             rf = fit_rate(trace)
             record["rate"] = {"slope": rf.slope, "intercept": rf.intercept,

@@ -9,6 +9,7 @@ into testable statements on concrete instances:
                                curvature constants,
 * ``estimate_rsc_rss``         spectrum surrogate for those constants,
 * ``orthogonality_residual``   weight-optimality audit,
+* ``weight_summary``           sum, negative mass, l1 norm and g's round-off bound,
 * ``realizability_fixtures``   instances where one or two atoms suffice,
 * ``CHECKS``                   the ordered checks of ``herdquad diagnose``.
 
@@ -160,6 +161,18 @@ def orthogonality_residual(state: QuadratureState) -> float:
     if state.size < 1:
         raise ValueError("need at least one atom")
     return float(np.max(np.abs(state.embeds - state.gram @ state.weights)))
+
+
+def weight_summary(weights: np.ndarray) -> dict:
+    """The sum, the negative mass sum(max(-w, 0)) and the l1 norm of m
+    weights, and the bound 4 m eps (1 + l1)^2 on the round-off of g = c -
+    2 w'z + w'Kw: kernel values lie in [-1, 1], so each of its sums over
+    m atoms rounds by at most about m eps (1 + l1)^2.  A g below the bound
+    is round-off, not a measured value."""
+    w = np.asarray(weights, dtype=float)
+    l1 = float(np.abs(w).sum())
+    return {"sum": float(w.sum()), "negative_mass": float(np.maximum(-w, 0.0).sum()), "l1": l1,
+            "g_error_bound": 4 * w.size * float(np.finfo(float).eps) * (1.0 + l1) ** 2}
 
 
 def _spectrum(kernel: Kernel, points: np.ndarray) -> tuple[float, float]:

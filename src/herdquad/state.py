@@ -71,7 +71,7 @@ import queue
 import threading
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .kernels import Kernel
 from .targets import TargetEmbedding
@@ -181,7 +181,7 @@ class QuadratureState:
         self._atoms = np.zeros((0, 0))
         self._embeds = np.zeros(0)
         self._alpha = np.zeros(0)
-        self._weights: np.ndarray | None = None
+        self._weights: np.ndarray | None = np.zeros(0)  # None: solve on the next read
         self.mmd_sq = self.self_energy
 
     @property
@@ -204,23 +204,15 @@ class QuadratureState:
     def alpha(self) -> np.ndarray:
         return self._alpha[:self.size]
 
-    def _factor(self) -> np.ndarray:
-        """L as its own C-ordered array.
-
-        LAPACK takes another path for a strided view of the buffer, which
-        changes the last bits of the solves; the copy keeps them.
-        """
-        return np.ascontiguousarray(self.chol)
-
     @property
     def weights(self) -> np.ndarray:
-        """w = L^{-T} alpha, solved on the first read after the atoms change.
+        """w = L^{-T} alpha, solved on the first read after the atoms change by
+        the backward-stable ``dtrtrs`` call of ``add_atom`` on the same view of L.
 
         Assigning sets the weights the audits read until the next atom.
         """
         if self._weights is None:
-            self._weights = (solve_triangular(self._factor().T, self.alpha, lower=False)
-                             if self.size else np.zeros(0))
+            self._weights = lapack.dtrtrs(self._chol.T[:, :self.size], self.alpha, lower=0)[0]
         return self._weights
 
     @weights.setter
@@ -292,12 +284,12 @@ class QuadratureState:
                 kx = np.asarray(k_atoms, dtype=float)
                 if kx.shape != (i,):
                     raise ValueError(f"need {i} kernel entries at the atoms, got shape {kx.shape}")
-            # solve_triangular's own LAPACK call without its argument handling,
-            # which costs about 14 us a call, five times the solve at i = 60.
-            # The first i columns of the buffer's transpose are L^T, Fortran-
-            # ordered with the buffer's row length as leading dimension, so
-            # L lrow = kx is solved in place of a copy; a non-finite entry of
-            # kx fails the finiteness gate below.
+            # LAPACK's solve without scipy's argument handling, which costs 14 us
+            # a call, five times the solve at i = 60.  The first i columns of the
+            # buffer's transpose are L^T, Fortran-ordered with the buffer's row
+            # length as leading dimension, and dtrtrs reads their leading i x i
+            # block at any leading dimension, so ``weights``, ``scores`` and this
+            # solve L lrow = kx copy no L; a non-finite kx fails the gate below.
             lrow = lapack.dtrtrs(self._chol.T[:, :i], kx, lower=0, trans=1)[0]
             schur = kxx - float(lrow @ lrow)
         if not np.isfinite(schur):
@@ -328,7 +320,7 @@ class QuadratureState:
         if self.size == 0:
             return np.array(embeds, dtype=float), np.array(diag, dtype=float)
         C = self.kernel.cross(self.kernel.prepare(self.atoms), prepared)
-        Y = solve_triangular(self._factor(), C, lower=True)
+        Y = lapack.dtrtrs(self._chol.T[:, :self.size], C, lower=0, trans=1)[0]
         return embeds - Y.T @ self.alpha, diag - np.einsum("ij,ij->j", Y, Y)
 
     def _scores_at(self, X) -> tuple[np.ndarray, np.ndarray]:

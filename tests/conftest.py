@@ -109,9 +109,6 @@ class PrecomputedKernel(Kernel):
     def diagonal(self, A: np.ndarray) -> np.ndarray:
         return self.matrix[A, A]
 
-    def gram(self, X, Y) -> np.ndarray:
-        return self.cross(self.prepare(X), self.prepare(Y))
-
     def index_pool(self) -> CandidatePool:
         n = self.matrix.shape[0]
         return CandidatePool.from_points(np.arange(n, dtype=float)[:, None])
@@ -166,10 +163,47 @@ def assert_dense_scores(state, X, resid, schur):
     np.testing.assert_allclose(schur, dense_schur, rtol=0.0, atol=atol)
 
 
+def assert_step_backward_errors(scores, row, overwritten):
+    """The backward errors of the step that made pool row ``row`` the m-th
+    atom are at most 4 m eps: of the newest row of L against its row of
+    K = k(atoms, atoms), of the newest row of Y against the atom's kernel
+    row k(x, pool), and of s and r against diag - colsum(Y^2) and
+    z - Y^T alpha over the stored Y.  Rows in ``overwritten`` were given s
+    by the caller, as ``run_greedy`` gives a rejected candidate its own
+    Schur complement, and are left out of s.
+
+    Derived as ``test_differential.assert_orthogonal`` derives its bound.
+    Kernel values lie in [-1, 1] and every kernel here has a unit diagonal,
+    so the rows of L and the columns of Y have norm at most 1, and so has
+    alpha, whose squared norm is c - g.  A sum of m products of such
+    vectors rounds by at most m eps, whether it is one of the forward
+    substitutions that made a row of L or of Y, one of the m updates that
+    made s or r, or the recomputation here.  Backward errors of
+    backward-stable steps, these bounds do not grow with cond(K), which
+    ``assert_dense_scores`` must allow for.  Over the differential
+    instances the largest error was 2 m eps, in s at one atom.
+    """
+    st, setup = scores.state, CheckedScores.setup
+    m = st.size
+    L, Y = st.chol, np.hstack([block[:m] for block in scores.proj])
+    k_atoms = st.kernel.gram(st.atoms[m - 1], st.atoms)[0]
+    k_pool = st.kernel.cross(setup.prepared[row:row + 1], setup.prepared)[0]
+    errors = {
+        "L L^T = K": L[-1] @ L.T - k_atoms,
+        "L Y = k(atoms, pool)": L[-1] @ Y - k_pool,
+        "s = diag - colsum(Y^2)":
+            (scores.schur - setup.diag + np.einsum("ij,ij->j", Y, Y))[~overwritten],
+        "r = z - Y^T alpha": scores.resid - setup.embeds + Y.T @ st.alpha,
+    }
+    in_m_eps = {name: float(np.max(np.abs(e))) / (m * np.finfo(float).eps)
+                for name, e in errors.items()}
+    assert max(in_m_eps.values()) <= 4, in_m_eps
+
+
 class CheckedScores(PoolScores):
-    """PoolScores that, after every step, compares its r and s with the
-    state's from-scratch ``scores`` on the pool's setup and with the dense
-    oracle."""
+    """PoolScores that, after every step, checks the step's backward errors
+    and compares its r and s with the state's from-scratch ``scores`` on
+    the pool's setup and with the dense oracle."""
 
     setup = points = None  # the pool's setup and points, set by the test
     checked = 0
@@ -179,9 +213,14 @@ class CheckedScores(PoolScores):
     def steps(self):
         CheckedScores.blocks = len(self.bounds) - 1
         setup = CheckedScores.setup
+        stepped = self.schur.copy()  # s as the last step left it
+        overwritten = np.zeros(len(stepped), dtype=bool)
         with super().steps() as step:
             def checked_step(row):
+                overwritten[self.schur != stepped] = True
                 step(row)
+                stepped[:] = self.schur
+                assert_step_backward_errors(self, row, overwritten)
                 resid, schur = self.state.scores(setup.prepared, setup.embeds, setup.diag)
                 np.testing.assert_allclose(self.resid, resid, rtol=0.0, atol=1e-10)
                 np.testing.assert_allclose(self.schur, schur, rtol=0.0, atol=1e-10)

@@ -167,6 +167,45 @@ def test_mixture_distributed_records_solutions(tmp_path):
     assert (out / "trace_wkh_s3.csv").exists()
 
 
+def test_mixture_summary_describes_each_runs_own_weights(tmp_path):
+    """WKH and SBQ records carry the sum, negative mass, l1 norm and g round-off
+    bound of the weights their run returned (the winner's at s > 1); the
+    uniform-weight methods' records carry null."""
+    from herdquad import cli
+
+    weights = {}  # (method, s): the weights the run returned, None for a uniform method
+    cli_run_greedy, cli_run_distributed = cli.run_greedy, cli.run_distributed
+
+    def greedy(method, *args, **kwargs):
+        result, trace = cli_run_greedy(method, *args, **kwargs)
+        weights[method, 1] = getattr(result, "weights", None)
+        return result, trace
+
+    def distributed(method, pool, target, kernel, k, s, seed):
+        dist = cli_run_distributed(method, pool, target, kernel, k, s, seed)
+        weights[method, s] = dist.winner.weights
+        return dist
+
+    cfg = tmp_path / "mix.cfg"
+    cfg.write_text("methods = wkh, sbq, wkh:2, sbq:3, kh_uniform, mc_random\nk = 12\n"
+                   "pool_size = 150\ncomponents = 3\n")
+    with mock.patch.object(cli, "run_greedy", greedy), \
+            mock.patch.object(cli, "run_distributed", distributed):
+        assert run_cli("mixture", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+    runs = json.loads((tmp_path / "out" / "mixture_summary.json").read_text())["runs"]
+    assert len(runs) == len(weights) == 6
+    for run in runs:
+        w = weights[run["method"], run["s"]]
+        if w is None:
+            assert run["method"] in ("KH_UNIFORM", "MC_RANDOM") and run["weights"] is None
+            continue
+        l1 = sum(abs(x) for x in w)
+        expected = {"sum": sum(w), "negative_mass": sum(-x for x in w if x < 0), "l1": l1,
+                    "g_error_bound": 4 * len(w) * np.finfo(float).eps * (1 + l1) ** 2}
+        assert run["weights"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert len(w) == run["n_iterations"]
+
+
 def test_mixture_builds_each_seed_instance_once(tmp_path):
     """Every method of a seed shares one bandwidth and one pool setup."""
     cfg = tmp_path / "mix.cfg"

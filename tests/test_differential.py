@@ -11,7 +11,10 @@ residual of the weights, and run the distributed driver on three workers
 under every executor; the smallest instance also runs it on n workers of
 one point each.  At budget n, every step's stepped r and s meet the
 state's from-scratch ``scores`` and the dense LU oracle of
-``conftest.dense_scores``.
+``conftest.dense_scores``, every step's backward errors stay within
+bounds that do not grow with cond(K) (``conftest.assert_step_backward_errors``),
+and every RBF instance of at least two ``BLOCK_ALIGN`` rows, split into two
+or three column blocks, gives one block's atoms, g and weights bit for bit.
 """
 
 import numpy as np
@@ -21,7 +24,8 @@ from herdquad.diagnostics import orthogonality_residual
 from herdquad.distributed import run_distributed
 from herdquad.kernels import CandidatePool, NormalizedFeatureKernel, RBFKernel
 from herdquad.selectors import run_greedy
-from herdquad.state import G_ROUNDOFF
+from herdquad import state as state_module
+from herdquad.state import BLOCK_ALIGN, G_ROUNDOFF
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
 from tests.conftest import assert_pool_scores_match_from_scratch
 
@@ -44,6 +48,9 @@ INSTANCES = [
     ("feature", 8, 129, "near"),
 ]
 IDS = [f"{kind}-d{d}-n{n}{'-' + copies if copies else ''}" for kind, d, n, copies in INSTANCES]
+# the RBF instances of at least two BLOCK_ALIGN rows, which can split into column blocks
+BLOCKABLE = [i for i, (kind, _, n, _) in enumerate(INSTANCES)
+             if kind == "mixture" and n >= 2 * BLOCK_ALIGN]
 SMALLEST = min(range(len(INSTANCES)), key=lambda i: INSTANCES[i][2])
 METHODS = ("WKH", "SBQ")
 WORKERS = 3
@@ -137,6 +144,21 @@ def test_g_never_rises_and_matches_the_dense_objective(instance, method):
 def test_stepped_scores_meet_the_dense_oracle_at_every_step(instance, method):
     pool, target = instance
     assert_pool_scores_match_from_scratch(method, pool, target, len(pool))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("index", BLOCKABLE, ids=[IDS[i] for i in BLOCKABLE])
+def test_column_blocks_give_one_blocks_bits(index, method, monkeypatch):
+    pool, target = draw_instance(index)
+    runs = [run_greedy(method, pool, target, target.kernel, len(pool))]
+    monkeypatch.setattr(state_module, "BLOCK_MIN_COLUMNS", BLOCK_ALIGN)
+    monkeypatch.setattr(state_module, "usable_cpus", lambda: 3)
+    assert state_module._block_count(len(pool)) == min(3, len(pool) // BLOCK_ALIGN) > 1
+    runs.append(run_greedy(method, pool, target, target.kernel, len(pool)))
+    (one, one_trace), (blocked, blocked_trace) = runs
+    assert one.atom_ids == blocked.atom_ids
+    assert one_trace.mmd_values.tobytes() == blocked_trace.mmd_values.tobytes()
+    assert one.weights.tobytes() == blocked.weights.tobytes()
 
 
 def assert_same_bits(a, b):
