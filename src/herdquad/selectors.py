@@ -49,10 +49,9 @@ and each block computes its own columns of the row inside the step, in
 the order its docstring gives with the timings that chose it.  The
 baselines likewise reuse the pool's embeddings and one kernel row per
 pick instead of evaluating the target point by point, and compute their g
-in one pass of ``uniform_g`` over one pair of kernel entries per point:
-KH_UNIFORM picks every point first and keeps its pairs, and MC_RANDOM
-gathers its prepared draws once and hands ``uniform_g`` a generator that
-computes each draw's kernel row when asked.
+in one pass of ``uniform_g`` over one pair of kernel entries per point,
+kept by one loop per baseline: KH_UNIFORM's herds each point, MC_RANDOM's
+crosses each draw with the draws before it.
 
 Selection is deterministic: ties always go to the lowest pool id (pools
 list their rows by ascending id and ``argmax`` takes the first maximum), and a
@@ -213,11 +212,10 @@ def uniform_g(self_energy: float, embeds: np.ndarray, entries) -> list[float]:
         c - 2 mean_i z_i + mean_{i,j} k(x_i, x_j)
 
     for the target's self-energy c.  ``embeds`` is the float array of the
-    points' embeddings z(x), and ``entries`` yields one pair per point: the
-    sum of k(x, x_i) over the points before it, and k(x, x).  It is read
-    lazily, one pair per point, so a generator may compute each pair when it
-    is asked for the next.  A point costs the sum of the mean, which is the
-    sum ``np.mean`` takes, and no method or property call.
+    points' embeddings z(x), and ``entries`` holds one pair per point: the
+    sum of k(x, x_i) over the points before it, and k(x, x).  A point costs
+    the sum of the mean, which is the sum ``np.mean`` takes, and no method or
+    property call.
     """
     c, pair, reduce = float(self_energy), 0.0, np.add.reduce
     g = []
@@ -295,8 +293,9 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
     (WKH / SBQ) or a ``UniformResult`` (KH_UNIFORM / MC_RANDOM).  The
     trace records one row per iteration with the chosen id, the objective
     value of ``result`` after the step and the wall time since the
-    selection began, the pool's setup excluded; KH_UNIFORM reads that time
-    at the pick, before the one pass that computes g.  The g column is
+    selection began, the pool's setup excluded; KH_UNIFORM and MC_RANDOM
+    read a point's time once its kernel entries are known, so it does not
+    include g, which one pass computes after the last point.  The g column is
     guaranteed non-increasing only for WKH and SBQ; under uniform weights
     single steps can raise it.  Early-stop reasons: ``objective_floor``
     once mmd_sq <= ``state.G_ROUNDOFF``, below which g is round-off
@@ -365,20 +364,13 @@ def run_greedy(method, pool: CandidatePool, target: TargetEmbedding, kernel: Ker
             ksum += k_row
             elapsed.append(elapsed_ms())
     else:
-        # one kernel row per draw, against every draw so far, this one last,
-        # from a generator that computes it when asked; a draw's time is read
-        # when ``uniform_g`` asks for the next draw's entries, so it counts
-        # the draw's g
+        # one kernel row per draw, against every draw so far, this one last
         rows = np.random.default_rng(seed).permutation(n)[:k]
-        drawn, cross, elapsed = prepared[rows], kernel.cross, []
-
-        def draw_entries():
-            for it in range(1, rows.size + 1):
-                row = cross(drawn[it - 1:it], drawn[:it])[0]
-                yield np.add.reduce(row[:-1]), row[-1]
-                elapsed.append(elapsed_ms())
-
-        entries = draw_entries()
+        drawn, entries, elapsed = prepared[rows], [], []
+        for it in range(1, rows.size + 1):
+            k_row = kernel.cross(drawn[it - 1:it], drawn[:it])[0]
+            entries.append((np.add.reduce(k_row[:-1]), k_row[-1]))
+            elapsed.append(elapsed_ms())
     g = uniform_g(target.self_energy(), z_all[rows], entries)
     atom_ids = pool.ids[rows].tolist()
     trace.rows = list(map(TraceRow, range(1, len(g) + 1), atom_ids, g, elapsed))

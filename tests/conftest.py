@@ -152,15 +152,17 @@ def dense_scores(state, X):
     return z - C.T @ lu_solve(lu, state.embeds), diag - np.einsum("ij,ij->j", C, lu_solve(lu, C))
 
 
-def assert_dense_scores(state, X, resid, schur):
+def assert_dense_scores(state, X, resid, schur, overwritten=None):
     """r and s of points X agree with the dense oracle's LU solves to 1e-10
     plus the oracle's own round-off, which grows with the condition number
     of K: over 300 seeds of ``test_state.py``'s hypothesis runs it stayed
-    under 1.6 eps cond(K), against the 4.5 eps cond(K) allowed here."""
+    under 1.6 eps cond(K), against the 4.5 eps cond(K) allowed here.  Points
+    marked in the bool array ``overwritten`` are left out of s."""
     atol = 1e-10 + (1e-15 * np.linalg.cond(state.gram) if state.size else 0.0)
     dense_resid, dense_schur = dense_scores(state, X)
+    kept = slice(None) if overwritten is None else ~overwritten
     np.testing.assert_allclose(resid, dense_resid, rtol=0.0, atol=atol)
-    np.testing.assert_allclose(schur, dense_schur, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(schur[kept], dense_schur[kept], rtol=0.0, atol=atol)
 
 
 def assert_step_backward_errors(scores, row, overwritten):
@@ -203,7 +205,9 @@ def assert_step_backward_errors(scores, row, overwritten):
 class CheckedScores(PoolScores):
     """PoolScores that, after every step, checks the step's backward errors
     and compares its r and s with the state's from-scratch ``scores`` on
-    the pool's setup and with the dense oracle."""
+    the pool's setup and with the dense oracle.  Rows whose s the caller
+    overwrote between steps, as ``run_greedy`` does on a rejection, are left
+    out of every s comparison from then on; r is compared on every row."""
 
     setup = points = None  # the pool's setup and points, set by the test
     checked = 0
@@ -223,16 +227,35 @@ class CheckedScores(PoolScores):
                 assert_step_backward_errors(self, row, overwritten)
                 resid, schur = self.state.scores(setup.prepared, setup.embeds, setup.diag)
                 np.testing.assert_allclose(self.resid, resid, rtol=0.0, atol=1e-10)
-                np.testing.assert_allclose(self.schur, schur, rtol=0.0, atol=1e-10)
-                assert_dense_scores(self.state, CheckedScores.points, self.resid, self.schur)
+                np.testing.assert_allclose(self.schur[~overwritten], schur[~overwritten],
+                                           rtol=0.0, atol=1e-10)
+                assert_dense_scores(self.state, CheckedScores.points, self.resid, self.schur,
+                                    overwritten)
                 CheckedScores.checked += 1
             yield checked_step
 
 
-def assert_pool_scores_match_from_scratch(method, pool, target, k):
+def assert_pool_scores_match_from_scratch(method, pool, target, k, checked=CheckedScores):
+    """Run ``run_greedy`` with ``checked``, ``CheckedScores`` or a subclass,
+    in place of ``PoolScores``; every accepted step must have been checked.
+    Returns the trace."""
     CheckedScores.setup = setup_pool(pool, target, target.kernel)  # the one run_greedy reuses
     CheckedScores.points = pool.points
     CheckedScores.checked = 0
-    with mock.patch("herdquad.selectors.PoolScores", CheckedScores):
+    with mock.patch("herdquad.selectors.PoolScores", checked):
         _, trace = run_greedy(method, pool, target, target.kernel, k)
     assert CheckedScores.checked == len(trace.rows) > 0
+    return trace
+
+
+def assert_same_distributed(a, b):
+    """Two ``DistributedResult``s agree bit for bit: the winner, each
+    solution's label, ids, g and weight bytes, and each trace's chosen ids,
+    stop reason and g bytes."""
+    assert a.winner_index == b.winner_index
+    for x, y in zip(a.solutions, b.solutions, strict=True):
+        assert (x.label, x.ids, x.mmd_sq) == (y.label, y.ids, y.mmd_sq)
+        assert x.weights.tobytes() == y.weights.tobytes()
+    for x, y in zip(a.traces, b.traces, strict=True):
+        assert x.chosen_ids == y.chosen_ids and x.stop_reason == y.stop_reason
+        assert x.mmd_values.tobytes() == y.mmd_values.tobytes()

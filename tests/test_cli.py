@@ -58,6 +58,13 @@ def test_atomic_write_replaces_without_partial_state(tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_removes_its_temp_file_when_the_write_raises(tmp_path):
+    path = tmp_path / "file.txt"
+    with pytest.raises(TypeError, match="must be str"):
+        atomic_write_text(str(path), None)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
 def test_artifacts_get_the_mode_of_a_plain_open(tmp_path, umask):
     previous = os.umask(umask)

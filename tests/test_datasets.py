@@ -59,6 +59,12 @@ def test_labeled_dataset_validation():
         LabeledDataset(features=bad, labels=y, split=tags)
 
 
+def test_features_that_are_not_2d_raise():
+    tags = np.array(["train", "validation", "test"])
+    with pytest.raises(ValueError, match="features must form a 2-d array"):
+        LabeledDataset(features=np.zeros(3), labels=[0, 1, 0], split=tags)
+
+
 @pytest.mark.parametrize("bad_label", [0.7, np.nan])
 def test_labels_that_are_not_exactly_binary_raise(bad_label):
     X = np.zeros((3, 2))
@@ -157,6 +163,28 @@ def test_csv_errors_cite_line_numbers(tmp_path):
         load_csv(path)
 
 
+def test_a_non_numeric_csv_label_names_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b,label\n1.0,2.0,1\n3.0,4.0,yes\n")
+    with pytest.raises(IngestError, match="line 3: label 'yes' is not numeric"):
+        load_csv(path)
+
+
+def test_a_csv_header_of_one_column_raises(tmp_path):
+    path = tmp_path / "label_only.csv"
+    path.write_text("label\n1\n0\n")
+    with pytest.raises(IngestError, match="line 1: need at least one feature column"):
+        load_csv(path)
+
+
+def test_blank_csv_data_lines_are_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("a,label\n1.0,1\n\n  \n2.0,0\n")
+    X, y = load_csv(path)
+    np.testing.assert_array_equal(X, [[1.0], [2.0]])
+    np.testing.assert_array_equal(y, [1, 0])
+
+
 def test_csv_that_is_not_utf8_is_an_ingest_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"a,b,label\n1.0,2.0\xff,1\n")
@@ -188,6 +216,14 @@ def test_libsvm_errors_cite_line_numbers(tmp_path):
         load_libsvm(path)
     path.write_text("\n\n")
     with pytest.raises(IngestError, match="no data rows"):
+        load_libsvm(path)
+
+
+@pytest.mark.parametrize("entry", ["x:0.5", "1:half", "1.5:2.0"])
+def test_a_libsvm_entry_that_does_not_parse_names_its_line(tmp_path, entry):
+    path = tmp_path / "bad.libsvm"
+    path.write_text(f"1 1:0.5\n0 {entry}\n")
+    with pytest.raises(IngestError, match=f"line 2: malformed entry '{entry}'"):
         load_libsvm(path)
 
 

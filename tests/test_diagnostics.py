@@ -88,6 +88,18 @@ def test_brute_force_matches_manual_scan():
     assert oracle.subsets_examined == 6 + 15
 
 
+def test_the_oracle_stops_a_subset_at_a_repeated_point(rbf_unit):
+    """The pair of two copies of one point is scored as its first copy
+    alone, with no solve on its singular Gram."""
+    pool = CandidatePool.from_points([[0.0], [0.0]])
+    target = DiscreteTarget.uniform(np.array([[1.0], [-1.0]]), rbf_unit)
+    single = brute_force_best_subset(pool, target, rbf_unit, r=1)
+    oracle = brute_force_best_subset(pool, target, rbf_unit, r=2)
+    assert oracle.ids == single.ids == (0,)
+    assert oracle.mmd_sq == single.mmd_sq > G_ROUNDOFF
+    assert oracle.subsets_examined == 3
+
+
 def test_brute_force_budget_guard():
     pool, target, kern = brute_problem(seed=2, n=60)
     with pytest.raises(CombinatorialBudgetExceeded):

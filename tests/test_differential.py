@@ -15,7 +15,12 @@ state's from-scratch ``scores`` and the dense LU oracle of
 bounds that do not grow with cond(K) (``conftest.assert_step_backward_errors``),
 and every RBF instance of at least two ``BLOCK_ALIGN`` rows, split into two
 or three column blocks, gives one block's atoms, g and weights bit for bit.
+A patched ``add_atom`` that rejects one pick puts ``run_greedy``'s
+rejection branch under the same stepped checks.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,9 +30,13 @@ from herdquad.distributed import run_distributed
 from herdquad.kernels import CandidatePool, NormalizedFeatureKernel, RBFKernel
 from herdquad.selectors import run_greedy
 from herdquad import state as state_module
-from herdquad.state import BLOCK_ALIGN, G_ROUNDOFF
+from herdquad.state import BLOCK_ALIGN, G_ROUNDOFF, TAU_DEP, NearDependentAtom, QuadratureState
 from herdquad.targets import DiscreteTarget, GaussianMixtureTarget
-from tests.conftest import assert_pool_scores_match_from_scratch
+from tests.conftest import (
+    CheckedScores,
+    assert_pool_scores_match_from_scratch,
+    assert_same_distributed,
+)
 
 # (target kind, d, n, copied rows: "", "dup" exact or "near" perturbed copies):
 # one instance each, drawn from seed 3800 + its index
@@ -147,6 +156,43 @@ def test_stepped_scores_meet_the_dense_oracle_at_every_step(instance, method):
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_a_rejected_pick_stays_masked_under_the_stepped_checks(method):
+    """add_atom's own Schur complement rejects the third pick: the row keeps
+    that s below ``TAU_DEP``, every accepted step passes the stepped checks,
+    and the run equals one on the pool without the row."""
+    pool, target = draw_instance(IDS.index("mixture-d2-n200"))
+    original = QuadratureState.add_atom
+    rejected, masked = [], []
+
+    def add_atom(self, x, pool_id, *args, **kwargs):
+        if self.size == 2 and not rejected:
+            rejected.append(int(pool_id))
+            raise NearDependentAtom(pool_id, 0.5 * TAU_DEP)
+        return original(self, x, pool_id, *args, **kwargs)
+
+    class MaskedScores(CheckedScores):
+        @contextlib.contextmanager
+        def steps(self):
+            with super().steps() as step:
+                def masked_step(row):
+                    step(row)
+                    if rejected:
+                        # a fresh pool's ids are its rows
+                        masked.append(self.schur[rejected[0]] < TAU_DEP)
+                yield masked_step
+
+    with mock.patch.object(QuadratureState, "add_atom", add_atom):
+        trace = assert_pool_scores_match_from_scratch(method, pool, target, len(pool),
+                                                      checked=MaskedScores)
+    assert len(rejected) == 1 and rejected[0] not in trace.chosen_ids
+    assert len(masked) == len(trace.rows) - 2 and all(masked)
+    rest = pool.take(np.flatnonzero(pool.ids != rejected[0]))
+    _, plain = run_greedy(method, rest, target, target.kernel, len(pool))
+    assert trace.chosen_ids == plain.chosen_ids
+    assert trace.mmd_values.tobytes() == plain.mmd_values.tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("index", BLOCKABLE, ids=[IDS[i] for i in BLOCKABLE])
 def test_column_blocks_give_one_blocks_bits(index, method, monkeypatch):
     pool, target = draw_instance(index)
@@ -161,16 +207,6 @@ def test_column_blocks_give_one_blocks_bits(index, method, monkeypatch):
     assert one.weights.tobytes() == blocked.weights.tobytes()
 
 
-def assert_same_bits(a, b):
-    assert a.winner_index == b.winner_index
-    for x, y in zip(a.solutions, b.solutions, strict=True):
-        assert (x.label, x.ids, x.mmd_sq) == (y.label, y.ids, y.mmd_sq)
-        assert x.weights.tobytes() == y.weights.tobytes()
-    for x, y in zip(a.traces, b.traces, strict=True):
-        assert x.chosen_ids == y.chosen_ids and x.stop_reason == y.stop_reason
-        assert x.mmd_values.tobytes() == y.mmd_values.tobytes()
-
-
 def check_distributed(pool, target, method, k, workers):
     """The three executors agree bit for bit, the winner is no worse than any
     worker, the aggregator picks from the workers' atoms and every solution's
@@ -179,8 +215,8 @@ def check_distributed(pool, target, method, k, workers):
                                 executor=ex, max_workers=2)
             for ex in ("serial", "thread", "process")}
     serial = runs["serial"]
-    assert_same_bits(serial, runs["thread"])
-    assert_same_bits(serial, runs["process"])
+    assert_same_distributed(serial, runs["thread"])
+    assert_same_distributed(serial, runs["process"])
     shards, aggregator = serial.solutions[:workers], serial.solutions[workers]
     assert serial.winner.mmd_sq <= min(sol.mmd_sq for sol in shards)
     assert set(aggregator.ids) <= {i for sol in shards for i in sol.ids}

@@ -19,7 +19,7 @@ from herdquad.selectors import Method, run_greedy, setup_pool
 from herdquad.state import G_ROUNDOFF, KernelMismatch
 from herdquad.summarization import summarize
 from herdquad.targets import DiscreteTarget
-from tests.conftest import random_mixture
+from tests.conftest import assert_same_distributed, random_mixture
 
 
 def make_problem(seed, n=60, dim=2):
@@ -130,21 +130,13 @@ def test_rejects_another_kernel():
         run_distributed(Method.SBQ, pool, target, RBFKernel(0.3), 5, 2, seed=0)
 
 
-def assert_same_result(expected, other):
-    assert other.winner_index == expected.winner_index
-    for a, b in zip(expected.solutions, other.solutions, strict=True):
-        assert a.ids == b.ids
-        np.testing.assert_array_equal(a.weights, b.weights)
-        assert a.mmd_sq == b.mmd_sq
-
-
 def test_executors_agree_bit_for_bit():
     pool, target, kern = make_problem(seed=10)
     kwargs = dict(k=5, s=3, seed=13)
     serial = run_distributed(Method.WKH, pool, target, kern, **kwargs, executor="serial")
     for executor in ("thread", "process"):
-        assert_same_result(serial, run_distributed(Method.WKH, pool, target, kern, **kwargs,
-                                                   executor=executor))
+        assert_same_distributed(serial, run_distributed(Method.WKH, pool, target, kern, **kwargs,
+                                                        executor=executor))
 
 
 def test_default_pool_has_one_worker_per_core(monkeypatch):
@@ -161,7 +153,7 @@ def test_default_pool_has_one_worker_per_core(monkeypatch):
     default = run_distributed(Method.WKH, pool, target, kern, **kwargs)
     one_per_shard = run_distributed(Method.WKH, pool, target, kern, **kwargs, max_workers=5)
     assert requested == [2, 5]
-    assert_same_result(one_per_shard, default)
+    assert_same_distributed(one_per_shard, default)
 
 
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
@@ -181,9 +173,9 @@ def test_bad_max_workers_is_rejected_before_partitioning(executor, max_workers, 
 def test_integer_max_workers_is_accepted(max_workers):
     pool, target, kern = make_problem(seed=17)
     kwargs = dict(k=3, s=3, seed=0)
-    assert_same_result(run_distributed(Method.WKH, pool, target, kern, **kwargs, executor="serial"),
-                       run_distributed(Method.WKH, pool, target, kern, **kwargs,
-                                       max_workers=max_workers))
+    serial = run_distributed(Method.WKH, pool, target, kern, **kwargs, executor="serial")
+    assert_same_distributed(serial, run_distributed(Method.WKH, pool, target, kern, **kwargs,
+                                                    max_workers=max_workers))
 
 
 def test_distributed_reproducible_across_calls():
@@ -344,8 +336,9 @@ def test_a_count_that_is_not_an_int_is_rejected_where_it_enters(entry, name, bad
 
 def test_numpy_int_counts_are_accepted():
     pool, target, kern = make_problem(seed=19)
-    assert_same_result(run_distributed(Method.WKH, pool, target, kern, np.int64(3), np.int64(2), 0),
-                       run_distributed(Method.WKH, pool, target, kern, 3, 2, 0))
+    assert_same_distributed(
+        run_distributed(Method.WKH, pool, target, kern, np.int64(3), np.int64(2), 0),
+        run_distributed(Method.WKH, pool, target, kern, 3, 2, 0))
     data = synthetic_blob_dataset(n=60, dim=2, seed=0)
     assert summarize(data, Method.WKH, np.int64(3)).selected_indices.size == 3
 
@@ -461,7 +454,7 @@ def test_threads_sharing_one_pool_between_two_targets_agree_with_serial_runs():
     finally:
         sys.setswitchinterval(interval)
     for (target, s), result in results:
-        assert_same_result(expected[(id(target), s)], result)
+        assert_same_distributed(expected[(id(target), s)], result)
 
 
 @pytest.mark.parametrize("entry", ["partition", "serial", "thread", "process"])

@@ -163,6 +163,33 @@ def test_pool_rejects_nonfinite_points():
         CandidatePool.from_points(np.array([[np.nan], [0.0]]))
 
 
+def test_a_3d_point_array_raises(rbf_unit):
+    with pytest.raises(ValueError, match=r"vector or a 2-d array, got shape \(2, 2, 2\)"):
+        rbf_unit.gram(np.zeros((2, 2, 2)), np.zeros((1, 2)))
+
+
+def test_rbf_pairwise_needs_batches_of_equal_length(rbf_unit):
+    with pytest.raises(ValueError, match="pairwise needs equal-length batches"):
+        rbf_unit.pairwise(np.zeros((2, 1)), np.zeros((3, 1)))
+
+
+def test_pool_rejects_points_that_are_not_2d():
+    with pytest.raises(ValueError, match="pool points must form a 2-d array"):
+        CandidatePool(points=np.zeros(3), ids=np.arange(3))
+
+
+def test_pool_needs_one_id_per_point():
+    with pytest.raises(ValueError, match="need exactly one id per pool point"):
+        CandidatePool(points=np.zeros((3, 2)), ids=np.arange(2))
+
+
+def test_point_by_id_of_a_missing_id_raises():
+    pool = CandidatePool.from_points(np.arange(6.0).reshape(3, 2))
+    np.testing.assert_array_equal(pool.point_by_id(2), [4.0, 5.0])
+    with pytest.raises(KeyError, match="id 3 not in pool"):
+        pool.point_by_id(3)
+
+
 def test_unit_diagonal_accepts_rbf(rbf_unit, rng):
     pool = CandidatePool.from_points(rng.normal(size=(6, 2)))
     assert pool_is_standardized(rbf_unit, pool)

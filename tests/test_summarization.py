@@ -358,6 +358,29 @@ def test_draw_baseline_rows_contract():
         _draw_baseline_rows(np.random.default_rng(0), train_rows, one_class, 5)
 
 
+def test_a_baseline_draw_that_never_finds_both_classes_raises():
+    """One minority row among 100 000: no draw of two in 1000 holds it."""
+    labels = np.zeros(100_000, dtype=int)
+    labels[50_000] = 1
+    with pytest.raises(BothClassesRequired, match="no two-class baseline subset found after 1000"):
+        _draw_baseline_rows(np.random.default_rng(0), np.arange(labels.size), labels, 2)
+
+
+def test_fewer_nondegenerate_embeddings_than_k_raise(monkeypatch):
+    """A model that saturates the sigmoid on every training row but one
+    leaves one nondegenerate embedding."""
+    from herdquad.summarization import LogisticModel
+
+    X = np.array([[5.0], [-5.0], [6.0], [-6.0], [0.1], [0.2], [-0.2], [0.3]])
+    y = np.array([1, 0, 1, 0, 1, 1, 1, 0])
+    tags = np.array(["train"] * 5 + ["validation"] * 2 + ["test"])
+    data = LabeledDataset(features=X, labels=y, split=tags)
+    model = LogisticModel(theta=np.array([100.0, 0.0]))
+    monkeypatch.setattr(summarization, "train_logistic", lambda X, y: model)
+    with pytest.raises(ValueError, match="only 1 nondegenerate training embeddings for k=2"):
+        summarize(data, "WKH", 2)
+
+
 def test_mc_random_single_class_draw_names_its_cell():
     # MC_RANDOM's own draw of 6 rows at seed 2 holds one class; it is not redrawn
     ds = synthetic_blob_dataset(n=200, dim=16, seed=0)

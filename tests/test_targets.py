@@ -198,6 +198,27 @@ def test_mc_self_energy_rejects_a_pair_count_that_is_not_a_positive_int(std_norm
         mc_self_energy(std_normal_target, n_pairs=bad, seed=0)
 
 
+def test_mc_self_energy_of_one_pair_has_no_standard_error(std_normal_target):
+    est, se = mc_self_energy(std_normal_target, n_pairs=1, seed=0)
+    assert 0.0 < est <= 1.0 and se == float("inf")
+
+
+def test_mixture_means_that_are_not_2d_raise(rbf_unit):
+    with pytest.raises(ValueError, match=r"means must form a \(components, dim\) array"):
+        GaussianMixtureTarget(np.array([1.0]), np.zeros(1), np.ones((1, 1, 1)), rbf_unit)
+
+
+def test_mixture_weights_that_do_not_sum_to_one_raise(rbf_unit):
+    with pytest.raises(ValueError, match="mixture weights must be nonnegative and sum to 1"):
+        GaussianMixtureTarget(np.array([0.5, 0.4]), np.zeros((2, 1)), np.ones((2, 1, 1)),
+                              rbf_unit)
+
+
+def test_discrete_probabilities_of_the_wrong_length_raise(rbf_unit):
+    with pytest.raises(ValueError, match="need one probability per support point"):
+        DiscreteTarget(np.zeros((3, 1)), np.array([0.5, 0.5]), rbf_unit)
+
+
 def test_base_target_cannot_sample():
     class Bare(TargetEmbedding):
         def mean_embed_many(self, X):

@@ -23,7 +23,7 @@ from herdquad.kernels import CandidatePool, NormalizedFeatureKernel
 from herdquad.selectors import run_greedy
 from herdquad.state import PoolScores, share_cores
 from herdquad.targets import DiscreteTarget
-from tests.conftest import random_mixture
+from tests.conftest import assert_same_distributed, random_mixture
 from tests.test_load_points import run_fresh
 
 
@@ -177,13 +177,8 @@ def test_the_three_executors_agree_bit_for_bit(problem, method):
                                       executor=executor, max_workers=2)
             for executor in ("serial", "thread", "process")}
     serial = runs.pop("serial")
-    for executor, res in runs.items():
-        assert res.winner_index == serial.winner_index, executor
-        for a, b in zip(serial.solutions, res.solutions, strict=True):
-            assert a.ids == b.ids and a.mmd_sq == b.mmd_sq, executor
-            assert a.weights.tobytes() == b.weights.tobytes(), executor
-        for a, b in zip(serial.traces, res.traces, strict=True):
-            assert a.mmd_values.tobytes() == b.mmd_values.tobytes(), executor
+    for res in runs.values():
+        assert_same_distributed(serial, res)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
